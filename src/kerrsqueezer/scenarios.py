@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -38,6 +40,7 @@ from .cavity import (
     squeezing_spectrum,
 )
 from .detection import (
+    SCAN_SHAPES,
     EfficiencyFactor,
     LossBudget,
     TomographySettings,
@@ -46,7 +49,7 @@ from .detection import (
     simulate_tomography_trace,
     total_efficiency,
 )
-from .errors import DomainError, InconsistentObservationError, ValidationError
+from .errors import DomainError, InconsistentObservationError, ThresholdError, ValidationError
 from .phasematch import (
     calibrate_from_extrema,
     delta_k,
@@ -64,12 +67,165 @@ from .states import (
     variance_to_db,
 )
 
-SCENARIOS = ("fig3", "fig4", "fig5", "custom")
-CUSTOM_TASKS = ("conversion_sweep", "profiles", "tomography", "squeeze_sweep")
+# Tasks each scenario runs; ``custom`` runs the tasks listed in ``custom.tasks``.
+SCENARIO_TASKS = {
+    "fig3": ("conversion_sweep", "profiles"),
+    "fig4": ("tomography",),
+    "fig5": ("squeeze_sweep",),
+    "custom": (),
+}
+SCENARIOS = tuple(SCENARIO_TASKS)
+
+# Config sections each task reads.  A section is validated exactly when a
+# task of the run reads it.
+TASK_SECTIONS = {
+    "conversion_sweep": ("crystal", "cavity", "fig3"),
+    "profiles": ("crystal", "cavity", "fig3"),
+    "tomography": ("budget", "tomography", "fig4"),
+    "squeeze_sweep": ("crystal", "cavity", "budget", "fig5"),
+}
 
 
 # --------------------------------------------------------------------------
-# configuration loading and validation
+# configuration schema, loading and validation
+#
+# A check takes (path, value) and returns a path-tagged diagnostic, or None
+# when the value is acceptable.
+
+
+def _number(lo=None, hi=None, lo_open=False, hi_open=False):
+    def check(path, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return f"{path}: expected a number, got {type(value).__name__}"
+        # The first test catches integers too large to convert to a float.
+        if abs(value) > sys.float_info.max or not math.isfinite(value):
+            return f"{path}: must be finite"
+        value = float(value)
+        if lo is not None and (value <= lo if lo_open else value < lo):
+            return f"{path}: must be {'>' if lo_open else '>='} {lo}, got {value}"
+        if hi is not None and (value >= hi if hi_open else value > hi):
+            return f"{path}: must be {'<' if hi_open else '<='} {hi}, got {value}"
+        return None
+
+    return check
+
+
+_NUMBER = _number()
+_POSITIVE = _number(lo=0.0, lo_open=True)
+
+
+def _integer(lo):
+    def check(path, value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            return f"{path}: expected an integer, got {type(value).__name__}"
+        return f"{path}: must be >= {lo}, got {value}" if value < lo else None
+
+    return check
+
+
+def _choice(*options):
+    def check(path, value):
+        if value in options:
+            return None
+        return f"{path}: must be one of {sorted(options)}, got {value!r}"
+
+    return check
+
+
+def _flag(path, value):
+    return None if isinstance(value, bool) else f"{path}: expected true/false"
+
+
+def _list(expected, min_len, max_len=math.inf, item=_NUMBER, build=None):
+    """A list of ``min_len..max_len`` entries that each pass ``item``; when
+    given, ``build(*entries)`` applies the domain checks of a value type."""
+
+    def check(path, value):
+        if not isinstance(value, (list, tuple)) or not min_len <= len(value) <= max_len:
+            return f"{path}: expected {expected}"
+        for i, entry in enumerate(value):
+            message = item(f"{path}[{i}]", entry)
+            if message:
+                return message
+        if build is not None:
+            try:
+                build(*value)
+            except DomainError as err:
+                return f"{path}: {err}"
+        return None
+
+    return check
+
+
+REQUIRED = object()  # default of a field the config must give
+_FACTOR = _list("[value, uncertainty]", 2, 2, build=EfficiencyFactor)
+
+# path: (check, default).  A field whose default is None accepts null, which
+# selects that default; every other field rejects null.
+FIELDS = {
+    "scenario": (_choice(*SCENARIOS), REQUIRED),
+    "seed": (_integer(0), REQUIRED),
+    "custom.tasks": (_list("a non-empty list of tasks", 1, item=_choice(*TASK_SECTIONS)),
+                     REQUIRED),
+    "crystal.t_max_c": (_NUMBER, REQUIRED),
+    "crystal.t_min1_c": (_NUMBER, REQUIRED),
+    "crystal.length_m": (_POSITIVE, REQUIRED),
+    "crystal.kappa": (_POSITIVE, REQUIRED),
+    "cavity.round_trip_length_m": (_POSITIVE, REQUIRED),
+    "cavity.coupler_transmission": (_number(0.0, 1.0, lo_open=True, hi_open=True), REQUIRED),
+    "cavity.round_trip_loss": (_number(0.0, 1.0, hi_open=True), REQUIRED),
+    "cavity.detuning_rad": (_NUMBER, CavityParams.detuning),
+    "budget.escape": (_FACTOR, REQUIRED),
+    "budget.omc_transmission": (_FACTOR, REQUIRED),
+    "budget.shg_residual": (_FACTOR, REQUIRED),
+    "budget.bhd_efficiency": (_FACTOR, REQUIRED),
+    "budget.visibility": (_number(0.0, 1.0, lo_open=True), LossBudget.visibility),
+    "budget.visibility_in_bhd": (_flag, LossBudget.visibility_in_bhd),
+    "tomography.rbw_hz": (_POSITIVE, REQUIRED),
+    "tomography.vbw_hz": (_POSITIVE, REQUIRED),
+    "tomography.dark_db": (_NUMBER, TomographySettings.dark_db),
+    "tomography.scan_shape": (_choice(*SCAN_SHAPES), TomographySettings.scan_shape),
+    "tomography.scan_period_s": (_POSITIVE, TomographySettings.scan_period),
+    "tomography.duration_s": (_POSITIVE, TomographySettings.duration),
+    "tomography.lo_power_w": (_POSITIVE, TomographySettings.lo_power),
+    "fig3.input_power_w": (_POSITIVE, REQUIRED),
+    "fig3.sweep.start_c": (_NUMBER, REQUIRED),
+    "fig3.sweep.stop_c": (_NUMBER, REQUIRED),
+    "fig3.sweep.points": (_integer(2), REQUIRED),
+    "fig3.profile_temperatures_c": (_list("a non-empty list of temperatures", 1), REQUIRED),
+    "fig3.profile_points": (_integer(11), 1501),
+    "fig3.profile_span_linewidths": (_number(lo=1.0), 6.0),
+    "fig4.targets_db": (_list("[squeeze_db, antisqueeze_db]", 2, 2, build=SqueezeObservation),
+                        REQUIRED),
+    "fig4.mode": (_choice("phase-noise", "loss-only"), "phase-noise"),
+    "fig4.eta_total": (_number(0.0, 1.0, lo_open=True), None),  # None: budget product
+    "fig5.input_power_w": (_POSITIVE, REQUIRED),
+    "fig5.temperatures_c": (_list("a list of at least 2 temperatures", 2), REQUIRED),
+    "fig5.kappa": (_POSITIVE, None),  # None: crystal.kappa
+    "fig5.sideband_frequency_hz": (_POSITIVE, None),  # None: one FSR
+    "fig5.phase_noise_rms_rad": (_number(lo=0.0), 0.0),
+    "fig5.omc_finesse": (_number(lo=1.0), 200.0),
+    "fig5.spectrum_points": (_integer(2), 801),
+}
+
+# (field, other field, relation field must bear to other, diagnostic); checked
+# only when both fields passed their own checks.
+INVARIANTS = (
+    ("crystal.t_min1_c", "crystal.t_max_c", operator.ne, "must differ from crystal.t_max_c"),
+    ("tomography.vbw_hz", "tomography.rbw_hz", operator.lt,
+     "must be < rbw_hz ({other}), got {value}"),
+    ("fig3.sweep.stop_c", "fig3.sweep.start_c", operator.gt, "must exceed fig3.sweep.start_c"),
+)
+
+
+def _get(config: Mapping[str, Any], path: str):
+    """Value of the field at ``path``, or its FIELDS default when absent."""
+    node: Any = config
+    for key in path.split("."):
+        if not isinstance(node, Mapping) or key not in node:
+            return FIELDS[path][1]
+        node = node[key]
+    return node
 
 
 def default_config_path(scenario: str) -> Path:
@@ -90,210 +246,54 @@ def load_config_file(path) -> dict:
     return data
 
 
-class _Checker:
-    """Collects path-tagged diagnostics while walking a config mapping."""
-
-    def __init__(self, data: Mapping[str, Any]):
-        self.data = data
-        self.diagnostics: list[str] = []
-
-    def say(self, path: str, message: str) -> None:
-        self.diagnostics.append(f"{path}: {message}")
-
-    def get(self, path: str, required=True, default=None):
-        node: Any = self.data
-        for key in path.split("."):
-            if not isinstance(node, Mapping) or key not in node:
-                if required:
-                    self.say(path, "missing required field")
-                return default
-            node = node[key]
-        return node
-
-    def number(self, path: str, lo=None, hi=None, required=True, default=None,
-               lo_open=False, hi_open=False):
-        value = self.get(path, required, default)
-        if value is None:
-            return default
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.say(path, f"expected a number, got {type(value).__name__}")
-            return default
-        value = float(value)
-        if not math.isfinite(value):
-            self.say(path, "must be finite")
-            return default
-        if lo is not None and (value <= lo if lo_open else value < lo):
-            self.say(path, f"must be {'>' if lo_open else '>='} {lo}, got {value}")
-            return default
-        if hi is not None and (value >= hi if hi_open else value > hi):
-            self.say(path, f"must be {'<' if hi_open else '<='} {hi}, got {value}")
-            return default
-        return value
-
-    def integer(self, path: str, lo=None, required=True, default=None):
-        value = self.get(path, required, default)
-        if value is None:
-            return default
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.say(path, f"expected an integer, got {type(value).__name__}")
-            return default
-        if lo is not None and value < lo:
-            self.say(path, f"must be >= {lo}, got {value}")
-            return default
-        return value
-
-    def choice(self, path: str, options, required=True, default=None):
-        value = self.get(path, required, default)
-        if value is None:
-            return default
-        if value not in options:
-            self.say(path, f"must be one of {sorted(options)}, got {value!r}")
-            return default
-        return value
-
-
-def _check_factor(chk: _Checker, path: str) -> EfficiencyFactor | None:
-    raw = chk.get(path)
-    if raw is None:
-        return None
-    if not isinstance(raw, Sequence) or isinstance(raw, str) or len(raw) != 2:
-        chk.say(path, "expected [value, uncertainty]")
-        return None
-    try:
-        return EfficiencyFactor(float(raw[0]), float(raw[1]))
-    except (TypeError, ValueError, DomainError) as err:
-        chk.say(path, str(err))
-        return None
-
-
 def validate_config(data: Mapping[str, Any]) -> list[str]:
-    """Full schema and invariant validation; returns diagnostics (empty = ok)."""
-    chk = _Checker(data)
-    scenario = chk.choice("scenario", SCENARIOS)
-    chk.integer("seed", lo=0)
+    """Check ``data`` against FIELDS and INVARIANTS; returns diagnostics (empty = ok).
 
-    crystal_needed = scenario in ("fig3", "fig5", None) or _custom_needs(
-        data, ("conversion_sweep", "profiles", "squeeze_sweep")
-    )
-    cavity_needed = scenario in ("fig3", "fig5", None) or _custom_needs(
-        data, ("profiles", "squeeze_sweep")
-    )
+    Only the sections that the scenario's tasks read are checked.
+    """
+    diagnostics: list[str] = []
+    passed: dict[str, Any] = {}
 
-    if crystal_needed:
-        t_max = chk.number("crystal.t_max_c")
-        t_min1 = chk.number("crystal.t_min1_c")
-        if t_max is not None and t_min1 is not None and t_max == t_min1:
-            chk.say("crystal.t_min1_c", "must differ from crystal.t_max_c")
-        chk.number("crystal.length_m", lo=0.0, lo_open=True)
-        chk.number("crystal.kappa", lo=0.0, lo_open=True)
-    if cavity_needed:
-        chk.number("cavity.round_trip_length_m", lo=0.0, lo_open=True)
-        chk.number("cavity.coupler_transmission", lo=0.0, hi=1.0, lo_open=True, hi_open=True)
-        chk.number("cavity.round_trip_loss", lo=0.0, hi=1.0, hi_open=True)
-        chk.number("cavity.detuning_rad", required=False, default=0.0)
+    def check(path):
+        test, default = FIELDS[path]
+        value = _get(data, path)
+        if value is REQUIRED:
+            diagnostics.append(f"{path}: missing required field")
+        elif value is None and default is None:
+            pass  # null selects the default
+        elif message := test(path, value):
+            diagnostics.append(message)
+        else:
+            passed[path] = value
 
-    if chk.get("budget", required=scenario in ("fig4", None)) is not None:
-        for name in ("escape", "omc_transmission", "shg_residual", "bhd_efficiency"):
-            _check_factor(chk, f"budget.{name}")
-        chk.number("budget.visibility", lo=0.0, hi=1.0, lo_open=True, required=False, default=1.0)
-        vis_flag = chk.get("budget.visibility_in_bhd", required=False, default=True)
-        if not isinstance(vis_flag, bool):
-            chk.say("budget.visibility_in_bhd", "expected true/false")
-
-    if scenario in ("fig4", None) or _custom_needs(data, ("tomography",)):
-        rbw = chk.number("tomography.rbw_hz", lo=0.0, lo_open=True)
-        vbw = chk.number("tomography.vbw_hz", lo=0.0, lo_open=True)
-        if rbw is not None and vbw is not None and not rbw > vbw:
-            chk.say("tomography.vbw_hz", f"must be < rbw_hz ({rbw}), got {vbw}")
-        chk.number("tomography.dark_db", required=False, default=-8.2)
-        chk.choice("tomography.scan_shape", ("triangle", "sine", "sawtooth", "hold"),
-                   required=False, default="triangle")
-        chk.number("tomography.scan_period_s", lo=0.0, lo_open=True, required=False, default=2.0)
-        chk.number("tomography.duration_s", lo=0.0, lo_open=True, required=False, default=4.0)
-        chk.number("tomography.lo_power_w", lo=0.0, lo_open=True, required=False, default=0.004)
-
-    if scenario == "fig3" or _custom_needs(data, ("conversion_sweep", "profiles")):
-        chk.number("fig3.input_power_w", lo=0.0, lo_open=True)
-        chk.number("fig3.sweep.start_c")
-        stop = chk.number("fig3.sweep.stop_c")
-        start = chk.get("fig3.sweep.start_c", required=False)
-        if isinstance(start, (int, float)) and isinstance(stop, (int, float)) and stop <= start:
-            chk.say("fig3.sweep.stop_c", "must exceed fig3.sweep.start_c")
-        chk.integer("fig3.sweep.points", lo=2)
-        temps = chk.get("fig3.profile_temperatures_c")
-        if temps is not None and (
-            not isinstance(temps, Sequence) or isinstance(temps, str) or len(temps) == 0
-        ):
-            chk.say("fig3.profile_temperatures_c", "expected a non-empty list of temperatures")
-        chk.integer("fig3.profile_points", lo=11, required=False, default=1501)
-        chk.number("fig3.profile_span_linewidths", lo=1.0, required=False, default=6.0)
-
-    if scenario == "fig4":
-        targets = chk.get("fig4.targets_db")
-        if targets is not None and (
-            not isinstance(targets, Sequence) or isinstance(targets, str) or len(targets) != 2
-        ):
-            chk.say("fig4.targets_db", "expected [squeeze_db, antisqueeze_db]")
-        elif targets is not None:
-            try:
-                SqueezeObservation(float(targets[0]), float(targets[1]))
-            except (TypeError, ValueError, DomainError) as err:
-                chk.say("fig4.targets_db", str(err))
-        chk.choice("fig4.mode", ("phase-noise", "loss-only"), required=False,
-                   default="phase-noise")
-        eta = chk.get("fig4.eta_total", required=False)
-        if eta is not None and not (
-            isinstance(eta, (int, float)) and not isinstance(eta, bool) and 0.0 < eta <= 1.0
-        ):
-            chk.say("fig4.eta_total", f"must be a number in (0, 1] or null, got {eta!r}")
-
-    if scenario == "fig5" or _custom_needs(data, ("squeeze_sweep",)):
-        chk.number("fig5.input_power_w", lo=0.0, lo_open=True)
-        temps = chk.get("fig5.temperatures_c")
-        if temps is not None and (
-            not isinstance(temps, Sequence) or isinstance(temps, str) or len(temps) < 2
-        ):
-            chk.say("fig5.temperatures_c", "expected a list of at least 2 temperatures")
-        chk.number("fig5.kappa", lo=0.0, lo_open=True, required=False)
-        freq = chk.get("fig5.sideband_frequency_hz", required=False)
-        if freq is not None and not (
-            isinstance(freq, (int, float)) and not isinstance(freq, bool) and freq > 0
-        ):
-            chk.say("fig5.sideband_frequency_hz", "must be a positive number or null")
-        chk.number("fig5.phase_noise_rms_rad", lo=0.0, required=False, default=0.0)
-        chk.number("fig5.omc_finesse", lo=1.0, required=False, default=200.0)
-        chk.integer("fig5.spectrum_points", lo=2, required=False, default=801)
-
-    if scenario == "custom":
-        tasks = chk.get("custom.tasks")
-        if tasks is not None:
-            if not isinstance(tasks, Sequence) or isinstance(tasks, str) or not tasks:
-                chk.say("custom.tasks", "expected a non-empty list of tasks")
-            else:
-                for i, task in enumerate(tasks):
-                    if task not in CUSTOM_TASKS:
-                        chk.say(f"custom.tasks[{i}]",
-                                f"must be one of {sorted(CUSTOM_TASKS)}, got {task!r}")
-
-    return chk.diagnostics
+    check("scenario")
+    check("seed")
+    if passed.get("scenario") == "custom":
+        check("custom.tasks")
+    tasks = SCENARIO_TASKS.get(passed.get("scenario")) or passed.get("custom.tasks", ())
+    sections = {section for task in tasks for section in TASK_SECTIONS[task]}
+    for path in FIELDS:
+        if path.split(".")[0] in sections:
+            check(path)
+    for path, other, holds, message in INVARIANTS:
+        if path in passed and other in passed and not holds(passed[path], passed[other]):
+            diagnostics.append(f"{path}: " + message.format(
+                value=float(passed[path]), other=float(passed[other])))
+    return diagnostics
 
 
-def _custom_needs(data: Mapping[str, Any], tasks) -> bool:
-    if data.get("scenario") != "custom":
-        return False
-    wanted = data.get("custom", {})
-    listed = wanted.get("tasks", []) if isinstance(wanted, Mapping) else []
-    return any(t in listed for t in tasks)
-
-
-def load_config(path) -> dict:
-    data = load_config_file(path)
+def _raise_if_invalid(data: Mapping[str, Any]) -> None:
     diagnostics = validate_config(data)
     if diagnostics:
         raise ValidationError(
             "invalid config:\n" + "\n".join(f"  {d}" for d in diagnostics),
             diagnostics=diagnostics,
         )
+
+
+def load_config(path) -> dict:
+    data = load_config_file(path)
+    _raise_if_invalid(data)
     return data
 
 
@@ -302,44 +302,42 @@ def load_config(path) -> dict:
 
 
 def _crystal(config) -> tuple:
-    c = config["crystal"]
-    model = calibrate_from_extrema(c["t_max_c"], c["t_min1_c"], c["length_m"])
-    return model, float(c["kappa"])
+    model = calibrate_from_extrema(_get(config, "crystal.t_max_c"),
+                                   _get(config, "crystal.t_min1_c"),
+                                   _get(config, "crystal.length_m"))
+    return model, float(_get(config, "crystal.kappa"))
 
 
-def _cavity(config, loss_override=None) -> CavityParams:
-    c = config["cavity"]
+def _cavity(config) -> CavityParams:
     return CavityParams(
-        round_trip_length=c["round_trip_length_m"],
-        coupler_transmission=c["coupler_transmission"],
-        round_trip_loss=loss_override if loss_override is not None else c["round_trip_loss"],
-        detuning=float(c.get("detuning_rad", 0.0)),
+        round_trip_length=_get(config, "cavity.round_trip_length_m"),
+        coupler_transmission=_get(config, "cavity.coupler_transmission"),
+        round_trip_loss=_get(config, "cavity.round_trip_loss"),
+        detuning=float(_get(config, "cavity.detuning_rad")),
     )
 
 
 def _budget(config) -> LossBudget:
-    b = config["budget"]
     return LossBudget(
-        escape=EfficiencyFactor(*b["escape"]),
-        omc_transmission=EfficiencyFactor(*b["omc_transmission"]),
-        shg_residual=EfficiencyFactor(*b["shg_residual"]),
-        bhd_efficiency=EfficiencyFactor(*b["bhd_efficiency"]),
-        visibility=float(b.get("visibility", 1.0)),
-        visibility_in_bhd=bool(b.get("visibility_in_bhd", True)),
+        escape=EfficiencyFactor(*_get(config, "budget.escape")),
+        omc_transmission=EfficiencyFactor(*_get(config, "budget.omc_transmission")),
+        shg_residual=EfficiencyFactor(*_get(config, "budget.shg_residual")),
+        bhd_efficiency=EfficiencyFactor(*_get(config, "budget.bhd_efficiency")),
+        visibility=float(_get(config, "budget.visibility")),
+        visibility_in_bhd=bool(_get(config, "budget.visibility_in_bhd")),
     )
 
 
-def _tomography(config, seed) -> TomographySettings:
-    t = config.get("tomography", {})
+def _tomography(config) -> TomographySettings:
     return TomographySettings(
-        lo_power=float(t.get("lo_power_w", 0.004)),
-        rbw=float(t.get("rbw_hz", 500e3)),
-        vbw=float(t.get("vbw_hz", 200.0)),
-        dark_db=float(t.get("dark_db", -8.2)),
-        scan_shape=str(t.get("scan_shape", "triangle")),
-        scan_period=float(t.get("scan_period_s", 2.0)),
-        duration=float(t.get("duration_s", 4.0)),
-        rng_seed=int(seed),
+        lo_power=float(_get(config, "tomography.lo_power_w")),
+        rbw=float(_get(config, "tomography.rbw_hz")),
+        vbw=float(_get(config, "tomography.vbw_hz")),
+        dark_db=float(_get(config, "tomography.dark_db")),
+        scan_shape=str(_get(config, "tomography.scan_shape")),
+        scan_period=float(_get(config, "tomography.scan_period_s")),
+        duration=float(_get(config, "tomography.duration_s")),
+        rng_seed=int(_get(config, "seed")),
     )
 
 
@@ -366,10 +364,15 @@ def locked_circulating_power(
     return brentq(implicit, 0.0, p_hi, xtol=1e-300, rtol=8.9e-16)
 
 
-def _cascade_at_temperature(model, kappa, temperature, params, p_in):
-    """Locked power, conversion/W and Kerr slope at one crystal temperature."""
+def _locked_point(model, kappa, temperature, params: CavityParams, p_in: float) -> tuple:
+    """Lock the cavity at one crystal temperature and linearize it there.
+
+    Returns ``(delta_k, cascade result, Kerr slope g in rad/W, cavity with
+    the residual conversion added to its loss, operating point)``.  The lock
+    takes two passes: the analytic low-conversion estimate, then one
+    refinement from the ODE.
+    """
     dk = delta_k(model, temperature)
-    # Analytic low-conversion estimate, then one refinement from the ODE.
     conv_w = shg_efficiency(model, temperature, 1.0, kappa)
     p_lock = locked_circulating_power(params, p_in, conv_w)
     res = extract_cascade_result(p_lock, dk, kappa, model.length)
@@ -377,7 +380,17 @@ def _cascade_at_temperature(model, kappa, temperature, params, p_in):
     p_lock = locked_circulating_power(params, p_in, conv_w)
     res = extract_cascade_result(p_lock, dk, kappa, model.length)
     g = res.nl_phase / p_lock if p_lock > 0 else 0.0
-    return dk, p_lock, res, g
+    cav = replace(params, round_trip_loss=params.round_trip_loss + res.residual_conversion)
+    op = OperatingPoint(
+        p_circ=p_lock,
+        nl_phase_rt=res.nl_phase,
+        epsilon=g * p_lock * cav.fsr,
+        delta_eff=0.0,  # length servo holds the effective detuning at zero
+        gamma_total=cav.gamma_total,
+        gamma_coupler=cav.gamma_coupler,
+        gamma_loss=cav.gamma_loss,
+    )
+    return dk, res, g, cav, op
 
 
 # --------------------------------------------------------------------------
@@ -482,10 +495,9 @@ def run_conversion_sweep(config, writer: RunWriter) -> dict:
     """Conversion-vs-temperature table and extrema report (fig3 core)."""
     model, kappa = _crystal(config)
     params = _cavity(config)
-    section = config["fig3"]
-    p_in = float(section["input_power_w"])
-    sweep = section["sweep"]
-    temps = np.linspace(float(sweep["start_c"]), float(sweep["stop_c"]), int(sweep["points"]))
+    p_in = float(_get(config, "fig3.input_power_w"))
+    t_range = (float(_get(config, "fig3.sweep.start_c")), float(_get(config, "fig3.sweep.stop_c")))
+    temps = np.linspace(*t_range, int(_get(config, "fig3.sweep.points")))
     # Drive at the ideal resonant circulating power of the base cavity.
     p_drive = params.resonant_buildup * p_in
     dk = delta_k(model, temps)
@@ -495,7 +507,7 @@ def run_conversion_sweep(config, writer: RunWriter) -> dict:
         ("T_celsius", "delta_k", "shg_efficiency"),
         zip(temps, dk, eff),
     )
-    extrema = find_conversion_extrema(model, (float(sweep["start_c"]), float(sweep["stop_c"])))
+    extrema = find_conversion_extrema(model, t_range)
     writer.table("extrema", ("T_celsius", "kind_is_max"), [(t, k == "max") for t, k in extrema])
     return {
         "extrema": [{"T_celsius": t, "kind": k} for t, k in extrema],
@@ -508,19 +520,16 @@ def run_profiles(config, writer: RunWriter) -> dict:
     """Cavity resonance profiles at selected crystal temperatures."""
     model, kappa = _crystal(config)
     params = _cavity(config)
-    section = config["fig3"]
-    p_in = float(section["input_power_w"])
-    n_points = int(section.get("profile_points", 1501))
-    span_lw = float(section.get("profile_span_linewidths", 6.0))
+    p_in = float(_get(config, "fig3.input_power_w"))
+    n_points = int(_get(config, "fig3.profile_points"))
+    span_lw = float(_get(config, "fig3.profile_span_linewidths"))
 
     out = []
-    for temperature in section["profile_temperatures_c"]:
-        dk, p_lock, res, g = _cascade_at_temperature(model, kappa, temperature, params, p_in)
-        loss_total = params.round_trip_loss + res.residual_conversion
-        scan_params = _cavity(config, loss_override=loss_total)
+    for temperature in _get(config, "fig3.profile_temperatures_c"):
+        _, _, g, scan_params, op = _locked_point(model, kappa, temperature, params, p_in)
         phi = (lambda slope: (lambda p: slope * p))(g)
         span = span_lw * scan_params.linewidth_phase_fwhm + 1.6 * abs(g) * max(
-            p_lock, scan_params.resonant_buildup * p_in
+            op.p_circ, scan_params.resonant_buildup * p_in
         )
         detunings = np.linspace(-span, span, n_points)
         profile = scan_profile(scan_params, p_in, detunings, phi, "up")
@@ -536,30 +545,23 @@ def run_profiles(config, writer: RunWriter) -> dict:
                 "asymmetry": profile.asymmetry,
                 "bistable": profile.multi_branch,
                 "kerr_slope_rad_per_w": g,
-                "locked_power_w": p_lock,
+                "locked_power_w": op.p_circ,
             }
         )
     return {"profiles": out}
 
 
-def run_fig3(config, writer: RunWriter) -> dict:
-    summary = run_conversion_sweep(config, writer)
-    summary.update(run_profiles(config, writer))
-    return summary
-
-
-def run_fig4(config, writer: RunWriter, seed: int) -> dict:
-    """Tomography traces plus an observation summary from the fitted ellipse."""
-    section = config["fig4"]
-    target_sq, target_anti = (float(x) for x in section["targets_db"])
-    mode = section.get("mode", "phase-noise")
+def run_tomography(config, writer: RunWriter) -> dict:
+    """Tomography traces plus an observation summary from the fitted ellipse (fig4)."""
+    target_sq, target_anti = (float(x) for x in _get(config, "fig4.targets_db"))
+    mode = _get(config, "fig4.mode")
     obs = SqueezeObservation(target_sq, target_anti)
 
     if mode == "loss-only":
         fit = infer_loss_only(obs)
         eta, r, sigma = fit.eta, fit.r, 0.0
     else:
-        eta_cfg = section.get("eta_total")
+        eta_cfg = _get(config, "fig4.eta_total")
         eta = float(eta_cfg) if eta_cfg is not None else total_efficiency(_budget(config)).value
         fit = infer_phase_noise(obs, eta)
         r, sigma = fit.r, fit.sigma
@@ -567,10 +569,11 @@ def run_fig4(config, writer: RunWriter, seed: int) -> dict:
     source = pure_squeezed(r)
     delivered = dephase(apply_loss(source, eta), sigma)
 
-    settings = _tomography(config, seed)
+    settings = _tomography(config)
     vacuum_state = pure_squeezed(0.0)
     trace_vac = simulate_tomography_trace(vacuum_state, settings)
-    trace_sqz = simulate_tomography_trace(delivered, replace(settings, rng_seed=seed + 1))
+    trace_sqz = simulate_tomography_trace(delivered,
+                                          replace(settings, rng_seed=settings.rng_seed + 1))
     writer.table(
         "trace_vacuum",
         ("t_seconds", "theta_rad", "measured_dB"),
@@ -612,16 +615,17 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
     are flagged: there the neglected depletion mechanism dominates and the
     model is not expected to track measurements.
     """
-    model, kappa_base = _crystal(config)
-    section = config["fig5"]
-    kappa = float(section.get("kappa", kappa_base))
+    model, kappa = _crystal(config)
+    if _get(config, "fig5.kappa") is not None:
+        kappa = float(_get(config, "fig5.kappa"))
     params = _cavity(config)
-    p_in = float(section["input_power_w"])
+    p_in = float(_get(config, "fig5.input_power_w"))
+    temperatures = [float(t) for t in _get(config, "fig5.temperatures_c")]
     budget = _budget(config)
-    sigma = float(section.get("phase_noise_rms_rad", 0.0))
-    finesse = float(section.get("omc_finesse", 200.0))
+    sigma = float(_get(config, "fig5.phase_noise_rms_rad"))
+    finesse = float(_get(config, "fig5.omc_finesse"))
 
-    freq_cfg = section.get("sideband_frequency_hz")
+    freq_cfg = _get(config, "fig5.sideband_frequency_hz")
     frequency = float(freq_cfg) if freq_cfg is not None else params.fsr
     comb = sideband_comb_map(params, frequency)
     eta_chain = (
@@ -634,22 +638,10 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
 
     rows = []
     records = []
-    for temperature in section["temperatures_c"]:
-        temperature = float(temperature)
-        dk, p_lock, res, g = _cascade_at_temperature(model, kappa, temperature, params, p_in)
-        loss_total = params.round_trip_loss + res.residual_conversion
-        cav = _cavity(config, loss_override=loss_total)
-        epsilon = g * p_lock * cav.fsr
+    ops = []
+    for temperature in temperatures:
+        dk, res, _, cav, op = _locked_point(model, kappa, temperature, params, p_in)
         outside_regime = abs(dk * model.length) < math.pi
-        op = OperatingPoint(
-            p_circ=p_lock,
-            nl_phase_rt=res.nl_phase,
-            epsilon=epsilon,
-            delta_eff=0.0,  # length servo holds the effective detuning at zero
-            gamma_total=cav.gamma_total,
-            gamma_coupler=cav.gamma_coupler,
-            gamma_loss=cav.gamma_loss,
-        )
         if op.below_threshold:
             point = squeezing_spectrum(op, comb.omega)
             cavity_out = GaussianQuadratureState(point.v_min, point.v_max, point.theta_min)
@@ -667,9 +659,9 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
                 temperature,
                 dk,
                 res.residual_conversion,
-                loss_total,
-                p_lock,
-                epsilon,
+                cav.round_trip_loss,
+                op.p_circ,
+                op.epsilon,
                 vmin_db,
                 vmax_db,
                 squeeze_db,
@@ -685,6 +677,14 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
                 "outside_spm_regime": outside_regime,
                 "above_threshold": above,
             }
+        )
+        ops.append(op)
+    below = [i for i, op in enumerate(ops) if op.below_threshold]
+    if not below:
+        headrooms = [op.headroom for op in ops]
+        raise ThresholdError(
+            f"every fig5 row is at or above threshold (headroom {min(headrooms):.3f} "
+            f"to {max(headrooms):.3f}); lower fig5.kappa or fig5.input_power_w"
         )
     writer.table(
         "squeeze_sweep",
@@ -704,31 +704,18 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
         rows,
     )
 
-    valid = [rec for rec in records if not rec["above_threshold"]]
-    best = max(valid, key=lambda rec: rec["squeeze_db"])
-    t_lo = min(float(t) for t in section["temperatures_c"])
-    t_hi = max(float(t) for t in section["temperatures_c"])
-    minima = [t for t, k in find_conversion_extrema(model, (t_lo, t_hi))
+    i_best = max(below, key=lambda i: records[i]["squeeze_db"])
+    best = records[i_best]
+    minima = [t for t, k in find_conversion_extrema(model, (min(temperatures), max(temperatures)))
               if k == "min" and t > model.t_pm]
     first_minimum = minima[0] if minima else None
 
     # Spectrum export at the best temperature.
-    best_row = next(r for r in rows if r[0] == best["temperature_c"])
-    cav = _cavity(config, loss_override=best_row[3])
-    op = OperatingPoint(
-        p_circ=best_row[4],
-        nl_phase_rt=0.0,
-        epsilon=best_row[5],
-        delta_eff=0.0,
-        gamma_total=cav.gamma_total,
-        gamma_coupler=cav.gamma_coupler,
-        gamma_loss=cav.gamma_loss,
-    )
-    freqs = np.linspace(0.0, 4.0 * params.fsr, int(section.get("spectrum_points", 801)))
+    freqs = np.linspace(0.0, 4.0 * params.fsr, int(_get(config, "fig5.spectrum_points")))
     spec_rows = []
     for f in freqs:
         cb = sideband_comb_map(params, float(f))
-        pt = squeezing_spectrum(op, cb.omega)
+        pt = squeezing_spectrum(ops[i_best], cb.omega)
         spec_rows.append((f, variance_to_db(pt.v_min), variance_to_db(pt.v_max), pt.theta_min))
     writer.table("spectrum", ("f_Hz", "vmin_dB", "vmax_dB", "theta_rad"), spec_rows)
 
@@ -753,45 +740,39 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
     return summary
 
 
-def run_fig5(config, writer: RunWriter, seed: int) -> dict:
-    return run_squeeze_sweep(config, writer)
+# Runner of each task in TASK_SECTIONS.
+_RUNNERS = {
+    "conversion_sweep": run_conversion_sweep,
+    "profiles": run_profiles,
+    "tomography": run_tomography,
+    "squeeze_sweep": run_squeeze_sweep,
+}
 
 
 def run_scenario(config: Mapping[str, Any], out_dir, fmt: str = "csv",
                  seed: int | None = None) -> dict:
-    """Dispatch a validated config to its runner and write the manifest."""
-    diagnostics = validate_config(config)
-    if diagnostics:
-        raise ValidationError(
-            "invalid config:\n" + "\n".join(f"  {d}" for d in diagnostics),
-            diagnostics=diagnostics,
-        )
-    scenario = config["scenario"]
-    seed = int(config.get("seed", 0)) if seed is None else int(seed)
+    """Validate a config (with ``seed`` overriding its seed), run its tasks
+    (SCENARIO_TASKS) and write the manifest.
+
+    A custom run's summary holds one entry per task; the shipped scenarios
+    merge their tasks' summaries into one.
+    """
     resolved = dict(config)
-    resolved["seed"] = seed
+    if seed is not None:
+        resolved["seed"] = int(seed)
+    _raise_if_invalid(resolved)
+    scenario, seed = resolved["scenario"], resolved["seed"]
 
     writer = RunWriter(out_dir, fmt)
     config_text = yaml.safe_dump(resolved, sort_keys=True)
     writer.text("resolved_config.yaml", config_text)
 
-    if scenario == "fig3":
-        summary = run_fig3(resolved, writer)
-    elif scenario == "fig4":
-        summary = run_fig4(resolved, writer, seed)
-    elif scenario == "fig5":
-        summary = run_fig5(resolved, writer, seed)
+    tasks = SCENARIO_TASKS[scenario] or resolved["custom"]["tasks"]
+    results = {task: _RUNNERS[task](resolved, writer) for task in tasks}
+    if scenario == "custom":
+        summary = results
     else:
-        summary = {}
-        for task in resolved["custom"]["tasks"]:
-            if task == "conversion_sweep":
-                summary["conversion_sweep"] = run_conversion_sweep(resolved, writer)
-            elif task == "profiles":
-                summary["profiles"] = run_profiles(resolved, writer)
-            elif task == "tomography":
-                summary["tomography"] = run_fig4(resolved, writer, seed)
-            elif task == "squeeze_sweep":
-                summary["squeeze_sweep"] = run_squeeze_sweep(resolved, writer)
+        summary = {key: value for result in results.values() for key, value in result.items()}
     writer.manifest(scenario, seed, config_text)
     return summary
 
@@ -842,8 +823,8 @@ def infer_report(kind: str, **kwargs) -> dict:
             omc_transmission=EfficiencyFactor(factors[1], sigmas[1]),
             shg_residual=EfficiencyFactor(factors[2], sigmas[2]),
             bhd_efficiency=EfficiencyFactor(factors[3], sigmas[3]),
-            visibility=float(kwargs.get("visibility", 1.0)),
-            visibility_in_bhd=bool(kwargs.get("visibility_in_bhd", True)),
+            visibility=float(kwargs.get("visibility", LossBudget.visibility)),
+            visibility_in_bhd=bool(kwargs.get("visibility_in_bhd", LossBudget.visibility_in_bhd)),
         )
         total = total_efficiency(budget)
         return {

@@ -73,6 +73,199 @@ class TestValidation:
             run_scenario(config, tmp_path)
 
 
+DELETE = object()
+
+
+def packaged(scenario):
+    return yaml.safe_load(default_config_path(scenario).read_text())
+
+
+def mutated(scenario, changes):
+    """Packaged config of ``scenario`` with {dotted path: value or DELETE} applied."""
+    config = packaged(scenario)
+    for path, value in changes.items():
+        *parents, leaf = path.split(".")
+        node = config
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[leaf]
+        else:
+            node[leaf] = value
+    return config
+
+
+def run_cli(config, tmp_path, command="run"):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(config))
+    if command == "validate":
+        return main(["validate", "--config", str(path)])
+    return main(["run", config["scenario"], "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+# Configs the schema once let through and the run then crashed on; each
+# diagnostic must start with the given path.
+VALIDATE_THEN_CRASH = {
+    "null_kappa": ("fig3", {"crystal.kappa": None}, "crystal.kappa:"),
+    "null_loss": ("fig3", {"cavity.round_trip_loss": None}, "cavity.round_trip_loss:"),
+    "null_fig5_power": ("fig5", {"fig5.input_power_w": None}, "fig5.input_power_w:"),
+    "null_seed": ("fig4", {"seed": None}, "seed:"),
+    "fig5_no_budget": ("fig5", {"budget": DELETE}, "budget."),
+    "custom_squeeze_no_budget": (
+        "fig5", {"scenario": "custom", "custom": {"tasks": ["squeeze_sweep"]}, "budget": DELETE},
+        "budget."),
+    "custom_conversion_no_cavity": (
+        "fig3", {"scenario": "custom", "custom": {"tasks": ["conversion_sweep"]},
+                 "cavity": DELETE}, "cavity."),
+    "custom_tomography_no_fig4": (
+        "fig4", {"scenario": "custom", "custom": {"tasks": ["tomography"]}, "fig4": DELETE},
+        "fig4."),
+    "fig5_text_temperatures": ("fig5", {"fig5.temperatures_c": ["a", "b"]},
+                               "fig5.temperatures_c[0]:"),
+    "fig5_nested_temperatures": ("fig5", {"fig5.temperatures_c": [[1], [2]]},
+                                 "fig5.temperatures_c[0]:"),
+    "fig3_text_temperatures": ("fig3", {"fig3.profile_temperatures_c": ["a", "b"]},
+                               "fig3.profile_temperatures_c[0]:"),
+    "fig3_nested_temperatures": ("fig3", {"fig3.profile_temperatures_c": [[1], [2]]},
+                                 "fig3.profile_temperatures_c[0]:"),
+    "custom_tasks_int": ("fig3", {"scenario": "custom", "custom": {"tasks": 5}}, "custom.tasks:"),
+    "custom_tasks_null": ("fig3", {"scenario": "custom", "custom": {"tasks": None}},
+                          "custom.tasks:"),
+    "huge_integer_kappa": ("fig3", {"crystal.kappa": 10**400}, "crystal.kappa:"),
+}
+
+# Only the fields a scenario requires; everything else comes from the defaults.
+MINIMAL = {
+    "fig3": {
+        "scenario": "fig3",
+        "seed": 1,
+        "crystal": {"t_max_c": 40.5, "t_min1_c": 61.2, "length_m": 0.0093, "kappa": 14.0},
+        "cavity": {"round_trip_length_m": 0.838, "coupler_transmission": 0.01,
+                   "round_trip_loss": 0.0019},
+        "fig3": {"input_power_w": 0.0088, "sweep": {"start_c": 20.0, "stop_c": 88.0, "points": 21},
+                 "profile_temperatures_c": [61.2]},
+    },
+    "fig4": {
+        "scenario": "fig4",
+        "seed": 1,
+        "budget": {name: [0.9, 0.01] for name in
+                   ("escape", "omc_transmission", "shg_residual", "bhd_efficiency")},
+        "tomography": {"rbw_hz": 500.0e3, "vbw_hz": 200.0},
+        "fig4": {"targets_db": [2.4, 7.5]},
+    },
+    "fig5": {
+        "scenario": "fig5",
+        "seed": 1,
+        "crystal": {"t_max_c": 40.5, "t_min1_c": 61.2, "length_m": 0.0093, "kappa": 3.2},
+        "cavity": {"round_trip_length_m": 0.838, "coupler_transmission": 0.01,
+                   "round_trip_loss": 0.0019},
+        "budget": {name: [0.9, 0.01] for name in
+                   ("escape", "omc_transmission", "shg_residual", "bhd_efficiency")},
+        "fig5": {"input_power_w": 0.085, "temperatures_c": [61.2, 81.9]},
+    },
+    "custom": {
+        "scenario": "custom",
+        "seed": 1,
+        "custom": {"tasks": ["tomography"]},
+        "budget": {name: [0.9, 0.01] for name in
+                   ("escape", "omc_transmission", "shg_residual", "bhd_efficiency")},
+        "tomography": {"rbw_hz": 500.0e3, "vbw_hz": 200.0},
+        "fig4": {"targets_db": [2.4, 7.5]},
+    },
+}
+
+SCENARIO_CHOICES = "['custom', 'fig3', 'fig4', 'fig5']"
+
+# (scenario, mutation) -> the exact diagnostics of `kerrsqueezer validate`.
+DIAGNOSTIC_WORDING = [
+    ("fig3", {"cavity.coupler_transmission": 1.2},
+     ["cavity.coupler_transmission: must be < 1.0, got 1.2"]),
+    ("fig3", {"cavity.round_trip_loss": -0.1},
+     ["cavity.round_trip_loss: must be >= 0.0, got -0.1"]),
+    ("fig3", {"crystal.length_m": 0}, ["crystal.length_m: must be > 0.0, got 0.0"]),
+    ("fig3", {"fig3.sweep.points": 1}, ["fig3.sweep.points: must be >= 2, got 1"]),
+    ("fig5", {"budget.visibility": 1.5}, ["budget.visibility: must be <= 1.0, got 1.5"]),
+    ("fig3", {"crystal.kappa": "x"}, ["crystal.kappa: expected a number, got str"]),
+    ("fig3", {"crystal.kappa": float("inf")}, ["crystal.kappa: must be finite"]),
+    ("fig3", {"fig3.profile_points": 10.5},
+     ["fig3.profile_points: expected an integer, got float"]),
+    ("fig3", {"crystal.length_m": DELETE}, ["crystal.length_m: missing required field"]),
+    ("fig4", {"tomography.rbw_hz": DELETE}, ["tomography.rbw_hz: missing required field"]),
+    ("fig4", {"tomography.scan_shape": "square"},
+     ["tomography.scan_shape: must be one of ['hold', 'sawtooth', 'sine', 'triangle'], "
+      "got 'square'"]),
+    ("fig4", {"fig4.mode": "both"},
+     ["fig4.mode: must be one of ['loss-only', 'phase-noise'], got 'both'"]),
+    ("fig4", {"budget.visibility_in_bhd": "yes"},
+     ["budget.visibility_in_bhd: expected true/false"]),
+    ("fig4", {"budget.escape": 0.8}, ["budget.escape: expected [value, uncertainty]"]),
+    ("fig4", {"budget.escape": [1.2, 0.0]},
+     ["budget.escape: efficiency must lie in (0, 1], got 1.2"]),
+    ("fig4", {"fig4.targets_db": [3.0]},
+     ["fig4.targets_db: expected [squeeze_db, antisqueeze_db]"]),
+    ("fig4", {"fig4.targets_db": [3.0, 2.0]},
+     ["fig4.targets_db: mixed states require antisqueeze_db >= squeeze_db (got 2.0 < 3.0)"]),
+    ("fig4", {"tomography.vbw_hz": 600.0e3},
+     ["tomography.vbw_hz: must be < rbw_hz (500000.0), got 600000.0"]),
+    ("fig3", {"crystal.t_min1_c": 40.5}, ["crystal.t_min1_c: must differ from crystal.t_max_c"]),
+    ("fig3", {"fig3.sweep.stop_c": 10.0}, ["fig3.sweep.stop_c: must exceed fig3.sweep.start_c"]),
+    ("fig3", {"fig3.profile_temperatures_c": []},
+     ["fig3.profile_temperatures_c: expected a non-empty list of temperatures"]),
+    ("fig5", {"fig5.temperatures_c": [61.2]},
+     ["fig5.temperatures_c: expected a list of at least 2 temperatures"]),
+    ("fig3", {"scenario": "custom", "custom": {"tasks": ["profiles", "fit"]}},
+     ["custom.tasks[1]: must be one of "
+      "['conversion_sweep', 'profiles', 'squeeze_sweep', 'tomography'], got 'fit'"]),
+    # Unified with the other bounded numbers (the schema once had bespoke wording here).
+    ("fig4", {"fig4.eta_total": 1.5}, ["fig4.eta_total: must be <= 1.0, got 1.5"]),
+    ("fig5", {"fig5.sideband_frequency_hz": -1.0},
+     ["fig5.sideband_frequency_hz: must be > 0.0, got -1.0"]),
+    # An unknown scenario reads no section, so nothing else is reported.
+    ("fig4", {"scenario": "fig9", "tomography.vbw_hz": 600.0e3},
+     [f"scenario: must be one of {SCENARIO_CHOICES}, got 'fig9'"]),
+    # fig3 reads no budget, so a broken one is not checked.
+    ("fig3", {"budget": {"escape": 2.0}}, []),
+]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("case", sorted(VALIDATE_THEN_CRASH))
+    def test_rejected_before_run(self, case, tmp_path, capsys):
+        scenario, changes, prefix = VALIDATE_THEN_CRASH[case]
+        config = mutated(scenario, changes)
+        diagnostics = validate_config(config)
+        assert diagnostics
+        assert all(d.startswith(prefix) for d in diagnostics), diagnostics
+        assert run_cli(config, tmp_path, "validate") == 1
+        assert run_cli(config, tmp_path) == 1
+        assert prefix in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", sorted(MINIMAL))
+    def test_minimal_config_runs_on_defaults(self, scenario, tmp_path, capsys):
+        assert validate_config(MINIMAL[scenario]) == []
+        assert run_cli(MINIMAL[scenario], tmp_path) == 0
+
+    @pytest.mark.parametrize("scenario,changes,expected", DIAGNOSTIC_WORDING)
+    def test_diagnostic_wording(self, scenario, changes, expected):
+        assert validate_config(mutated(scenario, changes)) == expected
+
+    @pytest.mark.parametrize("path",
+                             ["fig4.eta_total", "fig5.kappa", "fig5.sideband_frequency_hz"])
+    def test_null_selects_default(self, path):
+        scenario = path.split(".")[0]
+        assert validate_config(mutated(scenario, {path: None})) == []
+
+    def test_seed_override_is_validated(self, tmp_path, capsys):
+        assert main(["run", "fig4", "--seed", "-1", "--out", str(tmp_path)]) == 1
+        assert "seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_all_rows_above_threshold_exit_2(self, tmp_path, capsys):
+        config = mutated("fig5", {"fig5.kappa": 14.0, "fig5.temperatures_c": [61.2, 81.9]})
+        assert validate_config(config) == []
+        assert run_cli(config, tmp_path) == 2
+        assert "at or above threshold" in capsys.readouterr().err
+
+
 class TestFig3:
     def test_extrema_report(self, fig3_run):
         _, summary = fig3_run
