@@ -25,7 +25,7 @@ line n and analyzed with this quasi-degenerate baseband model at offset
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -131,32 +131,23 @@ class CombAssignment(NamedTuple):
     omega: float
 
 
-def _eval_phi(phi_nl, p):
-    """Evaluate phi_nl on an array, falling back to per-element calls."""
-    if phi_nl is None:
-        return np.zeros_like(p)
-    try:
-        out = np.asarray(phi_nl(p), dtype=float)
-        if out.shape == p.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(phi_nl(float(x))) for x in p])
+# Points of the sign-change grid over [0, resonant_buildup * p_in].
+_SCAN_POINTS = 512
 
 
 def steady_state_branches(
     params: CavityParams,
     p_in: float,
-    phi_nl: Optional[Callable[[float], float]] = None,
-    n_scan: int = 512,
+    phi_nl: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> list[SteadyStateBranch]:
     """All real circulating-power solutions, sorted ascending.
 
     Roots of ``F(p) = p * |1 - r_eff exp(i(detuning + phi_nl(p)))|^2
     - T1 * p_in`` are located by a sign-change scan over
-    ``[0, resonant_buildup * p_in]`` followed by Brent refinement.
-    Stability is the slope criterion of the implicit map: a root is stable
-    when F is increasing through it.
+    ``[0, resonant_buildup * p_in]`` followed by Brent refinement; ``F`` is
+    one numpy expression serving both, so ``phi_nl`` must accept arrays as
+    well as floats.  Stability is the slope criterion of the implicit map:
+    a root is stable when F is increasing through it.
     """
     if not math.isfinite(p_in) or p_in < 0.0:
         raise DomainError(f"input power must be >= 0, got {p_in}")
@@ -166,24 +157,16 @@ def steady_state_branches(
     t1 = params.coupler_transmission
     delta = params.detuning
 
-    def implicit(p: float) -> float:
-        phase = delta + (phi_nl(p) if phi_nl is not None else 0.0)
-        return p * (1.0 + r * r - 2.0 * r * math.cos(phase)) - t1 * p_in
+    def implicit(p):
+        phase = delta if phi_nl is None else delta + phi_nl(p)
+        return p * (1.0 + r * r - 2.0 * r * np.cos(phase)) - t1 * p_in
 
     p_max = params.resonant_buildup * p_in * (1.0 + 1e-6)
-    grid = np.linspace(0.0, p_max, n_scan)
-    phases = delta + _eval_phi(phi_nl, grid)
-    values = grid * (1.0 + r * r - 2.0 * r * np.cos(phases)) - t1 * p_in
-
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        lo, hi = values[i], values[i + 1]
-        if lo == 0.0:
-            roots.append(float(grid[i]))
-        elif lo * hi < 0.0:
-            roots.append(brentq(implicit, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16))
-    if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    grid = np.linspace(0.0, p_max, _SCAN_POINTS)
+    values = implicit(grid)
+    roots = [float(p) for p in grid[values == 0.0]]
+    roots += [brentq(implicit, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16)
+              for i in np.flatnonzero(values[:-1] * values[1:] < 0.0)]
     if not roots:
         raise NumericalError(
             "failed to bracket any steady state "
@@ -197,13 +180,10 @@ def steady_state_branches(
             dedup.append(root)
 
     h = max(1e-7 * p_max, 1e-18)
-    branches = []
-    for root in dedup:
-        slope = (implicit(root + h) - implicit(max(root - h, 0.0))) / (
-            root + h - max(root - h, 0.0)
-        )
-        branches.append(SteadyStateBranch(root, slope > 0.0))
-    return branches
+    at = np.array(dedup)
+    lo, hi = np.maximum(at - h, 0.0), at + h
+    rising = (implicit(hi) - implicit(lo)) / (hi - lo) > 0.0
+    return [SteadyStateBranch(root, bool(up)) for root, up in zip(dedup, rising)]
 
 
 @dataclass(frozen=True)
@@ -249,7 +229,7 @@ def scan_profile(
     params: CavityParams,
     p_in: float,
     detunings: Sequence[float],
-    phi_nl: Optional[Callable[[float], float]] = None,
+    phi_nl: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     direction: str = "up",
     monitor_transmission: float = 1e-4,
 ) -> ResonanceProfile:
@@ -276,13 +256,8 @@ def scan_profile(
     multi = False
     p_prev: Optional[float] = None
     for idx in order:
-        base = CavityParams(
-            params.round_trip_length,
-            params.coupler_transmission,
-            params.round_trip_loss,
-            detuning=float(dets[idx]),
-        )
-        branches = steady_state_branches(base, p_in, phi_nl)
+        detuned = replace(params, detuning=float(dets[idx]))
+        branches = steady_state_branches(detuned, p_in, phi_nl)
         if len(branches) >= 3:
             multi = True
         stable = [b.p_circ for b in branches if b.stable] or [b.p_circ for b in branches]
@@ -348,7 +323,7 @@ class OperatingPoint:
 def make_operating_point(
     params: CavityParams,
     p_in: float,
-    phi_nl: Optional[Callable[[float], float]] = None,
+    phi_nl: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     branch: Optional[int] = None,
     check_threshold: bool = True,
 ) -> OperatingPoint:

@@ -24,6 +24,7 @@ from .scenarios import (
     infer_report,
     load_config,
     load_config_file,
+    read_fields,
     run_scenario,
     validate_config,
 )
@@ -142,17 +143,16 @@ def _cmd_validate(args) -> int:
 
 def _cmd_extrema(args) -> int:
     if args.config is not None:
-        section = load_config_file(args.config).get("crystal")
-        if not isinstance(section, dict):
-            raise ValidationError("crystal: missing required section")
-        t_max, t_min1 = section.get("t_max_c"), section.get("t_min1_c")
-        length = section.get("length_m")
-    else:
-        t_max, t_min1, length = args.t_max, args.t_min1, args.length
-    if t_max is None or t_min1 is None or length is None:
+        t_max, t_min1, length = read_fields(
+            load_config_file(args.config),
+            ("crystal.t_max_c", "crystal.t_min1_c", "crystal.length_m"),
+        )
+    elif None in (args.t_max, args.t_min1, args.length):
         raise ValidationError(
             "extrema needs --config or all of --t-max, --t-min1, --length"
         )
+    else:
+        t_max, t_min1, length = args.t_max, args.t_min1, args.length
     model = calibrate_from_extrema(float(t_max), float(t_min1), float(length))
     found = find_conversion_extrema(model, tuple(args.range))
     print(json.dumps(

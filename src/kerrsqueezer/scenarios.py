@@ -52,6 +52,7 @@ from .detection import (
 from .errors import DomainError, InconsistentObservationError, ThresholdError, ValidationError
 from .phasematch import (
     calibrate_from_extrema,
+    conversion_sweep,
     delta_k,
     find_conversion_extrema,
     shg_efficiency,
@@ -246,15 +247,15 @@ def load_config_file(path) -> dict:
     return data
 
 
-def validate_config(data: Mapping[str, Any]) -> list[str]:
-    """Check ``data`` against FIELDS and INVARIANTS; returns diagnostics (empty = ok).
+def _check_fields(data: Mapping[str, Any], paths) -> tuple[list[str], dict[str, Any]]:
+    """Check the fields at ``paths`` against FIELDS, then the INVARIANTS
+    between two of them that both passed.
 
-    Only the sections that the scenario's tasks read are checked.
+    Returns the diagnostics and the values that passed.
     """
     diagnostics: list[str] = []
     passed: dict[str, Any] = {}
-
-    def check(path):
+    for path in paths:
         test, default = FIELDS[path]
         value = _get(data, path)
         if value is REQUIRED:
@@ -265,25 +266,29 @@ def validate_config(data: Mapping[str, Any]) -> list[str]:
             diagnostics.append(message)
         else:
             passed[path] = value
-
-    check("scenario")
-    check("seed")
-    if passed.get("scenario") == "custom":
-        check("custom.tasks")
-    tasks = SCENARIO_TASKS.get(passed.get("scenario")) or passed.get("custom.tasks", ())
-    sections = {section for task in tasks for section in TASK_SECTIONS[task]}
-    for path in FIELDS:
-        if path.split(".")[0] in sections:
-            check(path)
     for path, other, holds, message in INVARIANTS:
         if path in passed and other in passed and not holds(passed[path], passed[other]):
             diagnostics.append(f"{path}: " + message.format(
                 value=float(passed[path]), other=float(passed[other])))
-    return diagnostics
+    return diagnostics, passed
 
 
-def _raise_if_invalid(data: Mapping[str, Any]) -> None:
-    diagnostics = validate_config(data)
+def validate_config(data: Mapping[str, Any]) -> list[str]:
+    """Check ``data`` against FIELDS and INVARIANTS; returns diagnostics (empty = ok).
+
+    Only the sections that the scenario's tasks read are checked.
+    """
+    head = ["scenario", "seed"]
+    if _get(data, "scenario") == "custom":
+        head.append("custom.tasks")
+    diagnostics, passed = _check_fields(data, head)
+    tasks = SCENARIO_TASKS.get(passed.get("scenario")) or passed.get("custom.tasks", ())
+    sections = {section for task in tasks for section in TASK_SECTIONS[task]}
+    return diagnostics + _check_fields(
+        data, [path for path in FIELDS if path.split(".")[0] in sections])[0]
+
+
+def _raise_if_invalid(diagnostics: list[str]) -> None:
     if diagnostics:
         raise ValidationError(
             "invalid config:\n" + "\n".join(f"  {d}" for d in diagnostics),
@@ -293,8 +298,16 @@ def _raise_if_invalid(data: Mapping[str, Any]) -> None:
 
 def load_config(path) -> dict:
     data = load_config_file(path)
-    _raise_if_invalid(data)
+    _raise_if_invalid(validate_config(data))
     return data
+
+
+def read_fields(data: Mapping[str, Any], paths: Sequence[str]) -> list:
+    """Values of the fields at ``paths`` (defaults where absent), after the
+    FIELDS checks of each and the INVARIANTS between them; raises
+    ValidationError with path-tagged diagnostics otherwise."""
+    _raise_if_invalid(_check_fields(data, paths)[0])
+    return [_get(data, path) for path in paths]
 
 
 # --------------------------------------------------------------------------
@@ -415,35 +428,36 @@ class RunWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.fmt = fmt
         self.files: list[Path] = []
+        # An earlier run's manifest would vouch for files this run replaces.
+        (self.out_dir / "manifest").unlink(missing_ok=True)
+
+    def _write(self, name: str, content: str) -> Path:
+        path = self.out_dir / name
+        self.files.append(path)
+        path.write_text(content)
+        return path
 
     def table(self, name: str, columns: Sequence[str], rows) -> Path:
-        rows = [list(row) for row in rows]
         if self.fmt == "csv":
-            path = self.out_dir / f"{name}.csv"
             lines = [",".join(columns)]
             lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
-            path.write_text("\n".join(lines) + "\n")
-        else:
-            path = self.out_dir / f"{name}.json"
-            payload = {
-                "columns": list(columns),
-                "rows": [[_json_cell(cell) for cell in row] for row in rows],
-            }
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        self.files.append(path)
-        return path
+            return self._write(f"{name}.csv", "\n".join(lines) + "\n")
+        payload = {"columns": list(columns),
+                   "rows": [[_jsonify(cell) for cell in row] for row in rows]}
+        return self._write(f"{name}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def report(self, name: str, payload: Mapping[str, Any]) -> Path:
-        path = self.out_dir / f"{name}.json"
-        path.write_text(json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
-        self.files.append(path)
-        return path
+        return self._write(f"{name}.json",
+                           json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
 
     def text(self, name: str, content: str) -> Path:
-        path = self.out_dir / name
-        path.write_text(content)
-        self.files.append(path)
-        return path
+        return self._write(name, content)
+
+    def discard(self) -> None:
+        """Delete every file this writer wrote."""
+        for path in self.files:
+            path.unlink(missing_ok=True)
+        self.files.clear()
 
     def manifest(self, scenario: str, seed: int, config_text: str) -> Path:
         config_hash = hashlib.sha256(config_text.encode()).hexdigest()
@@ -463,27 +477,20 @@ class RunWriter:
         return path
 
 
-def _json_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
 def _jsonify(obj):
-    if isinstance(obj, Mapping):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+    # Numbers first: a table holds tens of thousands of them.
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
     if obj is None or isinstance(obj, str):
         return obj
+    if isinstance(obj, Mapping):
+        return {str(k): _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
     return str(obj)
 
 
@@ -500,8 +507,7 @@ def run_conversion_sweep(config, writer: RunWriter) -> dict:
     temps = np.linspace(*t_range, int(_get(config, "fig3.sweep.points")))
     # Drive at the ideal resonant circulating power of the base cavity.
     p_drive = params.resonant_buildup * p_in
-    dk = delta_k(model, temps)
-    eff = shg_efficiency(model, temps, p_drive, kappa)
+    dk, eff = conversion_sweep(model, temps, p_drive, kappa)
     writer.table(
         "conversion_sweep",
         ("T_celsius", "delta_k", "shg_efficiency"),
@@ -752,7 +758,8 @@ _RUNNERS = {
 def run_scenario(config: Mapping[str, Any], out_dir, fmt: str = "csv",
                  seed: int | None = None) -> dict:
     """Validate a config (with ``seed`` overriding its seed), run its tasks
-    (SCENARIO_TASKS) and write the manifest.
+    (SCENARIO_TASKS) and write the manifest.  If a task raises, the files
+    this run wrote are deleted before the error propagates.
 
     A custom run's summary holds one entry per task; the shipped scenarios
     merge their tasks' summaries into one.
@@ -760,21 +767,22 @@ def run_scenario(config: Mapping[str, Any], out_dir, fmt: str = "csv",
     resolved = dict(config)
     if seed is not None:
         resolved["seed"] = int(seed)
-    _raise_if_invalid(resolved)
+    _raise_if_invalid(validate_config(resolved))
     scenario, seed = resolved["scenario"], resolved["seed"]
 
     writer = RunWriter(out_dir, fmt)
     config_text = yaml.safe_dump(resolved, sort_keys=True)
-    writer.text("resolved_config.yaml", config_text)
-
     tasks = SCENARIO_TASKS[scenario] or resolved["custom"]["tasks"]
-    results = {task: _RUNNERS[task](resolved, writer) for task in tasks}
+    try:
+        writer.text("resolved_config.yaml", config_text)
+        results = {task: _RUNNERS[task](resolved, writer) for task in tasks}
+        writer.manifest(scenario, seed, config_text)
+    except BaseException:
+        writer.discard()
+        raise
     if scenario == "custom":
-        summary = results
-    else:
-        summary = {key: value for result in results.values() for key, value in result.items()}
-    writer.manifest(scenario, seed, config_text)
-    return summary
+        return results
+    return {key: value for result in results.values() for key, value in result.items()}
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,13 @@ LOSS = 0.0019
 RT_LENGTH = 0.838
 # Round-trip Kerr phase slope at the first conversion zero for kappa = 14.
 G_KERR = -(14.0**2) * 0.0093**2 / (2 * math.pi)
+# Kerr phases the root finder is fed: the linear cascade phase and a lean
+# with the same small-power slope that saturates above 12 W (still bistable
+# at 70 mW, 0.03 rad).  Both take arrays, as steady_state_branches requires.
+KERR_PHASES = (
+    lambda p: G_KERR * p,
+    lambda p: G_KERR * 12.0 * np.tanh(p / 12.0),
+)
 
 
 def cavity(detuning=0.0, loss=LOSS):
@@ -95,23 +102,25 @@ class TestSteadyState:
 
     def test_graphical_intersection_oracle(self):
         # Count sign changes of the implicit equation on a dense grid.
-        phi = lambda p: G_KERR * p
-        for det, p_in in [(0.03, 0.07), (0.0, 0.0088), (0.1, 0.07), (0.02, 0.002)]:
-            c = cavity(det)
-            branches = steady_state_branches(c, p_in, phi)
-            r = c.r_eff
-            grid = np.linspace(0.0, c.resonant_buildup * p_in * (1 + 1e-6), 400_001)
-            f = grid * (1 + r**2 - 2 * r * np.cos(det + G_KERR * grid)) - T1 * p_in
-            crossings = int(np.sum(np.sign(f[1:]) != np.sign(f[:-1])))
-            assert crossings == len(branches)
+        for phi in KERR_PHASES:
+            for det, p_in in [(0.03, 0.07), (0.0, 0.0088), (0.1, 0.07), (0.02, 0.002)]:
+                c = cavity(det)
+                branches = steady_state_branches(c, p_in, phi)
+                r = c.r_eff
+                grid = np.linspace(0.0, c.resonant_buildup * p_in * (1 + 1e-6), 400_001)
+                f = grid * (1 + r**2 - 2 * r * np.cos(det + phi(grid))) - T1 * p_in
+                crossings = int(np.sum(np.sign(f[1:]) != np.sign(f[:-1])))
+                assert crossings == len(branches)
 
     def test_roots_satisfy_implicit_equation(self):
-        phi = lambda p: G_KERR * p
         c = cavity(detuning=0.03)
         r = c.r_eff
-        for b in steady_state_branches(c, 0.07, phi):
-            resonance = 1 + r**2 - 2 * r * math.cos(0.03 + G_KERR * b.p_circ)
-            assert b.p_circ * resonance == pytest.approx(T1 * 0.07, rel=1e-10)
+        for phi in KERR_PHASES:
+            branches = steady_state_branches(c, 0.07, phi)
+            assert len(branches) == 3
+            for b in branches:
+                resonance = 1 + r**2 - 2 * r * math.cos(0.03 + phi(b.p_circ))
+                assert b.p_circ * resonance == pytest.approx(T1 * 0.07, rel=1e-10)
 
 
 class TestScanProfile:

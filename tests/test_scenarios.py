@@ -264,6 +264,18 @@ class TestSchema:
         assert validate_config(config) == []
         assert run_cli(config, tmp_path) == 2
         assert "at or above threshold" in capsys.readouterr().err
+        # The failed run leaves none of its files behind.
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_failed_run_removes_stale_manifest(self, tmp_path, capsys):
+        # A failed run into the directory of an earlier run must not leave the
+        # earlier manifest vouching for files the failed run overwrote.
+        assert run_cli(packaged("fig5"), tmp_path) == 0
+        assert (tmp_path / "out" / "manifest").exists()
+        config = mutated("fig5", {"fig5.kappa": 14.0, "fig5.temperatures_c": [61.2, 81.9]})
+        assert run_cli(config, tmp_path) == 2
+        left = sorted(path.name for path in (tmp_path / "out").iterdir())
+        assert left == ["spectrum.csv", "squeeze_sweep.csv", "summary.json"]
 
 
 class TestFig3:
@@ -491,6 +503,19 @@ class TestCli:
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["run", "not-a-scenario"]) == 1
+
+    @pytest.mark.parametrize("changes,expected", [
+        ({"t_max_c": "abc"}, "crystal.t_max_c: expected a number, got str"),
+        ({"t_max_c": [1]}, "crystal.t_max_c: expected a number, got list"),
+        ({"length_m": DELETE}, "crystal.length_m: missing required field"),
+        ({"t_min1_c": 40.5}, "crystal.t_min1_c: must differ from crystal.t_max_c"),
+    ], ids=["text", "list", "missing", "equal"])
+    def test_extrema_config_checked(self, changes, expected, tmp_path, capsys):
+        config = mutated("fig3", {f"crystal.{key}": value for key, value in changes.items()})
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert main(["extrema", "--config", str(path)]) == 1
+        assert f"  {expected}" in capsys.readouterr().err.splitlines()
 
     def test_extrema_flags(self, capsys):
         code = main(["extrema", "--t-max", "40.5", "--t-min1", "61.2",
