@@ -9,6 +9,8 @@ Kerr nonlinearity.
 
 import math
 
+import numpy as np
+
 from kerrsqueezer import (
     effective_kerr_phase,
     extract_cascade_result,
@@ -32,10 +34,11 @@ print("-> conversion at the center, none at the exit, and a phase that doubles w
 
 print("\n=== analytic cascade formula vs the integrated equations ===")
 print(" delta_k*L    ODE phase    analytic     rel. diff")
-for mult in (2.0, 2.5, 3.0, 4.0, 6.0):
-    dk = mult * math.pi / LENGTH
-    ode = extract_cascade_result(0.2, dk, KAPPA, LENGTH).nl_phase
-    formula = effective_kerr_phase(0.2, dk, KAPPA, LENGTH)
+mults = np.array([2.0, 2.5, 3.0, 4.0, 6.0])
+# One batched integration for all mismatches: array in, array out.
+phases = extract_cascade_result(0.2, mults * math.pi / LENGTH, KAPPA, LENGTH).nl_phase
+for mult, ode in zip(mults, phases):
+    formula = effective_kerr_phase(0.2, mult * math.pi / LENGTH, KAPPA, LENGTH)
     print(
         f"  {mult:3.1f} pi   {ode*1e3:+9.4f} mrad {formula*1e3:+9.4f} mrad"
         f"   {abs(ode-formula)/abs(formula)*100:6.2f}%"

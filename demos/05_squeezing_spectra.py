@@ -32,10 +32,11 @@ print(f"pump ratio eps/gamma = {abs(op.epsilon)/op.gamma_total:.2f}, "
 
 print("\n=== spectrum vs offset from a comb line ===")
 print("  offset/gamma    squeeze (dB)   anti-squeeze (dB)")
-for mult in (0.0, 0.5, 1.0, 2.0, 4.0):
-    pt = squeezing_spectrum(op, mult * op.gamma_total)
-    print(f"     {mult:4.1f}        {variance_to_db(pt.v_min):8.2f}      "
-          f"{variance_to_db(pt.v_max):8.2f}")
+mults = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
+spectrum = squeezing_spectrum(op, mults * op.gamma_total)  # one call, every offset
+for mult, v_min, v_max in zip(mults, spectrum.v_min, spectrum.v_max):
+    print(f"     {mult:4.1f}        {variance_to_db(v_min):8.2f}      "
+          f"{variance_to_db(v_max):8.2f}")
 
 print("\n=== absolute sideband frequencies versus the comb ===")
 print("  f (MHz)    comb n   offset (MHz)   OMC transfer")

@@ -373,51 +373,63 @@ def make_operating_point(
     return op
 
 
-def squeezing_spectrum(op: OperatingPoint, omega: float) -> SpectrumPoint:
+def squeezing_spectrum(op: OperatingPoint, omega) -> SpectrumPoint:
     """Output quadrature spectrum at sideband offset ``omega`` (rad/s).
 
     Input-output solution of the linearized dynamics with vacuum entering
     through both the coupler and the loss port.  For ``delta_eff = 0`` it
     reduces to ``v_mp = 1 -/+ 4 gamma_coupler epsilon / ((gamma_total +/-
     epsilon)^2 + omega^2)``.  The returned minor-axis angle is relative to
-    the carrier quadrature.
+    the carrier quadrature.  For an array ``omega`` the fields are arrays of
+    the same shape, from one stacked solve.
     """
     if not op.below_threshold:
         raise ThresholdError(
             f"spectrum undefined at or above threshold (headroom {op.headroom:.3f})"
         )
+    omegas = np.asarray(omega, dtype=float)
     if op.epsilon == 0.0:
         # Passive cavity: the output is exactly vacuum at every frequency.
-        return SpectrumPoint(1.0, 1.0, 0.0)
-    gam, gc, gl = op.gamma_total, op.gamma_coupler, op.gamma_loss
-    delta, eps = op.delta_eff, op.epsilon
+        v_min, v_max, theta = np.ones(omegas.shape), np.ones(omegas.shape), np.zeros(omegas.shape)
+    else:
+        gam, gc, gl = op.gamma_total, op.gamma_coupler, op.gamma_loss
+        delta, eps = op.delta_eff, op.epsilon
 
-    drift = np.array([[0.0, delta + eps], [eps - delta, 0.0]])
-    m = np.linalg.inv((gam - 1j * omega) * np.eye(2) - drift)
-    t_in = 2.0 * gc * m - np.eye(2)
-    s_out = t_in @ t_in.conj().T
-    if gl > 0.0:
-        t_loss = 2.0 * math.sqrt(gc * gl) * m
-        s_out = s_out + t_loss @ t_loss.conj().T
-    sym = s_out.real
-    vals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
-    theta = math.atan2(vecs[1, 0], vecs[0, 0]) % math.pi
-    return SpectrumPoint(float(vals[0]), float(vals[1]), theta)
+        # One 2x2 system per frequency; a scalar runs as a stack of one.
+        w = omegas.reshape(-1, 1, 1)
+        drift = np.array([[0.0, delta + eps], [eps - delta, 0.0]])
+        m = np.linalg.inv((gam - 1j * w) * np.eye(2) - drift)
+        t_in = 2.0 * gc * m - np.eye(2)
+        s_out = t_in @ t_in.conj().swapaxes(-1, -2)
+        if gl > 0.0:
+            t_loss = 2.0 * math.sqrt(gc * gl) * m
+            s_out = s_out + t_loss @ t_loss.conj().swapaxes(-1, -2)
+        sym = s_out.real
+        vals, vecs = np.linalg.eigh(0.5 * (sym + sym.swapaxes(-1, -2)))
+        theta = np.arctan2(vecs[:, 1, 0], vecs[:, 0, 0]) % math.pi
+        v_min, v_max, theta = (x.reshape(omegas.shape) for x in (vals[:, 0], vals[:, 1], theta))
+    if not omegas.shape:
+        return SpectrumPoint(float(v_min), float(v_max), float(theta))
+    return SpectrumPoint(v_min, v_max, theta)
 
 
-def sideband_comb_map(cavity, frequency: float) -> CombAssignment:
+def sideband_comb_map(cavity, frequency) -> CombAssignment:
     """Map an absolute sideband frequency onto (comb index, offset).
 
     ``cavity`` may be a :class:`CavityParams` or a bare FSR in Hz.  The
     offset is ``omega = 2 pi (f - n * FSR)`` with ``n = round(f / FSR)``;
     the spectrum at comb line n is then evaluated with the baseband model
-    at that offset (quasi-degenerate approximation).
+    at that offset (quasi-degenerate approximation).  For an array
+    ``frequency`` both fields are arrays of its shape.
     """
     fsr = cavity.fsr if hasattr(cavity, "fsr") else float(cavity)
     if fsr <= 0.0 or not math.isfinite(fsr):
         raise DomainError(f"FSR must be positive, got {fsr}")
-    if not math.isfinite(frequency) or frequency < 0.0:
+    f = np.asarray(frequency, dtype=float)
+    if not np.all(np.isfinite(f) & (f >= 0.0)):
         raise DomainError(f"frequency must be >= 0, got {frequency}")
-    index = int(round(frequency / fsr))
-    omega = 2.0 * math.pi * (frequency - index * fsr)
-    return CombAssignment(index, omega)
+    index = np.round(f / fsr)
+    omega = 2.0 * math.pi * (f - index * fsr)
+    if not f.shape:
+        return CombAssignment(int(index), float(omega))
+    return CombAssignment(index.astype(int), omega)

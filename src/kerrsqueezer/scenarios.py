@@ -158,6 +158,22 @@ def _list(expected, min_len, max_len=math.inf, item=_NUMBER, build=None):
     return check
 
 
+def _profile_name(temperature) -> str:
+    """Table name of the fig3 resonance profile at ``temperature`` (0.1 deg C)."""
+    return f"profile_{float(temperature):.1f}C".replace(".", "p")
+
+
+def _distinct_profile_names(*temperatures) -> None:
+    """Raise DomainError when two profile temperatures share one table name."""
+    seen: dict[str, Any] = {}
+    for temperature in temperatures:
+        name = _profile_name(temperature)
+        if name in seen:
+            raise DomainError(
+                f"temperatures {seen[name]} and {temperature} both write the table {name}")
+        seen[name] = temperature
+
+
 REQUIRED = object()  # default of a field the config must give
 _FACTOR = _list("[value, uncertainty]", 2, 2, build=EfficiencyFactor)
 
@@ -193,7 +209,8 @@ FIELDS = {
     "fig3.sweep.start_c": (_NUMBER, REQUIRED),
     "fig3.sweep.stop_c": (_NUMBER, REQUIRED),
     "fig3.sweep.points": (_integer(2), REQUIRED),
-    "fig3.profile_temperatures_c": (_list("a non-empty list of temperatures", 1), REQUIRED),
+    "fig3.profile_temperatures_c": (_list("a non-empty list of temperatures", 1,
+                                          build=_distinct_profile_names), REQUIRED),
     "fig3.profile_points": (_integer(11), 1501),
     "fig3.profile_span_linewidths": (_number(lo=1.0), 6.0),
     "fig4.targets_db": (_list("[squeeze_db, antisqueeze_db]", 2, 2, build=SqueezeObservation),
@@ -377,33 +394,37 @@ def locked_circulating_power(
     return brentq(implicit, 0.0, p_hi, xtol=1e-300, rtol=8.9e-16)
 
 
-def _locked_point(model, kappa, temperature, params: CavityParams, p_in: float) -> tuple:
-    """Lock the cavity at one crystal temperature and linearize it there.
+def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float) -> list:
+    """Lock the cavity at each crystal temperature and linearize it there.
 
-    Returns ``(delta_k, cascade result, Kerr slope g in rad/W, cavity with
-    the residual conversion added to its loss, operating point)``.  The lock
-    takes two passes: the analytic low-conversion estimate, then one
-    refinement from the ODE.
+    Returns one ``(delta_k, residual conversion, Kerr slope g in rad/W,
+    cavity with the residual conversion added to its loss, operating
+    point)`` per temperature.  The lock takes two passes: the analytic
+    low-conversion estimate, then one refinement from the ODE.  Each pass
+    solves the lock row by row and integrates all rows in one cascade run.
     """
-    dk = delta_k(model, temperature)
-    conv_w = shg_efficiency(model, temperature, 1.0, kappa)
-    p_lock = locked_circulating_power(params, p_in, conv_w)
-    res = extract_cascade_result(p_lock, dk, kappa, model.length)
-    conv_w = res.residual_conversion / p_lock if p_lock > 0 else 0.0
-    p_lock = locked_circulating_power(params, p_in, conv_w)
-    res = extract_cascade_result(p_lock, dk, kappa, model.length)
-    g = res.nl_phase / p_lock if p_lock > 0 else 0.0
-    cav = replace(params, round_trip_loss=params.round_trip_loss + res.residual_conversion)
-    op = OperatingPoint(
-        p_circ=p_lock,
-        nl_phase_rt=res.nl_phase,
-        epsilon=g * p_lock * cav.fsr,
-        delta_eff=0.0,  # length servo holds the effective detuning at zero
-        gamma_total=cav.gamma_total,
-        gamma_coupler=cav.gamma_coupler,
-        gamma_loss=cav.gamma_loss,
-    )
-    return dk, res, g, cav, op
+    temps = np.asarray(temperatures, dtype=float)
+    dk = delta_k(model, temps)
+    conv_w = shg_efficiency(model, temps, 1.0, kappa)
+    for _ in range(2):
+        p_lock = np.array([locked_circulating_power(params, p_in, float(c)) for c in conv_w])
+        res = extract_cascade_result(p_lock, dk, kappa, model.length)
+        conv_w = res.residual_conversion / p_lock
+    points = []
+    for dk_i, phase, residual, p in zip(dk, res.nl_phase, res.residual_conversion, p_lock):
+        g = float(phase / p)
+        cav = replace(params, round_trip_loss=params.round_trip_loss + float(residual))
+        op = OperatingPoint(
+            p_circ=float(p),
+            nl_phase_rt=float(phase),
+            epsilon=g * float(p) * cav.fsr,
+            delta_eff=0.0,  # length servo holds the effective detuning at zero
+            gamma_total=cav.gamma_total,
+            gamma_coupler=cav.gamma_coupler,
+            gamma_loss=cav.gamma_loss,
+        )
+        points.append((float(dk_i), float(residual), g, cav, op))
+    return points
 
 
 # --------------------------------------------------------------------------
@@ -530,18 +551,18 @@ def run_profiles(config, writer: RunWriter) -> dict:
     n_points = int(_get(config, "fig3.profile_points"))
     span_lw = float(_get(config, "fig3.profile_span_linewidths"))
 
+    temperatures = _get(config, "fig3.profile_temperatures_c")
     out = []
-    for temperature in _get(config, "fig3.profile_temperatures_c"):
-        _, _, g, scan_params, op = _locked_point(model, kappa, temperature, params, p_in)
+    for temperature, (_, _, g, scan_params, op) in zip(
+            temperatures, _locked_points(model, kappa, temperatures, params, p_in)):
         phi = (lambda slope: (lambda p: slope * p))(g)
         span = span_lw * scan_params.linewidth_phase_fwhm + 1.6 * abs(g) * max(
             op.p_circ, scan_params.resonant_buildup * p_in
         )
         detunings = np.linspace(-span, span, n_points)
         profile = scan_profile(scan_params, p_in, detunings, phi, "up")
-        name = f"profile_{float(temperature):.1f}C".replace(".", "p")
         writer.table(
-            name,
+            _profile_name(temperature),
             ("detuning_rad", "p_circ_W", "p_trans_W"),
             zip(profile.detuning, profile.p_circ, profile.p_trans),
         )
@@ -645,8 +666,8 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
     rows = []
     records = []
     ops = []
-    for temperature in temperatures:
-        dk, res, _, cav, op = _locked_point(model, kappa, temperature, params, p_in)
+    for temperature, (dk, residual, _, cav, op) in zip(
+            temperatures, _locked_points(model, kappa, temperatures, params, p_in)):
         outside_regime = abs(dk * model.length) < math.pi
         if op.below_threshold:
             point = squeezing_spectrum(op, comb.omega)
@@ -664,7 +685,7 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
             (
                 temperature,
                 dk,
-                res.residual_conversion,
+                residual,
                 cav.round_trip_loss,
                 op.p_circ,
                 op.epsilon,
@@ -718,12 +739,10 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
 
     # Spectrum export at the best temperature.
     freqs = np.linspace(0.0, 4.0 * params.fsr, int(_get(config, "fig5.spectrum_points")))
-    spec_rows = []
-    for f in freqs:
-        cb = sideband_comb_map(params, float(f))
-        pt = squeezing_spectrum(ops[i_best], cb.omega)
-        spec_rows.append((f, variance_to_db(pt.v_min), variance_to_db(pt.v_max), pt.theta_min))
-    writer.table("spectrum", ("f_Hz", "vmin_dB", "vmax_dB", "theta_rad"), spec_rows)
+    spec = squeezing_spectrum(ops[i_best], sideband_comb_map(params, freqs).omega)
+    writer.table("spectrum", ("f_Hz", "vmin_dB", "vmax_dB", "theta_rad"),
+                 [(f, variance_to_db(v_min), variance_to_db(v_max), theta)
+                  for f, v_min, v_max, theta in zip(freqs, *spec)])
 
     summary = {
         "sideband_frequency_hz": frequency,

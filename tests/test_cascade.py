@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.special import ellipj
 
 from kerrsqueezer import (
     AccuracyError,
@@ -12,8 +14,20 @@ from kerrsqueezer import (
     fictitious_mirror,
     propagate,
 )
+from kerrsqueezer.cascade import step_count
 
 LENGTH = 0.0093
+
+
+def converted_fraction(p, dk, kappa, length):
+    """Exact harmonic power fraction of mismatched SHG from a2 = 0
+    (Armstrong, Bloembergen, Ducuing & Pershan, Phys. Rev. 127, 1918 (1962)):
+    v_b^2 sn^2(kappa sqrt(p) L / v_b | m = v_b^4), v_b = sqrt(1 + s^2) - s,
+    s = dk / (4 kappa sqrt(p))."""
+    s = dk / (4.0 * kappa * math.sqrt(p))
+    v_b = math.sqrt(1.0 + s * s) - s
+    sn = ellipj(kappa * math.sqrt(p) * length / v_b, v_b**4)[0]
+    return v_b**2 * sn**2
 
 
 class TestPropagate:
@@ -38,6 +52,47 @@ class TestPropagate:
     def test_full_back_conversion_at_first_zero(self):
         out = extract_cascade_result(0.01, 2 * math.pi / LENGTH, 14.0, LENGTH)
         assert out.residual_conversion < 1e-6
+
+    @pytest.mark.parametrize("kappa,p", [(150.0, 1.0), (150.0, 4.0), (150.0, 9.0), (473.0, 1.0)])
+    def test_strong_drive_elliptic_oracle(self, kappa, p):
+        # kappa sqrt(p) L from 1.4 to 4.4: deep depletion and back-conversion,
+        # where the low-conversion phase formula no longer applies.
+        for x in (0.0, 1.0, 2 * math.pi, 3 * math.pi, 4 * math.pi):
+            out = extract_cascade_result(p, x / LENGTH, kappa, LENGTH)
+            exact = converted_fraction(p, x / LENGTH, kappa, LENGTH)
+            assert abs(out.residual_conversion - exact) <= 1e-9, x
+
+    def test_step_rule_error_budget(self):
+        # Corners of kappa in {3.2, 14, 50, 150}, p in {0.01, 1, 10, 32} W and
+        # dk L in {0, 1, 2 pi, 4 pi, 13.5, 30}, each at its own derived step
+        # count.  kappa and p enter only through kappa sqrt(p) (a = sqrt(p) u),
+        # so one 16000-step run at kappa = 150 is the reference for all.
+        corners = [
+            (3.2, 0.01, 13.5), (3.2, 32.0, 2 * math.pi), (3.2, 1.0, 0.0),
+            (14.0, 32.0, 13.5), (14.0, 10.0, 2 * math.pi), (14.0, 0.01, 30.0),
+            (50.0, 10.0, 13.5), (50.0, 32.0, 4 * math.pi), (50.0, 32.0, 30.0),
+            (150.0, 1.0, 13.5), (150.0, 10.0, 30.0), (150.0, 32.0, 30.0), (150.0, 0.01, 1.0),
+        ]
+        steps = [step_count(p, x / LENGTH, kappa, LENGTH) for kappa, p, x in corners]
+        ref = extract_cascade_result(
+            np.array([(kappa / 150.0) ** 2 * p for kappa, p, _ in corners]),
+            np.array([x for _, _, x in corners]) / LENGTH,
+            150.0, LENGTH, steps=max(16000, 8 * max(steps)))
+        for i, (kappa, p, x) in enumerate(corners):
+            got = extract_cascade_result(p, x / LENGTH, kappa, LENGTH)
+            out = propagate(CoupledModeState(math.sqrt(p), 0.0), x / LENGTH, kappa, LENGTH,
+                            drift_tol=1.0)
+            where = (kappa, p, x, steps[i])
+            assert abs(got.nl_phase - ref.nl_phase[i]) <= 5e-8 * abs(ref.nl_phase[i]), where
+            assert abs(got.residual_conversion - ref.residual_conversion[i]) <= 1e-9, where
+            assert abs(out.power - p) / p <= 1e-9, where
+
+    def test_step_rule(self):
+        assert step_count(0.0, 0.0, 14.0, LENGTH) == 100
+        assert step_count(1.0, 0.0, 150.0, LENGTH) == math.ceil(150.0 * LENGTH / 0.005)
+        assert step_count([0.5, 1.0], [30.0 / LENGTH, -40.0 / LENGTH], 0.0, LENGTH) == 800
+        with pytest.raises(DomainError):
+            step_count(-1.0, 0.0, 14.0, LENGTH)
 
     def test_step_floor(self):
         with pytest.raises(DomainError):
@@ -116,6 +171,15 @@ class TestExtractCascade:
         neg = extract_cascade_result(0.2, -dk, kappa, LENGTH)
         assert neg.nl_phase == pytest.approx(-pos.nl_phase, rel=1e-10)
         assert neg.residual_conversion == pytest.approx(pos.residual_conversion, rel=1e-10)
+        # One batched run over both signs gives the row-by-row results bit
+        # for bit at the same step count.
+        powers, mismatches = np.array([0.2, 0.2, 0.0, 3.0]), np.array([dk, -dk, dk, 0.0])
+        steps = step_count(powers, mismatches, kappa, LENGTH)
+        batch = extract_cascade_result(powers, mismatches, kappa, LENGTH, steps=steps)
+        rows = [extract_cascade_result(p, d, kappa, LENGTH, steps=steps)
+                for p, d in zip(powers, mismatches)]
+        assert batch.nl_phase.tolist() == [row.nl_phase for row in rows]
+        assert batch.residual_conversion.tolist() == [row.residual_conversion for row in rows]
 
     def test_phase_matched_pure_depletion(self):
         # At zero mismatch the crystal depletes but does not phase shift.

@@ -7,6 +7,7 @@ from kerrsqueezer import (
     CavityParams,
     DomainError,
     OperatingPoint,
+    SpectrumPoint,
     ThresholdError,
     make_operating_point,
     scan_profile,
@@ -287,11 +288,16 @@ class TestSpectrum:
         assert 10 * math.log10(pt.v_min) == pytest.approx(-9.54, abs=0.01)
 
     def test_lossless_purity(self):
+        omegas = np.array([0.0, 0.5, 2.0])
         for eps in (0.1, 0.5, 0.9):
             for delta in (0.0, 0.2):
-                for omega in (0.0, 0.5, 2.0):
-                    pt = squeezing_spectrum(op_point(eps, delta), omega)
+                points = [squeezing_spectrum(op_point(eps, delta), omega) for omega in omegas]
+                for pt in points:
                     assert abs(pt.v_min * pt.v_max - 1.0) < 1e-9
+                # One stacked call gives the per-point results bit for bit.
+                stacked = squeezing_spectrum(op_point(eps, delta), omegas)
+                for field, values in zip(SpectrumPoint._fields, stacked):
+                    assert values.tolist() == [getattr(pt, field) for pt in points]
 
     def test_loss_makes_mixed(self):
         pt = squeezing_spectrum(op_point(0.5, loss_fraction=0.16), 0.0)
@@ -326,6 +332,10 @@ class TestCombMap:
     def test_third_line_at_nominal_fsr(self):
         comb = sideband_comb_map(358e6, 1074e6)
         assert comb.index == 3 and comb.omega == 0.0
+        combs = sideband_comb_map(358e6, np.array([0.0, 1074e6, 1.5 * 358e6, 1075e6]))
+        assert combs.index.tolist() == [0, 3, 2, 3]
+        assert combs.omega.tolist() == [
+            sideband_comb_map(358e6, f).omega for f in (0.0, 1074e6, 1.5 * 358e6, 1075e6)]
 
     def test_midpoint_antiresonant(self):
         comb = sideband_comb_map(358e6, 1.5 * 358e6)
@@ -340,3 +350,5 @@ class TestCombMap:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             sideband_comb_map(358e6, -1.0)
+        with pytest.raises(DomainError):
+            sideband_comb_map(358e6, np.array([1e6, -1.0]))

@@ -132,6 +132,9 @@ VALIDATE_THEN_CRASH = {
     "custom_tasks_null": ("fig3", {"scenario": "custom", "custom": {"tasks": None}},
                           "custom.tasks:"),
     "huge_integer_kappa": ("fig3", {"crystal.kappa": 10**400}, "crystal.kappa:"),
+    # Both profiles once wrote profile_61p2C, the second over the first.
+    "fig3_profiles_share_a_table": ("fig3", {"fig3.profile_temperatures_c": [40.5, 61.2, 61.24]},
+                                    "fig3.profile_temperatures_c:"),
 }
 
 # Only the fields a scenario requires; everything else comes from the defaults.
@@ -225,6 +228,10 @@ DIAGNOSTIC_WORDING = [
      [f"scenario: must be one of {SCENARIO_CHOICES}, got 'fig9'"]),
     # fig3 reads no budget, so a broken one is not checked.
     ("fig3", {"budget": {"escape": 2.0}}, []),
+    # Profile tables are named to 0.1 deg C; two that round alike would share one.
+    ("fig3", {"fig3.profile_temperatures_c": [61.2, 61.24]},
+     ["fig3.profile_temperatures_c: temperatures 61.2 and 61.24 both write the table "
+      "profile_61p2C"]),
 ]
 
 
