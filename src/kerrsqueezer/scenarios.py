@@ -254,7 +254,7 @@ def load_config_file(path) -> dict:
     """Parse a YAML config file; parse errors carry line/column info."""
     text = Path(path).read_text()
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -431,14 +431,6 @@ def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float
 # output writing
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 class RunWriter:
     """Deterministic writer for tables, reports and the run manifest."""
 
@@ -458,13 +450,17 @@ class RunWriter:
         path.write_text(content)
         return path
 
-    def table(self, name: str, columns: Sequence[str], rows) -> Path:
+    def table(self, name: str, columns: Mapping[str, Any]) -> Path:
+        """Write the equal-length ``columns`` (name -> array or list) as one
+        table; bools are 1/0 in CSV and true/false in JSON."""
+        values = [np.asarray(column) for column in columns.values()]
         if self.fmt == "csv":
-            lines = [",".join(columns)]
-            lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
+            cells = [list(map(repr, v.astype(int).tolist() if v.dtype == bool else v.tolist()))
+                     for v in values]
+            lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
             return self._write(f"{name}.csv", "\n".join(lines) + "\n")
         payload = {"columns": list(columns),
-                   "rows": [[_jsonify(cell) for cell in row] for row in rows]}
+                   "rows": [list(row) for row in zip(*(v.tolist() for v in values))]}
         return self._write(f"{name}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def report(self, name: str, payload: Mapping[str, Any]) -> Path:
@@ -499,7 +495,7 @@ class RunWriter:
 
 
 def _jsonify(obj):
-    # Numbers first: a table holds tens of thousands of them.
+    """Plain JSON types of a report (numpy scalars become Python numbers)."""
     if isinstance(obj, (float, np.floating)):
         return float(obj)
     if isinstance(obj, (bool, np.bool_)):
@@ -529,13 +525,10 @@ def run_conversion_sweep(config, writer: RunWriter) -> dict:
     # Drive at the ideal resonant circulating power of the base cavity.
     p_drive = params.resonant_buildup * p_in
     dk, eff = conversion_sweep(model, temps, p_drive, kappa)
-    writer.table(
-        "conversion_sweep",
-        ("T_celsius", "delta_k", "shg_efficiency"),
-        zip(temps, dk, eff),
-    )
+    writer.table("conversion_sweep", {"T_celsius": temps, "delta_k": dk, "shg_efficiency": eff})
     extrema = find_conversion_extrema(model, t_range)
-    writer.table("extrema", ("T_celsius", "kind_is_max"), [(t, k == "max") for t, k in extrema])
+    writer.table("extrema", {"T_celsius": [t for t, _ in extrema],
+                             "kind_is_max": [k == "max" for _, k in extrema]})
     return {
         "extrema": [{"T_celsius": t, "kind": k} for t, k in extrema],
         "drive_power_w": p_drive,
@@ -561,11 +554,9 @@ def run_profiles(config, writer: RunWriter) -> dict:
         )
         detunings = np.linspace(-span, span, n_points)
         profile = scan_profile(scan_params, p_in, detunings, phi, "up")
-        writer.table(
-            _profile_name(temperature),
-            ("detuning_rad", "p_circ_W", "p_trans_W"),
-            zip(profile.detuning, profile.p_circ, profile.p_trans),
-        )
+        writer.table(_profile_name(temperature), {"detuning_rad": profile.detuning,
+                                                  "p_circ_W": profile.p_circ,
+                                                  "p_trans_W": profile.p_trans})
         out.append(
             {
                 "temperature_c": float(temperature),
@@ -601,19 +592,12 @@ def run_tomography(config, writer: RunWriter) -> dict:
     trace_vac = simulate_tomography_trace(vacuum_state, settings)
     trace_sqz = simulate_tomography_trace(delivered,
                                           replace(settings, rng_seed=settings.rng_seed + 1))
-    writer.table(
-        "trace_vacuum",
-        ("t_seconds", "theta_rad", "measured_dB"),
-        zip(trace_vac.time, trace_vac.theta, trace_vac.measured_db),
-    )
-    writer.table(
-        "trace_squeezed",
-        ("t_seconds", "theta_rad", "measured_dB"),
-        zip(trace_sqz.time, trace_sqz.theta, trace_sqz.measured_db),
-    )
+    for name, trace in (("trace_vacuum", trace_vac), ("trace_squeezed", trace_sqz)):
+        writer.table(name, {"t_seconds": trace.time, "theta_rad": trace.theta,
+                            "measured_dB": trace.measured_db})
 
     ellipse = fit_quadrature_ellipse(trace_sqz.theta, trace_sqz.measured_db, settings.dark_variance)
-    summary = {
+    return {
         "mode": mode,
         "targets_db": {"squeeze": target_sq, "antisqueeze": target_anti},
         "calibration": {"eta_total": eta, "r": r, "sigma_rad": sigma},
@@ -628,8 +612,6 @@ def run_tomography(config, writer: RunWriter) -> dict:
         "dark_db": settings.dark_db,
         "dark_handling": "traces include dark noise; the summary fit removes it",
     }
-    writer.report("summary", summary)
-    return summary
 
 
 def run_squeeze_sweep(config, writer: RunWriter) -> dict:
@@ -663,49 +645,8 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
     if not budget.visibility_in_bhd:
         eta_chain *= budget.visibility**2
 
-    rows = []
-    records = []
-    ops = []
-    for temperature, (dk, residual, _, cav, op) in zip(
-            temperatures, _locked_points(model, kappa, temperatures, params, p_in)):
-        outside_regime = abs(dk * model.length) < math.pi
-        if op.below_threshold:
-            point = squeezing_spectrum(op, comb.omega)
-            cavity_out = GaussianQuadratureState(point.v_min, point.v_max, point.theta_min)
-            observed = dephase(apply_loss(cavity_out, eta_chain), sigma)
-            squeeze_db = -variance_to_db(observed.v_min)
-            anti_db = variance_to_db(observed.v_max)
-            vmin_db = variance_to_db(point.v_min)
-            vmax_db = variance_to_db(point.v_max)
-            above = False
-        else:
-            squeeze_db = anti_db = vmin_db = vmax_db = math.nan
-            above = True
-        rows.append(
-            (
-                temperature,
-                dk,
-                residual,
-                cav.round_trip_loss,
-                op.p_circ,
-                op.epsilon,
-                vmin_db,
-                vmax_db,
-                squeeze_db,
-                anti_db,
-                outside_regime,
-            )
-        )
-        records.append(
-            {
-                "temperature_c": temperature,
-                "squeeze_db": squeeze_db,
-                "antisqueeze_db": anti_db,
-                "outside_spm_regime": outside_regime,
-                "above_threshold": above,
-            }
-        )
-        ops.append(op)
+    points = _locked_points(model, kappa, temperatures, params, p_in)
+    ops = [op for *_, op in points]
     below = [i for i, op in enumerate(ops) if op.below_threshold]
     if not below:
         headrooms = [op.headroom for op in ops]
@@ -713,23 +654,30 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
             f"every fig5 row is at or above threshold (headroom {min(headrooms):.3f} "
             f"to {max(headrooms):.3f}); lower fig5.kappa or fig5.input_power_w"
         )
-    writer.table(
-        "squeeze_sweep",
-        (
-            "T_celsius",
-            "delta_k",
-            "residual_conversion",
-            "round_trip_loss",
-            "p_circ_W",
-            "epsilon_rad_s",
-            "vmin_dB",
-            "vmax_dB",
-            "squeeze_dB",
-            "antisqueeze_dB",
-            "outside_spm_regime",
-        ),
-        rows,
-    )
+    # Cavity output (vmin, vmax) and observed (squeeze, antisqueeze) dB; NaN
+    # at or above threshold.
+    db = np.full((len(ops), 4), math.nan)
+    for i in below:
+        point = squeezing_spectrum(ops[i], comb.omega)
+        observed = dephase(apply_loss(GaussianQuadratureState(*point), eta_chain), sigma)
+        db[i] = (variance_to_db(point.v_min), variance_to_db(point.v_max),
+                 -variance_to_db(observed.v_min), variance_to_db(observed.v_max))
+    outside = [abs(dk * model.length) < math.pi for dk, *_ in points]
+    writer.table("squeeze_sweep", {
+        "T_celsius": temperatures,
+        "delta_k": [dk for dk, *_ in points],
+        "residual_conversion": [residual for _, residual, *_ in points],
+        "round_trip_loss": [cav.round_trip_loss for *_, cav, _ in points],
+        "p_circ_W": [op.p_circ for op in ops],
+        "epsilon_rad_s": [op.epsilon for op in ops],
+        "vmin_dB": db[:, 0], "vmax_dB": db[:, 1],
+        "squeeze_dB": db[:, 2], "antisqueeze_dB": db[:, 3],
+        "outside_spm_regime": outside,
+    })
+    records = [{"temperature_c": t, "squeeze_db": sq, "antisqueeze_db": anti,
+                "outside_spm_regime": out, "above_threshold": not op.below_threshold}
+               for t, sq, anti, out, op in zip(temperatures, db[:, 2].tolist(),
+                                                db[:, 3].tolist(), outside, ops)]
 
     i_best = max(below, key=lambda i: records[i]["squeeze_db"])
     best = records[i_best]
@@ -740,11 +688,12 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
     # Spectrum export at the best temperature.
     freqs = np.linspace(0.0, 4.0 * params.fsr, int(_get(config, "fig5.spectrum_points")))
     spec = squeezing_spectrum(ops[i_best], sideband_comb_map(params, freqs).omega)
-    writer.table("spectrum", ("f_Hz", "vmin_dB", "vmax_dB", "theta_rad"),
-                 [(f, variance_to_db(v_min), variance_to_db(v_max), theta)
-                  for f, v_min, v_max, theta in zip(freqs, *spec)])
+    writer.table("spectrum", {"f_Hz": freqs,
+                              "vmin_dB": [variance_to_db(v) for v in spec.v_min],
+                              "vmax_dB": [variance_to_db(v) for v in spec.v_max],
+                              "theta_rad": spec.theta_min})
 
-    summary = {
+    return {
         "sideband_frequency_hz": frequency,
         "comb_index": comb.index,
         "comb_offset_rad_s": comb.omega,
@@ -761,8 +710,6 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
         "the chain applies OMC and BHD factors only",
         "rows": records,
     }
-    writer.report("summary", summary)
-    return summary
 
 
 # Runner of each task in TASK_SECTIONS.
@@ -780,8 +727,9 @@ def run_scenario(config: Mapping[str, Any], out_dir, fmt: str = "csv",
     (SCENARIO_TASKS) and write the manifest.  If a task raises, the files
     this run wrote are deleted before the error propagates.
 
-    A custom run's summary holds one entry per task; the shipped scenarios
-    merge their tasks' summaries into one.
+    The returned summary, also written as ``summary.json``, holds one entry
+    per task in a custom run; the shipped scenarios merge their tasks'
+    summaries into one.
     """
     resolved = dict(config)
     if seed is not None:
@@ -795,13 +743,14 @@ def run_scenario(config: Mapping[str, Any], out_dir, fmt: str = "csv",
     try:
         writer.text("resolved_config.yaml", config_text)
         results = {task: _RUNNERS[task](resolved, writer) for task in tasks}
+        if scenario != "custom":
+            results = {key: value for result in results.values() for key, value in result.items()}
+        writer.report("summary", results)
         writer.manifest(scenario, seed, config_text)
     except BaseException:
         writer.discard()
         raise
-    if scenario == "custom":
-        return results
-    return {key: value for result in results.values() for key, value in result.items()}
+    return results
 
 
 # --------------------------------------------------------------------------

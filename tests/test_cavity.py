@@ -15,6 +15,7 @@ from kerrsqueezer import (
     squeezing_spectrum,
     steady_state_branches,
 )
+from kerrsqueezer.cavity import _DETUNING_BLOCK, _half_max_asymmetry
 
 # Resonator budget used throughout: 1% coupler, 0.19% residual loss.
 T1 = 0.01
@@ -176,9 +177,51 @@ class TestScanProfile:
             else:
                 assert gap < 1e-9 * np.max(up.p_circ)
 
+    @pytest.mark.parametrize("phi", (None,) + KERR_PHASES, ids=("linear", "kerr", "tanh"))
+    @pytest.mark.parametrize("p_in", [0.015, 0.07])
+    def test_points_are_single_detuning_roots(self, phi, p_in):
+        # One solve for the whole sweep, spanning several detuning blocks,
+        # gives bit for bit the roots of the one-detuning solver.
+        c = cavity()
+        span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
+        dets = self.grid(span, 2 * _DETUNING_BLOCK + 45)
+        roots = [[b.p_circ for b in steady_state_branches(cavity(d), p_in, phi)] for d in dets]
+        for direction, expected in (("up", roots), ("down", roots[::-1])):
+            prof = scan_profile(c, p_in, dets, phi, direction)
+            for p, found in zip(prof.p_circ, expected, strict=True):
+                assert p in found
+            assert prof.multi_branch == any(len(found) >= 3 for found in roots)
+
     def test_monotone_sweep_required(self):
-        with pytest.raises(DomainError):
-            scan_profile(cavity(), 0.01, np.array([0.0, 1.0, 0.5]), None, "up")
+        for detunings in ([0.0, 1.0, 0.5], [-np.inf, 0.0, 1.0]):
+            with pytest.raises(DomainError):
+                scan_profile(cavity(), 0.01, np.array(detunings), None, "up")
+
+
+class TestHalfMaxAsymmetry:
+    @pytest.mark.parametrize("y", [
+        [1.0, 0.9, 0.3],  # peak at the left end
+        [0.1, 0.5, 1.0],  # peak at the right end
+        [0.6, 1.0, 0.2],  # no crossing on the left
+        [0.2, 1.0, 0.6],  # no crossing on the right
+    ])
+    def test_nan_without_two_crossings(self, y):
+        assert math.isnan(_half_max_asymmetry(np.arange(len(y), dtype=float), np.array(y)))
+
+    @pytest.mark.parametrize("y, expected", [
+        ([0.4, 1.0, 0.4], 6.661338147750938e-17),  # crossings at both end points
+        ([0.4, 1.0, 0.9, 0.1], 0.2857142857142857),
+    ])
+    def test_end_point_crossings(self, y, expected):
+        assert _half_max_asymmetry(np.arange(len(y), dtype=float), np.array(y)) == expected
+
+    def test_skewed_curve(self):
+        # Lorentzian halves of half widths 0.3 and 0.8 on a grid that puts
+        # neither crossing on a point; the value is pinned to the walking
+        # search that came before the index lookups.
+        x = np.linspace(-1.0, 2.0, 37)
+        y = 1.0 / (1.0 + (x / np.where(x < 0, 0.3, 0.8)) ** 2)
+        assert _half_max_asymmetry(x, y) == 0.451532836393328
 
 
 class TestOperatingPoint:

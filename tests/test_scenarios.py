@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
 from kerrsqueezer import InconsistentObservationError, ValidationError
 from kerrsqueezer.cli import main
 from kerrsqueezer.scenarios import (
+    RunWriter,
     default_config_path,
     infer_report,
     load_config,
@@ -63,8 +65,7 @@ class TestValidation:
         bad.write_text("scenario: fig3\n  bad_indent: [1, 2\n")
         with pytest.raises(ValidationError) as err:
             load_config(bad)
-        assert "line" in str(err.value
-                             )
+        assert "line 2, column 13" in str(err.value)
 
     def test_run_rejects_invalid(self, tmp_path):
         config = small_fig3_config()
@@ -332,6 +333,7 @@ class TestFig3:
         )
         for name, digest in listed.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        assert "summary.json" in listed
 
 
 class TestFig4:
@@ -435,6 +437,51 @@ class TestCustom:
         assert "conversion_sweep" in summary
         assert (tmp_path / "conversion_sweep.csv").exists()
         assert not list(tmp_path.glob("profile_*.csv"))
+
+    def test_one_summary_for_two_reporting_tasks(self, tmp_path):
+        config = {**packaged("fig4"), **packaged("fig5"), "scenario": "custom",
+                  "custom": {"tasks": ["tomography", "squeeze_sweep"]}}
+        config["fig5"] = dict(config["fig5"], temperatures_c=[57.5, 61.2], spectrum_points=11)
+        summary = run_scenario(config, tmp_path)
+        listed = [line.split(":")[0].strip()
+                  for line in (tmp_path / "manifest").read_text().splitlines()
+                  if "sha256=" in line]
+        assert len(listed) == len(set(listed))
+        assert sorted(listed) == sorted(path.name for path in tmp_path.iterdir()
+                                        if path.name != "manifest")
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert sorted(written) == ["squeeze_sweep", "tomography"] == sorted(summary)
+        assert written["tomography"]["mode"] == summary["tomography"]["mode"]
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("csv", "T_celsius,kind_is_max\n"),
+        ("json", '{\n  "columns": [\n    "T_celsius",\n    "kind_is_max"\n  ],\n'
+                 '  "rows": []\n}\n'),
+    ])
+    def test_empty_extrema_table_keeps_its_header(self, fmt, expected, tmp_path):
+        config = small_fig3_config()
+        config["scenario"] = "custom"
+        config["custom"] = {"tasks": ["conversion_sweep"]}
+        config["fig3"] = dict(config["fig3"], sweep={"start_c": 41.0, "stop_c": 42.0, "points": 5})
+        assert run_scenario(config, tmp_path, fmt=fmt)["conversion_sweep"]["extrema"] == []
+        assert (tmp_path / f"extrema.{fmt}").read_text() == expected
+
+
+class TestRunWriter:
+    @pytest.mark.parametrize("fmt, expected", [
+        ("csv", "x,n,flag\n0.1,2,1\nnan,-3,0\n"),
+        ("json", {"columns": ["x", "n", "flag"], "rows": [[0.1, 2, True], [None, -3, False]]}),
+    ])
+    def test_column_types(self, fmt, expected, tmp_path):
+        path = RunWriter(tmp_path, fmt).table("t", {"x": np.array([0.1, np.nan]), "n": [2, -3],
+                                                     "flag": np.array([True, False])})
+        text = path.read_text()
+        if fmt == "json":
+            # NaN is written as the bare token NaN.
+            text = text.replace("NaN", "null")
+            assert json.loads(text) == expected
+        else:
+            assert text == expected
 
 
 class TestInferReports:
