@@ -25,7 +25,7 @@ line n and analyzed with this quasi-degenerate baseband model at offset
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -133,56 +133,6 @@ class CombAssignment(NamedTuple):
 
 # Points of the sign-change grid over [0, resonant_buildup * p_in].
 _SCAN_POINTS = 512
-# Detunings evaluated on that grid at once; bounds the (rows, grid) arrays.
-_DETUNING_BLOCK = 128
-
-
-def _branches_at(
-    params: CavityParams,
-    p_in: float,
-    detunings: Sequence[float],
-    phi_nl: Optional[Callable[[np.ndarray], np.ndarray]],
-) -> list[list[SteadyStateBranch]]:
-    """The steady states of :func:`steady_state_branches` at each detuning.
-
-    ``F(p; delta)`` is evaluated for a block of detunings at once on the
-    shared power grid, with ``phi_nl`` called on that 1-D grid.  Each cell
-    where ``F > 0`` flips brackets one root for Brent; the direction of the
-    flip gives its stability.
-    """
-    if not math.isfinite(p_in) or p_in < 0.0:
-        raise DomainError(f"input power must be >= 0, got {p_in}")
-    if p_in == 0.0:
-        return [[SteadyStateBranch(0.0, True)] for _ in detunings]
-    r = params.r_eff
-    t1 = params.coupler_transmission
-
-    def resonance(p, phase):
-        return p * (1.0 + r * r - 2.0 * r * np.cos(phase)) - t1 * p_in
-
-    def implicit(p, delta):
-        return resonance(p, delta if phi_nl is None else delta + phi_nl(p))
-
-    p_max = params.resonant_buildup * p_in * (1.0 + 1e-6)
-    grid = np.linspace(0.0, p_max, _SCAN_POINTS)
-    phi_grid = 0.0 if phi_nl is None else phi_nl(grid)
-    out: list[list[SteadyStateBranch]] = [[] for _ in detunings]
-    for start in range(0, len(detunings), _DETUNING_BLOCK):
-        block = np.asarray(detunings[start:start + _DETUNING_BLOCK], dtype=float)
-        above = resonance(grid, block[:, None] + phi_grid) > 0.0
-        rows, cells = np.nonzero(above[:, :-1] != above[:, 1:])
-        for row, cell, rising in zip(rows, cells, above[rows, cells + 1]):
-            delta = float(block[row])
-            root = brentq(implicit, grid[cell], grid[cell + 1], args=(delta,),
-                          xtol=1e-300, rtol=8.9e-16)
-            out[start + row].append(SteadyStateBranch(root, bool(rising)))
-    for delta, found in zip(detunings, out):
-        if not found:
-            raise NumericalError(
-                "failed to bracket any steady state "
-                f"(p_in={p_in}, detuning={delta}, p_max={p_max})"
-            )
-    return out
 
 
 def steady_state_branches(
@@ -195,10 +145,36 @@ def steady_state_branches(
     Roots of ``F(p) = p * |1 - r_eff exp(i(detuning + phi_nl(p)))|^2
     - T1 * p_in`` are bracketed on a grid over ``[0, resonant_buildup *
     p_in]`` and refined by Brent; ``phi_nl`` must accept arrays as well as
-    floats.  Stability is the slope criterion of the implicit map: a root
-    is stable when F is increasing through it.
+    floats.  Each cell where ``F > 0`` flips brackets one root, and the
+    direction of the flip is the slope criterion of the implicit map: a
+    root is stable when F is increasing through it.
     """
-    return _branches_at(params, p_in, [params.detuning], phi_nl)[0]
+    if not math.isfinite(p_in) or p_in < 0.0:
+        raise DomainError(f"input power must be >= 0, got {p_in}")
+    if p_in == 0.0:
+        return [SteadyStateBranch(0.0, True)]
+    r = params.r_eff
+    t1 = params.coupler_transmission
+    delta = params.detuning
+
+    def implicit(p):
+        phase = delta if phi_nl is None else delta + phi_nl(p)
+        return p * (1.0 + r * r - 2.0 * r * np.cos(phase)) - t1 * p_in
+
+    p_max = params.resonant_buildup * p_in * (1.0 + 1e-6)
+    grid = np.linspace(0.0, p_max, _SCAN_POINTS)
+    values = implicit(grid)
+    above = values > 0.0
+    cells = np.flatnonzero(above[:-1] != above[1:])
+    if not len(cells):
+        raise NumericalError(
+            "failed to bracket any steady state "
+            f"(p_in={p_in}, detuning={delta}, p_max={p_max}); "
+            f"F(0)={values[0]:.3e}, F(p_max)={values[-1]:.3e}"
+        )
+    return [SteadyStateBranch(brentq(implicit, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16),
+                              bool(above[i + 1]))
+            for i in cells]
 
 
 @dataclass(frozen=True)
@@ -254,8 +230,6 @@ def scan_profile(
     dets = np.asarray(detunings, dtype=float)
     if dets.ndim != 1 or len(dets) < 3:
         raise DomainError("detuning sweep needs at least 3 points")
-    if not np.all(np.isfinite(dets)):
-        raise DomainError("detunings must be finite")
     diffs = np.diff(dets)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise DomainError("detuning sweep must be strictly monotone")
@@ -263,11 +237,14 @@ def scan_profile(
     if direction == "down":
         order = order[::-1]
 
-    found = _branches_at(params, p_in, dets, phi_nl)
     p_follow = np.empty_like(dets)
+    multi = False
     p_prev: Optional[float] = None
     for idx in order:
-        branches = found[idx]
+        detuned = replace(params, detuning=float(dets[idx]))
+        branches = steady_state_branches(detuned, p_in, phi_nl)
+        if len(branches) >= 3:
+            multi = True
         stable = [b.p_circ for b in branches if b.stable] or [b.p_circ for b in branches]
         if p_prev is None:
             choice = stable[0] if direction == "up" else stable[-1]
@@ -284,7 +261,7 @@ def scan_profile(
         p_trans=monitor_transmission * p_follow[view],
         direction=direction,
         asymmetry=asym,
-        multi_branch=any(len(branches) >= 3 for branches in found),
+        multi_branch=multi,
     )
 
 

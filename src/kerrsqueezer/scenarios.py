@@ -645,8 +645,7 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
     if not budget.visibility_in_bhd:
         eta_chain *= budget.visibility**2
 
-    points = _locked_points(model, kappa, temperatures, params, p_in)
-    ops = [op for *_, op in points]
+    dks, residuals, _, cavs, ops = zip(*_locked_points(model, kappa, temperatures, params, p_in))
     below = [i for i, op in enumerate(ops) if op.below_threshold]
     if not below:
         headrooms = [op.headroom for op in ops]
@@ -662,12 +661,12 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
         observed = dephase(apply_loss(GaussianQuadratureState(*point), eta_chain), sigma)
         db[i] = (variance_to_db(point.v_min), variance_to_db(point.v_max),
                  -variance_to_db(observed.v_min), variance_to_db(observed.v_max))
-    outside = [abs(dk * model.length) < math.pi for dk, *_ in points]
+    outside = [abs(dk * model.length) < math.pi for dk in dks]
     writer.table("squeeze_sweep", {
         "T_celsius": temperatures,
-        "delta_k": [dk for dk, *_ in points],
-        "residual_conversion": [residual for _, residual, *_ in points],
-        "round_trip_loss": [cav.round_trip_loss for *_, cav, _ in points],
+        "delta_k": dks,
+        "residual_conversion": residuals,
+        "round_trip_loss": [cav.round_trip_loss for cav in cavs],
         "p_circ_W": [op.p_circ for op in ops],
         "epsilon_rad_s": [op.epsilon for op in ops],
         "vmin_dB": db[:, 0], "vmax_dB": db[:, 1],

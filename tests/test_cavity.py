@@ -15,7 +15,7 @@ from kerrsqueezer import (
     squeezing_spectrum,
     steady_state_branches,
 )
-from kerrsqueezer.cavity import _DETUNING_BLOCK, _half_max_asymmetry
+from kerrsqueezer.cavity import _half_max_asymmetry
 
 # Resonator budget used throughout: 1% coupler, 0.19% residual loss.
 T1 = 0.01
@@ -180,11 +180,11 @@ class TestScanProfile:
     @pytest.mark.parametrize("phi", (None,) + KERR_PHASES, ids=("linear", "kerr", "tanh"))
     @pytest.mark.parametrize("p_in", [0.015, 0.07])
     def test_points_are_single_detuning_roots(self, phi, p_in):
-        # One solve for the whole sweep, spanning several detuning blocks,
-        # gives bit for bit the roots of the one-detuning solver.
+        # Every profile point is bit for bit a root of the one-detuning
+        # solver, in either sweep direction.
         c = cavity()
         span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
-        dets = self.grid(span, 2 * _DETUNING_BLOCK + 45)
+        dets = self.grid(span, 301)
         roots = [[b.p_circ for b in steady_state_branches(cavity(d), p_in, phi)] for d in dets]
         for direction, expected in (("up", roots), ("down", roots[::-1])):
             prof = scan_profile(c, p_in, dets, phi, direction)
