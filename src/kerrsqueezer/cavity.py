@@ -14,6 +14,8 @@ Fluctuations around a steady state follow the standard linearization
 where ``epsilon = g * p_circ * FSR`` is the effective parametric pump rate
 set by the Kerr slope ``g = d(phi_nl)/d(p_circ)``, and
 ``delta_eff = (detuning + 2 g p_circ) * FSR`` includes the self-shift.
+:func:`linearize` assembles every :class:`OperatingPoint`, with ``g`` the tangent
+from a central difference at the stacked powers ``p_circ * SLOPE_FACTORS``.
 Output spectra are computed in a frame where the carrier phase is zero, so
 ellipse orientations are relative to the carrier quadrature.
 
@@ -43,6 +45,7 @@ __all__ = [
     "CombAssignment",
     "steady_state_branches",
     "scan_profile",
+    "linearize",
     "make_operating_point",
     "squeezing_spectrum",
     "sideband_comb_map",
@@ -305,6 +308,32 @@ class OperatingPoint:
         return abs(self.epsilon) < self.threshold_epsilon
 
 
+# Relative power step of the central difference that gives the Kerr slope.
+SLOPE_STEP = 1e-4
+SLOPE_FACTORS = np.array([1.0 - SLOPE_STEP, 1.0, 1.0 + SLOPE_STEP])
+
+
+def linearize(params: CavityParams, p_circ: float, phases, locked: bool = False) -> OperatingPoint:
+    """Linearization of the steady state at circulating power ``p_circ``.
+
+    ``phases`` holds ``phi_nl`` at ``p_circ * SLOPE_FACTORS``; their central
+    difference is ``g * p_circ``, so ``p_circ = 0`` gives ``epsilon = 0``.
+    The length servo of a ``locked`` cavity holds ``delta_eff`` at zero.
+    """
+    phi_lo, phi_at, phi_hi = (float(phi) for phi in phases)
+    slope_p = (phi_hi - phi_lo) / (2.0 * SLOPE_STEP)
+    fsr = params.fsr
+    return OperatingPoint(
+        p_circ=float(p_circ),
+        nl_phase_rt=phi_at,
+        epsilon=slope_p * fsr,
+        delta_eff=0.0 if locked else (params.detuning + 2.0 * slope_p) * fsr,
+        gamma_total=params.gamma_total,
+        gamma_coupler=params.gamma_coupler,
+        gamma_loss=params.gamma_loss,
+    )
+
+
 def make_operating_point(
     params: CavityParams,
     p_in: float,
@@ -330,26 +359,7 @@ def make_operating_point(
             )
         selected = stable[0]
     p = selected.p_circ
-
-    if phi_nl is None:
-        phi_at, slope = 0.0, 0.0
-    else:
-        dp = max(1e-4 * p, 1e-9)
-        phi_at = float(phi_nl(p))
-        slope = (float(phi_nl(p + dp)) - float(phi_nl(max(p - dp, 0.0)))) / (
-            p + dp - max(p - dp, 0.0)
-        )
-
-    fsr = params.fsr
-    op = OperatingPoint(
-        p_circ=p,
-        nl_phase_rt=phi_at,
-        epsilon=slope * p * fsr,
-        delta_eff=(params.detuning + 2.0 * slope * p) * fsr,
-        gamma_total=params.gamma_total,
-        gamma_coupler=params.gamma_coupler,
-        gamma_loss=params.gamma_loss,
-    )
+    op = linearize(params, p, np.zeros(3) if phi_nl is None else phi_nl(p * SLOPE_FACTORS))
     if check_threshold and not op.below_threshold:
         raise ThresholdError(
             f"operating point at or above threshold: |epsilon| = {abs(op.epsilon):.3e} >= "

@@ -7,7 +7,6 @@ bad physical domain), 2 numerical failure, 3 inconsistent observation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .scenarios import (
     load_config,
     load_config_file,
     read_fields,
+    report_json,
     run_scenario,
     validate_config,
 )
@@ -103,8 +103,7 @@ def _cmd_run(args) -> int:
         )
     out_dir = args.out or Path("runs") / args.scenario
     summary = run_scenario(config, out_dir, fmt=args.format, seed=args.seed)
-    print(json.dumps({"out_dir": str(out_dir), "summary": summary},
-                     indent=2, sort_keys=True, default=str))
+    print(report_json({"out_dir": str(out_dir), "summary": summary}), end="")
     return EXIT_OK
 
 
@@ -122,11 +121,11 @@ def _cmd_infer(args) -> int:
             visibility=args.visibility,
             visibility_in_bhd=not args.visibility_standalone,
         )
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    text = report_json(report)
+    print(text, end="")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / f"infer_{args.kind}.json").write_text(text + "\n")
+        (args.out / f"infer_{args.kind}.json").write_text(text)
     return EXIT_OK
 
 
@@ -155,13 +154,10 @@ def _cmd_extrema(args) -> int:
         t_max, t_min1, length = args.t_max, args.t_min1, args.length
     model = calibrate_from_extrema(float(t_max), float(t_min1), float(length))
     found = find_conversion_extrema(model, tuple(args.range))
-    print(json.dumps(
-        {
-            "model": {"t_pm_c": model.t_pm, "dk_dt": model.dk_dt, "length_m": model.length},
-            "extrema": [{"T_celsius": t, "kind": k} for t, k in found],
-        },
-        indent=2, sort_keys=True,
-    ))
+    print(report_json({
+        "model": {"t_pm_c": model.t_pm, "dk_dt": model.dk_dt, "length_m": model.length},
+        "extrema": [{"T_celsius": t, "kind": k} for t, k in found],
+    }), end="")
     return EXIT_OK
 
 

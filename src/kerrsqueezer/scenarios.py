@@ -33,8 +33,9 @@ from scipy.optimize import brentq
 from . import __version__ as _VERSION
 from .cascade import extract_cascade_result
 from .cavity import (
+    SLOPE_FACTORS,
     CavityParams,
-    OperatingPoint,
+    linearize,
     scan_profile,
     sideband_comb_map,
     squeezing_spectrum,
@@ -402,28 +403,22 @@ def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float
     point)`` per temperature.  The lock takes two passes: the analytic
     low-conversion estimate, then one refinement from the ODE.  Each pass
     solves the lock row by row and integrates all rows in one cascade run.
+    The last pass runs at ``p_lock * SLOPE_FACTORS``: the middle row gives
+    the phase and the residual conversion, the outer rows the tangent
+    ``g = dphi/dp``.
     """
     temps = np.asarray(temperatures, dtype=float)
     dk = delta_k(model, temps)
     conv_w = shg_efficiency(model, temps, 1.0, kappa)
-    for _ in range(2):
+    for factors in ([1.0], SLOPE_FACTORS):
         p_lock = np.array([locked_circulating_power(params, p_in, float(c)) for c in conv_w])
-        res = extract_cascade_result(p_lock, dk, kappa, model.length)
-        conv_w = res.residual_conversion / p_lock
+        res = extract_cascade_result(np.multiply.outer(factors, p_lock), dk, kappa, model.length)
+        conv_w = res.residual_conversion[len(factors) // 2] / p_lock
     points = []
-    for dk_i, phase, residual, p in zip(dk, res.nl_phase, res.residual_conversion, p_lock):
-        g = float(phase / p)
+    for dk_i, phases, residual, p in zip(dk, res.nl_phase.T, res.residual_conversion[1], p_lock):
         cav = replace(params, round_trip_loss=params.round_trip_loss + float(residual))
-        op = OperatingPoint(
-            p_circ=float(p),
-            nl_phase_rt=float(phase),
-            epsilon=g * float(p) * cav.fsr,
-            delta_eff=0.0,  # length servo holds the effective detuning at zero
-            gamma_total=cav.gamma_total,
-            gamma_coupler=cav.gamma_coupler,
-            gamma_loss=cav.gamma_loss,
-        )
-        points.append((float(dk_i), float(residual), g, cav, op))
+        op = linearize(cav, p, phases, locked=True)
+        points.append((float(dk_i), float(residual), op.epsilon / (op.p_circ * cav.fsr), cav, op))
     return points
 
 
@@ -452,20 +447,24 @@ class RunWriter:
 
     def table(self, name: str, columns: Mapping[str, Any]) -> Path:
         """Write the equal-length ``columns`` (name -> array or list) as one
-        table; bools are 1/0 in CSV and true/false in JSON."""
+        table; bools are 1/0 in CSV and true/false in JSON, and a non-finite
+        float is nan/inf in CSV and null in JSON."""
         values = [np.asarray(column) for column in columns.values()]
         if self.fmt == "csv":
             cells = [list(map(repr, v.astype(int).tolist() if v.dtype == bool else v.tolist()))
                      for v in values]
             lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
             return self._write(f"{name}.csv", "\n".join(lines) + "\n")
+        for i, v in enumerate(values):
+            if v.dtype.kind == "f" and not np.isfinite(v).all():
+                values[i] = np.where(np.isfinite(v), v.astype(object), None)
         payload = {"columns": list(columns),
                    "rows": [list(row) for row in zip(*(v.tolist() for v in values))]}
-        return self._write(f"{name}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return self._write(f"{name}.json", json.dumps(payload, indent=2, sort_keys=True,
+                                                      allow_nan=False) + "\n")
 
     def report(self, name: str, payload: Mapping[str, Any]) -> Path:
-        return self._write(f"{name}.json",
-                           json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
+        return self._write(f"{name}.json", report_json(payload))
 
     def text(self, name: str, content: str) -> Path:
         return self._write(name, content)
@@ -494,10 +493,15 @@ class RunWriter:
         return path
 
 
+def report_json(payload) -> str:
+    """Strict JSON text of a report, with a null for every non-finite float."""
+    return json.dumps(_jsonify(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _jsonify(obj):
-    """Plain JSON types of a report (numpy scalars become Python numbers)."""
+    """Plain JSON types of a report: Python numbers, None for non-finite floats."""
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, InconsistentObservationError, NoSolutionError
 
@@ -153,7 +152,10 @@ def db_to_variance(level_db: float) -> float:
     """Convert a signed dB level to a variance (vacuum = 0 dB = 1)."""
     if not math.isfinite(level_db):
         raise DomainError(f"dB level must be finite, got {level_db}")
-    return 10.0 ** (level_db / 10.0)
+    try:
+        return 10.0 ** (level_db / 10.0)
+    except OverflowError:
+        raise DomainError(f"dB level {level_db} overflows a float variance") from None
 
 
 def variance_to_db(variance: float) -> float:
@@ -272,9 +274,10 @@ def infer_phase_noise(
     Solves for the source squeeze parameter ``r`` and the jitter RMS
     ``sigma`` such that a pure squeezed state sent through loss
     ``eta_known`` and then Gaussian angle jitter reproduces the observed
-    dB pair.  Both unknowns are obtained by bracketed root finding (the
-    sum of the observed variances pins r, their difference then pins
-    sigma); ``tol`` is the tolerance on variances.
+    dB pair.  Both unknowns have closed forms: the sum of the observed
+    variances pins ``r = acosh(cosh_2r) / 2``, and the damping of their
+    difference then pins ``sigma = sqrt(-ln(damping) / 2)``; ``tol`` is
+    the tolerance on variances.
 
     Raises :class:`InconsistentObservationError` with the residual when no
     (r >= 0, sigma >= 0) pair reproduces the observation.
@@ -293,22 +296,11 @@ def infer_phase_noise(
             "mean observed variance below the vacuum level reachable at this eta",
             residual=1.0 - cosh_2r,
         )
-    if cosh_2r <= 1.0:
-        r = 0.0
-    else:
-        def mean_residual(r_try):
-            return eta_known * math.cosh(2.0 * r_try) + (1.0 - eta_known) - target_mean
-
-        r_hi = 1.0
-        while mean_residual(r_hi) < 0.0:
-            r_hi *= 2.0
-            if r_hi > 64.0:
-                raise InconsistentObservationError(
-                    "no bracket for squeeze parameter", residual=mean_residual(64.0)
-                )
-        # Solve to machine precision: sigma depends on r through a square
-        # root near the jitter-free point, so slack here would inflate it.
-        r = brentq(mean_residual, 0.0, r_hi, xtol=1e-15, rtol=8.9e-16)
+    r = 0.5 * math.acosh(max(cosh_2r, 1.0))
+    if r > 64.0:  # the largest source squeeze parameter accepted
+        raise InconsistentObservationError(
+            "no bracket for squeeze parameter",
+            residual=eta_known * math.cosh(128.0) + (1.0 - eta_known) - target_mean)
 
     # The spread is damped by exp(-2 sigma^2).
     spread_nojitter = eta_known * math.sinh(2.0 * r)
@@ -326,17 +318,13 @@ def infer_phase_noise(
                 "observed spread exceeds the jitter-free prediction",
                 residual=damping - 1.0,
             )
-        if damping >= 1.0 - 1e-12:
-            # Within rounding of the jitter-free solution.
-            sigma = 0.0
-        else:
-            def spread_residual(s_try):
-                return math.exp(-2.0 * s_try**2) - damping
-
-            s_hi = 1.0
-            while spread_residual(s_hi) > 0.0:
-                s_hi *= 2.0
-            sigma = brentq(spread_residual, 0.0, s_hi, xtol=1e-15, rtol=8.9e-16)
+        if damping <= 0.0:
+            raise InconsistentObservationError(
+                "observed spread is not positive: no finite jitter reproduces it",
+                residual=abs(damping),
+            )
+        # Within rounding of the jitter-free solution sigma is zero.
+        sigma = 0.0 if damping >= 1.0 - 1e-12 else math.sqrt(-0.5 * math.log(damping))
 
     v_lo_fit, v_hi_fit = _forward_variances(r, eta_known, sigma)
     residual_db = max(

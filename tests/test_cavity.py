@@ -243,8 +243,11 @@ class TestOperatingPoint:
         op = make_operating_point(c, 0.001, lambda p: g * p)
         assert op.gamma_coupler == pytest.approx(c.gamma_coupler, rel=1e-12)
         assert op.gamma_loss == pytest.approx(c.gamma_loss, rel=1e-12)
-        assert op.epsilon == pytest.approx(g * op.p_circ * c.fsr, rel=1e-6)
-        assert op.delta_eff == pytest.approx((0.001 + 2 * g * op.p_circ) * c.fsr, rel=1e-6)
+        # A linear phase has the slope g everywhere; only rounding remains.
+        assert op.epsilon == pytest.approx(g * op.p_circ * c.fsr, rel=1e-10)
+        assert op.delta_eff == pytest.approx((0.001 + 2 * g * op.p_circ) * c.fsr, rel=1e-10)
+        # No circulating power, no pump.
+        assert make_operating_point(c, 0.0, lambda p: g * p).epsilon == 0.0
 
     def test_unstable_branch_is_above_threshold(self):
         # The middle branch of the S-curve is exactly the above-threshold

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 import yaml
 
-from kerrsqueezer import InconsistentObservationError, ValidationError
+from kerrsqueezer import (
+    CavityParams,
+    InconsistentObservationError,
+    ValidationError,
+    calibrate_from_extrema,
+    delta_k,
+    extract_cascade_result,
+)
 from kerrsqueezer.cli import main
 from kerrsqueezer.scenarios import (
     RunWriter,
@@ -25,6 +32,20 @@ def small_fig3_config():
         profile_span_linewidths=6.0,
     )
     return config
+
+
+def tangent_slope(p, dk, kappa, length, h=1e-5):
+    """dphi/dp of one crystal pass at power p, from a central difference."""
+    phase = extract_cascade_result(p * np.array([1.0 - h, 1.0 + h]), dk, kappa, length).nl_phase
+    return (phase[1] - phase[0]) / (2.0 * h * p)
+
+
+def strict_json(text):
+    """Parse ``text`` as JSON that has no NaN or Infinity token."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture(scope="module")
@@ -96,12 +117,13 @@ def mutated(scenario, changes):
     return config
 
 
-def run_cli(config, tmp_path, command="run"):
+def run_cli(config, tmp_path, command="run", options=()):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(config))
     if command == "validate":
         return main(["validate", "--config", str(path)])
-    return main(["run", config["scenario"], "--config", str(path), "--out", str(tmp_path / "out")])
+    return main(["run", config["scenario"], "--config", str(path), "--out", str(tmp_path / "out"),
+                 *options])
 
 
 # Configs the schema once let through and the run then crashed on; each
@@ -301,6 +323,20 @@ class TestFig3:
         assert abs(by_temp[40.5]["asymmetry"]) < 1e-9
         assert by_temp[61.2]["asymmetry"] > 0.3
 
+    def test_kerr_slope_is_tangent(self, fig3_run):
+        # The scanned linear phase g p takes the tangent dphi/dp at the
+        # locked power, not the secant phi / p.
+        _, summary = fig3_run
+        crystal = packaged("fig3")["crystal"]
+        model = calibrate_from_extrema(crystal["t_max_c"], crystal["t_min1_c"],
+                                       crystal["length_m"])
+        for profile in summary["profiles"]:
+            dk = delta_k(model, profile["temperature_c"])
+            expected = tangent_slope(profile["locked_power_w"], dk, crystal["kappa"],
+                                     model.length)
+            assert profile["kerr_slope_rad_per_w"] == pytest.approx(expected, rel=1e-6,
+                                                                    abs=1e-15)
+
     def test_more_power_more_asymmetry(self, tmp_path):
         def profiles_at(p_in, out):
             config = small_fig3_config()
@@ -411,6 +447,33 @@ class TestFig5:
         _, summary = fig5_run
         assert not any(r["above_threshold"] for r in summary["rows"])
 
+    def test_epsilon_is_tangent_slope(self, fig5_run):
+        # epsilon / FSR = p dphi/dp at each locked power: the tangent of the
+        # cascade phase, which differs from the secant phi / p by up to 0.5 %.
+        out, _ = fig5_run
+        config = packaged("fig5")
+        fsr = CavityParams(config["cavity"]["round_trip_length_m"], 0.01, 0.0).fsr
+        table = np.genfromtxt(out / "squeeze_sweep.csv", delimiter=",", names=True)
+        expected = [p * tangent_slope(p, dk, config["fig5"]["kappa"], config["crystal"]["length_m"])
+                    for p, dk in zip(table["p_circ_W"], table["delta_k"])]
+        assert table["epsilon_rad_s"] / fsr == pytest.approx(np.array(expected), rel=1e-6,
+                                                             abs=1e-15)
+
+    def test_json_is_strict_above_threshold(self, tmp_path, capsys):
+        # Rows above threshold have no dB values; every JSON output of the
+        # run writes null for them, never a bare NaN.
+        config = mutated("fig5", {"fig5.kappa": 14.0})
+        assert run_cli(config, tmp_path, options=["--format", "json"]) == 0
+        files = sorted((tmp_path / "out").glob("*.json"))
+        assert [path.name for path in files] == ["spectrum.json", "squeeze_sweep.json",
+                                                 "summary.json"]
+        for path in files:
+            strict_json(path.read_text())
+        rows = strict_json(capsys.readouterr().out)["summary"]["rows"]
+        above = [row for row in rows if row["above_threshold"]]
+        assert above and all(row["squeeze_db"] is None and row["antisqueeze_db"] is None
+                             for row in above)
+
     def test_sweep_and_spectrum_schema(self, fig5_run):
         out, _ = fig5_run
         header = (out / "squeeze_sweep.csv").read_text().splitlines()[0]
@@ -477,9 +540,7 @@ class TestRunWriter:
                                                      "flag": np.array([True, False])})
         text = path.read_text()
         if fmt == "json":
-            # NaN is written as the bare token NaN.
-            text = text.replace("NaN", "null")
-            assert json.loads(text) == expected
+            assert strict_json(text) == expected
         else:
             assert text == expected
 
@@ -524,6 +585,18 @@ class TestCli:
 
     def test_infer_inconsistent_exit_3(self, capsys):
         assert main(["infer", "loss-only", "--sqz", "3", "--antisqz", "2"]) == 3
+        # The anti-squeezed variance below the squeezed one: a negative spread.
+        assert main(["infer", "phase-noise", "--sqz", "-3", "--antisqz", "1", "--eta", "0.9"]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["loss-only", "--sqz", "1", "--antisqz", "4000"],
+        ["loss-only", "--sqz", "-4000", "--antisqz", "1"],
+        ["phase-noise", "--sqz", "1", "--antisqz", "4000", "--eta", "0.5"],
+        ["phase-noise", "--sqz", "-4000", "--antisqz", "1", "--eta", "0.5"],
+    ], ids=["loss-antisqz", "loss-sqz", "phase-antisqz", "phase-sqz"])
+    def test_infer_db_overflow_exit_1(self, argv, capsys):
+        assert main(["infer", *argv]) == 1
+        assert capsys.readouterr().err.startswith("validation error: dB level")
 
     def test_infer_loss_only_stdout(self, capsys):
         assert main(["infer", "loss-only", "--sqz", "2.4", "--antisqz", "7.5"]) == 0

@@ -283,6 +283,9 @@ class TestInferPhaseNoise:
         with pytest.raises(InconsistentObservationError) as err:
             infer_phase_noise(SqueezeObservation(2.4, 7.5), 0.30)
         assert err.value.residual is not None and err.value.residual > 0
+        # A source squeeze parameter above 64 is out of range.
+        with pytest.raises(InconsistentObservationError, match="no bracket"):
+            infer_phase_noise(SqueezeObservation(3.0, 600.0), 0.5)
 
     def test_eta_domain(self):
         with pytest.raises(DomainError):
