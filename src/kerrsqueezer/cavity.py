@@ -31,10 +31,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.constants import c as _C_LIGHT
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError, ThresholdError
+from .roots import brentq
 
 __all__ = [
     "CavityParams",
@@ -50,6 +49,8 @@ __all__ = [
     "squeezing_spectrum",
     "sideband_comb_map",
 ]
+
+_C_LIGHT = 299_792_458.0  # speed of light in vacuum, m/s (exact in SI)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
+from .roots import brentq
 
 __all__ = [
     "PhaseMatchModel",

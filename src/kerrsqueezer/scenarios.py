@@ -28,7 +28,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 import yaml
-from scipy.optimize import brentq
 
 from . import __version__ as _VERSION
 from .cascade import extract_cascade_result
@@ -58,6 +57,7 @@ from .phasematch import (
     find_conversion_extrema,
     shg_efficiency,
 )
+from .roots import brentq
 from .states import (
     GaussianQuadratureState,
     SqueezeObservation,

@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import kerrsqueezer
 from kerrsqueezer import (
     CavityParams,
     InconsistentObservationError,
@@ -643,6 +647,33 @@ class TestCli:
         path.write_text(yaml.safe_dump(config))
         assert main(["extrema", "--config", str(path)]) == 1
         assert f"  {expected}" in capsys.readouterr().err.splitlines()
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        # A fresh interpreter: importing the CLI must not load scipy, and once
+        # every import of scipy fails, each command still exits 0.
+        script = (
+            "import contextlib, io, json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import kerrsqueezer.cli as cli\n"
+            "loaded = sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')\n"
+            "sys.modules['scipy'] = None\n"
+            "codes = {}\n"
+            "for name, argv in json.loads(sys.argv[2]).items():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes[name] = cli.main(argv)\n"
+            "print(json.dumps({'loaded': loaded, 'codes': codes}))\n"
+        )
+        commands = {
+            **{s: ["run", s, "--out", str(tmp_path / s)] for s in ("fig3", "fig4", "fig5")},
+            "validate": ["validate", "--config", str(default_config_path("fig5"))],
+            "extrema": ["extrema", "--t-max", "40.5", "--t-min1", "61.2", "--length", "0.0093"],
+            "infer": ["infer", "loss-only", "--sqz", "2.4", "--antisqz", "7.5"],
+        }
+        package_root = str(Path(kerrsqueezer.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", script, package_root, json.dumps(commands)],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"loaded": [], "codes": dict.fromkeys(commands, 0)}
 
     def test_extrema_flags(self, capsys):
         code = main(["extrema", "--t-max", "40.5", "--t-min1", "61.2",
