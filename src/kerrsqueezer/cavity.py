@@ -27,7 +27,7 @@ line n and analyzed with this quasi-degenerate baseband model at offset
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -55,12 +55,11 @@ _C_LIGHT = 299_792_458.0  # speed of light in vacuum, m/s (exact in SI)
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Geometry and mirror budget of the traveling-wave resonator."""
+    """Geometry and mirror budget of the traveling-wave resonator; no detuning."""
 
     round_trip_length: float  # m
     coupler_transmission: float  # T1, power fraction
     round_trip_loss: float  # all other intracavity power loss per round trip
-    detuning: float = 0.0  # linear round-trip phase offset from resonance, rad
 
     def __post_init__(self):
         if not math.isfinite(self.round_trip_length) or self.round_trip_length <= 0.0:
@@ -73,8 +72,6 @@ class CavityParams:
             raise DomainError(
                 f"round_trip_loss must lie in [0, 1), got {self.round_trip_loss}"
             )
-        if not math.isfinite(self.detuning):
-            raise DomainError("detuning must be finite")
 
     @property
     def fsr(self) -> float:
@@ -143,26 +140,29 @@ def steady_state_branches(
     params: CavityParams,
     p_in: float,
     phi_nl: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    detuning: float = 0.0,
 ) -> list[SteadyStateBranch]:
-    """All real circulating-power solutions, sorted ascending.
+    """All real circulating-power solutions at ``detuning`` (rad), sorted ascending.
 
     Roots of ``F(p) = p * |1 - r_eff exp(i(detuning + phi_nl(p)))|^2
     - T1 * p_in`` are bracketed on a grid over ``[0, resonant_buildup *
     p_in]`` and refined by Brent; ``phi_nl`` must accept arrays as well as
     floats.  Each cell where ``F > 0`` flips brackets one root, and the
     direction of the flip is the slope criterion of the implicit map: a
-    root is stable when F is increasing through it.
+    root is stable when F is increasing through it.  As F(0) < 0 < F(p_max),
+    the roots alternate stable/unstable and the first and last are stable.
     """
+    if not math.isfinite(detuning):
+        raise DomainError("detuning must be finite")
     if not math.isfinite(p_in) or p_in < 0.0:
         raise DomainError(f"input power must be >= 0, got {p_in}")
     if p_in == 0.0:
         return [SteadyStateBranch(0.0, True)]
     r = params.r_eff
     t1 = params.coupler_transmission
-    delta = params.detuning
 
     def implicit(p):
-        phase = delta if phi_nl is None else delta + phi_nl(p)
+        phase = detuning if phi_nl is None else detuning + phi_nl(p)
         return p * (1.0 + r * r - 2.0 * r * np.cos(phase)) - t1 * p_in
 
     p_max = params.resonant_buildup * p_in * (1.0 + 1e-6)
@@ -173,7 +173,7 @@ def steady_state_branches(
     if not len(cells):
         raise NumericalError(
             "failed to bracket any steady state "
-            f"(p_in={p_in}, detuning={delta}, p_max={p_max}); "
+            f"(p_in={p_in}, detuning={detuning}, p_max={p_max}); "
             f"F(0)={values[0]:.3e}, F(p_max)={values[-1]:.3e}"
         )
     return [SteadyStateBranch(brentq(implicit, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16),
@@ -245,11 +245,10 @@ def scan_profile(
     multi = False
     p_prev: Optional[float] = None
     for idx in order:
-        detuned = replace(params, detuning=float(dets[idx]))
-        branches = steady_state_branches(detuned, p_in, phi_nl)
+        branches = steady_state_branches(params, p_in, phi_nl, float(dets[idx]))
         if len(branches) >= 3:
             multi = True
-        stable = [b.p_circ for b in branches if b.stable] or [b.p_circ for b in branches]
+        stable = [b.p_circ for b in branches if b.stable]
         if p_prev is None:
             choice = stable[0] if direction == "up" else stable[-1]
         else:
@@ -314,12 +313,14 @@ SLOPE_STEP = 1e-4
 SLOPE_FACTORS = np.array([1.0 - SLOPE_STEP, 1.0, 1.0 + SLOPE_STEP])
 
 
-def linearize(params: CavityParams, p_circ: float, phases, locked: bool = False) -> OperatingPoint:
+def linearize(params: CavityParams, p_circ: float, phases,
+              detuning: Optional[float] = None) -> OperatingPoint:
     """Linearization of the steady state at circulating power ``p_circ``.
 
     ``phases`` holds ``phi_nl`` at ``p_circ * SLOPE_FACTORS``; their central
     difference is ``g * p_circ``, so ``p_circ = 0`` gives ``epsilon = 0``.
-    The length servo of a ``locked`` cavity holds ``delta_eff`` at zero.
+    A float ``detuning`` is that of a free-running cavity; ``None`` is a
+    locked cavity, whose length servo holds ``delta_eff`` at zero.
     """
     phi_lo, phi_at, phi_hi = (float(phi) for phi in phases)
     slope_p = (phi_hi - phi_lo) / (2.0 * SLOPE_STEP)
@@ -328,7 +329,7 @@ def linearize(params: CavityParams, p_circ: float, phases, locked: bool = False)
         p_circ=float(p_circ),
         nl_phase_rt=phi_at,
         epsilon=slope_p * fsr,
-        delta_eff=0.0 if locked else (params.detuning + 2.0 * slope_p) * fsr,
+        delta_eff=0.0 if detuning is None else (detuning + 2.0 * slope_p) * fsr,
         gamma_total=params.gamma_total,
         gamma_coupler=params.gamma_coupler,
         gamma_loss=params.gamma_loss,
@@ -339,15 +340,16 @@ def make_operating_point(
     params: CavityParams,
     p_in: float,
     phi_nl: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    detuning: float = 0.0,
     branch: Optional[int] = None,
     check_threshold: bool = True,
 ) -> OperatingPoint:
-    """Select a steady state and assemble its linearization.
+    """Select a steady state at ``detuning`` and assemble its linearization.
 
     ``branch`` indexes the sorted branch list and is required when the
     cavity is bistable; otherwise the unique stable branch is used.
     """
-    branches = steady_state_branches(params, p_in, phi_nl)
+    branches = steady_state_branches(params, p_in, phi_nl, detuning)
     if branch is not None:
         if not 0 <= branch < len(branches):
             raise DomainError(f"branch index {branch} out of range (found {len(branches)})")
@@ -360,7 +362,8 @@ def make_operating_point(
             )
         selected = stable[0]
     p = selected.p_circ
-    op = linearize(params, p, np.zeros(3) if phi_nl is None else phi_nl(p * SLOPE_FACTORS))
+    op = linearize(params, p, np.zeros(3) if phi_nl is None else phi_nl(p * SLOPE_FACTORS),
+                   detuning)
     if check_threshold and not op.below_threshold:
         raise ThresholdError(
             f"operating point at or above threshold: |epsilon| = {abs(op.epsilon):.3e} >= "

@@ -83,6 +83,11 @@ class LossBudget:
         if not 0.0 < self.visibility <= 1.0:
             raise DomainError(f"visibility must lie in (0, 1], got {self.visibility}")
 
+    @property
+    def visibility_factor(self) -> float:
+        """Chain factor of the visibility: 1.0 inside the BHD figure, else visibility^2."""
+        return 1.0 if self.visibility_in_bhd else self.visibility**2
+
     def factors(self) -> tuple[tuple[str, EfficiencyFactor], ...]:
         return (
             ("escape", self.escape),
@@ -103,8 +108,7 @@ def total_efficiency(budget: LossBudget) -> EfficiencyFactor:
     for _, factor in budget.factors():
         value *= factor.value
         rel_sq += factor.relative_sigma**2
-    if not budget.visibility_in_bhd:
-        value *= budget.visibility**2
+    value *= budget.visibility_factor
     return EfficiencyFactor(value, value * math.sqrt(rel_sq))
 
 
@@ -136,7 +140,6 @@ def omc_sideband_transfer(fsr_sqz: float, omc_finesse: float, f: float) -> float
 class TomographySettings:
     """Spectrum-analyzer and phase-scan settings for a zero-span trace."""
 
-    lo_power: float = 0.004  # W, bookkeeping only: variances are vacuum-normalized
     rbw: float = 500e3  # Hz
     vbw: float = 200.0  # Hz
     dark_db: float = -8.2  # electronic dark noise relative to vacuum
@@ -155,8 +158,6 @@ class TomographySettings:
             raise DomainError(f"scan_period must be positive, got {self.scan_period}")
         if self.scan_shape not in SCAN_SHAPES:
             raise DomainError(f"scan_shape must be one of {SCAN_SHAPES}, got {self.scan_shape!r}")
-        if self.lo_power <= 0.0:
-            raise DomainError(f"lo_power must be positive, got {self.lo_power}")
 
     @property
     def n_effective(self) -> float:

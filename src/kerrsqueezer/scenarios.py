@@ -192,7 +192,6 @@ FIELDS = {
     "cavity.round_trip_length_m": (_POSITIVE, REQUIRED),
     "cavity.coupler_transmission": (_number(0.0, 1.0, lo_open=True, hi_open=True), REQUIRED),
     "cavity.round_trip_loss": (_number(0.0, 1.0, hi_open=True), REQUIRED),
-    "cavity.detuning_rad": (_NUMBER, CavityParams.detuning),
     "budget.escape": (_FACTOR, REQUIRED),
     "budget.omc_transmission": (_FACTOR, REQUIRED),
     "budget.shg_residual": (_FACTOR, REQUIRED),
@@ -205,7 +204,6 @@ FIELDS = {
     "tomography.scan_shape": (_choice(*SCAN_SHAPES), TomographySettings.scan_shape),
     "tomography.scan_period_s": (_POSITIVE, TomographySettings.scan_period),
     "tomography.duration_s": (_POSITIVE, TomographySettings.duration),
-    "tomography.lo_power_w": (_POSITIVE, TomographySettings.lo_power),
     "fig3.input_power_w": (_POSITIVE, REQUIRED),
     "fig3.sweep.start_c": (_NUMBER, REQUIRED),
     "fig3.sweep.stop_c": (_NUMBER, REQUIRED),
@@ -344,7 +342,6 @@ def _cavity(config) -> CavityParams:
         round_trip_length=_get(config, "cavity.round_trip_length_m"),
         coupler_transmission=_get(config, "cavity.coupler_transmission"),
         round_trip_loss=_get(config, "cavity.round_trip_loss"),
-        detuning=float(_get(config, "cavity.detuning_rad")),
     )
 
 
@@ -361,7 +358,6 @@ def _budget(config) -> LossBudget:
 
 def _tomography(config) -> TomographySettings:
     return TomographySettings(
-        lo_power=float(_get(config, "tomography.lo_power_w")),
         rbw=float(_get(config, "tomography.rbw_hz")),
         vbw=float(_get(config, "tomography.vbw_hz")),
         dark_db=float(_get(config, "tomography.dark_db")),
@@ -417,7 +413,7 @@ def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float
     points = []
     for dk_i, phases, residual, p in zip(dk, res.nl_phase.T, res.residual_conversion[1], p_lock):
         cav = replace(params, round_trip_loss=params.round_trip_loss + float(residual))
-        op = linearize(cav, p, phases, locked=True)
+        op = linearize(cav, p, phases)
         points.append((float(dk_i), float(residual), op.epsilon / (op.p_circ * cav.fsr), cav, op))
     return points
 
@@ -646,8 +642,7 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
         * omc_sideband_transfer(params.fsr, finesse, frequency)
         * budget.bhd_efficiency.value
     )
-    if not budget.visibility_in_bhd:
-        eta_chain *= budget.visibility**2
+    eta_chain *= budget.visibility_factor
 
     dks, residuals, _, cavs, ops = zip(*_locked_points(model, kappa, temperatures, params, p_in))
     below = [i for i, op in enumerate(ops) if op.below_threshold]

@@ -38,6 +38,9 @@ __all__ = [
 # Absolute slack on the purity product v_min*v_max >= 1, to absorb float
 # rounding when states are produced by chained channel applications.
 _PURITY_SLACK = 1e-9
+# infer_phase_noise tolerances: on variances, and on its forward check (dB).
+_VARIANCE_TOL = 1e-10
+_FORWARD_CHECK_DB = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,10 +75,6 @@ class GaussianQuadratureState:
                 f"{self.v_min * self.v_max} < 1"
             )
         object.__setattr__(self, "theta0", self.theta0 % math.pi)
-
-    @property
-    def is_pure(self) -> bool:
-        return abs(self.v_min * self.v_max - 1.0) <= _PURITY_SLACK
 
     @property
     def squeeze_db(self) -> float:
@@ -263,12 +262,7 @@ def infer_loss_only(obs: SqueezeObservation) -> LossOnlyFit:
     return LossOnlyFit(min(eta, 1.0), r)
 
 
-def infer_phase_noise(
-    obs: SqueezeObservation,
-    eta_known: float,
-    tol: float = 1e-10,
-    check_db: float = 1e-6,
-) -> PhaseNoiseFit:
+def infer_phase_noise(obs: SqueezeObservation, eta_known: float) -> PhaseNoiseFit:
     """Invert the loss-plus-phase-jitter model at a known efficiency.
 
     Solves for the source squeeze parameter ``r`` and the jitter RMS
@@ -276,8 +270,9 @@ def infer_phase_noise(
     ``eta_known`` and then Gaussian angle jitter reproduces the observed
     dB pair.  Both unknowns have closed forms: the sum of the observed
     variances pins ``r = acosh(cosh_2r) / 2``, and the damping of their
-    difference then pins ``sigma = sqrt(-ln(damping) / 2)``; ``tol`` is
-    the tolerance on variances.
+    difference then pins ``sigma = sqrt(-ln(damping) / 2)``.  Variances
+    are compared within ``_VARIANCE_TOL``, and the forward model must
+    reproduce the pair within ``_FORWARD_CHECK_DB``.
 
     Raises :class:`InconsistentObservationError` with the residual when no
     (r >= 0, sigma >= 0) pair reproduces the observation.
@@ -291,7 +286,7 @@ def infer_phase_noise(
     # Jitter preserves the mean of the two principal variances, so
     # eta*cosh(2r) + (1 - eta) = target_mean determines r alone.
     cosh_2r = (target_mean - (1.0 - eta_known)) / eta_known
-    if cosh_2r < 1.0 - tol:
+    if cosh_2r < 1.0 - _VARIANCE_TOL:
         raise InconsistentObservationError(
             "mean observed variance below the vacuum level reachable at this eta",
             residual=1.0 - cosh_2r,
@@ -305,7 +300,7 @@ def infer_phase_noise(
     # The spread is damped by exp(-2 sigma^2).
     spread_nojitter = eta_known * math.sinh(2.0 * r)
     if spread_nojitter <= 0.0:
-        if target_spread > tol:
+        if target_spread > _VARIANCE_TOL:
             raise InconsistentObservationError(
                 "observation has spread but solved squeeze parameter is zero",
                 residual=target_spread,
@@ -331,7 +326,7 @@ def infer_phase_noise(
         abs(variance_to_db(v_lo_fit) - variance_to_db(v_lo)),
         abs(variance_to_db(v_hi_fit) - variance_to_db(v_hi)),
     )
-    if residual_db > check_db:
+    if residual_db > _FORWARD_CHECK_DB:
         raise InconsistentObservationError(
             f"forward model misses the observation by {residual_db:.3e} dB",
             residual=residual_db,

@@ -32,8 +32,8 @@ KERR_PHASES = (
 )
 
 
-def cavity(detuning=0.0, loss=LOSS):
-    return CavityParams(RT_LENGTH, T1, loss, detuning=detuning)
+def cavity(loss=LOSS):
+    return CavityParams(RT_LENGTH, T1, loss)
 
 
 def airy(params, p_in, detunings):
@@ -84,8 +84,8 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("detuning", [-0.02, -0.003, 0.0, 0.004, 0.05])
     def test_linear_single_airy_root(self, detuning):
-        c = cavity(detuning)
-        branches = steady_state_branches(c, 0.0088)
+        c = cavity()
+        branches = steady_state_branches(c, 0.0088, None, detuning)
         assert len(branches) == 1
         assert branches[0].p_circ == pytest.approx(float(airy(c, 0.0088, detuning)), rel=1e-9)
 
@@ -95,8 +95,8 @@ class TestSteadyState:
     def test_bistable_root_structure(self):
         # 70 mW drive against the Kerr lean: classic S-curve with 3 roots.
         phi = lambda p: G_KERR * p
-        c = cavity(detuning=0.03)
-        branches = steady_state_branches(c, 0.07, phi)
+        c = cavity()
+        branches = steady_state_branches(c, 0.07, phi, 0.03)
         assert len(branches) == 3
         assert [b.stable for b in branches] == [True, False, True]
         ps = [b.p_circ for b in branches]
@@ -106,8 +106,8 @@ class TestSteadyState:
         # Count sign changes of the implicit equation on a dense grid.
         for phi in KERR_PHASES:
             for det, p_in in [(0.03, 0.07), (0.0, 0.0088), (0.1, 0.07), (0.02, 0.002)]:
-                c = cavity(det)
-                branches = steady_state_branches(c, p_in, phi)
+                c = cavity()
+                branches = steady_state_branches(c, p_in, phi, det)
                 r = c.r_eff
                 grid = np.linspace(0.0, c.resonant_buildup * p_in * (1 + 1e-6), 400_001)
                 f = grid * (1 + r**2 - 2 * r * np.cos(det + phi(grid))) - T1 * p_in
@@ -115,14 +115,38 @@ class TestSteadyState:
                 assert crossings == len(branches)
 
     def test_roots_satisfy_implicit_equation(self):
-        c = cavity(detuning=0.03)
+        c = cavity()
         r = c.r_eff
         for phi in KERR_PHASES:
-            branches = steady_state_branches(c, 0.07, phi)
+            branches = steady_state_branches(c, 0.07, phi, 0.03)
             assert len(branches) == 3
             for b in branches:
                 resonance = 1 + r**2 - 2 * r * math.cos(0.03 + phi(b.p_circ))
                 assert b.p_circ * resonance == pytest.approx(T1 * 0.07, rel=1e-10)
+
+    def test_branch_lists_alternate_from_stable_ends(self):
+        # F(0) < 0 < F(p_max), so every list has odd length, alternates
+        # stable/unstable and is stable at both ends: scan_profile always
+        # has a stable branch to follow.
+        rng = np.random.default_rng(20201104)
+        c = cavity()
+        multi = 0
+        for _ in range(3000):
+            det, p_in, g = rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.1), rng.uniform(-0.5, 0.5)
+            linear = rng.random() < 0.5
+            phi = lambda p: g * p if linear else g * 12.0 * np.tanh(p / 12.0)
+            stable = [b.stable for b in steady_state_branches(c, p_in, phi, det)]
+            assert len(stable) % 2 == 1
+            assert stable == [i % 2 == 0 for i in range(len(stable))]
+            multi += len(stable) >= 3
+        assert multi >= 300
+
+    @pytest.mark.parametrize("detuning", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_rejected(self, detuning):
+        for solve in (steady_state_branches, make_operating_point):
+            for p_in in (0.0, 0.0088):
+                with pytest.raises(DomainError, match="detuning must be finite"):
+                    solve(cavity(), p_in, None, detuning)
 
 
 class TestScanProfile:
@@ -185,7 +209,7 @@ class TestScanProfile:
         c = cavity()
         span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
         dets = self.grid(span, 301)
-        roots = [[b.p_circ for b in steady_state_branches(cavity(d), p_in, phi)] for d in dets]
+        roots = [[b.p_circ for b in steady_state_branches(c, p_in, phi, d)] for d in dets]
         for direction, expected in (("up", roots), ("down", roots[::-1])):
             prof = scan_profile(c, p_in, dets, phi, direction)
             for p, found in zip(prof.p_circ, expected, strict=True):
@@ -238,36 +262,36 @@ class TestOperatingPoint:
         assert ratio == pytest.approx(ops[1].p_circ / ops[0].p_circ, rel=1e-6)
 
     def test_rates_and_shift(self):
-        c = cavity(detuning=0.001)
+        c = cavity()
         g = 1e-5
-        op = make_operating_point(c, 0.001, lambda p: g * p)
+        op = make_operating_point(c, 0.001, lambda p: g * p, 0.001)
         assert op.gamma_coupler == pytest.approx(c.gamma_coupler, rel=1e-12)
         assert op.gamma_loss == pytest.approx(c.gamma_loss, rel=1e-12)
         # A linear phase has the slope g everywhere; only rounding remains.
         assert op.epsilon == pytest.approx(g * op.p_circ * c.fsr, rel=1e-10)
         assert op.delta_eff == pytest.approx((0.001 + 2 * g * op.p_circ) * c.fsr, rel=1e-10)
         # No circulating power, no pump.
-        assert make_operating_point(c, 0.0, lambda p: g * p).epsilon == 0.0
+        assert make_operating_point(c, 0.0, lambda p: g * p, 0.001).epsilon == 0.0
 
     def test_unstable_branch_is_above_threshold(self):
         # The middle branch of the S-curve is exactly the above-threshold
         # solution of the linearized dynamics.
         phi = lambda p: G_KERR * p
-        c = cavity(detuning=0.03)
+        c = cavity()
         with pytest.raises(ThresholdError):
-            make_operating_point(c, 0.07, phi, branch=1)
-        op = make_operating_point(c, 0.07, phi, branch=1, check_threshold=False)
+            make_operating_point(c, 0.07, phi, 0.03, branch=1)
+        op = make_operating_point(c, 0.07, phi, 0.03, branch=1, check_threshold=False)
         assert op.headroom < 1.0
         for stable_branch in (0, 2):
-            op = make_operating_point(c, 0.07, phi, branch=stable_branch)
+            op = make_operating_point(c, 0.07, phi, 0.03, branch=stable_branch)
             assert op.headroom > 1.0
 
     def test_bistable_requires_branch_index(self):
         phi = lambda p: G_KERR * p
-        c = cavity(detuning=0.03)
+        c = cavity()
         with pytest.raises(DomainError):
-            make_operating_point(c, 0.07, phi, check_threshold=False)
-        op = make_operating_point(c, 0.07, phi, branch=0, check_threshold=False)
+            make_operating_point(c, 0.07, phi, 0.03, check_threshold=False)
+        op = make_operating_point(c, 0.07, phi, 0.03, branch=0, check_threshold=False)
         assert op.p_circ > 0
 
     def test_fold_point_sits_at_threshold(self):
@@ -276,7 +300,7 @@ class TestOperatingPoint:
         p_in = 0.07
 
         def n_roots(det):
-            return len(steady_state_branches(cavity(det), p_in, phi))
+            return len(steady_state_branches(cavity(), p_in, phi, det))
 
         lo = next(d for d in np.linspace(0.0, 0.15, 400) if n_roots(d) == 3)
         hi = 0.15
@@ -286,8 +310,8 @@ class TestOperatingPoint:
                 lo = mid
             else:
                 hi = mid
-        c = cavity(lo)
-        branches = steady_state_branches(c, p_in, phi)
+        c = cavity()
+        branches = steady_state_branches(c, p_in, phi, lo)
         p_star = 0.5 * (branches[1].p_circ + branches[2].p_circ)
         epsilon = G_KERR * p_star * c.fsr
         delta_eff = (lo + 2 * G_KERR * p_star) * c.fsr

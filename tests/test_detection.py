@@ -66,6 +66,10 @@ class TestTotalEfficiency:
         assert squared == pytest.approx(base * 0.97**2, rel=1e-12)
         assert 0.97**2 == pytest.approx(0.9409, abs=1e-6)
 
+    def test_visibility_factor(self):
+        assert measured_budget().visibility_factor == 1.0
+        assert measured_budget(visibility_in_bhd=False).visibility_factor == 0.97**2
+
     def test_monotone_in_each_factor(self):
         base = total_efficiency(measured_budget()).value
         lower = total_efficiency(

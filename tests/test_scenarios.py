@@ -18,6 +18,7 @@ from kerrsqueezer import (
 )
 from kerrsqueezer.cli import main
 from kerrsqueezer.scenarios import (
+    FIELDS,
     RunWriter,
     default_config_path,
     infer_report,
@@ -119,6 +120,21 @@ def mutated(scenario, changes):
         else:
             node[leaf] = value
     return config
+
+
+def leaf_paths(node, prefix=""):
+    """Dotted paths of the non-mapping values of a nested config."""
+    if not isinstance(node, dict):
+        return [prefix]
+    return [path for key, value in node.items()
+            for path in leaf_paths(value, f"{prefix}.{key}" if prefix else key)]
+
+
+def readme_schema():
+    """The config of the README's ``### Config schema (YAML)`` block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("### Config schema (YAML)", 1)[1].split("```yaml\n", 1)[1]
+    return yaml.safe_load(block.split("```", 1)[0])
 
 
 def run_cli(config, tmp_path, command="run", options=()):
@@ -288,6 +304,31 @@ class TestSchema:
     def test_null_selects_default(self, path):
         scenario = path.split(".")[0]
         assert validate_config(mutated(scenario, {path: None})) == []
+
+    @pytest.mark.parametrize("source", ["fig3", "fig4", "fig5", "README"])
+    def test_documented_keys_are_schema_fields(self, source):
+        config = readme_schema() if source == "README" else packaged(source)
+        assert [path for path in leaf_paths(config) if path not in FIELDS] == []
+        if source == "README":
+            # ... and the README documents every field.
+            assert sorted(set(FIELDS) - set(leaf_paths(config))) == []
+
+    @pytest.mark.parametrize("scenario", ["fig3", "fig4", "fig5"])
+    def test_keys_outside_the_schema_are_ignored(self, scenario, tmp_path):
+        # Configs written before these two fields left the schema still
+        # validate and give the same tables and summary.
+        config = packaged(scenario)
+        config.setdefault("cavity", {})["detuning_rad"] = 0.3
+        config.setdefault("tomography", {})["lo_power_w"] = 7.0
+        assert validate_config(config) == []
+        run_scenario(packaged(scenario), tmp_path / "plain")
+        run_scenario(config, tmp_path / "extra")
+        names = sorted(path.name for path in (tmp_path / "plain").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "extra").iterdir())
+        for name in names:
+            if name not in ("resolved_config.yaml", "manifest"):
+                assert (tmp_path / "plain" / name).read_bytes() == \
+                    (tmp_path / "extra" / name).read_bytes(), name
 
     def test_seed_override_is_validated(self, tmp_path, capsys):
         assert main(["run", "fig4", "--seed", "-1", "--out", str(tmp_path)]) == 1
@@ -477,6 +518,12 @@ class TestFig5:
         above = [row for row in rows if row["above_threshold"]]
         assert above and all(row["squeeze_db"] is None and row["antisqueeze_db"] is None
                              for row in above)
+
+    def test_standalone_visibility_scales_the_chain(self, fig5_run, tmp_path):
+        _, summary = fig5_run
+        config = mutated("fig5", {"budget.visibility_in_bhd": False})
+        standalone = run_scenario(config, tmp_path, seed=1)["chain_efficiency"]
+        assert standalone == pytest.approx(summary["chain_efficiency"] * 0.97**2, rel=1e-15)
 
     def test_sweep_and_spectrum_schema(self, fig5_run):
         out, _ = fig5_run
