@@ -442,22 +442,32 @@ class RunWriter:
         return path
 
     def table(self, name: str, columns: Mapping[str, Any]) -> Path:
-        """Write the equal-length ``columns`` (name -> array or list) as one
-        table; bools are 1/0 in CSV and true/false in JSON, and a non-finite
-        float is nan/inf in CSV and null in JSON."""
+        """Write the equal-length numeric or bool ``columns`` (name -> array or
+        list) as one table: bools are 1/0 in CSV and true/false in JSON, a non-finite
+        float nan/inf in CSV and null in JSON, and JSON is json.dumps's indent=2 text."""
         values = [np.asarray(column) for column in columns.values()]
+        if len({len(v) for v in values}) > 1:
+            raise ValueError(f"table {name}: unequal column lengths {list(map(len, values))}")
+        rows = zip(*map(self._cells, values))
         if self.fmt == "csv":
-            cells = [list(map(repr, v.astype(int).tolist() if v.dtype == bool else v.tolist()))
-                     for v in values]
-            lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
+            lines = [",".join(columns)] + [",".join(row) for row in rows]
             return self._write(f"{name}.csv", "\n".join(lines) + "\n")
-        for i, v in enumerate(values):
-            if v.dtype.kind == "f" and not np.isfinite(v).all():
-                values[i] = np.where(np.isfinite(v), v.astype(object), None)
-        payload = {"columns": list(columns),
-                   "rows": [list(row) for row in zip(*(v.tolist() for v in values))]}
-        return self._write(f"{name}.json", json.dumps(payload, indent=2, sort_keys=True,
-                                                      allow_nan=False) + "\n")
+        header = json.dumps(list(columns), indent=2).replace("\n", "\n  ")
+        text = ",\n".join("    [\n      " + ",\n      ".join(row) + "\n    ]" for row in rows)
+        del rows  # frees the cell texts; each rebinding of text frees the shorter one
+        text = f"[\n{text}\n  ]" if text else "[]"
+        text = f'{{\n  "columns": {header},\n  "rows": {text}\n}}\n'
+        return self._write(f"{name}.json", text)
+
+    def _cells(self, v: np.ndarray) -> list[str]:
+        if v.dtype.kind == "b":
+            return np.where(v, *(("true", "false") if self.fmt == "json" else ("1", "0"))).tolist()
+        if v.dtype.kind not in "iuf":
+            raise ValueError(f"table columns must be numeric or bool, got dtype {v.dtype}")
+        cells = list(map(repr, v.tolist()))
+        if self.fmt == "json" and v.dtype.kind == "f" and not np.isfinite(v).all():
+            cells = [c if ok else "null" for c, ok in zip(cells, np.isfinite(v).tolist())]
+        return cells
 
     def report(self, name: str, payload: Mapping[str, Any]) -> Path:
         return self._write(f"{name}.json", report_json(payload))
@@ -736,7 +746,7 @@ def run_scenario(config: Mapping[str, Any], out_dir, fmt: str = "csv",
     scenario, seed = resolved["scenario"], resolved["seed"]
 
     writer = RunWriter(out_dir, fmt)
-    config_text = yaml.safe_dump(resolved, sort_keys=True)
+    config_text = yaml.dump(resolved, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
     tasks = SCENARIO_TASKS[scenario] or resolved["custom"]["tasks"]
     try:
         writer.text("resolved_config.yaml", config_text)

@@ -1,11 +1,15 @@
 import json
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kerrsqueezer
 from kerrsqueezer import (
@@ -581,19 +585,123 @@ class TestCustom:
         assert (tmp_path / f"extrema.{fmt}").read_text() == expected
 
 
+def json_oracle(columns):
+    """The stdlib's text of a JSON table: null for every non-finite float."""
+    rows = [[None if isinstance(x, float) and not math.isfinite(x) else x for x in row]
+            for row in zip(*(np.asarray(v).tolist() for v in columns.values()))]
+    payload = {"columns": list(columns), "rows": rows}
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def csv_oracle(columns):
+    """CSV text of a table: the repr of every cell, bools as 1/0."""
+    values = [np.asarray(v) for v in columns.values()]
+    rows = zip(*((v.astype(int) if v.dtype == bool else v).tolist() for v in values))
+    return "\n".join([",".join(columns)] + [",".join(map(repr, row)) for row in rows]) + "\n"
+
+
+# Floats at the edges of repr: signed zeros, subnormals, the largest float,
+# non-finite values and both sides of the switch to exponent notation.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+               math.inf, -math.inf, math.nan, 1e16, -1e16, 9999999999999998.0, 1e-5, -1e-5,
+               0.0001, 1e-4 * (1 - 2**-52)]
+CELLS = {
+    "float": st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
+    "int": st.integers(-2**63, 2**63 - 1),
+    "bool": st.booleans(),
+}
+DTYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
+
+
+@st.composite
+def tables(draw):
+    """Random float/int/bool columns of one length (0-row tables included)."""
+    n_rows = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), max_size=4))
+    names = draw(st.lists(st.text("ab_ \"\\\t", max_size=3), min_size=len(kinds),
+                          max_size=len(kinds), unique=True))
+    return {name: np.array(draw(st.lists(CELLS[kind], min_size=n_rows, max_size=n_rows)),
+                           dtype=DTYPES[kind])
+            for name, kind in zip(names, kinds)}
+
+
 class TestRunWriter:
+    COLUMNS = {"x": np.array([0.1, np.nan]), "n": [2, -3], "flag": np.array([True, False])}
+    JSON_TEXT = """{
+  "columns": [
+    "x",
+    "n",
+    "flag"
+  ],
+  "rows": [
+    [
+      0.1,
+      2,
+      true
+    ],
+    [
+      null,
+      -3,
+      false
+    ]
+  ]
+}
+"""
+
     @pytest.mark.parametrize("fmt, expected", [
         ("csv", "x,n,flag\n0.1,2,1\nnan,-3,0\n"),
         ("json", {"columns": ["x", "n", "flag"], "rows": [[0.1, 2, True], [None, -3, False]]}),
     ])
     def test_column_types(self, fmt, expected, tmp_path):
-        path = RunWriter(tmp_path, fmt).table("t", {"x": np.array([0.1, np.nan]), "n": [2, -3],
-                                                     "flag": np.array([True, False])})
-        text = path.read_text()
+        text = RunWriter(tmp_path, fmt).table("t", self.COLUMNS).read_text()
         if fmt == "json":
             assert strict_json(text) == expected
+            assert text == self.JSON_TEXT == json_oracle(self.COLUMNS)
         else:
             assert text == expected
+
+    @given(tables())
+    @settings(max_examples=300, deadline=None)
+    def test_text_matches_the_oracles(self, columns):
+        with tempfile.TemporaryDirectory() as out:
+            assert RunWriter(out, "json").table("t", columns).read_text() == json_oracle(columns)
+            assert RunWriter(out, "csv").table("t", columns).read_text() == csv_oracle(columns)
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("csv", "a,b\n"),
+        ("json", '{\n  "columns": [\n    "a",\n    "b"\n  ],\n  "rows": []\n}\n'),
+    ], ids=["csv", "json"])
+    def test_empty_table(self, fmt, expected, tmp_path):
+        path = RunWriter(tmp_path, fmt).table("t", {"a": [], "b": np.array([], dtype=bool)})
+        assert path.read_text() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unequal_column_lengths_raise(self, fmt, tmp_path):
+        writer = RunWriter(tmp_path, fmt)
+        with pytest.raises(ValueError, match=r"unequal column lengths \[2, 3\]"):
+            writer.table("t", {"x": np.array([0.1, 0.2]), "n": [1, 2, 3]})
+        assert writer.files == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column", [["a", "b"], [1.0, None], np.array([1j, 2j])],
+                             ids=["str", "object", "complex"])
+    def test_non_numeric_column_raises(self, fmt, column, tmp_path):
+        with pytest.raises(ValueError, match="numeric or bool"):
+            RunWriter(tmp_path, fmt).table("t", {"x": column})
+
+
+class TestResolvedConfig:
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("scenario", ["fig3", "fig4", "fig5"])
+    def test_c_dumper_matches_the_python_dumper(self, scenario):
+        config = load_config(default_config_path(scenario))
+        assert (yaml.dump(config, Dumper=yaml.CSafeDumper, sort_keys=True)
+                == yaml.safe_dump(config, sort_keys=True))
+
+    def test_written_text_is_the_safe_dump(self, fig3_run):
+        out, _ = fig3_run
+        expected = yaml.safe_dump(dict(small_fig3_config(), seed=1), sort_keys=True)
+        assert (out / "resolved_config.yaml").read_text() == expected
 
 
 class TestInferReports:
