@@ -134,51 +134,94 @@ class CombAssignment(NamedTuple):
 
 # Points of the sign-change grid over [0, resonant_buildup * p_in].
 _SCAN_POINTS = 512
+# Detunings per block of the stacked sign-change scan: each float64
+# temporary of a block is 32 x 512 values, 128 KiB.
+_SCAN_BLOCK = 32
 
 
 def steady_state_branches(
     params: CavityParams,
     p_in: float,
     phi_nl: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    detuning: float = 0.0,
-) -> list[SteadyStateBranch]:
+    detuning: float | np.ndarray = 0.0,
+) -> list:
     """All real circulating-power solutions at ``detuning`` (rad), sorted ascending.
 
     Roots of ``F(p) = p * |1 - r_eff exp(i(detuning + phi_nl(p)))|^2
     - T1 * p_in`` are bracketed on a grid over ``[0, resonant_buildup *
-    p_in]`` and refined by Brent; ``phi_nl`` must accept arrays as well as
-    floats.  Each cell where ``F > 0`` flips brackets one root, and the
-    direction of the flip is the slope criterion of the implicit map: a
-    root is stable when F is increasing through it.  As F(0) < 0 < F(p_max),
-    the roots alternate stable/unstable and the first and last are stable.
+    p_in]`` and refined by Brent; ``phi_nl`` is called on 1-D arrays of
+    circulating power only.  Each cell where ``F > 0`` flips brackets one
+    root, and the direction of the flip is the slope criterion of the
+    implicit map: a root is stable when F is increasing through it.  As
+    F(0) < 0 < F(p_max), the roots alternate stable/unstable and the first
+    and last are stable.
+
+    A 1-D array ``detuning`` gives one branch list per detuning from one
+    stacked solve: the grid and ``phi_nl`` on it are shared, F is evaluated
+    on blocks of detunings and every bracket of the sweep is refined by one
+    array :func:`brentq`.  Each list is bit for bit the float call's.
     """
-    if not math.isfinite(detuning):
+    dets = np.asarray(detuning, dtype=float)
+    if dets.ndim > 1:
+        raise DomainError("detuning must be a float or a 1-D array")
+    if not np.all(np.isfinite(dets)):
         raise DomainError("detuning must be finite")
     if not math.isfinite(p_in) or p_in < 0.0:
         raise DomainError(f"input power must be >= 0, got {p_in}")
-    if p_in == 0.0:
-        return [SteadyStateBranch(0.0, True)]
+    sweep = dets.reshape(-1)
+    if p_in == 0.0 or not len(sweep):
+        lists = [[SteadyStateBranch(0.0, True)] for _ in sweep]
+        return lists if dets.ndim else lists[0]
     r = params.r_eff
     t1 = params.coupler_transmission
 
-    def implicit(p):
-        phase = detuning if phi_nl is None else detuning + phi_nl(p)
+    def implicit(p, phase):
         return p * (1.0 + r * r - 2.0 * r * np.cos(phase)) - t1 * p_in
 
     p_max = params.resonant_buildup * p_in * (1.0 + 1e-6)
     grid = np.linspace(0.0, p_max, _SCAN_POINTS)
-    values = implicit(grid)
-    above = values > 0.0
-    cells = np.flatnonzero(above[:-1] != above[1:])
-    if not len(cells):
-        raise NumericalError(
-            "failed to bracket any steady state "
-            f"(p_in={p_in}, detuning={detuning}, p_max={p_max}); "
-            f"F(0)={values[0]:.3e}, F(p_max)={values[-1]:.3e}"
-        )
-    return [SteadyStateBranch(brentq(implicit, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16),
-                              bool(above[i + 1]))
-            for i in cells]
+    phi_grid = None if phi_nl is None else phi_nl(grid)
+    owners, cells, stable, counts = [], [], [], []
+    for start in range(0, len(sweep), _SCAN_BLOCK):
+        block = sweep[start:start + _SCAN_BLOCK, None]
+        values = implicit(grid, block if phi_grid is None else block + phi_grid)
+        above = values > 0.0
+        # flatnonzero and divmod take a sixth of the time of a 2-D nonzero.
+        rows, cols = np.divmod(np.flatnonzero(above[:, :-1] != above[:, 1:]), _SCAN_POINTS - 1)
+        found = np.bincount(rows, minlength=len(block))
+        if not found.all():
+            j = int(np.argmin(found))
+            raise NumericalError(
+                "failed to bracket any steady state "
+                f"(p_in={p_in}, detuning={float(block[j, 0])}, p_max={p_max}); "
+                f"F(0)={values[j, 0]:.3e}, F(p_max)={values[j, -1]:.3e}"
+            )
+        owners.append(start + rows)
+        cells.append(cols)
+        stable.append(above[rows, cols + 1])
+        counts.append(found)
+    owners, cells = np.concatenate(owners), np.concatenate(cells)
+
+    def implicit_at(p, index):
+        phase = sweep[owners[index]]
+        return implicit(p, phase if phi_nl is None else phase + phi_nl(p))
+
+    options = {"xtol": 1e-300, "rtol": 8.9e-16}
+    if dets.ndim:
+        roots = brentq(implicit_at, grid[cells], grid[cells + 1], **options).tolist()
+    else:
+        # One to a few brackets: the scalar loop on float powers takes 0.07-0.16
+        # ms a call where the lockstep loop takes about 1 ms; phi_nl still
+        # sees a 1-D array, and the roots are the same bits either way.
+        det = float(dets)
+        roots = [brentq(lambda p: implicit(p, det if phi_nl is None
+                                            else det + phi_nl(np.array([p]))[0]),
+                        grid[i], grid[i + 1], **options)
+                 for i in cells]
+    branches = [SteadyStateBranch(p, s) for p, s in zip(roots, np.concatenate(stable).tolist())]
+    ends = np.cumsum(np.concatenate(counts)).tolist()
+    lists = [branches[i:j] for i, j in zip([0] + ends, ends)]
+    return lists if dets.ndim else lists[0]
 
 
 @dataclass(frozen=True)
@@ -241,15 +284,15 @@ def scan_profile(
     if direction == "down":
         order = order[::-1]
 
+    branch_lists = steady_state_branches(params, p_in, phi_nl, dets)
+    multi = any(len(branches) >= 3 for branches in branch_lists)
     p_follow = np.empty_like(dets)
-    multi = False
     p_prev: Optional[float] = None
     for idx in order:
-        branches = steady_state_branches(params, p_in, phi_nl, float(dets[idx]))
-        if len(branches) >= 3:
-            multi = True
-        stable = [b.p_circ for b in branches if b.stable]
-        if p_prev is None:
+        stable = [b.p_circ for b in branch_lists[idx] if b.stable]
+        if len(stable) == 1:
+            choice = stable[0]
+        elif p_prev is None:
             choice = stable[0] if direction == "up" else stable[-1]
         else:
             choice = min(stable, key=lambda p: abs(p - p_prev))

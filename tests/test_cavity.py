@@ -6,6 +6,7 @@ import pytest
 from kerrsqueezer import (
     CavityParams,
     DomainError,
+    NumericalError,
     OperatingPoint,
     SpectrumPoint,
     ThresholdError,
@@ -15,7 +16,7 @@ from kerrsqueezer import (
     squeezing_spectrum,
     steady_state_branches,
 )
-from kerrsqueezer.cavity import _half_max_asymmetry
+from kerrsqueezer.cavity import _SCAN_BLOCK, _half_max_asymmetry
 
 # Resonator budget used throughout: 1% coupler, 0.19% residual loss.
 T1 = 0.01
@@ -147,6 +148,78 @@ class TestSteadyState:
             for p_in in (0.0, 0.0088):
                 with pytest.raises(DomainError, match="detuning must be finite"):
                     solve(cavity(), p_in, None, detuning)
+
+
+class TestStackedSweep:
+    """An array of detunings: one branch list per detuning from one solve."""
+
+    @pytest.mark.parametrize("phi", (None,) + KERR_PHASES, ids=("linear", "kerr", "tanh"))
+    @pytest.mark.parametrize("p_in", [0.015, 0.07])
+    def test_equals_float_calls(self, phi, p_in):
+        c = cavity()
+        span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
+        dets = np.linspace(-span, span, 5 * _SCAN_BLOCK + 7)
+        stacked = steady_state_branches(c, p_in, phi, dets)
+        assert len(stacked) == len(dets)
+        for det, branches in zip(dets, stacked, strict=True):
+            single = steady_state_branches(c, p_in, phi, float(det))
+            assert [(b.p_circ.hex(), b.stable) for b in branches] == [
+                (b.p_circ.hex(), b.stable) for b in single]
+            assert all(type(b.p_circ) is float and type(b.stable) is bool for b in branches)
+        # Both powers are bistable against the Kerr lean.
+        assert any(len(branches) >= 3 for branches in stacked) == (phi is not None)
+
+    def test_zero_input(self):
+        assert steady_state_branches(cavity(), 0.0, None, np.linspace(-0.1, 0.1, 40)) == [
+            [(0.0, True)]] * 40
+
+    def test_empty_sweep(self):
+        assert steady_state_branches(cavity(), 0.07, KERR_PHASES[0], np.array([])) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p_in", [0.0, 0.0088])
+    def test_non_finite_detuning_rejected(self, bad, p_in):
+        dets = np.linspace(-0.1, 0.1, 3 * _SCAN_BLOCK)
+        dets[2 * _SCAN_BLOCK + 5] = bad
+        with pytest.raises(DomainError, match="detuning must be finite"):
+            steady_state_branches(cavity(), p_in, None, dets)
+
+    def test_two_dimensional_detuning_rejected(self):
+        with pytest.raises(DomainError, match="1-D"):
+            steady_state_branches(cavity(), 0.0088, None, np.zeros((2, 3)))
+
+    def test_nan_phase_names_the_detuning(self):
+        # A phase that is NaN above 60 % of the resonant power leaves the
+        # detunings near resonance without a bracket; the error is the one
+        # the float call gives at the first of them.
+        c = cavity()
+        p_cut = 0.6 * c.resonant_buildup * 0.0088
+        phi = lambda p: np.where(p < p_cut, 0.0, np.nan)
+        dets = np.linspace(-0.05, 0.05, 4 * _SCAN_BLOCK + 1)
+        with pytest.raises(NumericalError) as stacked:
+            steady_state_branches(c, 0.0088, phi, dets)
+        for det in dets:
+            try:
+                steady_state_branches(c, 0.0088, phi, float(det))
+            except NumericalError as err:
+                first = det, str(err)
+                break
+            except ValueError:
+                continue  # a bracket into the NaN region stops Brent instead
+        assert first[0] > dets[0]
+        assert f"detuning={first[0]}" in str(stacked.value)
+        assert str(stacked.value) == first[1]
+
+    def test_phase_is_called_on_1d_arrays_only(self):
+        def phi(p):
+            assert isinstance(p, np.ndarray) and p.ndim == 1
+            return G_KERR * p
+
+        c = cavity()
+        steady_state_branches(c, 0.07, phi, 0.03)
+        steady_state_branches(c, 0.07, phi, np.linspace(-0.05, 0.05, 50))
+        scan_profile(c, 0.07, np.linspace(-0.05, 0.05, 50), phi, "down")
+        make_operating_point(c, 0.07, phi, 0.03, branch=0)
 
 
 class TestScanProfile:

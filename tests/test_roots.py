@@ -1,4 +1,8 @@
-"""``roots.brentq`` against ``scipy.optimize.brentq``, its reference, bit for bit."""
+"""``roots.brentq`` against ``scipy.optimize.brentq``, its reference, bit for bit.
+
+An array call is checked element by element: each root must be scipy's on
+that element's own bracket, and a failing element must raise scipy's error.
+"""
 
 import math
 import random
@@ -30,11 +34,30 @@ def recorded(monkeypatch):
     return calls
 
 
-def assert_matches_scipy(calls, expected_calls):
-    assert len(calls) >= expected_calls
+def element(f, k):
+    """The scalar function of bracket ``k`` of an array call's ``f(x, index)``."""
+    return lambda x: f(np.array([x]), np.array([k]))[0]
+
+
+def vectorized(functions):
+    """``f(x, index)`` of an array call over per-bracket scalar functions."""
+    return lambda x, index: np.array([functions[k](v) for v, k in zip(x.tolist(), index.tolist())])
+
+
+def assert_matches_scipy(calls, expected_roots):
+    solved = 0
     for f, a, b, options, root in calls:
-        assert type(root) is float
-        assert root.hex() == scipy_brentq(f, a, b, **options).hex(), (a, b, options)
+        if np.ndim(a):
+            assert root.dtype == float and root.shape == a.shape
+            for k in range(len(a)):
+                expected = scipy_brentq(element(f, k), a[k], b[k], **options)
+                assert float(root[k]).hex() == expected.hex(), (k, a[k], b[k], options)
+            solved += len(a)
+        else:
+            assert type(root) is float
+            assert root.hex() == scipy_brentq(f, a, b, **options).hex(), (a, b, options)
+            solved += 1
+    assert solved >= expected_roots
 
 
 def outcome(solver, f, a, b, **options):
@@ -52,6 +75,8 @@ def outcome(solver, f, a, b, **options):
 def test_cavity_steady_states(recorded, p_in, phi_nl):
     params = CavityParams(RT_LENGTH, T1, LOSS)
     profile = scan_profile(params, p_in, np.linspace(-0.08, 0.04, 241), phi_nl)
+    # One array call refines every bracket of the scan.
+    assert len(recorded) == 1
     assert_matches_scipy(recorded, 241)
     if p_in > 0.05:
         assert profile.multi_branch
@@ -95,15 +120,52 @@ OPTIONS = (
 )
 
 
-def test_random_brackets():
+def random_brackets():
     rng = random.Random(20201104)
     for _ in range(3000):
         f = rng.choice(FUNCTIONS)(rng.uniform(-2.0, 3.0))
         a, b = rng.uniform(-5.0, 1.0), rng.uniform(0.0, 6.0)
         if rng.random() < 0.3:
             a, b = b, a
-        options = rng.choice(OPTIONS)
+        yield f, a, b, rng.randrange(len(OPTIONS))
+
+
+def test_random_brackets():
+    for f, a, b, k in random_brackets():
+        options = OPTIONS[k]
         assert outcome(roots.brentq, f, a, b, **options) == outcome(scipy_brentq, f, a, b, **options)
+
+
+def test_random_brackets_in_arrays():
+    # The brackets scipy solves go into one array call per tolerance pair;
+    # each one it rejects goes into a small array of solvable brackets.
+    good = {k: [] for k in range(len(OPTIONS))}
+    bad = []
+    for f, a, b, k in random_brackets():
+        try:
+            good[k].append((f, a, b, scipy_brentq(f, a, b, **OPTIONS[k])))
+        except (ValueError, RuntimeError) as err:
+            bad.append((f, a, b, k, err))
+    assert sum(len(brackets) for brackets in good.values()) > 1500
+    for k, brackets in good.items():
+        functions, a, b, expected = zip(*brackets)
+        found = roots.brentq(vectorized(functions), np.array(a), np.array(b), **OPTIONS[k])
+        assert [float(x).hex() for x in found] == [x.hex() for x in expected]
+
+    kinds = {type(err): 0 for *_, err in bad}
+    for i, (f, a, b, k, err) in enumerate(bad):
+        kinds[type(err)] += 1
+        neighbours = good[k][i % 10:i % 10 + 3]
+        functions = [g for g, *_ in neighbours]
+        lo, hi = [x for _, x, _, _ in neighbours], [x for *_, x, _ in neighbours]
+        at = i % 4
+        functions.insert(at, f)
+        lo.insert(at, a)
+        hi.insert(at, b)
+        with pytest.raises(type(err)) as ours:
+            roots.brentq(vectorized(functions), np.array(lo), np.array(hi), **OPTIONS[k])
+        assert str(ours.value) == str(err)
+    assert kinds[RuntimeError] == 150 and kinds[ValueError] > 1000
 
 
 TOLERANCES = {"xtol": 2e-12, "rtol": roots.RTOL_MIN}
@@ -125,3 +187,18 @@ def test_errors_match_scipy(f, a, b, options, error):
     with pytest.raises(error) as reference:
         scipy_brentq(f, a, b, **options)
     assert str(ours.value) == str(reference.value)
+    # The same bracket between two good ones in an array call.
+    with pytest.raises(error) as in_array:
+        roots.brentq(vectorized([math.atan, f, math.atan]), np.array([-1.0, a, -2.0]),
+                     np.array([2.0, b, 1.0]), **options)
+    assert str(in_array.value) == str(reference.value)
+
+
+def test_array_brackets_that_start_on_a_root():
+    # A zero at either end returns that end, as the scalar loop does.
+    functions = [lambda x: x, lambda x: x - 1.0, lambda x: x - 0.25]
+    a, b = np.array([0.0, -1.0, 0.0]), np.array([1.0, 1.0, 1.0])
+    found = roots.brentq(vectorized(functions), a, b, **TOLERANCES)
+    expected = [scipy_brentq(g, x, y, **TOLERANCES) for g, x, y in zip(functions, a, b)]
+    assert [float(x).hex() for x in found] == [x.hex() for x in expected]
+    assert found[0] == 0.0 and found[1] == 1.0
