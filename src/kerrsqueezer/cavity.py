@@ -159,7 +159,7 @@ def steady_state_branches(
     A 1-D array ``detuning`` gives one branch list per detuning from one
     stacked solve: the grid and ``phi_nl`` on it are shared, F is evaluated
     on blocks of detunings and every bracket of the sweep is refined by one
-    array :func:`brentq`.  Each list is bit for bit the float call's.
+    array :func:`brentq`.  A float detuning is the same solve on one detuning.
     """
     dets = np.asarray(detuning, dtype=float)
     if dets.ndim > 1:
@@ -206,18 +206,7 @@ def steady_state_branches(
         phase = sweep[owners[index]]
         return implicit(p, phase if phi_nl is None else phase + phi_nl(p))
 
-    options = {"xtol": 1e-300, "rtol": 8.9e-16}
-    if dets.ndim:
-        roots = brentq(implicit_at, grid[cells], grid[cells + 1], **options).tolist()
-    else:
-        # One to a few brackets: the scalar loop on float powers takes 0.07-0.16
-        # ms a call where the lockstep loop takes about 1 ms; phi_nl still
-        # sees a 1-D array, and the roots are the same bits either way.
-        det = float(dets)
-        roots = [brentq(lambda p: implicit(p, det if phi_nl is None
-                                            else det + phi_nl(np.array([p]))[0]),
-                        grid[i], grid[i + 1], **options)
-                 for i in cells]
+    roots = brentq(implicit_at, grid[cells], grid[cells + 1], xtol=1e-300, rtol=8.9e-16).tolist()
     branches = [SteadyStateBranch(p, s) for p, s in zip(roots, np.concatenate(stable).tolist())]
     ends = np.cumsum(np.concatenate(counts)).tolist()
     lists = [branches[i:j] for i, j in zip([0] + ends, ends)]

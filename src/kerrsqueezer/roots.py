@@ -122,6 +122,8 @@ def _lockstep(f: Callable, a, b, xtol: float, rtol: float) -> np.ndarray:
     if xpre.ndim != 1 or xpre.shape != xcur.shape:
         raise ValueError("array brackets must be 1-D and of equal length")
     roots = np.empty_like(xpre)
+    if not len(roots):
+        return roots
     index = np.arange(len(xpre))
 
     def value(x, index):
@@ -140,6 +142,8 @@ def _lockstep(f: Callable, a, b, xtol: float, rtol: float) -> np.ndarray:
     live = ~(at_a | at_b)
     if np.any(live & ((fpre < 0.0) == (fcur < 0.0))):
         raise ValueError("f(a) and f(b) must have different signs")
+    if not live.any():
+        return roots
     index, xpre, xcur, fpre, fcur = (v[live] for v in (index, xpre, xcur, fpre, fcur))
     xblk, fblk, spre, scur = (np.zeros_like(xpre) for _ in range(4))
     for _ in range(MAXITER):

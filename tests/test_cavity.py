@@ -190,22 +190,28 @@ class TestStackedSweep:
 
     def test_nan_phase_names_the_detuning(self):
         # A phase that is NaN above 60 % of the resonant power leaves the
-        # detunings near resonance without a bracket; the error is the one
-        # the float call gives at the first of them.
+        # detunings near resonance without a bracket.  Every bracket of the
+        # sweep is checked before any Brent step, so the stacked call raises
+        # NumericalError naming the first of them in array order, even where
+        # a detuning earlier in the array has a bracket into the NaN region,
+        # which stops Brent with ValueError when solved on its own.
         c = cavity()
         p_cut = 0.6 * c.resonant_buildup * 0.0088
         phi = lambda p: np.where(p < p_cut, 0.0, np.nan)
         dets = np.linspace(-0.05, 0.05, 4 * _SCAN_BLOCK + 1)
         with pytest.raises(NumericalError) as stacked:
             steady_state_branches(c, 0.0088, phi, dets)
+        with pytest.raises(ValueError, match="is NaN"):
+            steady_state_branches(c, 0.0088, phi, dets[0])
+        errors = []
         for det in dets:
             try:
-                steady_state_branches(c, 0.0088, phi, float(det))
+                steady_state_branches(c, 0.0088, phi, det)
             except NumericalError as err:
-                first = det, str(err)
-                break
+                errors.append((det, str(err)))
             except ValueError:
-                continue  # a bracket into the NaN region stops Brent instead
+                pass
+        first = errors[0]
         assert first[0] > dets[0]
         assert f"detuning={first[0]}" in str(stacked.value)
         assert str(stacked.value) == first[1]

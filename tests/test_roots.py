@@ -202,3 +202,22 @@ def test_array_brackets_that_start_on_a_root():
     expected = [scipy_brentq(g, x, y, **TOLERANCES) for g, x, y in zip(functions, a, b)]
     assert [float(x).hex() for x in found] == [x.hex() for x in expected]
     assert found[0] == 0.0 and found[1] == 1.0
+
+
+def test_array_brackets_that_all_start_on_a_root():
+    # With no bracket left to iterate the call returns at once.
+    functions = [lambda x: x, lambda x: x - 1.0]
+    a, b = np.array([0.0, -1.0]), np.array([1.0, 1.0])
+    found = roots.brentq(vectorized(functions), a, b, **TOLERANCES)
+    assert [float(x).hex() for x in found] == [
+        scipy_brentq(g, x, y, **TOLERANCES).hex() for g, x, y in zip(functions, a, b)]
+    assert roots.brentq(lambda x, i: x, np.array([0.0]), np.array([1.0]),
+                        **TOLERANCES).tolist() == [0.0]
+
+
+def test_empty_array_brackets():
+    def f(x, index):
+        raise AssertionError("f called with no bracket")
+
+    found = roots.brentq(f, np.array([]), np.array([]), **TOLERANCES)
+    assert found.shape == (0,) and found.dtype == float
