@@ -144,19 +144,26 @@ def propagate(
     ``state.a1``, ``state.a2`` and ``delta_k`` broadcast against each other;
     every row advances in the same RK4 loop, and the result has their
     broadcast shape.  ``steps`` defaults to :func:`step_count` of the
-    inputs.  Raises :class:`AccuracyError` when the relative power drift of
-    any row exceeds ``drift_tol`` (increase ``steps`` in that case).
+    inputs.  Raises :class:`DomainError` for a non-finite ``kappa``,
+    ``delta_k`` or amplitude, and :class:`AccuracyError` when the relative
+    power drift of any row exceeds ``drift_tol`` or is not a number
+    (increase ``steps`` in that case).
     """
     if length <= 0.0 or not math.isfinite(length):
         raise DomainError(f"length must be positive, got {length}")
+    if not math.isfinite(kappa):
+        raise DomainError(f"kappa must be finite, got {kappa}")
     a1, a2, dk = np.broadcast_arrays(np.asarray(state.a1, dtype=complex),
                                      np.asarray(state.a2, dtype=complex),
                                      np.asarray(delta_k, dtype=float))
     shape = a1.shape
     # Rows of one element at least, so that a single row runs through the
     # same array loops as a batch and gives the same bits.
-    a1, a2, dk = (np.array(x).reshape(-1) for x in (a1, a2, dk))
-    p_in = abs(a1) ** 2 + abs(a2) ** 2
+    a = np.stack((a1.reshape(-1), a2.reshape(-1)))  # [a1; a2]
+    dk = dk.reshape(-1)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(dk))):
+        raise DomainError("propagate needs finite amplitudes and delta_k")
+    p_in = abs(a[0]) ** 2 + abs(a[1]) ** 2
     if steps is None:
         steps = step_count(p_in, dk, kappa, length)
     if steps < MIN_STEPS:
@@ -164,27 +171,54 @@ def propagate(
     z0 = float(state.z)
     h = length / steps
     c = 1j * kappa * h  # the coupling i kappa rides on the step
+    half_c, sixth_c = 0.5 * c, c / 6.0
     nodes = z0 + 0.5 * h * np.arange(2 * steps + 1)
+    # Rows that share a mismatch share its phasors: compute them per
+    # distinct delta_k and gather them into rows.
+    dk_distinct, row_dk = np.unique(dk, return_inverse=True)
+    # The elementwise operations of the per-amplitude reference loop in
+    # tests/test_cascade.py, on the same operands in the same order, but
+    # stacked and in place; only the factors of a product swap, and x*c ==
+    # c*x bit for bit.  A stage's point b = a + (f c) k_prev is written into
+    # s = [conj b1, b1, b2, b1], so that one product gives both right-hand
+    # sides [conj(b1) b2, b1 b1] and one more applies the phasors [up; down].
+    s = np.empty((4, a.shape[1]), dtype=complex)
+    conj_b1, b1, b, b1_copy, left, right = s[0], s[1], s[1:3], s[3], s[0:2], s[2:4]
+    k1, k2, k3, k4, scaled = (np.empty_like(a) for _ in range(5))
+    phasors = np.empty((2 * _NODE_BLOCK + 1, 2, a.shape[1]), dtype=complex)
+    # (slope, previous slope, its step fraction times c, node offset)
+    stages = ((k1, None, None, 0), (k2, k1, half_c, 1), (k3, k2, half_c, 1), (k4, k3, c, 2))
     for j in range(steps):
         i = 2 * (j % _NODE_BLOCK)
         if i == 0:
             # exp(+i delta_k z) and its conjugate at the RK4 nodes z0 + k h/2
-            # of the next _NODE_BLOCK steps, all rows at once.
-            up = np.exp(1j * np.multiply.outer(nodes[2 * j:2 * (j + _NODE_BLOCK) + 1], dk))
-            down = up.conj()
-        k1a, k1b = a1.conj() * a2 * up[i], a1 * a1 * down[i]
-        b1, b2 = a1 + 0.5 * c * k1a, a2 + 0.5 * c * k1b
-        k2a, k2b = b1.conj() * b2 * up[i + 1], b1 * b1 * down[i + 1]
-        b1, b2 = a1 + 0.5 * c * k2a, a2 + 0.5 * c * k2b
-        k3a, k3b = b1.conj() * b2 * up[i + 1], b1 * b1 * down[i + 1]
-        b1, b2 = a1 + c * k3a, a2 + c * k3b
-        k4a, k4b = b1.conj() * b2 * up[i + 2], b1 * b1 * down[i + 2]
-        a1 = a1 + (c / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
-        a2 = a2 + (c / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
+            # of the next _NODE_BLOCK steps: (nodes, [up; down], rows).
+            up = np.exp(1j * np.multiply.outer(nodes[2 * j:2 * (j + _NODE_BLOCK) + 1],
+                                               dk_distinct))
+            up_rows, down_rows = phasors[:len(up), 0], phasors[:len(up), 1]
+            np.take(up, row_dk, axis=1, out=up_rows)
+            np.conjugate(up_rows, out=down_rows)
+        for k, k_prev, fc, node in stages:
+            if k_prev is None:
+                np.copyto(b, a)
+            else:
+                np.multiply(k_prev, fc, out=scaled)
+                np.add(a, scaled, out=b)
+            np.copyto(b1_copy, b1)
+            np.conjugate(b1, out=conj_b1)
+            np.multiply(left, right, out=k)
+            k *= phasors[i + node]
+        k2 += k3
+        k2 *= 2
+        k1 += k2
+        k1 += k4
+        k1 *= sixth_c
+        a += k1
+    a1, a2 = a
     # A row without power stays exactly empty, so its drift reads 0.
     p_out = abs(a1) ** 2 + abs(a2) ** 2
     drift = float(np.max(np.abs(p_out - p_in) / np.where(p_in > 0.0, p_in, 1.0)))
-    if drift > drift_tol:
+    if not drift <= drift_tol:
         raise AccuracyError(
             f"power drift {drift:.3e} exceeds tolerance {drift_tol:.1e}; "
             f"increase steps (got {steps})",

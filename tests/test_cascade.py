@@ -14,6 +14,7 @@ from kerrsqueezer import (
     fictitious_mirror,
     propagate,
 )
+from kerrsqueezer import cascade
 from kerrsqueezer.cascade import step_count
 
 LENGTH = 0.0093
@@ -28,6 +29,115 @@ def converted_fraction(p, dk, kappa, length):
     v_b = math.sqrt(1.0 + s * s) - s
     sn = ellipj(kappa * math.sqrt(p) * length / v_b, v_b**4)[0]
     return v_b**2 * sn**2
+
+
+def reference_propagate(state, delta_k, kappa, length, steps, node_block):
+    """The per-amplitude RK4 loop that ``propagate`` replaced, kept verbatim
+    as the bit-for-bit oracle of its stacked, in-place kernel."""
+    a1, a2, dk = np.broadcast_arrays(np.asarray(state.a1, dtype=complex),
+                                     np.asarray(state.a2, dtype=complex),
+                                     np.asarray(delta_k, dtype=float))
+    shape = a1.shape
+    a1, a2, dk = (np.array(x).reshape(-1) for x in (a1, a2, dk))
+    z0 = float(state.z)
+    h = length / steps
+    c = 1j * kappa * h  # the coupling i kappa rides on the step
+    nodes = z0 + 0.5 * h * np.arange(2 * steps + 1)
+    for j in range(steps):
+        i = 2 * (j % node_block)
+        if i == 0:
+            up = np.exp(1j * np.multiply.outer(nodes[2 * j:2 * (j + node_block) + 1], dk))
+            down = up.conj()
+        k1a, k1b = a1.conj() * a2 * up[i], a1 * a1 * down[i]
+        b1, b2 = a1 + 0.5 * c * k1a, a2 + 0.5 * c * k1b
+        k2a, k2b = b1.conj() * b2 * up[i + 1], b1 * b1 * down[i + 1]
+        b1, b2 = a1 + 0.5 * c * k2a, a2 + 0.5 * c * k2b
+        k3a, k3b = b1.conj() * b2 * up[i + 1], b1 * b1 * down[i + 1]
+        b1, b2 = a1 + c * k3a, a2 + c * k3b
+        k4a, k4b = b1.conj() * b2 * up[i + 2], b1 * b1 * down[i + 2]
+        a1 = a1 + (c / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
+        a2 = a2 + (c / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
+    return a1.reshape(shape), a2.reshape(shape)
+
+
+def complex_bits(x):
+    return [(float(v.real).hex(), float(v.imag).hex()) for v in np.asarray(x).reshape(-1)]
+
+
+class TestStackedKernel:
+    """``propagate`` equals the reference loop bit for bit."""
+
+    def assert_reference_bits(self, state, delta_k, kappa, steps):
+        out = propagate(state, delta_k, kappa, LENGTH, steps, drift_tol=1.0)
+        a1, a2 = reference_propagate(state, delta_k, kappa, LENGTH, steps, cascade._NODE_BLOCK)
+        assert np.shape(out.a1) == a1.shape and np.shape(out.a2) == a2.shape
+        assert complex_bits(out.a1) == complex_bits(a1)
+        assert complex_bits(out.a2) == complex_bits(a2)
+        assert out.z == state.z + LENGTH
+
+    def test_scalar_row(self):
+        state = CoupledModeState(0.31 + 0.12j, 0.004 - 0.002j)
+        out = propagate(state, 2 * math.pi / LENGTH, 14.0, LENGTH, 150, drift_tol=1.0)
+        assert isinstance(out.a1, complex) and isinstance(out.a2, complex)
+        self.assert_reference_bits(state, 2 * math.pi / LENGTH, 14.0, 150)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(2, 40))
+        a1 = np.sqrt(rng.uniform(0.0, 0.2, rows)) * np.exp(1j * rng.uniform(-3.0, 3.0, rows))
+        a2 = rng.uniform(0.0, 0.01, rows) * np.exp(1j * rng.uniform(-3.0, 3.0, rows))
+        delta_k = rng.uniform(-3000.0, 3000.0, rows)
+        self.assert_reference_bits(CoupledModeState(a1, a2), delta_k, 14.0, 130 + seed)
+
+    def test_stacked_rows_with_repeated_mismatch(self):
+        # The (3, rows) layout of the lock's slope pass: three powers per
+        # mismatch, which share their phasors.
+        delta_k = np.array([-2 * math.pi, 0.0, 2 * math.pi, 2 * math.pi, 13.5]) / LENGTH
+        powers = np.multiply.outer([1.0 - 1e-4, 1.0, 1.0 + 1e-4], np.linspace(0.06, 0.11, 5))
+        state = CoupledModeState(np.sqrt(powers), np.zeros(powers.shape))
+        self.assert_reference_bits(state, delta_k, 3.2, step_count(powers, delta_k, 3.2, LENGTH))
+
+    def test_empty_rows_offset_start_and_negative_kappa(self):
+        a1 = np.array([0.0, 0.3 - 0.1j, 0.0, 0.2j])
+        a2 = np.array([0.0, 0.01j, 0.0, 0.0])
+        delta_k = np.array([700.0, -700.0, 0.0, 1400.0])
+        state = CoupledModeState(a1, a2, z=0.004)
+        self.assert_reference_bits(state, delta_k, -14.0, 200)
+        out = propagate(state, delta_k, -14.0, LENGTH, 200)
+        assert out.a1[0] == 0.0 and out.a2[0] == 0.0 and out.a1[2] == 0.0
+
+    @pytest.mark.parametrize("node_block", [64, 512])
+    @pytest.mark.parametrize("steps", [100, 128, 129, 263])
+    def test_step_counts_against_node_blocks(self, monkeypatch, node_block, steps):
+        # With 512-step blocks every run here fits in one partial block.
+        monkeypatch.setattr(cascade, "_NODE_BLOCK", node_block)
+        state = CoupledModeState(np.array([0.3, 0.25 + 0.1j]), np.array([0.0, 0.02]))
+        self.assert_reference_bits(state, np.array([1500.0, -800.0]), 50.0, steps)
+
+
+class TestNonFiniteInputs:
+    """Explicit step counts skip :func:`step_count`, so ``propagate``
+    checks its own inputs, and a NaN drift fails the drift gate."""
+
+    def test_nan_kappa(self):
+        with pytest.raises(DomainError):
+            propagate(CoupledModeState(0.3, 0.0), 700.0, math.nan, LENGTH, steps=100)
+
+    def test_nan_mismatch_row(self):
+        state = CoupledModeState(np.array([0.3, 0.2]), np.zeros(2))
+        with pytest.raises(DomainError):
+            propagate(state, np.array([700.0, math.nan]), 14.0, LENGTH, steps=100)
+
+    def test_nan_amplitude(self):
+        state = CoupledModeState(np.array([0.3, complex(0.2, math.nan)]), np.zeros(2))
+        with pytest.raises(DomainError):
+            propagate(state, 700.0, 14.0, LENGTH, steps=100)
+
+    def test_nan_drift_fails_the_gate(self):
+        # Finite amplitudes whose power overflows: the drift is inf/inf.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AccuracyError):
+            propagate(CoupledModeState(1e200, 0.0), 700.0, 14.0, LENGTH, steps=100)
 
 
 class TestPropagate:
