@@ -123,7 +123,10 @@ def step_count(p_in, delta_k, kappa: float, length: float) -> int:
     13.5, 30}, the worst errors were 1.4e-8 relative in the phase and
     2.7e-10 in the residual conversion, with 1.2e-10 power drift.
     """
-    p_max = float(np.max(_powers(p_in)))
+    p = _powers(p_in)
+    if not (p.size and np.size(delta_k)):
+        raise DomainError("step count needs at least one row")
+    p_max = float(np.max(p))
     mismatch = float(np.max(np.abs(delta_k))) * length / MISMATCH_PHASE_PER_STEP
     coupling = abs(kappa) * math.sqrt(p_max) * length / COUPLING_PHASE_PER_STEP
     if not (math.isfinite(mismatch) and math.isfinite(coupling)):
@@ -144,8 +147,8 @@ def propagate(
     ``state.a1``, ``state.a2`` and ``delta_k`` broadcast against each other;
     every row advances in the same RK4 loop, and the result has their
     broadcast shape.  ``steps`` defaults to :func:`step_count` of the
-    inputs.  Raises :class:`DomainError` for a non-finite ``kappa``,
-    ``delta_k`` or amplitude, and :class:`AccuracyError` when the relative
+    inputs.  Raises :class:`DomainError` for zero rows or a non-finite
+    ``kappa``, ``delta_k`` or amplitude, and :class:`AccuracyError` when the relative
     power drift of any row exceeds ``drift_tol`` or is not a number
     (increase ``steps`` in that case).
     """
@@ -161,6 +164,8 @@ def propagate(
     # same array loops as a batch and gives the same bits.
     a = np.stack((a1.reshape(-1), a2.reshape(-1)))  # [a1; a2]
     dk = dk.reshape(-1)
+    if not dk.size:
+        raise DomainError("propagate needs at least one row")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(dk))):
         raise DomainError("propagate needs finite amplitudes and delta_k")
     p_in = abs(a[0]) ** 2 + abs(a[1]) ** 2

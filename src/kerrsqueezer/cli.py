@@ -7,6 +7,7 @@ bad physical domain), 2 numerical failure, 3 inconsistent observation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -94,6 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves no state in the parser: each parse_args call starts a
+    # fresh namespace from the defaults.
+    return build_parser()
+
+
 def _cmd_run(args) -> int:
     config_path = args.config or default_config_path(args.scenario)
     config = load_config(config_path)
@@ -162,9 +170,8 @@ def _cmd_extrema(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "infer":

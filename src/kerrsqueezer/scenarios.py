@@ -432,6 +432,9 @@ class RunWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.fmt = fmt
         self.files: list[Path] = []
+        # Cells of every column written so far, keyed by dtype, shape and
+        # bytes: a column repeated within a run is formatted once.
+        self._cell_memo: dict[tuple, list[str]] = {}
         # An earlier run's manifest would vouch for files this run replaces.
         (self.out_dir / "manifest").unlink(missing_ok=True)
 
@@ -448,22 +451,38 @@ class RunWriter:
         values = [np.asarray(column) for column in columns.values()]
         if len({len(v) for v in values}) > 1:
             raise ValueError(f"table {name}: unequal column lengths {list(map(len, values))}")
-        rows = zip(*map(self._cells, values))
         if self.fmt == "csv":
-            lines = [",".join(columns)] + [",".join(row) for row in rows]
-            return self._write(f"{name}.csv", "\n".join(lines) + "\n")
-        header = json.dumps(list(columns), indent=2).replace("\n", "\n  ")
-        text = ",\n".join("    [\n      " + ",\n      ".join(row) + "\n    ]" for row in rows)
-        del rows  # frees the cell texts; each rebinding of text frees the shorter one
-        text = f"[\n{text}\n  ]" if text else "[]"
-        text = f'{{\n  "columns": {header},\n  "rows": {text}\n}}\n'
-        return self._write(f"{name}.json", text)
+            empty = head = ",".join(columns) + "\n"
+            cell_sep, row_sep, tail = ",", "\n", "\n"
+        else:
+            header = json.dumps(list(columns), indent=2).replace("\n", "\n  ")
+            opening = f'{{\n  "columns": {header},\n  "rows": '
+            empty, head = opening + "[]\n}\n", opening + "[\n    [\n      "
+            cell_sep, row_sep, tail = ",\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]\n}\n"
+        # One flat sequence [head, c00, sep, c01, ..., row_sep, c10, ..., tail]
+        # with column j's cells at 1 + 2j :: 2k, joined once.
+        k, n = len(values), len(values[0]) if values else 0
+        seq = [cell_sep] * (2 * k * n + 1)
+        seq[::2 * k or 1] = [row_sep] * (n + 1)
+        for j, v in enumerate(values):
+            seq[1 + 2 * j::2 * k] = self._cells(v)
+        seq[0], seq[-1] = (head, tail) if n else ("", empty)  # no rows: one slot
+        text = "".join(seq)
+        del seq  # the write encodes a copy of text; let it reuse this memory
+        return self._write(f"{name}.{self.fmt}", text)
 
     def _cells(self, v: np.ndarray) -> list[str]:
+        # Checked before the key is built: an object array's bytes are pointers.
+        if v.dtype.kind not in "biuf":
+            raise ValueError(f"table columns must be numeric or bool, got dtype {v.dtype}")
+        key = (v.dtype.str, v.shape, v.tobytes())
+        if key not in self._cell_memo:
+            self._cell_memo[key] = self._format(v)
+        return self._cell_memo[key]
+
+    def _format(self, v: np.ndarray) -> list[str]:
         if v.dtype.kind == "b":
             return np.where(v, *(("true", "false") if self.fmt == "json" else ("1", "0"))).tolist()
-        if v.dtype.kind not in "iuf":
-            raise ValueError(f"table columns must be numeric or bool, got dtype {v.dtype}")
         cells = list(map(repr, v.tolist()))
         if self.fmt == "json" and v.dtype.kind == "f" and not np.isfinite(v).all():
             cells = [c if ok else "null" for c, ok in zip(cells, np.isfinite(v).tolist())]

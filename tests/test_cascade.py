@@ -140,6 +140,24 @@ class TestNonFiniteInputs:
             propagate(CoupledModeState(1e200, 0.0), 700.0, 14.0, LENGTH, steps=100)
 
 
+class TestZeroRows:
+    """Zero rows are a DomainError, raised before any reduction or RK4 step."""
+
+    def test_step_count(self):
+        with pytest.raises(DomainError, match="at least one row"):
+            step_count(np.zeros(0), np.zeros(0), 3.2, LENGTH)
+
+    @pytest.mark.parametrize("steps", [None, 100])
+    def test_extract_cascade_result(self, steps):
+        with pytest.raises(DomainError, match="at least one row"):
+            extract_cascade_result(np.zeros(0), np.zeros(0), 3.2, LENGTH, steps)
+
+    def test_propagate_with_explicit_steps(self):
+        state = CoupledModeState(np.zeros(0), np.zeros(0))
+        with pytest.raises(DomainError, match="propagate needs at least one row"):
+            propagate(state, np.zeros(0), 3.2, LENGTH, 100)
+
+
 class TestPropagate:
     def test_zero_coupling_is_identity(self):
         start = CoupledModeState(1.3 + 0.2j, 0.1 - 0.4j)

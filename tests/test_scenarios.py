@@ -625,6 +625,22 @@ def tables(draw):
             for name, kind in zip(names, kinds)}
 
 
+@st.composite
+def table_runs(draw):
+    """Tables for one writer; a later table may take an earlier column, as
+    is or reinterpreted as another dtype of the same bytes."""
+    runs = draw(st.lists(tables(), min_size=1, max_size=4))
+    pool = [v for table in runs for v in table.values()]
+    twins = {"f": np.int64, "i": np.float64, "b": np.uint8}
+    for table in runs[1:]:
+        for name, v in table.items():
+            same_length = [u for u in pool if len(u) == len(v)]
+            if same_length and draw(st.booleans()):
+                u = draw(st.sampled_from(same_length))
+                table[name] = u.view(twins[u.dtype.kind]) if draw(st.booleans()) else u
+    return runs
+
+
 class TestRunWriter:
     COLUMNS = {"x": np.array([0.1, np.nan]), "n": [2, -3], "flag": np.array([True, False])}
     JSON_TEXT = """{
@@ -666,6 +682,46 @@ class TestRunWriter:
         with tempfile.TemporaryDirectory() as out:
             assert RunWriter(out, "json").table("t", columns).read_text() == json_oracle(columns)
             assert RunWriter(out, "csv").table("t", columns).read_text() == csv_oracle(columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_writer_many_tables(self, fmt, tmp_path):
+        # Columns that share bytes but not values, or values but not bytes,
+        # must each keep their own cells.
+        t = np.array([0.0, 1e-4, 2.5e-4])
+        ints = np.array([0, 1, -2], dtype=np.int64)
+        flags = np.array([True, False, True])
+        other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        written = [
+            {"t": t, "x": np.array([0.0, -0.0, 1.0])},
+            {"t": t, "x": np.array([-0.0, 0.0, 1.0]), "t_again": t.copy()},
+            {"n": ints, "n_bits": ints.view(np.float64), "flag": flags,
+             "flag_bytes": flags.view(np.uint8)},
+            {"y": np.array([np.nan, np.inf, -np.inf]), "t": t},
+            {"y": np.array([other_nan, np.inf, -np.inf]), "flag": flags, "n": ints},
+        ]
+        writer = RunWriter(tmp_path, fmt)
+        oracle = json_oracle if fmt == "json" else csv_oracle
+        for i, columns in enumerate(written):
+            assert writer.table(f"t{i}", columns).read_text() == oracle(columns), i
+
+    @given(table_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_one_writer_matches_the_oracles(self, runs):
+        with tempfile.TemporaryDirectory() as out:
+            for fmt, oracle in (("json", json_oracle), ("csv", csv_oracle)):
+                writer = RunWriter(Path(out) / fmt, fmt)
+                for i, columns in enumerate(runs):
+                    assert writer.table(f"t{i}", columns).read_text() == oracle(columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_object_column_after_float_column_raises(self, fmt, tmp_path):
+        writer = RunWriter(tmp_path, fmt)
+        floats = np.array([1.0, 2.0])
+        writer.table("a", {"x": floats})
+        objects = np.array([1.0, 2.0], dtype=object)
+        assert len(objects.tobytes()) == len(floats.tobytes())
+        with pytest.raises(ValueError, match="numeric or bool"):
+            writer.table("b", {"x": objects})
 
     @pytest.mark.parametrize("fmt, expected", [
         ("csv", "a,b\n"),
@@ -789,6 +845,26 @@ class TestCli:
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["run", "not-a-scenario"]) == 1
+
+    def test_calls_share_no_namespace_value(self, tmp_path, capsys):
+        # The parser is built once per process; the options of one call
+        # must not reach the next.
+        assert main(["run", "fig4", "--seed", "5", "--format", "json",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["run", "fig4", "--out", str(tmp_path / "b")]) == 0
+        packaged = load_config(default_config_path("fig4"))["seed"]
+        assert packaged != 5
+        assert (tmp_path / "a" / "manifest").read_text().splitlines()[2:4] == [
+            "seed: 5", "format: json"]
+        assert (tmp_path / "b" / "manifest").read_text().splitlines()[2:4] == [
+            f"seed: {packaged}", "format: csv"]
+
+    def test_usage_error_after_a_run_exit_1(self, tmp_path, capsys):
+        assert main(["infer", "loss-only", "--sqz", "2.4", "--antisqz", "7.5"]) == 0
+        assert main(["infer", "loss-only", "--sqz", "2.4"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert main(["run", "fig4", "--seed", "x"]) == 1
+        assert main(["infer", "loss-only", "--sqz", "2.4", "--antisqz", "7.5"]) == 0
 
     @pytest.mark.parametrize("changes,expected", [
         ({"t_max_c": "abc"}, "crystal.t_max_c: expected a number, got str"),
