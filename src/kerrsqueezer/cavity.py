@@ -132,11 +132,8 @@ class CombAssignment(NamedTuple):
     omega: float
 
 
-# Points of the sign-change grid over [0, resonant_buildup * p_in].
+# Points of the bracket grid over [0, resonant_buildup * p_in].
 _SCAN_POINTS = 512
-# Detunings per block of the stacked sign-change scan: each float64
-# temporary of a block is 32 x 512 values, 128 KiB.
-_SCAN_BLOCK = 32
 
 
 def steady_state_branches(
@@ -157,9 +154,9 @@ def steady_state_branches(
     and last are stable.
 
     A 1-D array ``detuning`` gives one branch list per detuning from one
-    stacked solve: the grid and ``phi_nl`` on it are shared, F is evaluated
-    on blocks of detunings and every bracket of the sweep is refined by one
-    array :func:`brentq`.  A float detuning is the same solve on one detuning.
+    stacked solve: the grid and ``phi_nl`` on it are shared, F's signs on the
+    grid come from the resonance manifold and every bracket of the sweep is
+    refined by one array :func:`brentq`.  A float detuning is the same solve.
     """
     dets = np.asarray(detuning, dtype=float)
     if dets.ndim > 1:
@@ -178,38 +175,64 @@ def steady_state_branches(
     def implicit(p, phase):
         return p * (1.0 + r * r - 2.0 * r * np.cos(phase)) - t1 * p_in
 
+    def ranges(first, last):  # every integer of the ranges [first, last), and its range
+        owner = np.repeat(np.arange(len(first)), last - first)
+        return np.arange(len(owner)) + (last - np.cumsum(last - first))[owner], owner
+
     p_max = params.resonant_buildup * p_in * (1.0 + 1e-6)
     grid = np.linspace(0.0, p_max, _SCAN_POINTS)
-    phi_grid = None if phi_nl is None else phi_nl(grid)
-    owners, cells, stable, counts = [], [], [], []
-    for start in range(0, len(sweep), _SCAN_BLOCK):
-        block = sweep[start:start + _SCAN_BLOCK, None]
-        values = implicit(grid, block if phi_grid is None else block + phi_grid)
-        above = values > 0.0
-        # flatnonzero and divmod take a sixth of the time of a 2-D nonzero.
-        rows, cols = np.divmod(np.flatnonzero(above[:, :-1] != above[:, 1:]), _SCAN_POINTS - 1)
-        found = np.bincount(rows, minlength=len(block))
-        if not found.all():
-            j = int(np.argmin(found))
-            raise NumericalError(
-                "failed to bracket any steady state "
-                f"(p_in={p_in}, detuning={float(block[j, 0])}, p_max={p_max}); "
-                f"F(0)={values[j, 0]:.3e}, F(p_max)={values[j, -1]:.3e}"
-            )
-        owners.append(start + rows)
-        cells.append(cols)
-        stable.append(above[rows, cols + 1])
-        counts.append(found)
-    owners, cells = np.concatenate(owners), np.concatenate(cells)
+    phi = np.zeros(_SCAN_POINTS) if phi_nl is None else phi_nl(grid)
+    # F(p_j > 0) <= 0 iff cos(d + phi_j) >= c_j = (1 + r^2 - T1 p_in / p_j) / (2r): d within
+    # arccos(c_j) of -phi_j mod 2 pi (Drummond & Walls, J. Phys. A 13, 725 (1980)).  ends[k, s]
+    # holds the sorted rows of y = (d + pi) mod 2 pi at those ends + 2 pi k -+ eta: F is evaluated
+    # only in between.  With eps = 2^-52 and cos, arccos within 4 ulp, cos(d + phi_j) misses F's
+    # threshold by < D = eps (|d| + |phi_j| + 2 (1 + r^2) / r + 8) + 2^-1074 / (r p_j) (d + phi_j,
+    # cos, F, c_j, subnormals); |arccos x - arccos c| <= pi sqrt(|x - c| / 2) at any c; arccos and
+    # rounding y and the ends add < 2 eps (|d| + |phi_j| + 2 pi (|k| + 3)).  A non-finite phi_j
+    # sets c_j = -1.  Column j is below where an odd number of its toggles lie at or before the
+    # row; a cell changes sign in an odd number of the ranges between its columns' toggles.
+    order = np.argsort(np.remainder(sweep + math.pi, 2.0 * math.pi))
+    y = np.remainder(sweep[order] + math.pi, 2.0 * math.pi)
+    phase = np.where(np.isfinite(phi[1:]), phi[1:], 0.0)
+    c = np.where(phase == phi[1:], (1.0 + r * r - t1 * p_in / grid[1:]) / (2.0 * r), -1.0)
+    turns = [round(v / (2.0 * math.pi) - 0.5) for v in (y[0] + phase.min(), y[-1] + phase.max())]
+    k = [2.0 * math.pi * j for j in range(turns[0], turns[1] + 1)]
+    rounding = 2.0**-52 * float(np.abs(sweep).max() + np.abs(phase).max())
+    doubt = rounding + 2.0**-52 * (2.0 * (1.0 + r * r) / r + 8.0) + 5e-324 / (r * grid[1])
+    eta = math.pi * math.sqrt(doubt / 2.0) + 2.0 * rounding + 2.0**-51 * (max(map(abs, k)) + 19.0)
+    ends = np.searchsorted(y, np.add.outer(np.add.outer(k, (-eta, eta)), (math.pi - phase)
+                           + np.multiply.outer((-1.0, 1.0), np.arccos(np.clip(c, -1.0, 1.0)))))
+    toggles = np.vstack([[0] + [len(y)] * (2 * len(k) - 1),
+                         ends[:, [0, 1], [0, 1]].reshape(2 * len(k), -1).T])
+    rows, cell = ranges(*(f(toggles[:-1], toggles[1:]).ravel() for f in (np.minimum, np.maximum)))
+    keys = [order[rows] * (_SCAN_POINTS - 1) + cell // (2 * len(k))]
+    if np.any(ends[:, 1] > ends[:, 0]):
+        at, band = ranges(ends[:, 0].ravel(), ends[:, 1].ravel())
+        doubted = np.sort(at * _SCAN_POINTS + band % ends.shape[-1] + 1)
+        at, col = np.divmod(doubted[np.diff(doubted, prepend=-1) > 0], _SCAN_POINTS)
+        wrong = (implicit(grid[col], sweep[order[at]] + phi[col]) > 0.0) == (
+            np.count_nonzero(toggles[col] <= at[:, None], axis=1) % 2 == 1)
+        at, col = order[at[wrong]] * (_SCAN_POINTS - 1), col[wrong]
+        keys += [at + col - 1, (at + col)[col < _SCAN_POINTS - 1]]
+    keys, times = np.unique(np.concatenate(keys), return_counts=True)
+    owners, cells = np.divmod(keys[times % 2 == 1], _SCAN_POINTS - 1)
+    found = np.bincount(owners, minlength=len(sweep))
+    if not found.all():
+        f_0, f_max = implicit(grid[[0, -1]], sweep[np.argmin(found)] + phi[[0, -1]])
+        raise NumericalError(
+            "failed to bracket any steady state "
+            f"(p_in={p_in}, detuning={float(sweep[np.argmin(found)])}, p_max={p_max}); "
+            f"F(0)={f_0:.3e}, F(p_max)={f_max:.3e}"
+        )
 
     def implicit_at(p, index):
         phase = sweep[owners[index]]
         return implicit(p, phase if phi_nl is None else phase + phi_nl(p))
 
     roots = brentq(implicit_at, grid[cells], grid[cells + 1], xtol=1e-300, rtol=8.9e-16).tolist()
-    branches = [SteadyStateBranch(p, s) for p, s in zip(roots, np.concatenate(stable).tolist())]
-    ends = np.cumsum(np.concatenate(counts)).tolist()
-    lists = [branches[i:j] for i, j in zip([0] + ends, ends)]
+    stops = np.cumsum(found).tolist()
+    lists = [[SteadyStateBranch(p, i % 2 == 0) for i, p in enumerate(roots[a:b])]
+             for a, b in zip([0] + stops, stops)]
     return lists if dets.ndim else lists[0]
 
 

@@ -445,10 +445,12 @@ class RunWriter:
         return path
 
     def table(self, name: str, columns: Mapping[str, Any]) -> Path:
-        """Write the equal-length numeric or bool ``columns`` (name -> array or
+        """Write the equal-length 1-D numeric or bool ``columns`` (name -> array or
         list) as one table: bools are 1/0 in CSV and true/false in JSON, a non-finite
         float nan/inf in CSV and null in JSON, and JSON is json.dumps's indent=2 text."""
         values = [np.asarray(column) for column in columns.values()]
+        if any(v.ndim != 1 for v in values):
+            raise ValueError(f"table {name}: columns must be 1-D, got {[v.shape for v in values]}")
         if len({len(v) for v in values}) > 1:
             raise ValueError(f"table {name}: unequal column lengths {list(map(len, values))}")
         if self.fmt == "csv":
@@ -475,7 +477,7 @@ class RunWriter:
         # Checked before the key is built: an object array's bytes are pointers.
         if v.dtype.kind not in "biuf":
             raise ValueError(f"table columns must be numeric or bool, got dtype {v.dtype}")
-        key = (v.dtype.str, v.shape, v.tobytes())
+        key = (v.dtype.str, v.tobytes())
         if key not in self._cell_memo:
             self._cell_memo[key] = self._format(v)
         return self._cell_memo[key]

@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrsqueezer import (
     CavityParams,
@@ -9,6 +12,7 @@ from kerrsqueezer import (
     NumericalError,
     OperatingPoint,
     SpectrumPoint,
+    SteadyStateBranch,
     ThresholdError,
     make_operating_point,
     scan_profile,
@@ -16,7 +20,10 @@ from kerrsqueezer import (
     squeezing_spectrum,
     steady_state_branches,
 )
-from kerrsqueezer.cavity import _SCAN_BLOCK, _half_max_asymmetry
+from kerrsqueezer import cavity as cavity_module
+from kerrsqueezer.cavity import _SCAN_POINTS, _half_max_asymmetry
+from kerrsqueezer.roots import brentq
+from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
 
 # Resonator budget used throughout: 1% coupler, 0.19% residual loss.
 T1 = 0.01
@@ -73,6 +80,66 @@ class TestDerivedQuantities:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             CavityParams(**kwargs)
+
+
+# Detunings per block of the dense sign-change scan in reference_branches.
+_SCAN_BLOCK = 32
+
+
+def reference_branches(params, p_in, phi_nl=None, detuning=0.0):
+    """The blockwise sign-change scan that evaluated F on the whole bracket
+    grid, kept verbatim as the bit-for-bit oracle of steady_state_branches,
+    which reads the same signs off the resonance manifold."""
+    dets = np.asarray(detuning, dtype=float)
+    if dets.ndim > 1:
+        raise DomainError("detuning must be a float or a 1-D array")
+    if not np.all(np.isfinite(dets)):
+        raise DomainError("detuning must be finite")
+    if not math.isfinite(p_in) or p_in < 0.0:
+        raise DomainError(f"input power must be >= 0, got {p_in}")
+    sweep = dets.reshape(-1)
+    if p_in == 0.0 or not len(sweep):
+        lists = [[SteadyStateBranch(0.0, True)] for _ in sweep]
+        return lists if dets.ndim else lists[0]
+    r = params.r_eff
+    t1 = params.coupler_transmission
+
+    def implicit(p, phase):
+        return p * (1.0 + r * r - 2.0 * r * np.cos(phase)) - t1 * p_in
+
+    p_max = params.resonant_buildup * p_in * (1.0 + 1e-6)
+    grid = np.linspace(0.0, p_max, _SCAN_POINTS)
+    phi_grid = None if phi_nl is None else phi_nl(grid)
+    owners, cells, stable, counts = [], [], [], []
+    for start in range(0, len(sweep), _SCAN_BLOCK):
+        block = sweep[start:start + _SCAN_BLOCK, None]
+        values = implicit(grid, block if phi_grid is None else block + phi_grid)
+        above = values > 0.0
+        # flatnonzero and divmod take a sixth of the time of a 2-D nonzero.
+        rows, cols = np.divmod(np.flatnonzero(above[:, :-1] != above[:, 1:]), _SCAN_POINTS - 1)
+        found = np.bincount(rows, minlength=len(block))
+        if not found.all():
+            j = int(np.argmin(found))
+            raise NumericalError(
+                "failed to bracket any steady state "
+                f"(p_in={p_in}, detuning={float(block[j, 0])}, p_max={p_max}); "
+                f"F(0)={values[j, 0]:.3e}, F(p_max)={values[j, -1]:.3e}"
+            )
+        owners.append(start + rows)
+        cells.append(cols)
+        stable.append(above[rows, cols + 1])
+        counts.append(found)
+    owners, cells = np.concatenate(owners), np.concatenate(cells)
+
+    def implicit_at(p, index):
+        phase = sweep[owners[index]]
+        return implicit(p, phase if phi_nl is None else phase + phi_nl(p))
+
+    roots = brentq(implicit_at, grid[cells], grid[cells + 1], xtol=1e-300, rtol=8.9e-16).tolist()
+    branches = [SteadyStateBranch(p, s) for p, s in zip(roots, np.concatenate(stable).tolist())]
+    ends = np.cumsum(np.concatenate(counts)).tolist()
+    lists = [branches[i:j] for i, j in zip([0] + ends, ends)]
+    return lists if dets.ndim else lists[0]
 
 
 class TestSteadyState:
@@ -158,7 +225,7 @@ class TestStackedSweep:
     def test_equals_float_calls(self, phi, p_in):
         c = cavity()
         span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
-        dets = np.linspace(-span, span, 5 * _SCAN_BLOCK + 7)
+        dets = np.linspace(-span, span, 167)
         stacked = steady_state_branches(c, p_in, phi, dets)
         assert len(stacked) == len(dets)
         for det, branches in zip(dets, stacked, strict=True):
@@ -179,8 +246,8 @@ class TestStackedSweep:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("p_in", [0.0, 0.0088])
     def test_non_finite_detuning_rejected(self, bad, p_in):
-        dets = np.linspace(-0.1, 0.1, 3 * _SCAN_BLOCK)
-        dets[2 * _SCAN_BLOCK + 5] = bad
+        dets = np.linspace(-0.1, 0.1, 96)
+        dets[69] = bad
         with pytest.raises(DomainError, match="detuning must be finite"):
             steady_state_branches(cavity(), p_in, None, dets)
 
@@ -198,7 +265,7 @@ class TestStackedSweep:
         c = cavity()
         p_cut = 0.6 * c.resonant_buildup * 0.0088
         phi = lambda p: np.where(p < p_cut, 0.0, np.nan)
-        dets = np.linspace(-0.05, 0.05, 4 * _SCAN_BLOCK + 1)
+        dets = np.linspace(-0.05, 0.05, 129)
         with pytest.raises(NumericalError) as stacked:
             steady_state_branches(c, 0.0088, phi, dets)
         with pytest.raises(ValueError, match="is NaN"):
@@ -226,6 +293,111 @@ class TestStackedSweep:
         steady_state_branches(c, 0.07, phi, np.linspace(-0.05, 0.05, 50))
         scan_profile(c, 0.07, np.linspace(-0.05, 0.05, 50), phi, "down")
         make_operating_point(c, 0.07, phi, 0.03, branch=0)
+
+
+def manifold_ends(params, p_in, phi_nl, turns=(-1, 0, 1)):
+    """c_j and the F = 0 detunings -phi_j -+ arccos(c_j) + 2 pi k of the grid columns p_j > 0,
+    computed as steady_state_branches computes them."""
+    r, t1 = params.r_eff, params.coupler_transmission
+    grid = np.linspace(0.0, params.resonant_buildup * p_in * (1.0 + 1e-6), _SCAN_POINTS)[1:]
+    phase = np.zeros_like(grid) if phi_nl is None else phi_nl(grid)
+    c = (1.0 + r * r - t1 * p_in / grid) / (2.0 * r)
+    half = np.arccos(np.clip(c, -1.0, 1.0))
+    return c, np.ravel([-phase + side * half + 2.0 * math.pi * k
+                        for k in turns for side in (-1.0, 1.0)])
+
+
+def near(ends, offsets=(1e-15, 1e-13, 1e-11, 1e-9, 3e-8, 3e-7)):
+    """Each end, its float neighbours and the end moved by each offset either way."""
+    return np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)]
+                          + [ends + side * o for o in offsets for side in (-1.0, 1.0)])
+
+
+def assert_reference_bits(params, p_in, phi_nl, detuning):
+    def bits(branches):
+        return [(b.p_circ.hex(), b.stable) for b in branches]
+
+    found = steady_state_branches(params, p_in, phi_nl, detuning)
+    expected = reference_branches(params, p_in, phi_nl, detuning)
+    if np.ndim(detuning):
+        assert [bits(b) for b in found] == [bits(b) for b in expected]
+    else:
+        assert bits(found) == bits(expected)
+
+
+def random_phase(rng, shape, p_max):
+    g = rng.uniform(-0.8, 0.8)
+    turn = rng.uniform(0.1, 0.6) * p_max
+    return (None, lambda p: g * p, lambda p: g * turn * np.tanh(p / turn),
+            lambda p: g * turn * np.sin(p / turn))[shape]
+
+
+class TestManifoldBrackets:
+    """The brackets read off the resonance manifold are the dense grid's, so
+    every root and stable flag is bit for bit that of reference_branches."""
+
+    @pytest.mark.filterwarnings("ignore:single-pass drive")
+    def test_benchmark_and_packaged_scans(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        from workloads import generate
+
+        calls = []
+        solve = cavity_module.steady_state_branches
+
+        def recorded(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(cavity_module, "steady_state_branches", recorded)
+        configs = [load_config(default_config_path("fig3"))]
+        configs += [case.config for case in generate("resonance_scan", 1303)]
+        for i, config in enumerate(configs):
+            run_scenario(config, tmp_path / str(i))
+        assert len(calls) == 2 + 13
+        for args in calls:
+            assert_reference_bits(*args)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_cavities(self, seed):
+        rng = np.random.default_rng(seed)
+        c = CavityParams(RT_LENGTH, rng.uniform(0.003, 0.3), rng.uniform(0.0, 0.05))
+        p_in = 10.0 ** rng.uniform(-3.0, -0.5)
+        phi = random_phase(rng, seed % 4, c.resonant_buildup * p_in)
+        _, ends = manifold_ends(c, p_in, phi)
+        ends = near(rng.choice(ends, 60))
+        sweep = rng.uniform(-13.0, 13.0, 300)
+        dets = np.concatenate([np.sort(sweep), sweep, ends, ends[:40], sweep[:25]])
+        rng.shuffle(dets)
+        assert_reference_bits(c, p_in, phi, dets)
+        for det in dets[:12]:
+            assert_reference_bits(c, p_in, phi, float(det))
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_columns_at_plus_minus_one(self, side):
+        # c_j = -1 needs (1 - r)^2 / (1 + r)^2 = j (1 + 1e-6) / 511 for some
+        # column j, and c_511 nears +1 as r nears 1.
+        rng = np.random.default_rng(7)
+        if side < 0:
+            q = math.sqrt(300 * (1.0 + 1e-6) / 511)
+            c = CavityParams(RT_LENGTH, 1.0 - ((1.0 - q) / (1.0 + q)) ** 2, 0.0)
+        else:
+            c = CavityParams(RT_LENGTH, 2e-4, 0.0)
+        for phi in (None, lambda p: -0.4 * p):
+            cj, ends = manifold_ends(c, 0.1, phi)
+            assert np.min(np.abs(cj - side)) < 64 * np.finfo(float).eps
+            ends = near(ends[np.abs(cj - side).argsort()[:8] % len(cj)])
+            assert_reference_bits(c, 0.1, phi, np.concatenate([ends, rng.uniform(-4, 4, 200)]))
+
+    @given(t1=st.floats(0.002, 0.5), loss=st.floats(0.0, 0.05), p_in=st.floats(1e-4, 0.3),
+           shape=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           dets=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_dense_grid(self, t1, loss, p_in, shape, seed, dets):
+        rng = np.random.default_rng(seed)
+        c = CavityParams(RT_LENGTH, t1, loss)
+        phi = random_phase(rng, shape, c.resonant_buildup * p_in)
+        _, ends = manifold_ends(c, p_in, phi)
+        assert_reference_bits(c, p_in, phi, np.concatenate([dets, near(rng.choice(ends, 4))]))
 
 
 class TestScanProfile:

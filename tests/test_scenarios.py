@@ -739,6 +739,20 @@ class TestRunWriter:
         assert writer.files == [] and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_two_dimensional_column_raises(self, fmt, tmp_path):
+        writer = RunWriter(tmp_path, fmt)
+        with pytest.raises(ValueError, match=r"must be 1-D, got \[\(2, 2\), \(2,\)\]"):
+            writer.table("t", {"x": np.ones((2, 2)), "y": [1, 2]})
+        assert writer.files == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_zero_dimensional_column_raises(self, fmt, tmp_path):
+        writer = RunWriter(tmp_path, fmt)
+        with pytest.raises(ValueError, match=r"must be 1-D, got \[\(2,\), \(\)\]"):
+            writer.table("t", {"x": [0.5, 1.5], "y": np.float64(2.0)})
+        assert writer.files == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("column", [["a", "b"], [1.0, None], np.array([1j, 2j])],
                              ids=["str", "object", "complex"])
     def test_non_numeric_column_raises(self, fmt, column, tmp_path):
