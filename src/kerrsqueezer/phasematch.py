@@ -101,19 +101,13 @@ def calibrate_from_extrema(t_max: float, t_min1: float, length: float) -> PhaseM
 
 def _tan_x_equals_x_roots(x_max: float) -> list[float]:
     """Positive roots of tan(x) = x up to ``x_max``, to sub-nanoradian accuracy."""
-    roots = []
-    j = 1
-    while True:
-        lo, hi = j * math.pi, (j + 0.5) * math.pi
-        if lo > x_max:
-            break
-        # f(x) = x cos x - sin x changes sign on (j pi, j pi + pi/2).
-        root = brentq(lambda x: x * math.cos(x) - math.sin(x), lo + 1e-12, hi - 1e-12,
-                      xtol=1e-12, rtol=8.9e-16)
-        if root <= x_max:
-            roots.append(root)
-        j += 1
-    return roots
+    j = np.arange(1, math.floor(x_max / math.pi) + 2)
+    j = j[j * math.pi <= x_max]
+    lo, hi = j * math.pi, (j + 0.5) * math.pi
+    # f(x) = x cos x - sin x changes sign on (j pi, j pi + pi/2).
+    roots = brentq(lambda x, index: x * np.cos(x) - np.sin(x), lo + 1e-12, hi - 1e-12,
+                   xtol=1e-12, rtol=8.9e-16)
+    return [root for root in roots.tolist() if root <= x_max]
 
 
 def find_conversion_extrema(

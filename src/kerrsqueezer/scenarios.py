@@ -368,27 +368,28 @@ def _tomography(config) -> TomographySettings:
     )
 
 
-def locked_circulating_power(
-    params: CavityParams, p_in: float, conversion_per_watt: float
-) -> float:
-    """Resonant circulating power with conversion entering the loss.
+def locked_circulating_power(params: CavityParams, p_in: float, conversion_per_watt) -> np.ndarray:
+    """Resonant circulating powers with conversion entering the loss.
 
-    Solves ``p * (1 - r_eff(loss_0 + c p))^2 = T1 * p_in`` by bracketed
-    root finding; the left side is strictly increasing in p, so the root
-    is unique.
+    Solves ``p * (1 - r_eff(loss_0 + c p))^2 = T1 * p_in`` for each
+    conversion ``c`` of the 1-D array ``conversion_per_watt`` by bracketed
+    root finding, all rows in one call; the left side is strictly
+    increasing in p, so each root is unique.
     """
     t1 = params.coupler_transmission
     loss0 = params.round_trip_loss
+    conversion = np.asarray(conversion_per_watt, dtype=float)
     if p_in == 0.0:
-        return 0.0
+        return np.zeros(conversion.shape)
 
-    def implicit(p: float) -> float:
-        loss = min(loss0 + conversion_per_watt * p, 0.999999)
-        r = math.sqrt((1.0 - t1) * (1.0 - loss))
+    def implicit(p, index):
+        loss = np.minimum(loss0 + conversion[index] * p, 0.999999)
+        r = np.sqrt((1.0 - t1) * (1.0 - loss))
         return p * (1.0 - r) ** 2 - t1 * p_in
 
     p_hi = params.resonant_buildup * p_in * (1.0 + 1e-6)
-    return brentq(implicit, 0.0, p_hi, xtol=1e-300, rtol=8.9e-16)
+    return brentq(implicit, np.zeros(conversion.shape), np.full(conversion.shape, p_hi),
+                  xtol=1e-300, rtol=8.9e-16)
 
 
 def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float) -> list:
@@ -398,7 +399,8 @@ def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float
     cavity with the residual conversion added to its loss, operating
     point)`` per temperature.  The lock takes two passes: the analytic
     low-conversion estimate, then one refinement from the ODE.  Each pass
-    solves the lock row by row and integrates all rows in one cascade run.
+    solves the lock for all rows in one call and integrates all rows in one
+    cascade run.
     The last pass runs at ``p_lock * SLOPE_FACTORS``: the middle row gives
     the phase and the residual conversion, the outer rows the tangent
     ``g = dphi/dp``.
@@ -407,7 +409,7 @@ def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float
     dk = delta_k(model, temps)
     conv_w = shg_efficiency(model, temps, 1.0, kappa)
     for factors in ([1.0], SLOPE_FACTORS):
-        p_lock = np.array([locked_circulating_power(params, p_in, float(c)) for c in conv_w])
+        p_lock = locked_circulating_power(params, p_in, conv_w)
         res = extract_cascade_result(np.multiply.outer(factors, p_lock), dk, kappa, model.length)
         conv_w = res.residual_conversion[len(factors) // 2] / p_lock
     points = []

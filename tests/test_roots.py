@@ -2,6 +2,7 @@
 
 An array call is checked element by element: each root must be scipy's on
 that element's own bracket, and a failing element must raise scipy's error.
+A single bracket goes through a 1-element array call.
 """
 
 import math
@@ -47,24 +48,24 @@ def vectorized(functions):
 def assert_matches_scipy(calls, expected_roots):
     solved = 0
     for f, a, b, options, root in calls:
-        if np.ndim(a):
-            assert root.dtype == float and root.shape == a.shape
-            for k in range(len(a)):
-                expected = scipy_brentq(element(f, k), a[k], b[k], **options)
-                assert float(root[k]).hex() == expected.hex(), (k, a[k], b[k], options)
-            solved += len(a)
-        else:
-            assert type(root) is float
-            assert root.hex() == scipy_brentq(f, a, b, **options).hex(), (a, b, options)
-            solved += 1
+        assert root.dtype == float and root.shape == a.shape
+        for k in range(len(a)):
+            expected = scipy_brentq(element(f, k), a[k], b[k], **options)
+            assert float(root[k]).hex() == expected.hex(), (k, a[k], b[k], options)
+        solved += len(a)
     assert solved >= expected_roots
+
+
+def solve_one(f, a, b, **options):
+    """``roots.brentq`` on the single bracket ``[a, b]`` of a scalar ``f``."""
+    return float(roots.brentq(vectorized([f]), np.array([a]), np.array([b]), **options)[0])
 
 
 def outcome(solver, f, a, b, **options):
     try:
         return solver(f, a, b, **options).hex()
     except (ValueError, RuntimeError) as err:
-        return type(err)
+        return type(err), str(err)
 
 
 @pytest.mark.parametrize("p_in,phi_nl", [
@@ -86,15 +87,31 @@ def test_lock_equation(recorded):
     params = CavityParams(RT_LENGTH, T1, LOSS)
     for p_in in (0.06, 0.085, 0.11):
         # Up to the conversion that clamps the round-trip loss at 0.999999.
-        for conversion_per_watt in np.logspace(-7, 1, 33):
-            scenarios.locked_circulating_power(params, p_in, float(conversion_per_watt))
+        scenarios.locked_circulating_power(params, p_in, np.logspace(-7, 1, 33))
+    # One array call per p_in solves all its conversions.
+    assert len(recorded) == 3
     assert_matches_scipy(recorded, 99)
 
 
+def test_lock_without_drive():
+    params = CavityParams(RT_LENGTH, T1, LOSS)
+    for conversion in (np.logspace(-7, 1, 5), np.array([])):
+        p = scenarios.locked_circulating_power(params, 0.0, conversion)
+        assert p.dtype == float and p.shape == conversion.shape and not p.any()
+
+
 def test_tan_x_equals_x(recorded):
-    # One bracket per j pi <= 300; the last root, near 95.5 pi, lies above 300.
-    assert len(phasematch._tan_x_equals_x_roots(300.0)) == 94
+    # One bracket per j pi <= 300, all in one array call; the last root,
+    # near 95.5 pi, lies above 300.
+    found = phasematch._tan_x_equals_x_roots(300.0)
+    assert len(found) == 94 and len(recorded) == 1
     assert_matches_scipy(recorded, 95)
+    # The same floats as scipy on the libm form of f.
+    expected = [scipy_brentq(lambda x: x * math.cos(x) - math.sin(x), j * math.pi + 1e-12,
+                             (j + 0.5) * math.pi - 1e-12, xtol=1e-12, rtol=8.9e-16)
+                for j in range(1, 95)]
+    assert all(type(x) is float for x in found)
+    assert [x.hex() for x in found] == [x.hex() for x in expected]
 
 
 FUNCTIONS = (
@@ -133,7 +150,7 @@ def random_brackets():
 def test_random_brackets():
     for f, a, b, k in random_brackets():
         options = OPTIONS[k]
-        assert outcome(roots.brentq, f, a, b, **options) == outcome(scipy_brentq, f, a, b, **options)
+        assert outcome(solve_one, f, a, b, **options) == outcome(scipy_brentq, f, a, b, **options)
 
 
 def test_random_brackets_in_arrays():
@@ -183,7 +200,7 @@ TOLERANCES = {"xtol": 2e-12, "rtol": roots.RTOL_MIN}
 ], ids=["sign", "nan-at-a", "nan-inside", "maxiter", "xtol", "rtol"])
 def test_errors_match_scipy(f, a, b, options, error):
     with pytest.raises(error) as ours:
-        roots.brentq(f, a, b, **options)
+        solve_one(f, a, b, **options)
     with pytest.raises(error) as reference:
         scipy_brentq(f, a, b, **options)
     assert str(ours.value) == str(reference.value)
@@ -221,3 +238,18 @@ def test_empty_array_brackets():
 
     found = roots.brentq(f, np.array([]), np.array([]), **TOLERANCES)
     assert found.shape == (0,) and found.dtype == float
+
+
+@pytest.mark.parametrize("a,b", [
+    (0.0, 1.0),
+    (np.float64(0.0), np.float64(1.0)),
+    (np.array(0.0), np.array(1.0)),
+    (np.zeros((2, 1)), np.ones((2, 1))),
+    (np.zeros(2), np.ones(3)),
+], ids=["float", "numpy-scalar", "0-d", "2-D", "unequal"])
+def test_brackets_must_be_1d_arrays(a, b):
+    def f(x, index):
+        raise AssertionError("f called on a rejected bracket")
+
+    with pytest.raises(ValueError, match=r"^array brackets must be 1-D and of equal length$"):
+        roots.brentq(f, a, b, **TOLERANCES)
