@@ -16,6 +16,7 @@ from .cascade import (
     propagate,
 )
 from .cavity import (
+    BranchArrays,
     CavityParams,
     CombAssignment,
     OperatingPoint,

@@ -38,6 +38,7 @@ from .roots import brentq
 __all__ = [
     "CavityParams",
     "SteadyStateBranch",
+    "BranchArrays",
     "ResonanceProfile",
     "OperatingPoint",
     "SpectrumPoint",
@@ -121,6 +122,12 @@ class SteadyStateBranch(NamedTuple):
     stable: bool
 
 
+class BranchArrays(NamedTuple):
+    p_circ: np.ndarray  # every root of a sweep, detuning by detuning, ascending within each
+    stable: np.ndarray  # whether each root is stable
+    count: np.ndarray  # the number of roots of each detuning
+
+
 class SpectrumPoint(NamedTuple):
     v_min: float
     v_max: float
@@ -141,7 +148,7 @@ def steady_state_branches(
     p_in: float,
     phi_nl: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     detuning: float | np.ndarray = 0.0,
-) -> list:
+) -> list | BranchArrays:
     """All real circulating-power solutions at ``detuning`` (rad), sorted ascending.
 
     Roots of ``F(p) = p * |1 - r_eff exp(i(detuning + phi_nl(p)))|^2
@@ -153,7 +160,7 @@ def steady_state_branches(
     F(0) < 0 < F(p_max), the roots alternate stable/unstable and the first
     and last are stable.
 
-    A 1-D array ``detuning`` gives one branch list per detuning from one
+    A 1-D array ``detuning`` gives the sweep's :class:`BranchArrays` from one
     stacked solve: the grid and ``phi_nl`` on it are shared, F's signs on the
     grid come from the resonance manifold and every bracket of the sweep is
     refined by one array :func:`brentq`.  A float detuning is the same solve.
@@ -166,9 +173,11 @@ def steady_state_branches(
     if not math.isfinite(p_in) or p_in < 0.0:
         raise DomainError(f"input power must be >= 0, got {p_in}")
     sweep = dets.reshape(-1)
-    if p_in == 0.0 or not len(sweep):
-        lists = [[SteadyStateBranch(0.0, True)] for _ in sweep]
-        return lists if dets.ndim else lists[0]
+    if p_in == 0.0 or not len(sweep):  # one root, p = 0, at each detuning
+        if not dets.ndim:
+            return [SteadyStateBranch(0.0, True)]
+        return BranchArrays(np.zeros(len(sweep)), np.ones(len(sweep), bool),
+                            np.ones(len(sweep), int))
     r = params.r_eff
     t1 = params.coupler_transmission
 
@@ -229,11 +238,11 @@ def steady_state_branches(
         phase = sweep[owners[index]]
         return implicit(p, phase if phi_nl is None else phase + phi_nl(p))
 
-    roots = brentq(implicit_at, grid[cells], grid[cells + 1], xtol=1e-300, rtol=8.9e-16).tolist()
-    stops = np.cumsum(found).tolist()
-    lists = [[SteadyStateBranch(p, i % 2 == 0) for i, p in enumerate(roots[a:b])]
-             for a, b in zip([0] + stops, stops)]
-    return lists if dets.ndim else lists[0]
+    roots = brentq(implicit_at, grid[cells], grid[cells + 1], xtol=1e-300, rtol=8.9e-16)
+    stable = (np.arange(len(roots)) - np.repeat(np.cumsum(found) - found, found)) % 2 == 0
+    if dets.ndim:
+        return BranchArrays(roots, stable, found)
+    return [SteadyStateBranch(p, s) for p, s in zip(roots.tolist(), stable.tolist())]
 
 
 @dataclass(frozen=True)
@@ -292,24 +301,20 @@ def scan_profile(
     diffs = np.diff(dets)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise DomainError("detuning sweep must be strictly monotone")
-    order = np.argsort(dets)
-    if direction == "down":
-        order = order[::-1]
+    order = np.argsort(dets)[::1 if direction == "up" else -1]
 
-    branch_lists = steady_state_branches(params, p_in, phi_nl, dets)
-    multi = any(len(branches) >= 3 for branches in branch_lists)
-    p_follow = np.empty_like(dets)
-    p_prev: Optional[float] = None
-    for idx in order:
-        stable = [b.p_circ for b in branch_lists[idx] if b.stable]
-        if len(stable) == 1:
-            choice = stable[0]
-        elif p_prev is None:
-            choice = stable[0] if direction == "up" else stable[-1]
+    roots, stable, count = steady_state_branches(params, p_in, phi_nl, dets)
+    starts = np.cumsum(count) - count
+    p_follow = roots[starts]  # a detuning's only root, or its first stable one
+    step = order[1] - order[0]  # the sweep visits the indices one by one
+    for idx in order[count[order] >= 3].tolist():
+        span = slice(starts[idx], starts[idx] + count[idx])
+        choices = roots[span][stable[span]].tolist()
+        if idx == order[0]:
+            p_follow[idx] = choices[0] if direction == "up" else choices[-1]
         else:
-            choice = min(stable, key=lambda p: abs(p - p_prev))
-        p_follow[idx] = choice
-        p_prev = choice
+            p_prev = float(p_follow[idx - step])
+            p_follow[idx] = min(choices, key=lambda p: abs(p - p_prev))
 
     asym = _half_max_asymmetry(dets, p_follow)
     view = slice(None) if direction == "up" else slice(None, None, -1)
@@ -319,7 +324,7 @@ def scan_profile(
         p_trans=monitor_transmission * p_follow[view],
         direction=direction,
         asymmetry=asym,
-        multi_branch=multi,
+        multi_branch=bool((count >= 3).any()),
     )
 
 

@@ -12,6 +12,7 @@ effective nonlinearity and mode overlap and is a calibration input.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -101,13 +102,18 @@ def calibrate_from_extrema(t_max: float, t_min1: float, length: float) -> PhaseM
 
 def _tan_x_equals_x_roots(x_max: float) -> list[float]:
     """Positive roots of tan(x) = x up to ``x_max``, to sub-nanoradian accuracy."""
-    j = np.arange(1, math.floor(x_max / math.pi) + 2)
-    j = j[j * math.pi <= x_max]
+    count = int(np.sum(np.arange(1, math.floor(x_max / math.pi) + 2) * math.pi <= x_max))
+    return [root for root in _first_tan_roots(count) if root <= x_max]
+
+
+@functools.lru_cache(maxsize=64)  # model-independent constants: one solve per bracket count
+def _first_tan_roots(brackets: int) -> tuple[float, ...]:
+    j = np.arange(1, brackets + 1)
     lo, hi = j * math.pi, (j + 0.5) * math.pi
-    # f(x) = x cos x - sin x changes sign on (j pi, j pi + pi/2).
+    # f(x) = x cos x - sin x changes sign on (j pi, j pi + pi/2); the brackets solve apart.
     roots = brentq(lambda x, index: x * np.cos(x) - np.sin(x), lo + 1e-12, hi - 1e-12,
                    xtol=1e-12, rtol=8.9e-16)
-    return [root for root in roots.tolist() if root <= x_max]
+    return tuple(roots.tolist())
 
 
 def find_conversion_extrema(

@@ -434,6 +434,7 @@ class RunWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.fmt = fmt
         self.files: list[Path] = []
+        self._digests: dict[Path, str] = {}  # sha256 of the bytes last written to each path
         # Cells of every column written so far, keyed by dtype, shape and
         # bytes: a column repeated within a run is formatted once.
         self._cell_memo: dict[tuple, list[str]] = {}
@@ -443,7 +444,8 @@ class RunWriter:
     def _write(self, name: str, content: str) -> Path:
         path = self.out_dir / name
         self.files.append(path)
-        path.write_text(content)
+        path.write_bytes(data := content.encode())
+        self._digests[path] = hashlib.sha256(data).hexdigest()
         return path
 
     def table(self, name: str, columns: Mapping[str, Any]) -> Path:
@@ -515,8 +517,7 @@ class RunWriter:
             "outputs:",
         ]
         for path in sorted(self.files):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            lines.append(f"  {path.name}: sha256={digest}")
+            lines.append(f"  {path.name}: sha256={self._digests[path]}")
         path = self.out_dir / "manifest"
         path.write_text("\n".join(lines) + "\n")
         return path

@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrsqueezer import (
+    BranchArrays,
     CavityParams,
     DomainError,
     NumericalError,
     OperatingPoint,
+    ResonanceProfile,
     SpectrumPoint,
     SteadyStateBranch,
     ThresholdError,
@@ -21,6 +24,7 @@ from kerrsqueezer import (
     steady_state_branches,
 )
 from kerrsqueezer import cavity as cavity_module
+from kerrsqueezer import scenarios as scenarios_module
 from kerrsqueezer.cavity import _SCAN_POINTS, _half_max_asymmetry
 from kerrsqueezer.roots import brentq
 from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
@@ -227,21 +231,38 @@ class TestStackedSweep:
         span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
         dets = np.linspace(-span, span, 167)
         stacked = steady_state_branches(c, p_in, phi, dets)
-        assert len(stacked) == len(dets)
-        for det, branches in zip(dets, stacked, strict=True):
+        assert isinstance(stacked, BranchArrays) and len(stacked.count) == len(dets)
+        assert stacked.p_circ.dtype == np.float64 and stacked.stable.dtype == np.bool_
+        for det, branches in zip(dets, split_bits(stacked), strict=True):
             single = steady_state_branches(c, p_in, phi, float(det))
-            assert [(b.p_circ.hex(), b.stable) for b in branches] == [
-                (b.p_circ.hex(), b.stable) for b in single]
-            assert all(type(b.p_circ) is float and type(b.stable) is bool for b in branches)
+            assert branches == [(b.p_circ.hex(), b.stable) for b in single]
+            assert all(type(b.p_circ) is float and type(b.stable) is bool for b in single)
         # Both powers are bistable against the Kerr lean.
-        assert any(len(branches) >= 3 for branches in stacked) == (phi is not None)
+        assert bool((stacked.count >= 3).any()) == (phi is not None)
+
+    def test_counts_cover_the_roots_and_stability_alternates(self):
+        c = cavity()
+        for phi in (None,) + KERR_PHASES:
+            found = steady_state_branches(c, 0.07, phi, np.linspace(-0.2, 0.2, 401))
+            assert found.count.sum() == len(found.p_circ) == len(found.stable)
+            assert np.all(found.count % 2 == 1)
+            for branches in split_bits(found):
+                assert [stable for _, stable in branches] == [
+                    i % 2 == 0 for i in range(len(branches))]
+            assert bool((found.count >= 3).any()) == (phi is not None)
 
     def test_zero_input(self):
-        assert steady_state_branches(cavity(), 0.0, None, np.linspace(-0.1, 0.1, 40)) == [
-            [(0.0, True)]] * 40
+        found = steady_state_branches(cavity(), 0.0, None, np.linspace(-0.1, 0.1, 40))
+        assert isinstance(found, BranchArrays)
+        assert found.p_circ.dtype == np.float64 and found.stable.dtype == np.bool_
+        assert split_bits(found) == [[((0.0).hex(), True)]] * 40
+        assert found.count.tolist() == [1] * 40
 
     def test_empty_sweep(self):
-        assert steady_state_branches(cavity(), 0.07, KERR_PHASES[0], np.array([])) == []
+        found = steady_state_branches(cavity(), 0.07, KERR_PHASES[0], np.array([]))
+        assert isinstance(found, BranchArrays)
+        assert [len(field) for field in found] == [0, 0, 0]
+        assert split_bits(found) == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("p_in", [0.0, 0.0088])
@@ -313,6 +334,13 @@ def near(ends, offsets=(1e-15, 1e-13, 1e-11, 1e-9, 3e-8, 3e-7)):
                           + [ends + side * o for o in offsets for side in (-1.0, 1.0)])
 
 
+def split_bits(arrays):
+    """Per-detuning lists of (p_circ.hex(), stable) of a BranchArrays."""
+    stops = np.cumsum(arrays.count).tolist()
+    bits = list(zip(map(float.hex, arrays.p_circ.tolist()), arrays.stable.tolist()))
+    return [bits[a:b] for a, b in zip([0] + stops, stops)]
+
+
 def assert_reference_bits(params, p_in, phi_nl, detuning):
     def bits(branches):
         return [(b.p_circ.hex(), b.stable) for b in branches]
@@ -320,7 +348,7 @@ def assert_reference_bits(params, p_in, phi_nl, detuning):
     found = steady_state_branches(params, p_in, phi_nl, detuning)
     expected = reference_branches(params, p_in, phi_nl, detuning)
     if np.ndim(detuning):
-        assert [bits(b) for b in found] == [bits(b) for b in expected]
+        assert split_bits(found) == [bits(b) for b in expected]
     else:
         assert bits(found) == bits(expected)
 
@@ -471,6 +499,131 @@ class TestScanProfile:
         for detunings in ([0.0, 1.0, 0.5], [-np.inf, 0.0, 1.0]):
             with pytest.raises(DomainError):
                 scan_profile(cavity(), 0.01, np.array(detunings), None, "up")
+
+
+def reference_follow(branch_lists, order, direction):
+    """scan_profile's per-point branch following before it ran on arrays,
+    kept verbatim as the oracle of the array follow."""
+    multi = any(len(branches) >= 3 for branches in branch_lists)
+    p_follow = np.empty(len(branch_lists))
+    p_prev: Optional[float] = None
+    for idx in order:
+        stable = [b.p_circ for b in branch_lists[idx] if b.stable]
+        if len(stable) == 1:
+            choice = stable[0]
+        elif p_prev is None:
+            choice = stable[0] if direction == "up" else stable[-1]
+        else:
+            choice = min(stable, key=lambda p: abs(p - p_prev))
+        p_follow[idx] = choice
+        p_prev = choice
+    return p_follow, multi
+
+
+def reference_profile(branch_lists, dets, direction, monitor_transmission=1e-4):
+    dets = np.asarray(dets, dtype=float)
+    order = np.argsort(dets)
+    if direction == "down":
+        order = order[::-1]
+    p_follow, multi = reference_follow(branch_lists, order, direction)
+    view = slice(None) if direction == "up" else slice(None, None, -1)
+    return ResonanceProfile(dets[view].copy(), p_follow[view].copy(),
+                            monitor_transmission * p_follow[view], direction,
+                            _half_max_asymmetry(dets, p_follow), multi)
+
+
+def assert_same_profile(found, expected):
+    for field in ("detuning", "p_circ", "p_trans"):
+        assert list(map(float.hex, getattr(found, field).tolist())) == list(
+            map(float.hex, getattr(expected, field).tolist()))
+    assert float(found.asymmetry).hex() == float(expected.asymmetry).hex()  # NaN included
+    assert found.multi_branch is expected.multi_branch
+    assert found.direction == expected.direction
+
+
+def assert_follows_reference(params, p_in, dets, phi_nl=None, monitor_transmission=1e-4):
+    """Both directions of scan_profile equal the per-point follow of the dense-grid branches."""
+    branch_lists = reference_branches(params, p_in, phi_nl, np.asarray(dets, dtype=float))
+    for direction in ("up", "down"):
+        found = scan_profile(params, p_in, dets, phi_nl, direction, monitor_transmission)
+        expected = reference_profile(branch_lists, dets, direction, monitor_transmission)
+        assert_same_profile(found, expected)
+    return max(map(len, branch_lists))
+
+
+class TestArrayFollow:
+    """scan_profile follows the branch on the BranchArrays bit for bit as the
+    per-point loop followed the branch lists."""
+
+    @pytest.mark.filterwarnings("ignore:single-pass drive")
+    def test_benchmark_and_packaged_scans(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        from workloads import generate
+
+        calls = []
+        profile = scenarios_module.scan_profile
+
+        def recorded(*args):
+            calls.append((args, profile(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(scenarios_module, "scan_profile", recorded)
+        configs = [load_config(default_config_path("fig3"))]
+        configs += [case.config for case in generate("resonance_scan", 1501)]
+        for i, config in enumerate(configs):
+            run_scenario(config, tmp_path / str(i))
+        assert len(calls) == 2 + 13
+        assert any(found.multi_branch for _, found in calls)
+        for (params, p_in, dets, phi, direction), found in calls:
+            assert direction == "up"
+            expected = reference_profile(reference_branches(params, p_in, phi, dets), dets, "up")
+            assert_same_profile(found, expected)
+            assert_follows_reference(params, p_in, dets, phi)
+
+    @pytest.mark.parametrize("shape", ["linear", "tanh", "sine"])
+    def test_random_cavities(self, shape):
+        rng = np.random.default_rng(["linear", "tanh", "sine"].index(shape))
+        most = []
+        for _ in range(8):
+            c = CavityParams(RT_LENGTH, rng.uniform(0.003, 0.3), rng.uniform(0.0, 0.05))
+            p_in = 10.0 ** rng.uniform(-3.0, -0.5)
+            p_max = c.resonant_buildup * p_in
+            g = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 5.0) / p_max
+            turn = rng.uniform(0.1, 0.3) * p_max
+            phi = {"linear": lambda p: g * p,
+                   "tanh": lambda p: g * turn * np.tanh(p / turn),
+                   "sine": lambda p: g * turn * np.sin(p / turn)}[shape]
+            dets = np.linspace(-4.0, 4.0, int(rng.integers(200, 700)))
+            most.append(assert_follows_reference(c, p_in, dets[::int(rng.choice([-1, 1]))], phi))
+        assert max(most) >= (5 if shape == "sine" else 3)
+
+    def test_first_point_multi_branch(self):
+        c = cavity()
+        wide = np.linspace(0.0, 0.15, 601)
+        found = steady_state_branches(c, 0.07, KERR_PHASES[0], wide)
+        bistable = wide[found.count >= 3]
+        dets = np.linspace(bistable[1], bistable[-2], 41)
+        assert np.all(steady_state_branches(c, 0.07, KERR_PHASES[0], dets).count == 3)
+        assert_follows_reference(c, 0.07, dets, KERR_PHASES[0])
+        up = scan_profile(c, 0.07, dets, KERR_PHASES[0], "up")
+        down = scan_profile(c, 0.07, dets, KERR_PHASES[0], "down")
+        assert up.p_circ[0] < down.p_circ[-1]  # lowest stable branch up, highest down
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_exact_tie_takes_the_first(self, direction, monkeypatch):
+        # Up, both multi-root points, and down, the first one has its stable
+        # roots equally far either side of the previous choice: the first,
+        # lower one is kept.
+        roots = [[2.0], [1.0, 1.5, 3.0], [0.5, 0.75, 1.5], [1.0]]
+        lists = [[SteadyStateBranch(p, i % 2 == 0) for i, p in enumerate(r)] for r in roots]
+        arrays = BranchArrays(np.array(sum(roots, [])),
+                              np.array([b.stable for branches in lists for b in branches]),
+                              np.array([len(r) for r in roots]))
+        monkeypatch.setattr(cavity_module, "steady_state_branches", lambda *args: arrays)
+        dets = np.array([0.0, 0.1, 0.2, 0.3])
+        found = scan_profile(cavity(), 0.07, dets, None, direction)
+        assert_same_profile(found, reference_profile(lists, dets, direction))
+        assert sorted(found.p_circ.tolist()) == [0.5, 1.0, 1.0, 2.0]
 
 
 class TestHalfMaxAsymmetry:

@@ -11,6 +11,7 @@ from kerrsqueezer import (
     find_conversion_extrema,
     shg_efficiency,
 )
+from kerrsqueezer import phasematch, roots
 from kerrsqueezer.phasematch import PhaseMatchModel
 
 T_MAX = 40.5
@@ -164,3 +165,42 @@ class TestExtrema:
     def test_model_validation(self):
         with pytest.raises(DomainError):
             PhaseMatchModel(40.0, 0.0, 0.0093)
+
+
+class TestTanRootCache:
+    """The roots of tan x = x are solved once per bracket count and process."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def record(*args, **options):
+            calls.append(len(args[1]))
+            return roots.brentq(*args, **options)
+
+        monkeypatch.setattr(phasematch, "brentq", record)
+        phasematch._first_tan_roots.cache_clear()
+        return calls
+
+    def test_second_call_makes_no_solve(self, model, solves):
+        # |x| up to 39.4: the 12 brackets below 13 pi, in one solve.
+        first = find_conversion_extrema(model, (0.0, 300.0))
+        assert solves == [12]
+        assert find_conversion_extrema(model, (0.0, 300.0)) == first
+        assert solves == [12]
+        phasematch._first_tan_roots.cache_clear()
+        fresh = find_conversion_extrema(model, (0.0, 300.0))
+        assert solves == [12, 12]
+        assert [(t.hex(), k) for t, k in fresh] == [(t.hex(), k) for t, k in first]
+
+    def test_same_count_filters_by_x_max(self, solves):
+        # 12 pi <= 38 < 40 < 13 pi: one solve; the 12th root, 37.72, is in both.
+        below, above = phasematch._tan_x_equals_x_roots(38.0), phasematch._tan_x_equals_x_roots(40.0)
+        assert solves == [12]
+        assert len(below) == 11 and len(above) == 12 and above[:11] == below
+        assert all(type(x) is float for x in above)
+
+    def test_roots_do_not_depend_on_the_count(self, solves):
+        many, few = phasematch._first_tan_roots(95), phasematch._first_tan_roots(12)
+        assert solves == [95, 12]
+        assert [x.hex() for x in many[:12]] == [x.hex() for x in few]

@@ -32,6 +32,8 @@ def recorded(monkeypatch):
 
     for module in (cavity, phasematch, scenarios):
         monkeypatch.setattr(module, "brentq", record)
+    # Solved again, not served from the cache of an earlier test's call.
+    phasematch._first_tan_roots.cache_clear()
     return calls
 
 
