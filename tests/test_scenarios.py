@@ -752,6 +752,24 @@ class TestRunWriter:
             writer.table("t", {"x": [0.5, 1.5], "y": np.float64(2.0)})
         assert writer.files == [] and list(tmp_path.iterdir()) == []
 
+    def test_manifest_hashes_the_written_bytes(self, tmp_path, monkeypatch):
+        # A name written twice lists the last content's digest on both of its
+        # lines, and the manifest reads no file back.
+        import hashlib
+
+        writer = RunWriter(tmp_path)
+        writer.text("a.txt", "first\n")
+        writer.text("a.txt", "sécond\n")
+        writer.table("t", {"x": [0.5]})
+        monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(f"read {self}"))
+        lines = writer.manifest("custom", 1, "seed: 1\n").read_text().splitlines()
+        monkeypatch.undo()
+        listed = [line.strip().split(": sha256=") for line in lines if "sha256=" in line]
+        assert [name for name, _ in listed] == ["a.txt", "a.txt", "t.csv"]
+        for name, digest in listed:
+            assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert (tmp_path / "a.txt").read_bytes() == "sécond\n".encode("utf-8")
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("column", [["a", "b"], [1.0, None], np.array([1j, 2j])],
                              ids=["str", "object", "complex"])
