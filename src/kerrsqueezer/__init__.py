@@ -22,8 +22,6 @@ from .cavity import (
     OperatingPoint,
     ResonanceProfile,
     SpectrumPoint,
-    SteadyStateBranch,
-    make_operating_point,
     scan_profile,
     sideband_comb_map,
     squeezing_spectrum,

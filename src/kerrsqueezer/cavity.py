@@ -37,7 +37,6 @@ from .roots import brentq
 
 __all__ = [
     "CavityParams",
-    "SteadyStateBranch",
     "BranchArrays",
     "ResonanceProfile",
     "OperatingPoint",
@@ -46,7 +45,6 @@ __all__ = [
     "steady_state_branches",
     "scan_profile",
     "linearize",
-    "make_operating_point",
     "squeezing_spectrum",
     "sideband_comb_map",
 ]
@@ -117,11 +115,6 @@ class CavityParams:
         return 2.0 * (1.0 - self.r_eff) / math.sqrt(self.r_eff)
 
 
-class SteadyStateBranch(NamedTuple):
-    p_circ: float
-    stable: bool
-
-
 class BranchArrays(NamedTuple):
     p_circ: np.ndarray  # every root of a sweep, detuning by detuning, ascending within each
     stable: np.ndarray  # whether each root is stable
@@ -146,10 +139,10 @@ _SCAN_POINTS = 512
 def steady_state_branches(
     params: CavityParams,
     p_in: float,
-    phi_nl: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    detuning: float | np.ndarray = 0.0,
-) -> list | BranchArrays:
-    """All real circulating-power solutions at ``detuning`` (rad), sorted ascending.
+    phi_nl: Optional[Callable[[np.ndarray], np.ndarray]],
+    detuning: np.ndarray,
+) -> BranchArrays:
+    """Ascending circulating-power solutions at each detuning (rad) of the 1-D array ``detuning``.
 
     Roots of ``F(p) = p * |1 - r_eff exp(i(detuning + phi_nl(p)))|^2
     - T1 * p_in`` are bracketed on a grid over ``[0, resonant_buildup *
@@ -160,22 +153,19 @@ def steady_state_branches(
     F(0) < 0 < F(p_max), the roots alternate stable/unstable and the first
     and last are stable.
 
-    A 1-D array ``detuning`` gives the sweep's :class:`BranchArrays` from one
-    stacked solve: the grid and ``phi_nl`` on it are shared, F's signs on the
-    grid come from the resonance manifold and every bracket of the sweep is
-    refined by one array :func:`brentq`.  A float detuning is the same solve.
+    The sweep's :class:`BranchArrays` come from one stacked solve: the grid
+    and ``phi_nl`` on it are shared, F's signs on the grid come from the
+    resonance manifold and every bracket of the sweep is refined by one array
+    :func:`brentq`.  One detuning is a sweep of one.
     """
-    dets = np.asarray(detuning, dtype=float)
-    if dets.ndim > 1:
-        raise DomainError("detuning must be a float or a 1-D array")
-    if not np.all(np.isfinite(dets)):
+    sweep = np.asarray(detuning, dtype=float)
+    if sweep.ndim != 1:
+        raise DomainError("detuning must be a 1-D array")
+    if not np.all(np.isfinite(sweep)):
         raise DomainError("detuning must be finite")
     if not math.isfinite(p_in) or p_in < 0.0:
         raise DomainError(f"input power must be >= 0, got {p_in}")
-    sweep = dets.reshape(-1)
     if p_in == 0.0 or not len(sweep):  # one root, p = 0, at each detuning
-        if not dets.ndim:
-            return [SteadyStateBranch(0.0, True)]
         return BranchArrays(np.zeros(len(sweep)), np.ones(len(sweep), bool),
                             np.ones(len(sweep), int))
     r = params.r_eff
@@ -240,9 +230,7 @@ def steady_state_branches(
 
     roots = brentq(implicit_at, grid[cells], grid[cells + 1], xtol=1e-300, rtol=8.9e-16)
     stable = (np.arange(len(roots)) - np.repeat(np.cumsum(found) - found, found)) % 2 == 0
-    if dets.ndim:
-        return BranchArrays(roots, stable, found)
-    return [SteadyStateBranch(p, s) for p, s in zip(roots.tolist(), stable.tolist())]
+    return BranchArrays(roots, stable, found)
 
 
 @dataclass(frozen=True)
@@ -295,6 +283,8 @@ def scan_profile(
     """
     if direction not in ("up", "down"):
         raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
+    if not 0.0 <= monitor_transmission <= 1.0:
+        raise DomainError(f"monitor_transmission must lie in [0, 1], got {monitor_transmission}")
     dets = np.asarray(detunings, dtype=float)
     if dets.ndim != 1 or len(dets) < 3:
         raise DomainError("detuning sweep needs at least 3 points")
@@ -379,8 +369,10 @@ def linearize(params: CavityParams, p_circ: float, phases,
 
     ``phases`` holds ``phi_nl`` at ``p_circ * SLOPE_FACTORS``; their central
     difference is ``g * p_circ``, so ``p_circ = 0`` gives ``epsilon = 0``.
-    A float ``detuning`` is that of a free-running cavity; ``None`` is a
-    locked cavity, whose length servo holds ``delta_eff`` at zero.
+    It is the one public builder of an :class:`OperatingPoint`, locked or
+    detuned.  A float ``detuning`` is that of a free-running cavity, with
+    ``p_circ`` one of the roots :func:`steady_state_branches` finds there;
+    ``None`` is a locked cavity, whose length servo holds ``delta_eff`` at zero.
     """
     phi_lo, phi_at, phi_hi = (float(phi) for phi in phases)
     slope_p = (phi_hi - phi_lo) / (2.0 * SLOPE_STEP)
@@ -394,42 +386,6 @@ def linearize(params: CavityParams, p_circ: float, phases,
         gamma_coupler=params.gamma_coupler,
         gamma_loss=params.gamma_loss,
     )
-
-
-def make_operating_point(
-    params: CavityParams,
-    p_in: float,
-    phi_nl: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    detuning: float = 0.0,
-    branch: Optional[int] = None,
-    check_threshold: bool = True,
-) -> OperatingPoint:
-    """Select a steady state at ``detuning`` and assemble its linearization.
-
-    ``branch`` indexes the sorted branch list and is required when the
-    cavity is bistable; otherwise the unique stable branch is used.
-    """
-    branches = steady_state_branches(params, p_in, phi_nl, detuning)
-    if branch is not None:
-        if not 0 <= branch < len(branches):
-            raise DomainError(f"branch index {branch} out of range (found {len(branches)})")
-        selected = branches[branch]
-    else:
-        stable = [b for b in branches if b.stable]
-        if len(stable) != 1:
-            raise DomainError(
-                f"{len(stable)} stable branches found; pass an explicit branch index"
-            )
-        selected = stable[0]
-    p = selected.p_circ
-    op = linearize(params, p, np.zeros(3) if phi_nl is None else phi_nl(p * SLOPE_FACTORS),
-                   detuning)
-    if check_threshold and not op.below_threshold:
-        raise ThresholdError(
-            f"operating point at or above threshold: |epsilon| = {abs(op.epsilon):.3e} >= "
-            f"{op.threshold_epsilon:.3e} rad/s"
-        )
-    return op
 
 
 def squeezing_spectrum(op: OperatingPoint, omega) -> SpectrumPoint:

@@ -152,6 +152,9 @@ class TomographySettings:
     def __post_init__(self):
         if not self.rbw > self.vbw > 0.0:
             raise DomainError(f"need rbw > vbw > 0, got rbw={self.rbw}, vbw={self.vbw}")
+        for name in ("duration", "scan_period", "dark_db", "scan_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration <= 0.0:
             raise DomainError(f"duration must be positive, got {self.duration}")
         if self.scan_period <= 0.0:

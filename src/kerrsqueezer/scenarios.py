@@ -379,6 +379,8 @@ def locked_circulating_power(params: CavityParams, p_in: float, conversion_per_w
     t1 = params.coupler_transmission
     loss0 = params.round_trip_loss
     conversion = np.asarray(conversion_per_watt, dtype=float)
+    if not math.isfinite(p_in) or p_in < 0.0:
+        raise DomainError(f"input power must be >= 0, got {p_in}")
     if p_in == 0.0:
         return np.zeros(conversion.shape)
 

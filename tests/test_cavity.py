@@ -15,9 +15,7 @@ from kerrsqueezer import (
     OperatingPoint,
     ResonanceProfile,
     SpectrumPoint,
-    SteadyStateBranch,
     ThresholdError,
-    make_operating_point,
     scan_profile,
     sideband_comb_map,
     squeezing_spectrum,
@@ -25,7 +23,7 @@ from kerrsqueezer import (
 )
 from kerrsqueezer import cavity as cavity_module
 from kerrsqueezer import scenarios as scenarios_module
-from kerrsqueezer.cavity import _SCAN_POINTS, _half_max_asymmetry
+from kerrsqueezer.cavity import SLOPE_FACTORS, _SCAN_POINTS, _half_max_asymmetry, linearize
 from kerrsqueezer.roots import brentq
 from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
 
@@ -90,21 +88,20 @@ class TestDerivedQuantities:
 _SCAN_BLOCK = 32
 
 
-def reference_branches(params, p_in, phi_nl=None, detuning=0.0):
+def reference_branches(params, p_in, phi_nl, detuning):
     """The blockwise sign-change scan that evaluated F on the whole bracket
     grid, kept verbatim as the bit-for-bit oracle of steady_state_branches,
-    which reads the same signs off the resonance manifold."""
-    dets = np.asarray(detuning, dtype=float)
-    if dets.ndim > 1:
-        raise DomainError("detuning must be a float or a 1-D array")
-    if not np.all(np.isfinite(dets)):
+    which reads the same signs off the resonance manifold.  One list of
+    (p_circ, stable) per detuning of the 1-D array ``detuning``."""
+    sweep = np.asarray(detuning, dtype=float)
+    if sweep.ndim != 1:
+        raise DomainError("detuning must be a 1-D array")
+    if not np.all(np.isfinite(sweep)):
         raise DomainError("detuning must be finite")
     if not math.isfinite(p_in) or p_in < 0.0:
         raise DomainError(f"input power must be >= 0, got {p_in}")
-    sweep = dets.reshape(-1)
     if p_in == 0.0 or not len(sweep):
-        lists = [[SteadyStateBranch(0.0, True)] for _ in sweep]
-        return lists if dets.ndim else lists[0]
+        return [[(0.0, True)] for _ in sweep]
     r = params.r_eff
     t1 = params.coupler_transmission
 
@@ -140,38 +137,44 @@ def reference_branches(params, p_in, phi_nl=None, detuning=0.0):
         return implicit(p, phase if phi_nl is None else phase + phi_nl(p))
 
     roots = brentq(implicit_at, grid[cells], grid[cells + 1], xtol=1e-300, rtol=8.9e-16).tolist()
-    branches = [SteadyStateBranch(p, s) for p, s in zip(roots, np.concatenate(stable).tolist())]
+    branches = list(zip(roots, np.concatenate(stable).tolist()))
     ends = np.cumsum(np.concatenate(counts)).tolist()
-    lists = [branches[i:j] for i, j in zip([0] + ends, ends)]
-    return lists if dets.ndim else lists[0]
+    return [branches[i:j] for i, j in zip([0] + ends, ends)]
+
+
+def one_detuning(params, p_in, phi_nl, detuning):
+    """The BranchArrays of a one-element sweep at ``detuning``."""
+    found = steady_state_branches(params, p_in, phi_nl, np.array([detuning]))
+    assert found.count.tolist() == [len(found.p_circ)] == [len(found.stable)]
+    return found
 
 
 class TestSteadyState:
     def test_linear_resonant_buildup(self):
-        branches = steady_state_branches(cavity(), 0.0088)
-        assert len(branches) == 1 and branches[0].stable
-        assert branches[0].p_circ == pytest.approx(
+        found = one_detuning(cavity(), 0.0088, None, 0.0)
+        assert found.stable.tolist() == [True]
+        assert found.p_circ[0] == pytest.approx(
             cavity().resonant_buildup * 0.0088, rel=1e-9
         )
 
     @pytest.mark.parametrize("detuning", [-0.02, -0.003, 0.0, 0.004, 0.05])
     def test_linear_single_airy_root(self, detuning):
         c = cavity()
-        branches = steady_state_branches(c, 0.0088, None, detuning)
-        assert len(branches) == 1
-        assert branches[0].p_circ == pytest.approx(float(airy(c, 0.0088, detuning)), rel=1e-9)
+        found = one_detuning(c, 0.0088, None, detuning)
+        assert len(found.p_circ) == 1
+        assert found.p_circ[0] == pytest.approx(float(airy(c, 0.0088, detuning)), rel=1e-9)
 
     def test_zero_input(self):
-        assert steady_state_branches(cavity(), 0.0) == [(0.0, True)]
+        assert split_bits(one_detuning(cavity(), 0.0, None, 0.0)) == [[((0.0).hex(), True)]]
 
     def test_bistable_root_structure(self):
         # 70 mW drive against the Kerr lean: classic S-curve with 3 roots.
         phi = lambda p: G_KERR * p
         c = cavity()
-        branches = steady_state_branches(c, 0.07, phi, 0.03)
-        assert len(branches) == 3
-        assert [b.stable for b in branches] == [True, False, True]
-        ps = [b.p_circ for b in branches]
+        found = one_detuning(c, 0.07, phi, 0.03)
+        assert len(found.p_circ) == 3
+        assert found.stable.tolist() == [True, False, True]
+        ps = found.p_circ.tolist()
         assert ps == sorted(ps)
 
     def test_graphical_intersection_oracle(self):
@@ -179,22 +182,22 @@ class TestSteadyState:
         for phi in KERR_PHASES:
             for det, p_in in [(0.03, 0.07), (0.0, 0.0088), (0.1, 0.07), (0.02, 0.002)]:
                 c = cavity()
-                branches = steady_state_branches(c, p_in, phi, det)
+                found = one_detuning(c, p_in, phi, det)
                 r = c.r_eff
                 grid = np.linspace(0.0, c.resonant_buildup * p_in * (1 + 1e-6), 400_001)
                 f = grid * (1 + r**2 - 2 * r * np.cos(det + phi(grid))) - T1 * p_in
                 crossings = int(np.sum(np.sign(f[1:]) != np.sign(f[:-1])))
-                assert crossings == len(branches)
+                assert crossings == len(found.p_circ)
 
     def test_roots_satisfy_implicit_equation(self):
         c = cavity()
         r = c.r_eff
         for phi in KERR_PHASES:
-            branches = steady_state_branches(c, 0.07, phi, 0.03)
-            assert len(branches) == 3
-            for b in branches:
-                resonance = 1 + r**2 - 2 * r * math.cos(0.03 + phi(b.p_circ))
-                assert b.p_circ * resonance == pytest.approx(T1 * 0.07, rel=1e-10)
+            found = one_detuning(c, 0.07, phi, 0.03)
+            assert len(found.p_circ) == 3
+            for p in found.p_circ.tolist():
+                resonance = 1 + r**2 - 2 * r * math.cos(0.03 + phi(p))
+                assert p * resonance == pytest.approx(T1 * 0.07, rel=1e-10)
 
     def test_branch_lists_alternate_from_stable_ends(self):
         # F(0) < 0 < F(p_max), so every list has odd length, alternates
@@ -207,7 +210,7 @@ class TestSteadyState:
             det, p_in, g = rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.1), rng.uniform(-0.5, 0.5)
             linear = rng.random() < 0.5
             phi = lambda p: g * p if linear else g * 12.0 * np.tanh(p / 12.0)
-            stable = [b.stable for b in steady_state_branches(c, p_in, phi, det)]
+            stable = one_detuning(c, p_in, phi, det).stable.tolist()
             assert len(stable) % 2 == 1
             assert stable == [i % 2 == 0 for i in range(len(stable))]
             multi += len(stable) >= 3
@@ -215,10 +218,23 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("detuning", [math.nan, math.inf, -math.inf])
     def test_non_finite_detuning_rejected(self, detuning):
-        for solve in (steady_state_branches, make_operating_point):
-            for p_in in (0.0, 0.0088):
-                with pytest.raises(DomainError, match="detuning must be finite"):
-                    solve(cavity(), p_in, None, detuning)
+        for p_in in (0.0, 0.0088):
+            with pytest.raises(DomainError, match="detuning must be finite"):
+                steady_state_branches(cavity(), p_in, None, np.array([detuning]))
+
+    @pytest.mark.parametrize("detuning", [0.03, np.float64(0.03), np.array(0.03)],
+                             ids=("float", "float64", "0-d"))
+    def test_scalar_detuning_rejected(self, detuning):
+        # One input kind: a detuning is a 1-D array, even a zero drive's.
+        for p_in in (0.0, 0.07):
+            with pytest.raises(DomainError, match="1-D"):
+                steady_state_branches(cavity(), p_in, KERR_PHASES[0], detuning)
+
+    def test_only_the_array_solve_is_public(self):
+        import kerrsqueezer
+
+        for name in ("SteadyStateBranch", "make_operating_point"):
+            assert not hasattr(kerrsqueezer, name) and not hasattr(cavity_module, name)
 
 
 class TestStackedSweep:
@@ -227,6 +243,7 @@ class TestStackedSweep:
     @pytest.mark.parametrize("phi", (None,) + KERR_PHASES, ids=("linear", "kerr", "tanh"))
     @pytest.mark.parametrize("p_in", [0.015, 0.07])
     def test_equals_float_calls(self, phi, p_in):
+        # Each detuning solved as a sweep of one gives the same bits.
         c = cavity()
         span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
         dets = np.linspace(-span, span, 167)
@@ -234,9 +251,7 @@ class TestStackedSweep:
         assert isinstance(stacked, BranchArrays) and len(stacked.count) == len(dets)
         assert stacked.p_circ.dtype == np.float64 and stacked.stable.dtype == np.bool_
         for det, branches in zip(dets, split_bits(stacked), strict=True):
-            single = steady_state_branches(c, p_in, phi, float(det))
-            assert branches == [(b.p_circ.hex(), b.stable) for b in single]
-            assert all(type(b.p_circ) is float and type(b.stable) is bool for b in single)
+            assert split_bits(one_detuning(c, p_in, phi, det)) == [branches]
         # Both powers are bistable against the Kerr lean.
         assert bool((stacked.count >= 3).any()) == (phi is not None)
 
@@ -282,7 +297,7 @@ class TestStackedSweep:
         # sweep is checked before any Brent step, so the stacked call raises
         # NumericalError naming the first of them in array order, even where
         # a detuning earlier in the array has a bracket into the NaN region,
-        # which stops Brent with ValueError when solved on its own.
+        # which stops Brent with ValueError when solved as a sweep of one.
         c = cavity()
         p_cut = 0.6 * c.resonant_buildup * 0.0088
         phi = lambda p: np.where(p < p_cut, 0.0, np.nan)
@@ -290,11 +305,11 @@ class TestStackedSweep:
         with pytest.raises(NumericalError) as stacked:
             steady_state_branches(c, 0.0088, phi, dets)
         with pytest.raises(ValueError, match="is NaN"):
-            steady_state_branches(c, 0.0088, phi, dets[0])
+            steady_state_branches(c, 0.0088, phi, dets[:1])
         errors = []
         for det in dets:
             try:
-                steady_state_branches(c, 0.0088, phi, det)
+                steady_state_branches(c, 0.0088, phi, np.array([det]))
             except NumericalError as err:
                 errors.append((det, str(err)))
             except ValueError:
@@ -310,10 +325,9 @@ class TestStackedSweep:
             return G_KERR * p
 
         c = cavity()
-        steady_state_branches(c, 0.07, phi, 0.03)
+        steady_state_branches(c, 0.07, phi, np.array([0.03]))
         steady_state_branches(c, 0.07, phi, np.linspace(-0.05, 0.05, 50))
         scan_profile(c, 0.07, np.linspace(-0.05, 0.05, 50), phi, "down")
-        make_operating_point(c, 0.07, phi, 0.03, branch=0)
 
 
 def manifold_ends(params, p_in, phi_nl, turns=(-1, 0, 1)):
@@ -342,15 +356,9 @@ def split_bits(arrays):
 
 
 def assert_reference_bits(params, p_in, phi_nl, detuning):
-    def bits(branches):
-        return [(b.p_circ.hex(), b.stable) for b in branches]
-
     found = steady_state_branches(params, p_in, phi_nl, detuning)
     expected = reference_branches(params, p_in, phi_nl, detuning)
-    if np.ndim(detuning):
-        assert split_bits(found) == [bits(b) for b in expected]
-    else:
-        assert bits(found) == bits(expected)
+    assert split_bits(found) == [[(p.hex(), s) for p, s in b] for b in expected]
 
 
 def random_phase(rng, shape, p_max):
@@ -397,8 +405,8 @@ class TestManifoldBrackets:
         dets = np.concatenate([np.sort(sweep), sweep, ends, ends[:40], sweep[:25]])
         rng.shuffle(dets)
         assert_reference_bits(c, p_in, phi, dets)
-        for det in dets[:12]:
-            assert_reference_bits(c, p_in, phi, float(det))
+        for i in range(12):
+            assert_reference_bits(c, p_in, phi, dets[i:i + 1])
 
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     def test_columns_at_plus_minus_one(self, side):
@@ -449,6 +457,16 @@ class TestScanProfile:
         prof = scan_profile(c, 0.0088, dets, None, "up", monitor_transmission=5e-5)
         np.testing.assert_allclose(prof.p_trans, 5e-5 * prof.p_circ, rtol=1e-15)
 
+    def test_monitor_transmission_is_a_fraction(self):
+        c = cavity()
+        dets = self.grid(3 * c.linewidth_phase_fwhm, 31)
+        for fraction in (0.0, 1.0):
+            prof = scan_profile(c, 0.0088, dets, None, "up", monitor_transmission=fraction)
+            assert prof.p_trans.tolist() == (fraction * prof.p_circ).tolist()
+        for fraction in (-1.0, math.nan, math.inf, 1.5):
+            with pytest.raises(DomainError, match="monitor_transmission"):
+                scan_profile(c, 0.0088, dets, None, "up", monitor_transmission=fraction)
+
     def test_kerr_profile_skewed(self):
         c = cavity()
         phi = lambda p: G_KERR * p
@@ -488,7 +506,7 @@ class TestScanProfile:
         c = cavity()
         span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
         dets = self.grid(span, 301)
-        roots = [[b.p_circ for b in steady_state_branches(c, p_in, phi, d)] for d in dets]
+        roots = [one_detuning(c, p_in, phi, d).p_circ.tolist() for d in dets]
         for direction, expected in (("up", roots), ("down", roots[::-1])):
             prof = scan_profile(c, p_in, dets, phi, direction)
             for p, found in zip(prof.p_circ, expected, strict=True):
@@ -508,7 +526,7 @@ def reference_follow(branch_lists, order, direction):
     p_follow = np.empty(len(branch_lists))
     p_prev: Optional[float] = None
     for idx in order:
-        stable = [b.p_circ for b in branch_lists[idx] if b.stable]
+        stable = [p for p, s in branch_lists[idx] if s]
         if len(stable) == 1:
             choice = stable[0]
         elif p_prev is None:
@@ -615,9 +633,9 @@ class TestArrayFollow:
         # roots equally far either side of the previous choice: the first,
         # lower one is kept.
         roots = [[2.0], [1.0, 1.5, 3.0], [0.5, 0.75, 1.5], [1.0]]
-        lists = [[SteadyStateBranch(p, i % 2 == 0) for i, p in enumerate(r)] for r in roots]
+        lists = [[(p, i % 2 == 0) for i, p in enumerate(r)] for r in roots]
         arrays = BranchArrays(np.array(sum(roots, [])),
-                              np.array([b.stable for branches in lists for b in branches]),
+                              np.array([s for branches in lists for _, s in branches]),
                               np.array([len(r) for r in roots]))
         monkeypatch.setattr(cavity_module, "steady_state_branches", lambda *args: arrays)
         dets = np.array([0.0, 0.1, 0.2, 0.3])
@@ -652,51 +670,58 @@ class TestHalfMaxAsymmetry:
         assert _half_max_asymmetry(x, y) == 0.451532836393328
 
 
+def detuned_point(params, p_in, phi_nl, detuning, branch=None):
+    """linearize on a root of a one-element solve: the free-running operating
+    point at ``detuning``.  ``branch`` indexes the roots; None takes the only one."""
+    found = one_detuning(params, p_in, phi_nl, detuning)
+    if branch is None:
+        assert len(found.p_circ) == 1
+    p = found.p_circ.tolist()[branch or 0]
+    return linearize(params, p, np.zeros(3) if phi_nl is None else phi_nl(p * SLOPE_FACTORS),
+                     detuning)
+
+
 class TestOperatingPoint:
     def test_zero_kerr_no_pump(self):
-        op = make_operating_point(cavity(), 0.0088, None)
+        op = detuned_point(cavity(), 0.0088, None, 0.0)
+        assert op.below_threshold
         assert op.epsilon == 0.0
         assert op.delta_eff == 0.0
         assert op.headroom == math.inf
 
     def test_epsilon_linear_in_circulating_power(self):
         phi = lambda p: 1e-5 * p
-        ops = [make_operating_point(cavity(), p_in, phi) for p_in in (0.001, 0.002)]
+        ops = [detuned_point(cavity(), p_in, phi, 0.0) for p_in in (0.001, 0.002)]
+        assert all(op.below_threshold for op in ops)
         ratio = ops[1].epsilon / ops[0].epsilon
         assert ratio == pytest.approx(ops[1].p_circ / ops[0].p_circ, rel=1e-6)
 
     def test_rates_and_shift(self):
         c = cavity()
         g = 1e-5
-        op = make_operating_point(c, 0.001, lambda p: g * p, 0.001)
+        op = detuned_point(c, 0.001, lambda p: g * p, 0.001)
+        assert op.below_threshold
         assert op.gamma_coupler == pytest.approx(c.gamma_coupler, rel=1e-12)
         assert op.gamma_loss == pytest.approx(c.gamma_loss, rel=1e-12)
         # A linear phase has the slope g everywhere; only rounding remains.
         assert op.epsilon == pytest.approx(g * op.p_circ * c.fsr, rel=1e-10)
         assert op.delta_eff == pytest.approx((0.001 + 2 * g * op.p_circ) * c.fsr, rel=1e-10)
         # No circulating power, no pump.
-        assert make_operating_point(c, 0.0, lambda p: g * p, 0.001).epsilon == 0.0
+        assert detuned_point(c, 0.0, lambda p: g * p, 0.001).epsilon == 0.0
 
     def test_unstable_branch_is_above_threshold(self):
         # The middle branch of the S-curve is exactly the above-threshold
         # solution of the linearized dynamics.
         phi = lambda p: G_KERR * p
         c = cavity()
-        with pytest.raises(ThresholdError):
-            make_operating_point(c, 0.07, phi, 0.03, branch=1)
-        op = make_operating_point(c, 0.07, phi, 0.03, branch=1, check_threshold=False)
+        op = detuned_point(c, 0.07, phi, 0.03, branch=1)
+        assert not op.below_threshold
         assert op.headroom < 1.0
         for stable_branch in (0, 2):
-            op = make_operating_point(c, 0.07, phi, 0.03, branch=stable_branch)
+            op = detuned_point(c, 0.07, phi, 0.03, branch=stable_branch)
+            assert op.below_threshold
             assert op.headroom > 1.0
-
-    def test_bistable_requires_branch_index(self):
-        phi = lambda p: G_KERR * p
-        c = cavity()
-        with pytest.raises(DomainError):
-            make_operating_point(c, 0.07, phi, 0.03, check_threshold=False)
-        op = make_operating_point(c, 0.07, phi, 0.03, branch=0, check_threshold=False)
-        assert op.p_circ > 0
+            assert op.p_circ > 0
 
     def test_fold_point_sits_at_threshold(self):
         # The quasi-static fold and the linearized instability must agree.
@@ -704,7 +729,7 @@ class TestOperatingPoint:
         p_in = 0.07
 
         def n_roots(det):
-            return len(steady_state_branches(cavity(), p_in, phi, det))
+            return len(one_detuning(cavity(), p_in, phi, det).p_circ)
 
         lo = next(d for d in np.linspace(0.0, 0.15, 400) if n_roots(d) == 3)
         hi = 0.15
@@ -715,8 +740,8 @@ class TestOperatingPoint:
             else:
                 hi = mid
         c = cavity()
-        branches = steady_state_branches(c, p_in, phi, lo)
-        p_star = 0.5 * (branches[1].p_circ + branches[2].p_circ)
+        roots = one_detuning(c, p_in, phi, lo).p_circ.tolist()
+        p_star = 0.5 * (roots[1] + roots[2])
         epsilon = G_KERR * p_star * c.fsr
         delta_eff = (lo + 2 * G_KERR * p_star) * c.fsr
         headroom = math.hypot(c.gamma_total, delta_eff) / abs(epsilon)

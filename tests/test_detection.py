@@ -121,6 +121,12 @@ class TestTomographySettings:
         with pytest.raises(DomainError):
             TomographySettings(rbw=100.0, vbw=200.0)
 
+    @pytest.mark.parametrize("field", ["duration", "scan_period", "dark_db", "scan_offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            TomographySettings(**{field: value})
+
     def test_n_effective(self):
         assert TomographySettings().n_effective == pytest.approx(2500.0)
 

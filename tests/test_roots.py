@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
-from kerrsqueezer import CavityParams, cavity, phasematch, roots, scan_profile, scenarios
+from kerrsqueezer import (
+    CavityParams, DomainError, cavity, phasematch, roots, scan_profile, scenarios)
 
 T1 = 0.01
 LOSS = 0.0019
@@ -100,6 +101,14 @@ def test_lock_without_drive():
     for conversion in (np.logspace(-7, 1, 5), np.array([])):
         p = scenarios.locked_circulating_power(params, 0.0, conversion)
         assert p.dtype == float and p.shape == conversion.shape and not p.any()
+
+
+@pytest.mark.parametrize("p_in", [-0.01, math.nan, math.inf])
+def test_lock_rejects_a_negative_or_non_finite_drive(p_in):
+    # The message of steady_state_branches.
+    params = CavityParams(RT_LENGTH, T1, LOSS)
+    with pytest.raises(DomainError, match="input power must be >= 0"):
+        scenarios.locked_circulating_power(params, p_in, np.logspace(-7, 1, 5))
 
 
 def test_tan_x_equals_x(recorded):
