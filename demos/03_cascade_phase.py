@@ -32,16 +32,16 @@ for p in (0.5, 1.0, 2.0):
     )
 print("-> conversion at the center, none at the exit, and a phase that doubles with power")
 
-print("\n=== analytic cascade formula vs the integrated equations ===")
-print(" delta_k*L    ODE phase    analytic     rel. diff")
+print("\n=== analytic cascade formula vs the exact solution ===")
+print(" delta_k*L  exact phase    analytic     rel. diff")
 mults = np.array([2.0, 2.5, 3.0, 4.0, 6.0])
-# One batched integration for all mismatches: array in, array out.
+# One batched call for all mismatches: array in, array out.
 phases = extract_cascade_result(0.2, mults * math.pi / LENGTH, KAPPA, LENGTH).nl_phase
-for mult, ode in zip(mults, phases):
+for mult, exact in zip(mults, phases):
     formula = effective_kerr_phase(0.2, mult * math.pi / LENGTH, KAPPA, LENGTH)
     print(
-        f"  {mult:3.1f} pi   {ode*1e3:+9.4f} mrad {formula*1e3:+9.4f} mrad"
-        f"   {abs(ode-formula)/abs(formula)*100:6.2f}%"
+        f"  {mult:3.1f} pi   {exact*1e3:+9.4f} mrad {formula*1e3:+9.4f} mrad"
+        f"   {abs(exact-formula)/abs(formula)*100:6.2f}%"
     )
 
 print("\n=== phase flips sign across the phase-matching point ===")

@@ -8,12 +8,10 @@ detection-chain model, and reproducible measurement scenarios.
 
 from .cascade import (
     CascadeResult,
-    CoupledModeState,
     FictitiousMirror,
     effective_kerr_phase,
     extract_cascade_result,
     fictitious_mirror,
-    propagate,
 )
 from .cavity import (
     BranchArrays,
@@ -39,7 +37,6 @@ from .detection import (
     total_efficiency,
 )
 from .errors import (
-    AccuracyError,
     DomainError,
     InconsistentObservationError,
     KerrSqueezerError,

@@ -9,10 +9,25 @@ Conventions (fixed; any self-consistent alternative must still conserve
 Amplitudes are in sqrt(W), so ``|a|^2`` is optical power and the sum of the
 two powers is conserved exactly by the equations.  These are interaction-
 picture amplitudes: without coupling nothing changes, so the phase of the
-output fundamental is the nonlinear phase itself.  The integrator is
-fixed-step classical Runge-Kutta, batched over rows of (amplitudes,
-delta_k); its step count follows from the error budget of
-:func:`step_count`, and power drift is monitored and reported.
+output fundamental is the nonlinear phase itself.
+
+Every row enters as pure fundamental, ``a1 = sqrt(p)``, ``a2 = 0``, and for
+that launch the equations have an exact solution (Armstrong, Bloembergen,
+Ducuing & Pershan, Phys. Rev. 127, 1918 (1962)).  With ``zeta = |kappa|
+sqrt(p) z``, ``s = delta_k / (|kappa| sqrt(p))`` and ``w = |a2|^2 / p`` the
+harmonic fraction,
+
+    w(zeta)   = w_b sn^2(zeta / sqrt(w_b) | m = w_b^2),
+    w_b       = 1 / (q + sqrt(q^2 - 1)),  q = 1 + s^2 / 8,
+    phi(zeta) = -(s / 2) int_0^zeta w / (1 - w) dzeta',
+
+where ``phi`` is the phase of the fundamental; ``s = 0`` gives the sech law
+``w = tanh^2(zeta)`` and no phase.  Power is conserved by construction: the
+fundamental carries ``1 - w`` of it.  The phase integral runs over whole
+periods of ``sn^2`` plus a remainder, each folded at the quarter period K,
+by 48-node Gauss-Legendre quadrature; ``sn`` and K come from the descending
+AGM, so only numpy's ``sin``, ``arcsin`` and ``sqrt`` are involved.  Each row
+is computed on its own, so a batch gives the bits of row-by-row calls.
 
 In the low-conversion, strongly mismatched regime the accumulated
 intensity-dependent phase of the fundamental follows the cascading
@@ -26,49 +41,24 @@ which at the conversion zeros (delta_k L = 2 pi m) reduces to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, ValidityError
+from .errors import DomainError, ValidityError
 
 __all__ = [
-    "CoupledModeState",
     "CascadeResult",
     "FictitiousMirror",
-    "step_count",
-    "propagate",
     "effective_kerr_phase",
     "extract_cascade_result",
     "fictitious_mirror",
 ]
 
-DEFAULT_DRIFT_TOL = 1e-9
-MIN_STEPS = 100
-# Error budget of one RK4 step: the mismatch phase delta_k * h and the
-# coupling phase kappa * sqrt(p) * h it may advance.
-MISMATCH_PHASE_PER_STEP = 0.05
-COUPLING_PHASE_PER_STEP = 0.005
-# Steps whose mismatch phasors are computed together (bounds their memory).
-_NODE_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class CoupledModeState:
-    """Fundamental and harmonic envelope amplitudes at position ``z``.
-
-    ``a1`` and ``a2`` are complex numbers or arrays of them (one per row).
-    """
-
-    a1: complex
-    a2: complex
-    z: float = 0.0
-
-    @property
-    def power(self):
-        return abs(self.a1) ** 2 + abs(self.a2) ** 2
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -103,135 +93,90 @@ def _powers(p_in) -> np.ndarray:
     return p
 
 
-def _launch(p_in, delta_k) -> tuple:
-    """Broadcast powers and mismatches; every row enters as pure fundamental."""
-    p, dk = np.broadcast_arrays(_powers(p_in), np.asarray(delta_k, dtype=float))
-    return p, dk, CoupledModeState(np.sqrt(p), np.zeros(p.shape))
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple:
+    """48-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(48)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
+    return nodes, weights
 
 
-def _harmonic_fraction(state: CoupledModeState, p: np.ndarray) -> np.ndarray:
-    return np.minimum(np.abs(state.a2) ** 2 / np.where(p > 0.0, p, 1.0), 1.0)
+class _Orbit(NamedTuple):
+    """Per-row constants of the pure-fundamental launch, as (rows, 1) columns."""
+
+    shape: tuple  # broadcast shape of the inputs
+    zeta: np.ndarray  # |kappa| sqrt(p) length
+    s: np.ndarray  # delta_k / (|kappa| sqrt(p)); 0 where not elliptic
+    w_b: np.ndarray  # peak harmonic fraction; 0.5 where not elliptic
+    w_c: np.ndarray  # 1 - w_b, without cancellation; 0.5 where not elliptic
+    elliptic: np.ndarray  # the row's orbit has 0 < w_b < 1
+    matched: np.ndarray  # the row is phase matched: w = tanh^2(zeta), no phase
+    levels: list  # AGM levels (a_i, c_i) of m = w_b^2
+
+    def fraction(self, sn):
+        """Harmonic fraction at ``zeta``, given ``sn`` there: ``w_b sn^2`` on an
+        elliptic orbit, ``tanh^2(zeta)`` phase matched and 0 without coupling."""
+        return np.where(self.elliptic, self.w_b * sn * sn,
+                        np.where(self.matched, np.tanh(self.zeta) ** 2, 0.0))
 
 
-def step_count(p_in, delta_k, kappa: float, length: float) -> int:
-    """RK4 steps that keep a crystal pass within its error budget.
-
-    ``max(MIN_STEPS, ceil(max|delta_k| L / 0.05), ceil(kappa sqrt(max p) L
-    / 0.005))`` for powers ``p_in`` and mismatches ``delta_k`` (scalars or
-    arrays).  Against 16000-step references over kappa in {3.2, 14, 50,
-    150}, p in {0.01, 1, 10, 32} W and delta_k L in {0, 1, 2 pi, 4 pi,
-    13.5, 30}, the worst errors were 1.4e-8 relative in the phase and
-    2.7e-10 in the residual conversion, with 1.2e-10 power drift.
-    """
-    p = _powers(p_in)
-    if not (p.size and np.size(delta_k)):
-        raise DomainError("step count needs at least one row")
-    p_max = float(np.max(p))
-    mismatch = float(np.max(np.abs(delta_k))) * length / MISMATCH_PHASE_PER_STEP
-    coupling = abs(kappa) * math.sqrt(p_max) * length / COUPLING_PHASE_PER_STEP
-    if not (math.isfinite(mismatch) and math.isfinite(coupling)):
-        raise DomainError("step count needs finite delta_k, kappa and length")
-    return max(MIN_STEPS, math.ceil(mismatch), math.ceil(coupling))
-
-
-def propagate(
-    state: CoupledModeState,
-    delta_k,
-    kappa: float,
-    length: float,
-    steps: Optional[int] = None,
-    drift_tol: float = DEFAULT_DRIFT_TOL,
-) -> CoupledModeState:
-    """Integrate the coupled-mode equations over ``length`` from ``state.z``.
-
-    ``state.a1``, ``state.a2`` and ``delta_k`` broadcast against each other;
-    every row advances in the same RK4 loop, and the result has their
-    broadcast shape.  ``steps`` defaults to :func:`step_count` of the
-    inputs.  Raises :class:`DomainError` for zero rows or a non-finite
-    ``kappa``, ``delta_k`` or amplitude, and :class:`AccuracyError` when the relative
-    power drift of any row exceeds ``drift_tol`` or is not a number
-    (increase ``steps`` in that case).
-    """
+def _orbit(p_in, delta_k, kappa: float, length: float) -> _Orbit:
+    """Check the inputs and set up each row's orbit over ``length``."""
     if length <= 0.0 or not math.isfinite(length):
         raise DomainError(f"length must be positive, got {length}")
     if not math.isfinite(kappa):
         raise DomainError(f"kappa must be finite, got {kappa}")
-    a1, a2, dk = np.broadcast_arrays(np.asarray(state.a1, dtype=complex),
-                                     np.asarray(state.a2, dtype=complex),
-                                     np.asarray(delta_k, dtype=float))
-    shape = a1.shape
-    # Rows of one element at least, so that a single row runs through the
-    # same array loops as a batch and gives the same bits.
-    a = np.stack((a1.reshape(-1), a2.reshape(-1)))  # [a1; a2]
-    dk = dk.reshape(-1)
-    if not dk.size:
-        raise DomainError("propagate needs at least one row")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(dk))):
-        raise DomainError("propagate needs finite amplitudes and delta_k")
-    p_in = abs(a[0]) ** 2 + abs(a[1]) ** 2
-    if steps is None:
-        steps = step_count(p_in, dk, kappa, length)
-    if steps < MIN_STEPS:
-        raise DomainError(f"steps must be >= {MIN_STEPS}, got {steps}")
-    z0 = float(state.z)
-    h = length / steps
-    c = 1j * kappa * h  # the coupling i kappa rides on the step
-    half_c, sixth_c = 0.5 * c, c / 6.0
-    nodes = z0 + 0.5 * h * np.arange(2 * steps + 1)
-    # Rows that share a mismatch share its phasors: compute them per
-    # distinct delta_k and gather them into rows.
-    dk_distinct, row_dk = np.unique(dk, return_inverse=True)
-    # The elementwise operations of the per-amplitude reference loop in
-    # tests/test_cascade.py, on the same operands in the same order, but
-    # stacked and in place; only the factors of a product swap, and x*c ==
-    # c*x bit for bit.  A stage's point b = a + (f c) k_prev is written into
-    # s = [conj b1, b1, b2, b1], so that one product gives both right-hand
-    # sides [conj(b1) b2, b1 b1] and one more applies the phasors [up; down].
-    s = np.empty((4, a.shape[1]), dtype=complex)
-    conj_b1, b1, b, b1_copy, left, right = s[0], s[1], s[1:3], s[3], s[0:2], s[2:4]
-    k1, k2, k3, k4, scaled = (np.empty_like(a) for _ in range(5))
-    phasors = np.empty((2 * _NODE_BLOCK + 1, 2, a.shape[1]), dtype=complex)
-    # (slope, previous slope, its step fraction times c, node offset)
-    stages = ((k1, None, None, 0), (k2, k1, half_c, 1), (k3, k2, half_c, 1), (k4, k3, c, 2))
-    for j in range(steps):
-        i = 2 * (j % _NODE_BLOCK)
-        if i == 0:
-            # exp(+i delta_k z) and its conjugate at the RK4 nodes z0 + k h/2
-            # of the next _NODE_BLOCK steps: (nodes, [up; down], rows).
-            up = np.exp(1j * np.multiply.outer(nodes[2 * j:2 * (j + _NODE_BLOCK) + 1],
-                                               dk_distinct))
-            up_rows, down_rows = phasors[:len(up), 0], phasors[:len(up), 1]
-            np.take(up, row_dk, axis=1, out=up_rows)
-            np.conjugate(up_rows, out=down_rows)
-        for k, k_prev, fc, node in stages:
-            if k_prev is None:
-                np.copyto(b, a)
-            else:
-                np.multiply(k_prev, fc, out=scaled)
-                np.add(a, scaled, out=b)
-            np.copyto(b1_copy, b1)
-            np.conjugate(b1, out=conj_b1)
-            np.multiply(left, right, out=k)
-            k *= phasors[i + node]
-        k2 += k3
-        k2 *= 2
-        k1 += k2
-        k1 += k4
-        k1 *= sixth_c
-        a += k1
-    a1, a2 = a
-    # A row without power stays exactly empty, so its drift reads 0.
-    p_out = abs(a1) ** 2 + abs(a2) ** 2
-    drift = float(np.max(np.abs(p_out - p_in) / np.where(p_in > 0.0, p_in, 1.0)))
-    if not drift <= drift_tol:
-        raise AccuracyError(
-            f"power drift {drift:.3e} exceeds tolerance {drift_tol:.1e}; "
-            f"increase steps (got {steps})",
-            measured=drift,
-        )
+    p, dk = np.broadcast_arrays(_powers(p_in), np.asarray(delta_k, dtype=float))
+    if not p.size:
+        raise DomainError("the cascade needs at least one row")
+    if not np.all(np.isfinite(dk)):
+        raise DomainError(f"delta_k must be finite, got {delta_k}")
+    g = abs(kappa) * np.sqrt(p.reshape(-1, 1))
+    dk = dk.reshape(-1, 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = dk / g
+        x = s * s / 8.0  # q - 1
+        root = np.sqrt(x) * np.sqrt(x + 2.0)  # sqrt(q^2 - 1)
+        w_b = 1.0 / (1.0 + x + root)
+        w_c = (x + root) * w_b
+    # No coupling leaves w_b 0 or NaN; a mismatch too small to square
+    # leaves w_c 0, and the row is phase matched.
+    elliptic = (w_b > 0.0) & (w_c > 0.0)
+    matched = (g > 0.0) & (w_c == 0.0)
+    s = np.where(elliptic, s, 0.0)
+    w_b, w_c = np.where(elliptic, w_b, 0.5), np.where(elliptic, w_c, 0.5)
+    return _Orbit(p.shape, g * length, s, w_b, w_c, elliptic, matched, _agm(w_b, w_c))
+
+
+def _agm(w_b, w_c) -> list:
+    """Descending AGM levels ``(a_i, c_i)`` of ``m = w_b^2``, from ``a_0 = 1``,
+    ``b_0 = sqrt(1 - m)`` and ``c_0 = sqrt(m)``, with ``c_{i+1} = c_i^2 / (4
+    a_{i+1})`` in place of the cancelling ``(a_i - b_i) / 2``.  A row stops at
+    its first ``c_i <= eps a_i``; its later levels repeat ``a_i`` with ``c = 0``,
+    which leave its ``sn`` and K bit for bit as they were."""
+    a, b, c = np.ones_like(w_b), np.sqrt(w_c * (1.0 + w_b)), w_b
+    levels = [(a, c)]
+    while np.any(live := c > _EPS * a):
+        a, b, c = (np.where(live, 0.5 * (a + b), a), np.where(live, np.sqrt(a * b), b),
+                   np.where(live, c * c / (2.0 * (a + b)), 0.0))
+        levels.append((a, c))
+    return levels
+
+
+def _sn_cn(u, levels) -> tuple:
+    """Jacobi ``sn(u | m)`` and ``cn(u | m)`` by the AGM recursion of Cephes'
+    ``ellpj``, for ``u`` of shape (rows, points) against per-row levels."""
+    phi = u * (2.0 ** (len(levels) - 1) * levels[-1][0])
+    for a, c in reversed(levels[1:]):
+        phi = 0.5 * (np.arcsin(c * np.sin(phi) / a) + phi)
+    return np.sin(phi), np.cos(phi)
+
+
+def _rows_out(shape, *columns):
     if not shape:
-        return CoupledModeState(complex(a1[0]), complex(a2[0]), z0 + length)
-    return CoupledModeState(a1.reshape(shape), a2.reshape(shape), z0 + length)
+        return tuple(float(column[0, 0]) for column in columns)
+    return tuple(column.reshape(shape) for column in columns)
 
 
 def effective_kerr_phase(p_in: float, delta_k: float, kappa: float, length: float) -> float:
@@ -242,6 +187,10 @@ def effective_kerr_phase(p_in: float, delta_k: float, kappa: float, length: floa
     """
     if not math.isfinite(p_in) or p_in < 0.0:
         raise DomainError(f"power must be >= 0, got {p_in}")
+    if not (math.isfinite(delta_k) and math.isfinite(kappa) and math.isfinite(length)):
+        raise DomainError(
+            f"delta_k, kappa and length must be finite, got {delta_k}, {kappa}, {length}"
+        )
     x = delta_k * length
     if abs(x) < math.pi:
         raise ValidityError(
@@ -251,39 +200,41 @@ def effective_kerr_phase(p_in: float, delta_k: float, kappa: float, length: floa
     return -(kappa**2 * p_in * length / delta_k) * (1.0 - sinc_x)
 
 
-def extract_cascade_result(
-    p_in,
-    delta_k,
-    kappa: float,
-    length: float,
-    steps: Optional[int] = None,
-    drift_tol: float = DEFAULT_DRIFT_TOL,
-) -> CascadeResult:
-    """Nonlinear phase and residual conversion from the integrator.
+def extract_cascade_result(p_in, delta_k, kappa: float, length: float) -> CascadeResult:
+    """Nonlinear phase and residual conversion of one crystal pass, exactly.
 
-    ``p_in`` and ``delta_k`` may be arrays; they broadcast, all rows run in
-    one :func:`propagate` call, and the result holds one array entry per
-    row.  In the interaction picture the linear phase is exactly zero, so
-    the nonlinear phase is the phase of the output fundamental.
+    ``p_in`` and ``delta_k`` may be arrays; they broadcast, and the result
+    holds one array entry per row.  In the interaction picture the linear
+    phase is exactly zero, so the nonlinear phase is the phase of the output
+    fundamental.  Raises :class:`DomainError` for zero rows, a negative or
+    non-finite power, a non-finite ``kappa`` or ``delta_k``, or a length
+    that is not positive.
     """
-    p, dk, start = _launch(p_in, delta_k)
-    if steps is None:
-        steps = step_count(p, dk, kappa, length)
-    out = propagate(start, dk, kappa, length, steps, drift_tol)
-    nl_phase = _wrap(np.angle(out.a1))
-    residual = _harmonic_fraction(out, p)
-    if not p.shape:
-        return CascadeResult(float(nl_phase), float(residual))
-    return CascadeResult(nl_phase, residual)
+    orbit = _orbit(p_in, delta_k, kappa, length)
+    s, w_b, w_c = orbit.s, orbit.w_b, orbit.w_c
+    nodes, weights = _gauss_legendre()
+    quarter = 0.5 * math.pi / orbit.levels[-1][0]  # K
+    u_end = orbit.zeta / np.sqrt(w_b)
+    # u_end = 2K periods + rest, and sn^2 is even about K: a rest past K is
+    # folded to 2K - rest, and its integral is the whole period's less the
+    # folded part.  sn^2(u_end) is sn^2 of the folded rest.
+    periods = np.floor(u_end / (2.0 * quarter))
+    rest = u_end - periods * (2.0 * quarter)
+    folded = rest > quarter
+    rest = np.where(folded, 2.0 * quarter - rest, rest)
+    sn, cn = _sn_cn(np.concatenate((quarter * nodes, rest * nodes, rest), axis=1), orbit.levels)
+    w = w_b * sn * sn
+    integrand = w / (w_c + w_b * cn * cn)  # w / (1 - w), without cancellation near w_b = 1
+    n = len(nodes)
+    over_quarter = quarter * np.sum(weights * integrand[:, :n], axis=1, keepdims=True)
+    over_rest = rest * np.sum(weights * integrand[:, n:2 * n], axis=1, keepdims=True)
+    integral = 2.0 * periods * over_quarter + np.where(folded, 2.0 * over_quarter - over_rest,
+                                                       over_rest)
+    nl_phase = _wrap(np.where(orbit.elliptic, -0.5 * s * np.sqrt(w_b) * integral, 0.0))
+    return CascadeResult(*_rows_out(orbit.shape, nl_phase, orbit.fraction(sn[:, -1:])))
 
 
-def fictitious_mirror(
-    p_in,
-    delta_k,
-    kappa: float,
-    length: float,
-    drift_tol: float = DEFAULT_DRIFT_TOL,
-) -> FictitiousMirror:
+def fictitious_mirror(p_in, delta_k, kappa: float, length: float) -> FictitiousMirror:
     """Mid-crystal converted fraction and its phase lag.
 
     ``r1`` is the power fraction living at the harmonic halfway through
@@ -293,15 +244,19 @@ def fictitious_mirror(
     the mid-crystal harmonic relative to the local driving polarization
     (conversion drive), zero when phase matched; in the low-conversion
     limit it equals ``delta_k * length / 4``.  Arrays broadcast as in
-    :func:`extract_cascade_result`; the half crystal gets the steps of
-    :func:`step_count`.
+    :func:`extract_cascade_result`.
+
+    The lag is ``theta - pi/2`` with ``theta = arg a2 - 2 arg a1 + delta_k
+    z``, where the conserved quantity of the launch gives ``cos theta = -(s
+    / 2) sqrt(w) / (1 - w)`` and ``sin theta`` has the sign of ``dw/dz``,
+    that is of ``sn cn``; ``theta`` is taken by ``arctan2`` of the two.
     """
-    p, dk, start = _launch(p_in, delta_k)
-    half = length / 2.0
-    mid = propagate(start, dk, kappa, half, step_count(p, dk, kappa, half), drift_tol)
-    r1 = _harmonic_fraction(mid, p)
-    lag = np.angle(mid.a2) - 2.0 * np.angle(mid.a1) + dk * half - 0.5 * math.pi
-    phase_offset = np.where(np.abs(mid.a2) == 0.0, 0.0, _wrap(lag))
-    if not p.shape:
-        return FictitiousMirror(float(r1), float(phase_offset))
-    return FictitiousMirror(r1, phase_offset)
+    orbit = _orbit(p_in, delta_k, kappa, length / 2.0)
+    s, w_b, w_c = orbit.s, orbit.w_b, orbit.w_c
+    sn, cn = _sn_cn(orbit.zeta / np.sqrt(w_b), orbit.levels)
+    dn = np.sqrt(w_c * (1.0 + w_b) + w_b * w_b * cn * cn)
+    r1 = orbit.fraction(sn)
+    # (1 - w) |sn| times (sin theta, cos theta).
+    theta = np.arctan2(sn * cn * dn, -0.5 * s * np.sqrt(w_b) * sn * sn)
+    phase_offset = np.where(orbit.elliptic & (r1 > 0.0), _wrap(theta - 0.5 * math.pi), 0.0)
+    return FictitiousMirror(*_rows_out(orbit.shape, r1, phase_offset))

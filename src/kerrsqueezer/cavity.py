@@ -373,7 +373,10 @@ def linearize(params: CavityParams, p_circ: float, phases,
     detuned.  A float ``detuning`` is that of a free-running cavity, with
     ``p_circ`` one of the roots :func:`steady_state_branches` finds there;
     ``None`` is a locked cavity, whose length servo holds ``delta_eff`` at zero.
+    A non-finite ``detuning`` raises :class:`DomainError`.
     """
+    if detuning is not None and not math.isfinite(detuning):
+        raise DomainError(f"detuning must be finite, got {detuning}")
     phi_lo, phi_at, phi_hi = (float(phi) for phi in phases)
     slope_p = (phi_hi - phi_lo) / (2.0 * SLOPE_STEP)
     fsr = params.fsr

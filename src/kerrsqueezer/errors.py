@@ -29,14 +29,6 @@ class NumericalError(KerrSqueezerError):
     """A numerical routine failed to bracket or converge."""
 
 
-class AccuracyError(NumericalError):
-    """A requested tolerance was not met; carries the measured error."""
-
-    def __init__(self, message, measured=None):
-        super().__init__(message)
-        self.measured = measured
-
-
 class ThresholdError(NumericalError):
     """Operating point at or above the parametric oscillation threshold."""
 

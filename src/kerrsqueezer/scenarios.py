@@ -374,13 +374,16 @@ def locked_circulating_power(params: CavityParams, p_in: float, conversion_per_w
     Solves ``p * (1 - r_eff(loss_0 + c p))^2 = T1 * p_in`` for each
     conversion ``c`` of the 1-D array ``conversion_per_watt`` by bracketed
     root finding, all rows in one call; the left side is strictly
-    increasing in p, so each root is unique.
+    increasing in p, so each root is unique.  A negative or non-finite
+    conversion raises :class:`DomainError`: conversion only adds loss.
     """
     t1 = params.coupler_transmission
     loss0 = params.round_trip_loss
     conversion = np.asarray(conversion_per_watt, dtype=float)
     if not math.isfinite(p_in) or p_in < 0.0:
         raise DomainError(f"input power must be >= 0, got {p_in}")
+    if not np.all(np.isfinite(conversion) & (conversion >= 0.0)):
+        raise DomainError(f"conversion per watt must be finite and >= 0, got {conversion_per_watt}")
     if p_in == 0.0:
         return np.zeros(conversion.shape)
 
@@ -400,9 +403,9 @@ def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float
     Returns one ``(delta_k, residual conversion, Kerr slope g in rad/W,
     cavity with the residual conversion added to its loss, operating
     point)`` per temperature.  The lock takes two passes: the analytic
-    low-conversion estimate, then one refinement from the ODE.  Each pass
-    solves the lock for all rows in one call and integrates all rows in one
-    cascade run.
+    low-conversion estimate, then one refinement from the exact cascade.
+    Each pass solves the lock for all rows in one call and computes all
+    rows in one cascade call.
     The last pass runs at ``p_lock * SLOPE_FACTORS``: the middle row gives
     the phase and the residual conversion, the outer rows the tangent
     ``g = dphi/dp``.

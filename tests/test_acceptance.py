@@ -13,7 +13,6 @@ import pytest
 
 from kerrsqueezer import (
     CavityParams,
-    CoupledModeState,
     EfficiencyFactor,
     LossBudget,
     OperatingPoint,
@@ -23,13 +22,13 @@ from kerrsqueezer import (
     extract_cascade_result,
     find_conversion_extrema,
     infer_loss_only,
-    propagate,
     scan_profile,
     sideband_comb_map,
     squeezing_spectrum,
     total_efficiency,
 )
 from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
+from test_cascade import reference_propagate
 
 
 @contextmanager
@@ -89,22 +88,25 @@ def test_criterion_4_fsr_and_comb():
 
 
 def test_criterion_5_cascade_oracle():
-    with criterion(5, "analytic Kerr phase vs ODE within 1%; drift < 1e-9; sech to 1e-6"):
+    with criterion(5, "analytic Kerr phase vs exact cascade within 1%; RK4 to 5e-8; sech to 1e-6"):
         length, kappa, p = 0.0093, 14.0, 0.2
         for mult in (2.0, -2.0, 2.4, 3.0, 4.0, 6.0):
             dk = mult * math.pi / length
-            ode = extract_cascade_result(p, dk, kappa, length)
-            assert ode.residual_conversion < 1e-3
+            exact = extract_cascade_result(p, dk, kappa, length)
+            assert exact.residual_conversion < 1e-3
             analytic = effective_kerr_phase(p, dk, kappa, length)
-            assert abs(ode.nl_phase - analytic) <= 0.01 * abs(analytic)
-        # Power-conservation drift at default steps, strongly driven case.
-        start = CoupledModeState(1.0, 0.0)
-        out = propagate(start, 2 * math.pi / length, 150.0, length)
-        assert abs(out.power - start.power) / start.power < 1e-9
+            assert abs(exact.nl_phase - analytic) <= 0.01 * abs(analytic)
+        # The closed form against a 16000-step RK4 run, strongly driven case.
+        dk = 2 * math.pi / length
+        a1, a2 = reference_propagate(1.0, 0.0, dk, 150.0, length, 16000)
+        out = extract_cascade_result(1.0, dk, 150.0, length)
+        assert abs(out.nl_phase - np.angle(a1)) <= 5e-8 * abs(np.angle(a1))
+        assert abs(out.residual_conversion - abs(a2) ** 2) <= 1e-9
         # Phase-matched depletion against the closed form.
-        out = propagate(start, 0.0, 150.0, length)
+        out = extract_cascade_result(1.0, 0.0, 150.0, length)
         xi = 150.0 * length
-        assert abs(out.a1) == pytest.approx(1.0 / math.cosh(xi), rel=1e-6)
+        assert math.sqrt(1.0 - out.residual_conversion) == pytest.approx(
+            1.0 / math.cosh(xi), rel=1e-6)
 
 
 def test_criterion_6_kerr_cavity_limits():

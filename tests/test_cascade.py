@@ -2,20 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ellipj
+from scipy.integrate import quad
+from scipy.special import ellipj, ellipkm1
 
 from kerrsqueezer import (
-    AccuracyError,
-    CoupledModeState,
     DomainError,
     ValidityError,
     effective_kerr_phase,
     extract_cascade_result,
     fictitious_mirror,
-    propagate,
 )
-from kerrsqueezer import cascade
-from kerrsqueezer.cascade import step_count
 
 LENGTH = 0.0093
 
@@ -31,18 +27,20 @@ def converted_fraction(p, dk, kappa, length):
     return v_b**2 * sn**2
 
 
-def reference_propagate(state, delta_k, kappa, length, steps, node_block):
-    """The per-amplitude RK4 loop that ``propagate`` replaced, kept verbatim
-    as the bit-for-bit oracle of its stacked, in-place kernel."""
-    a1, a2, dk = np.broadcast_arrays(np.asarray(state.a1, dtype=complex),
-                                     np.asarray(state.a2, dtype=complex),
+def reference_propagate(a1, a2, delta_k, kappa, length, steps):
+    """Classical fixed-step RK4 over the coupled-mode equations, one
+    amplitude at a time: the independent oracle of the closed form.
+    Returns the output amplitudes ``(a1, a2)`` in the broadcast shape of
+    the inputs."""
+    node_block = 64  # steps whose mismatch phasors are computed together
+    a1, a2, dk = np.broadcast_arrays(np.asarray(a1, dtype=complex),
+                                     np.asarray(a2, dtype=complex),
                                      np.asarray(delta_k, dtype=float))
     shape = a1.shape
     a1, a2, dk = (np.array(x).reshape(-1) for x in (a1, a2, dk))
-    z0 = float(state.z)
     h = length / steps
     c = 1j * kappa * h  # the coupling i kappa rides on the step
-    nodes = z0 + 0.5 * h * np.arange(2 * steps + 1)
+    nodes = 0.5 * h * np.arange(2 * steps + 1)
     for j in range(steps):
         i = 2 * (j % node_block)
         if i == 0:
@@ -60,122 +58,92 @@ def reference_propagate(state, delta_k, kappa, length, steps, node_block):
     return a1.reshape(shape), a2.reshape(shape)
 
 
-def complex_bits(x):
-    return [(float(v.real).hex(), float(v.imag).hex()) for v in np.asarray(x).reshape(-1)]
+def elliptic_reference(p, dk, kappa, length):
+    """Phase and residual conversion of the pure-fundamental launch from
+    scipy's ``ellipj`` and adaptive ``quad``: phi = -(s/2) int w / (1 - w)
+    dzeta over the crystal, integrated piecewise between the extrema of w.
+
+    A double m = w_b^2 near 1 moves K by about 1e-14 relative, and sn near
+    its zeros with it, so K comes from ``ellipkm1`` of the unrounded 1 - m
+    and sn from the argument reduced into [0, K]."""
+    g = kappa * math.sqrt(p)
+    s, zeta_end = dk / g, g * length
+    x = s * s / 8.0
+    root = math.sqrt(x) * math.sqrt(x + 2.0)
+    w_b, w_c = 1.0 / (1.0 + x + root), (x + root) / (1.0 + x + root)
+    quarter, scale = ellipkm1(w_c * (1.0 + w_b)), math.sqrt(w_b)
+
+    def sn_cn(zeta):
+        u = (zeta / scale) % (2.0 * quarter)
+        sn, cn, _, _ = ellipj(min(u, 2.0 * quarter - u), w_b * w_b)
+        return sn, cn
+
+    def rate(zeta):
+        sn, cn = sn_cn(zeta)
+        return w_b * sn * sn / (w_c + w_b * cn * cn)
+
+    # A last piece that ends just past a zero of w adds next to nothing; it
+    # is held to the sum before it, not to its own size.
+    edges = [*np.arange(0.0, zeta_end * (1.0 - 1e-12), quarter * scale), zeta_end]
+    integral = 0.0
+    for a, b in zip(edges, edges[1:]):
+        integral += quad(rate, a, b, epsabs=1e-16 * integral, epsrel=1e-13, limit=200)[0]
+    return -0.5 * s * integral, w_b * sn_cn(zeta_end)[0] ** 2
 
 
-class TestStackedKernel:
-    """``propagate`` equals the reference loop bit for bit."""
-
-    def assert_reference_bits(self, state, delta_k, kappa, steps):
-        out = propagate(state, delta_k, kappa, LENGTH, steps, drift_tol=1.0)
-        a1, a2 = reference_propagate(state, delta_k, kappa, LENGTH, steps, cascade._NODE_BLOCK)
-        assert np.shape(out.a1) == a1.shape and np.shape(out.a2) == a2.shape
-        assert complex_bits(out.a1) == complex_bits(a1)
-        assert complex_bits(out.a2) == complex_bits(a2)
-        assert out.z == state.z + LENGTH
-
-    def test_scalar_row(self):
-        state = CoupledModeState(0.31 + 0.12j, 0.004 - 0.002j)
-        out = propagate(state, 2 * math.pi / LENGTH, 14.0, LENGTH, 150, drift_tol=1.0)
-        assert isinstance(out.a1, complex) and isinstance(out.a2, complex)
-        self.assert_reference_bits(state, 2 * math.pi / LENGTH, 14.0, 150)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_batches(self, seed):
-        rng = np.random.default_rng(seed)
-        rows = int(rng.integers(2, 40))
-        a1 = np.sqrt(rng.uniform(0.0, 0.2, rows)) * np.exp(1j * rng.uniform(-3.0, 3.0, rows))
-        a2 = rng.uniform(0.0, 0.01, rows) * np.exp(1j * rng.uniform(-3.0, 3.0, rows))
-        delta_k = rng.uniform(-3000.0, 3000.0, rows)
-        self.assert_reference_bits(CoupledModeState(a1, a2), delta_k, 14.0, 130 + seed)
-
-    def test_stacked_rows_with_repeated_mismatch(self):
-        # The (3, rows) layout of the lock's slope pass: three powers per
-        # mismatch, which share their phasors.
-        delta_k = np.array([-2 * math.pi, 0.0, 2 * math.pi, 2 * math.pi, 13.5]) / LENGTH
-        powers = np.multiply.outer([1.0 - 1e-4, 1.0, 1.0 + 1e-4], np.linspace(0.06, 0.11, 5))
-        state = CoupledModeState(np.sqrt(powers), np.zeros(powers.shape))
-        self.assert_reference_bits(state, delta_k, 3.2, step_count(powers, delta_k, 3.2, LENGTH))
-
-    def test_empty_rows_offset_start_and_negative_kappa(self):
-        a1 = np.array([0.0, 0.3 - 0.1j, 0.0, 0.2j])
-        a2 = np.array([0.0, 0.01j, 0.0, 0.0])
-        delta_k = np.array([700.0, -700.0, 0.0, 1400.0])
-        state = CoupledModeState(a1, a2, z=0.004)
-        self.assert_reference_bits(state, delta_k, -14.0, 200)
-        out = propagate(state, delta_k, -14.0, LENGTH, 200)
-        assert out.a1[0] == 0.0 and out.a2[0] == 0.0 and out.a1[2] == 0.0
-
-    @pytest.mark.parametrize("node_block", [64, 512])
-    @pytest.mark.parametrize("steps", [100, 128, 129, 263])
-    def test_step_counts_against_node_blocks(self, monkeypatch, node_block, steps):
-        # With 512-step blocks every run here fits in one partial block.
-        monkeypatch.setattr(cascade, "_NODE_BLOCK", node_block)
-        state = CoupledModeState(np.array([0.3, 0.25 + 0.1j]), np.array([0.0, 0.02]))
-        self.assert_reference_bits(state, np.array([1500.0, -800.0]), 50.0, steps)
+def wrap(phi):
+    return (phi + math.pi) % (2.0 * math.pi) - math.pi
 
 
 class TestNonFiniteInputs:
-    """Explicit step counts skip :func:`step_count`, so ``propagate``
-    checks its own inputs, and a NaN drift fails the drift gate."""
+    """Non-finite inputs raise DomainError before any work is done."""
 
     def test_nan_kappa(self):
-        with pytest.raises(DomainError):
-            propagate(CoupledModeState(0.3, 0.0), 700.0, math.nan, LENGTH, steps=100)
+        for fn in (extract_cascade_result, fictitious_mirror):
+            with pytest.raises(DomainError):
+                fn(0.09, 700.0, math.nan, LENGTH)
 
     def test_nan_mismatch_row(self):
-        state = CoupledModeState(np.array([0.3, 0.2]), np.zeros(2))
-        with pytest.raises(DomainError):
-            propagate(state, np.array([700.0, math.nan]), 14.0, LENGTH, steps=100)
+        for dk in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                extract_cascade_result(np.array([0.09, 0.04]), np.array([700.0, dk]), 14.0, LENGTH)
 
     def test_nan_amplitude(self):
-        state = CoupledModeState(np.array([0.3, complex(0.2, math.nan)]), np.zeros(2))
-        with pytest.raises(DomainError):
-            propagate(state, 700.0, 14.0, LENGTH, steps=100)
-
-    def test_nan_drift_fails_the_gate(self):
-        # Finite amplitudes whose power overflows: the drift is inf/inf.
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(AccuracyError):
-            propagate(CoupledModeState(1e200, 0.0), 700.0, 14.0, LENGTH, steps=100)
+        for p in (math.nan, math.inf, -0.01):
+            with pytest.raises(DomainError):
+                extract_cascade_result(np.array([0.09, p]), 700.0, 14.0, LENGTH)
 
 
 class TestZeroRows:
-    """Zero rows are a DomainError, raised before any reduction or RK4 step."""
+    """Zero rows are a DomainError."""
 
-    def test_step_count(self):
+    def test_extract_cascade_result(self):
         with pytest.raises(DomainError, match="at least one row"):
-            step_count(np.zeros(0), np.zeros(0), 3.2, LENGTH)
+            extract_cascade_result(np.zeros(0), np.zeros(0), 3.2, LENGTH)
 
-    @pytest.mark.parametrize("steps", [None, 100])
-    def test_extract_cascade_result(self, steps):
+    def test_fictitious_mirror(self):
         with pytest.raises(DomainError, match="at least one row"):
-            extract_cascade_result(np.zeros(0), np.zeros(0), 3.2, LENGTH, steps)
-
-    def test_propagate_with_explicit_steps(self):
-        state = CoupledModeState(np.zeros(0), np.zeros(0))
-        with pytest.raises(DomainError, match="propagate needs at least one row"):
-            propagate(state, np.zeros(0), 3.2, LENGTH, 100)
+            fictitious_mirror(np.zeros(0), 700.0, 3.2, LENGTH)
 
 
 class TestPropagate:
+    """One crystal pass, from the closed-form solution."""
+
     def test_zero_coupling_is_identity(self):
-        start = CoupledModeState(1.3 + 0.2j, 0.1 - 0.4j)
-        out = propagate(start, 500.0, 0.0, LENGTH)
-        assert out.a1 == start.a1 and out.a2 == start.a2
+        for p, dk in ((0.3, 500.0), (0.3, 0.0), (0.0, 0.0)):
+            out = extract_cascade_result(p, dk, 0.0, LENGTH)
+            assert out.nl_phase == 0.0 and out.residual_conversion == 0.0
 
     def test_phase_matched_sech_oracle(self):
         # Closed-form depleted SHG: |a1(z)| = |a1(0)| sech(kappa |a1(0)| z).
         kappa, p0 = 150.0, 1.0
-        out = propagate(CoupledModeState(math.sqrt(p0), 0.0), 0.0, kappa, LENGTH)
+        out = extract_cascade_result(p0, 0.0, kappa, LENGTH)
         xi = kappa * math.sqrt(p0) * LENGTH
-        assert abs(out.a1) == pytest.approx(math.sqrt(p0) / math.cosh(xi), rel=1e-6)
-        assert abs(out.a2) == pytest.approx(math.sqrt(p0) * math.tanh(xi), rel=1e-6)
-
-    def test_power_conservation_default_steps(self):
-        kappa, p0 = 150.0, 1.0
-        out = propagate(CoupledModeState(math.sqrt(p0), 0.0), 3000.0, kappa, LENGTH)
-        assert abs(out.power - p0) / p0 < 1e-9
+        a1 = math.sqrt(p0 * (1.0 - out.residual_conversion))
+        a2 = math.sqrt(p0 * out.residual_conversion)
+        assert a1 == pytest.approx(math.sqrt(p0) / math.cosh(xi), rel=1e-6)
+        assert a2 == pytest.approx(math.sqrt(p0) * math.tanh(xi), rel=1e-6)
+        assert out.nl_phase == 0.0
 
     def test_full_back_conversion_at_first_zero(self):
         out = extract_cascade_result(0.01, 2 * math.pi / LENGTH, 14.0, LENGTH)
@@ -190,64 +158,53 @@ class TestPropagate:
             exact = converted_fraction(p, x / LENGTH, kappa, LENGTH)
             assert abs(out.residual_conversion - exact) <= 1e-9, x
 
-    def test_step_rule_error_budget(self):
+    @pytest.mark.parametrize("kappa", [3.2, 14.0, 50.0, 150.0])
+    def test_matches_scipy_elliptic_and_quadrature(self, kappa):
+        # kappa sqrt(p) L from 0.003 to 7.9 and s from 0.006 to 3e4: up to
+        # 16 periods of w, and peaks up to 0.997 that need the fold at K.
+        powers = [0.01, 0.1, 1.0, 10.0, 32.0]
+        mults = [0.05, -0.05, 0.5, 1.0, 2 * math.pi, 4 * math.pi, 13.5, 30.0, 100.0]
+        p, x = (a.ravel() for a in np.meshgrid(powers, mults, indexing="ij"))
+        out = extract_cascade_result(p, x / LENGTH, kappa, LENGTH)
+        for i, (p_i, x_i) in enumerate(zip(p, x)):
+            phase, residual = elliptic_reference(p_i, x_i / LENGTH, kappa, LENGTH)
+            assert abs(wrap(out.nl_phase[i] - phase)) <= 1e-12 * abs(phase), (p_i, x_i)
+            assert abs(out.residual_conversion[i] - residual) <= 1e-15, (p_i, x_i)
+
+    def test_matches_rk4_reference(self):
         # Corners of kappa in {3.2, 14, 50, 150}, p in {0.01, 1, 10, 32} W and
-        # dk L in {0, 1, 2 pi, 4 pi, 13.5, 30}, each at its own derived step
-        # count.  kappa and p enter only through kappa sqrt(p) (a = sqrt(p) u),
-        # so one 16000-step run at kappa = 150 is the reference for all.
+        # dk L in {0, 1, 2 pi, 4 pi, 13.5, 30}.  kappa and p enter only through
+        # kappa sqrt(p) (a = sqrt(p) u), so one 16000-step RK4 run at kappa =
+        # 150 is the reference for all.
         corners = [
             (3.2, 0.01, 13.5), (3.2, 32.0, 2 * math.pi), (3.2, 1.0, 0.0),
             (14.0, 32.0, 13.5), (14.0, 10.0, 2 * math.pi), (14.0, 0.01, 30.0),
             (50.0, 10.0, 13.5), (50.0, 32.0, 4 * math.pi), (50.0, 32.0, 30.0),
             (150.0, 1.0, 13.5), (150.0, 10.0, 30.0), (150.0, 32.0, 30.0), (150.0, 0.01, 1.0),
         ]
-        steps = [step_count(p, x / LENGTH, kappa, LENGTH) for kappa, p, x in corners]
-        ref = extract_cascade_result(
-            np.array([(kappa / 150.0) ** 2 * p for kappa, p, _ in corners]),
-            np.array([x for _, _, x in corners]) / LENGTH,
-            150.0, LENGTH, steps=max(16000, 8 * max(steps)))
+        p_ref = np.array([(kappa / 150.0) ** 2 * p for kappa, p, _ in corners])
+        dk = np.array([x for _, _, x in corners]) / LENGTH
+        a1, a2 = reference_propagate(np.sqrt(p_ref), 0.0, dk, 150.0, LENGTH, 16000)
         for i, (kappa, p, x) in enumerate(corners):
             got = extract_cascade_result(p, x / LENGTH, kappa, LENGTH)
-            out = propagate(CoupledModeState(math.sqrt(p), 0.0), x / LENGTH, kappa, LENGTH,
-                            drift_tol=1.0)
-            where = (kappa, p, x, steps[i])
-            assert abs(got.nl_phase - ref.nl_phase[i]) <= 5e-8 * abs(ref.nl_phase[i]), where
-            assert abs(got.residual_conversion - ref.residual_conversion[i]) <= 1e-9, where
-            assert abs(out.power - p) / p <= 1e-9, where
+            phase, residual = np.angle(a1[i]), abs(a2[i]) ** 2 / p_ref[i]
+            assert abs(got.nl_phase - phase) <= 5e-8 * abs(phase), (kappa, p, x)
+            assert abs(got.residual_conversion - residual) <= 1e-9, (kappa, p, x)
 
-    def test_step_rule(self):
-        assert step_count(0.0, 0.0, 14.0, LENGTH) == 100
-        assert step_count(1.0, 0.0, 150.0, LENGTH) == math.ceil(150.0 * LENGTH / 0.005)
-        assert step_count([0.5, 1.0], [30.0 / LENGTH, -40.0 / LENGTH], 0.0, LENGTH) == 800
-        with pytest.raises(DomainError):
-            step_count(-1.0, 0.0, 14.0, LENGTH)
-
-    def test_step_floor(self):
-        with pytest.raises(DomainError):
-            propagate(CoupledModeState(1.0, 0.0), 0.0, 1.0, LENGTH, steps=50)
-
-    def test_accuracy_error_reports_drift(self):
-        with pytest.raises(AccuracyError) as err:
-            propagate(
-                CoupledModeState(1.0, 0.0), 0.0, 300.0, LENGTH, steps=100, drift_tol=1e-16
-            )
-        assert err.value.measured is not None and err.value.measured > 1e-16
-
-    def test_fourth_order_convergence(self):
-        # Richardson: successive halvings shrink the change by ~2^4.
-        kappa = 150.0
-        dk = 2 * math.pi / LENGTH
-
-        def endpoint(steps):
-            out = propagate(
-                CoupledModeState(1.0, 0.0), dk, kappa, LENGTH, steps=steps, drift_tol=1e-3
-            )
-            return out.a1
-
-        coarse, mid, fine = endpoint(100), endpoint(200), endpoint(400)
-        diff1 = abs(coarse - mid)
-        diff2 = abs(mid - fine)
-        assert diff2 < diff1 / 15.0
+    def test_sign_of_kappa_and_extreme_mismatch(self):
+        # Flipping kappa flips a2 only.  A mismatch too small to square is
+        # phase matched, and one too large against the coupling converts
+        # nothing; neither gives a NaN.
+        pos = extract_cascade_result([0.2, 3.0], [700.0, -40.0], 14.0, LENGTH)
+        neg = extract_cascade_result([0.2, 3.0], [700.0, -40.0], -14.0, LENGTH)
+        assert neg.nl_phase.tolist() == pos.nl_phase.tolist()
+        assert neg.residual_conversion.tolist() == pos.residual_conversion.tolist()
+        out = extract_cascade_result([1.0, 1e-300, 1e-300], [1e-170, 1e5, 1e9], 14.0, LENGTH)
+        assert out.nl_phase[0] == 0.0
+        assert out.residual_conversion[0] == pytest.approx(math.tanh(14.0 * LENGTH) ** 2,
+                                                           rel=1e-15)
+        assert np.all(np.abs(out.nl_phase[1:]) < 1e-300)
+        assert np.all((out.residual_conversion[1:] >= 0.0) & (out.residual_conversion[1:] < 1e-300))
 
 
 class TestEffectiveKerrPhase:
@@ -270,6 +227,13 @@ class TestEffectiveKerrPhase:
     def test_validity_region(self):
         with pytest.raises(ValidityError):
             effective_kerr_phase(0.2, 0.5 * math.pi / LENGTH, 14.0, LENGTH)
+        dk = 2 * math.pi / LENGTH
+        for args in ((0.2, math.nan, 14.0, LENGTH), (0.2, math.inf, 14.0, LENGTH),
+                     (0.2, -math.inf, 14.0, LENGTH), (0.2, dk, math.nan, LENGTH),
+                     (0.2, dk, math.inf, LENGTH), (0.2, dk, 14.0, math.nan),
+                     (0.2, dk, 14.0, math.inf)):
+            with pytest.raises(DomainError):
+                effective_kerr_phase(*args)
 
     @pytest.mark.parametrize("mult", [2.0, -2.0, 2.4, 3.0, -3.0, 4.0, 6.0])
     def test_matches_ode_oracle(self, mult):
@@ -300,14 +264,34 @@ class TestExtractCascade:
         assert neg.nl_phase == pytest.approx(-pos.nl_phase, rel=1e-10)
         assert neg.residual_conversion == pytest.approx(pos.residual_conversion, rel=1e-10)
         # One batched run over both signs gives the row-by-row results bit
-        # for bit at the same step count.
+        # for bit.
         powers, mismatches = np.array([0.2, 0.2, 0.0, 3.0]), np.array([dk, -dk, dk, 0.0])
-        steps = step_count(powers, mismatches, kappa, LENGTH)
-        batch = extract_cascade_result(powers, mismatches, kappa, LENGTH, steps=steps)
-        rows = [extract_cascade_result(p, d, kappa, LENGTH, steps=steps)
-                for p, d in zip(powers, mismatches)]
+        batch = extract_cascade_result(powers, mismatches, kappa, LENGTH)
+        rows = [extract_cascade_result(p, d, kappa, LENGTH) for p, d in zip(powers, mismatches)]
         assert batch.nl_phase.tolist() == [row.nl_phase for row in rows]
         assert batch.residual_conversion.tolist() == [row.residual_conversion for row in rows]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_gives_row_bits(self, seed):
+        # Each row is computed on its own: no batch size, largest power or
+        # largest mismatch changes a row's bits.  Zero powers, zero
+        # mismatches and the (3, rows) layout of the lock's slope pass included.
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(2, 60))
+        powers = np.multiply.outer([1.0 - 1e-4, 1.0, 1.0 + 1e-4], rng.uniform(0.0, 30.0, rows))
+        powers[:, rng.random(rows) < 0.1] = 0.0
+        mismatches = rng.uniform(-120.0, 120.0, rows) / LENGTH
+        mismatches[rng.random(rows) < 0.1] = 0.0
+        kappa = float(rng.uniform(3.0, 150.0))
+        batch = extract_cascade_result(powers, mismatches, kappa, LENGTH)
+        mirror = fictitious_mirror(powers, mismatches, kappa, LENGTH)
+        for i, j in np.ndindex(powers.shape):
+            row = extract_cascade_result(float(powers[i, j]), float(mismatches[j]), kappa, LENGTH)
+            assert batch.nl_phase[i, j] == row.nl_phase
+            assert batch.residual_conversion[i, j] == row.residual_conversion
+            row_mirror = fictitious_mirror(float(powers[i, j]), float(mismatches[j]), kappa, LENGTH)
+            assert mirror.r1[i, j] == row_mirror.r1
+            assert mirror.phase_offset[i, j] == row_mirror.phase_offset
 
     def test_phase_matched_pure_depletion(self):
         # At zero mismatch the crystal depletes but does not phase shift.
@@ -347,3 +331,17 @@ class TestFictitiousMirror:
         dk = 2 * math.pi / LENGTH
         mirror = fictitious_mirror(0.05, dk, 14.0, LENGTH)
         assert mirror.phase_offset == pytest.approx(dk * LENGTH / 4, abs=2e-3)
+
+    def test_matches_rk4_reference(self):
+        # Strong drive, where the low-conversion forms no longer hold: r1 and
+        # the lag from the conserved quantity against the amplitudes of an
+        # RK4 run over the half crystal (the step of 16000 over the whole).
+        cases = [(1.0, 2 * math.pi), (9.0, 3 * math.pi), (4.0, 1.0), (9.0, -13.5),
+                 (32.0, 30.0), (0.01, 0.5)]
+        p = np.array([p for p, _ in cases])
+        dk = np.array([x for _, x in cases]) / LENGTH
+        a1, a2 = reference_propagate(np.sqrt(p), 0.0, dk, 150.0, LENGTH / 2, 8000)
+        lag = np.angle(a2) - 2 * np.angle(a1) + dk * LENGTH / 2 - 0.5 * math.pi
+        mirror = fictitious_mirror(p, dk, 150.0, LENGTH)
+        assert np.all(np.abs(mirror.r1 - np.abs(a2) ** 2 / p) <= 1e-9)
+        assert np.all(np.abs(wrap(mirror.phase_offset - lag)) <= 1e-8)

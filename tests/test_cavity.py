@@ -689,6 +689,12 @@ class TestOperatingPoint:
         assert op.delta_eff == 0.0
         assert op.headroom == math.inf
 
+    def test_non_finite_detuning_is_rejected(self):
+        # The message of steady_state_branches, which rejects the same detuning.
+        for detuning in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="detuning must be finite"):
+                linearize(cavity(), 1.0, np.zeros(3), detuning)
+
     def test_epsilon_linear_in_circulating_power(self):
         phi = lambda p: 1e-5 * p
         ops = [detuned_point(cavity(), p_in, phi, 0.0) for p_in in (0.001, 0.002)]

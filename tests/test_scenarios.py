@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import kerrsqueezer
 from kerrsqueezer import (
     CavityParams,
+    DomainError,
     InconsistentObservationError,
     ValidationError,
     calibrate_from_extrema,
@@ -27,6 +28,7 @@ from kerrsqueezer.scenarios import (
     default_config_path,
     infer_report,
     load_config,
+    locked_circulating_power,
     run_scenario,
     validate_config,
 )
@@ -535,6 +537,15 @@ class TestFig5:
         assert header.startswith("T_celsius,delta_k,residual_conversion,round_trip_loss")
         spec_header = (out / "spectrum.csv").read_text().splitlines()[0]
         assert spec_header == "f_Hz,vmin_dB,vmax_dB,theta_rad"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_lock_rejects_a_negative_or_non_finite_conversion(self, bad):
+        # A negative conversion would be a cavity with gain: -1.0 /W at
+        # 70 mW locked at 0.153 W, with a round-trip loss below zero.
+        params = CavityParams(0.838, 0.01, 0.0019)
+        for p_in in (0.07, 0.0):
+            with pytest.raises(DomainError, match="conversion per watt"):
+                locked_circulating_power(params, p_in, np.array([1e-6, bad]))
 
     def test_json_format(self, tmp_path):
         config = load_config(default_config_path("fig5"))
