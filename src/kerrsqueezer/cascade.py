@@ -86,13 +86,6 @@ def _wrap(phi):
     return (phi + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _powers(p_in) -> np.ndarray:
-    p = np.asarray(p_in, dtype=float)
-    if not np.all(np.isfinite(p) & (p >= 0.0)):
-        raise DomainError(f"power must be >= 0, got {p_in}")
-    return p
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre() -> tuple:
     """48-point Gauss-Legendre nodes and weights on [0, 1]."""
@@ -127,7 +120,9 @@ def _orbit(p_in, delta_k, kappa: float, length: float) -> _Orbit:
         raise DomainError(f"length must be positive, got {length}")
     if not math.isfinite(kappa):
         raise DomainError(f"kappa must be finite, got {kappa}")
-    p, dk = np.broadcast_arrays(_powers(p_in), np.asarray(delta_k, dtype=float))
+    p, dk = np.broadcast_arrays(np.asarray(p_in, dtype=float), np.asarray(delta_k, dtype=float))
+    if not np.all(np.isfinite(p) & (p >= 0.0)):
+        raise DomainError(f"power must be >= 0, got {p_in}")
     if not p.size:
         raise DomainError("the cascade needs at least one row")
     if not np.all(np.isfinite(dk)):
