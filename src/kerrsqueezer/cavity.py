@@ -132,8 +132,8 @@ class CombAssignment(NamedTuple):
     omega: float
 
 
-# Points of the bracket grid over [0, resonant_buildup * p_in].
-_SCAN_POINTS = 512
+# 2 pi = hi + lo to 1e-25: hi keeps 33 significant bits, so k * hi is exact for |k| < 2**20.
+_TWO_PI_HI, _TWO_PI_LO = 6.2831853069365025, 2.430840202602477e-10
 
 
 def steady_state_branches(
@@ -144,19 +144,21 @@ def steady_state_branches(
 ) -> BranchArrays:
     """Ascending circulating-power solutions at each detuning (rad) of the 1-D array ``detuning``.
 
-    Roots of ``F(p) = p * |1 - r_eff exp(i(detuning + phi_nl(p)))|^2
-    - T1 * p_in`` are bracketed on a grid over ``[0, resonant_buildup *
-    p_in]`` and refined by Brent; ``phi_nl`` is called on 1-D arrays of
-    circulating power only.  Each cell where ``F > 0`` flips brackets one
-    root, and the direction of the flip is the slope criterion of the
-    implicit map: a root is stable when F is increasing through it.  As
-    F(0) < 0 < F(p_max), the roots alternate stable/unstable and the first
-    and last are stable.
-
-    The sweep's :class:`BranchArrays` come from one stacked solve: the grid
-    and ``phi_nl`` on it are shared, F's signs on the grid come from the
-    resonance manifold and every bracket of the sweep is refined by one array
-    :func:`brentq`.  One detuning is a sweep of one.
+    ``p(psi) = T1 p_in / |1 - r_eff exp(i psi)|^2`` solves the resonance equation
+    at round-trip phase psi, so the roots at detuning d are the psi in [-pi, pi]
+    where ``D(psi) = psi - phi_nl(p(psi))`` meets ``d + 2 pi k`` (Drummond &
+    Walls, J. Phys. A 13, 725 (1980)).  D is sampled at ``tan(psi / 2) = e tan(u
+    / 2)``, ``e = (1 - r_eff) / (1 + r_eff)``, for 512 u evenly over [-pi, pi],
+    as densely on the resonance as on its wings.  A zooming grid refines each
+    turning point (fold); between folds D is monotone and each target in its
+    range is one root, refined with all others of the sweep by one array
+    :func:`brentq` in psi.  ``phi_nl`` gets 1-D arrays of circulating power; a
+    non-finite value raises :class:`NumericalError` naming the power, at the
+    first such grid point whatever the sweep.  As D(pi) = D(-pi) + 2 pi, the
+    count is odd: a detuning whose target falls in the rounding gap of that seam
+    gets its root at psi = pi.  Sorted by power, the roots alternate
+    stable/unstable from a stable one, as F(p) = p |1 - r_eff exp(i(d +
+    phi_nl))|^2 - T1 p_in rises through a stable root from F(0) < 0.
     """
     sweep = np.asarray(detuning, dtype=float)
     if sweep.ndim != 1:
@@ -168,69 +170,56 @@ def steady_state_branches(
     if p_in == 0.0 or not len(sweep):  # one root, p = 0, at each detuning
         return BranchArrays(np.zeros(len(sweep)), np.ones(len(sweep), bool),
                             np.ones(len(sweep), int))
-    r = params.r_eff
-    t1 = params.coupler_transmission
+    r, t1_p_in = params.r_eff, params.coupler_transmission * p_in
 
-    def implicit(p, phase):
-        return p * (1.0 + r * r - 2.0 * r * np.cos(phase)) - t1 * p_in
+    def power(psi):  # the resonance curve
+        return t1_p_in / ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * psi) ** 2)
 
-    def ranges(first, last):  # every integer of the ranges [first, last), and its range
-        owner = np.repeat(np.arange(len(first)), last - first)
-        return np.arange(len(owner)) + (last - np.cumsum(last - first))[owner], owner
+    def level(psi):  # D(psi)
+        if phi_nl is None or not len(psi):
+            return psi
+        p = power(psi)
+        phi = np.asarray(phi_nl(p), dtype=float)
+        bad = ~np.isfinite(phi)
+        if bad.any():
+            raise NumericalError(f"phi_nl is {float(phi[bad][0])} at p_circ={float(p[bad][0])} W")
+        return psi - phi
 
-    p_max = params.resonant_buildup * p_in * (1.0 + 1e-6)
-    grid = np.linspace(0.0, p_max, _SCAN_POINTS)
-    phi = np.zeros(_SCAN_POINTS) if phi_nl is None else phi_nl(grid)
-    # F(p_j > 0) <= 0 iff cos(d + phi_j) >= c_j = (1 + r^2 - T1 p_in / p_j) / (2r): d within
-    # arccos(c_j) of -phi_j mod 2 pi (Drummond & Walls, J. Phys. A 13, 725 (1980)).  ends[k, s]
-    # holds the sorted rows of y = (d + pi) mod 2 pi at those ends + 2 pi k -+ eta: F is evaluated
-    # only in between.  With eps = 2^-52 and cos, arccos within 4 ulp, cos(d + phi_j) misses F's
-    # threshold by < D = eps (|d| + |phi_j| + 2 (1 + r^2) / r + 8) + 2^-1074 / (r p_j) (d + phi_j,
-    # cos, F, c_j, subnormals); |arccos x - arccos c| <= pi sqrt(|x - c| / 2) at any c; arccos and
-    # rounding y and the ends add < 2 eps (|d| + |phi_j| + 2 pi (|k| + 3)).  A non-finite phi_j
-    # sets c_j = -1.  Column j is below where an odd number of its toggles lie at or before the
-    # row; a cell changes sign in an odd number of the ranges between its columns' toggles.
-    order = np.argsort(np.remainder(sweep + math.pi, 2.0 * math.pi))
-    y = np.remainder(sweep[order] + math.pi, 2.0 * math.pi)
-    phase = np.where(np.isfinite(phi[1:]), phi[1:], 0.0)
-    c = np.where(phase == phi[1:], (1.0 + r * r - t1 * p_in / grid[1:]) / (2.0 * r), -1.0)
-    turns = [round(v / (2.0 * math.pi) - 0.5) for v in (y[0] + phase.min(), y[-1] + phase.max())]
-    k = [2.0 * math.pi * j for j in range(turns[0], turns[1] + 1)]
-    rounding = 2.0**-52 * float(np.abs(sweep).max() + np.abs(phase).max())
-    doubt = rounding + 2.0**-52 * (2.0 * (1.0 + r * r) / r + 8.0) + 5e-324 / (r * grid[1])
-    eta = math.pi * math.sqrt(doubt / 2.0) + 2.0 * rounding + 2.0**-51 * (max(map(abs, k)) + 19.0)
-    ends = np.searchsorted(y, np.add.outer(np.add.outer(k, (-eta, eta)), (math.pi - phase)
-                           + np.multiply.outer((-1.0, 1.0), np.arccos(np.clip(c, -1.0, 1.0)))))
-    toggles = np.vstack([[0] + [len(y)] * (2 * len(k) - 1),
-                         ends[:, [0, 1], [0, 1]].reshape(2 * len(k), -1).T])
-    rows, cell = ranges(*(f(toggles[:-1], toggles[1:]).ravel() for f in (np.minimum, np.maximum)))
-    keys = [order[rows] * (_SCAN_POINTS - 1) + cell // (2 * len(k))]
-    if np.any(ends[:, 1] > ends[:, 0]):
-        at, band = ranges(ends[:, 0].ravel(), ends[:, 1].ravel())
-        doubted = np.sort(at * _SCAN_POINTS + band % ends.shape[-1] + 1)
-        at, col = np.divmod(doubted[np.diff(doubted, prepend=-1) > 0], _SCAN_POINTS)
-        wrong = (implicit(grid[col], sweep[order[at]] + phi[col]) > 0.0) == (
-            np.count_nonzero(toggles[col] <= at[:, None], axis=1) % 2 == 1)
-        at, col = order[at[wrong]] * (_SCAN_POINTS - 1), col[wrong]
-        keys += [at + col - 1, (at + col)[col < _SCAN_POINTS - 1]]
-    keys, times = np.unique(np.concatenate(keys), return_counts=True)
-    owners, cells = np.divmod(keys[times % 2 == 1], _SCAN_POINTS - 1)
-    found = np.bincount(owners, minlength=len(sweep))
-    if not found.all():
-        f_0, f_max = implicit(grid[[0, -1]], sweep[np.argmin(found)] + phi[[0, -1]])
-        raise NumericalError(
-            "failed to bracket any steady state "
-            f"(p_in={p_in}, detuning={float(sweep[np.argmin(found)])}, p_max={p_max}); "
-            f"F(0)={f_0:.3e}, F(p_max)={f_max:.3e}"
-        )
-
-    def implicit_at(p, index):
-        phase = sweep[owners[index]]
-        return implicit(p, phase if phi_nl is None else phase + phi_nl(p))
-
-    roots = brentq(implicit_at, grid[cells], grid[cells + 1], xtol=1e-300, rtol=8.9e-16)
-    stable = (np.arange(len(roots)) - np.repeat(np.cumsum(found) - found, found)) % 2 == 0
-    return BranchArrays(roots, stable, found)
+    half = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 512)[1:-1]  # u / 2
+    grid = np.hstack([-math.pi, 2.0 * np.arctan((1.0 - r) / (1.0 + r) * np.tan(half)), math.pi])
+    values = level(grid)
+    rising = np.diff(values) > 0.0
+    turn = np.flatnonzero(rising[1:] != rising[:-1]) + 1
+    # Each fold's extreme D: a 129-point grid zooms 64-fold onto its best point per round.
+    sign, rows = np.where(rising[turn - 1], 1.0, -1.0), np.arange(len(turn))  # +1: a maximum
+    a, b = grid[turn - 1], grid[turn + 1]
+    for _ in range(5):
+        x = a[:, None] + np.outer(b - a, np.linspace(0.0, 1.0, 129))
+        f = sign[:, None] * level(x.ravel()).reshape(x.shape)
+        best = np.argmax(f, axis=1)
+        a, b = x[rows, np.maximum(best - 1, 0)], x[rows, np.minimum(best + 1, 128)]
+    ends = np.concatenate([grid[:1], x[rows, best], grid[-1:]])
+    heights = np.concatenate([values[:1], sign * f[rows, best], values[-1:]])
+    lo, hi = np.minimum(heights[:-1], heights[1:]), np.maximum(heights[:-1], heights[1:])
+    # Each k with lo <= d + 2 pi k < hi is a root on that run: a few candidate k
+    # per (run, detuning), kept by the test on the target itself.
+    first = np.floor((lo[:, None] - sweep) / math.tau).ravel()
+    tries = (np.ceil((hi[:, None] - sweep) / math.tau).ravel() - first + 1).astype(int)
+    cell = np.repeat(np.arange(len(tries)), tries)
+    turns = first[cell] + np.arange(len(cell)) - np.repeat(np.cumsum(tries) - tries, tries)
+    run, owner = np.divmod(cell, len(sweep))
+    target = (sweep[owner] + turns * _TWO_PI_HI) + turns * _TWO_PI_LO
+    keep = (lo[run] <= target) & (target < hi[run])
+    run, owner, target = run[keep], owner[keep], target[keep]
+    psi = brentq(lambda x, i: level(x) - target[i], ends[run], ends[run + 1],
+                 xtol=1e-300, rtol=8.9e-16)
+    found = np.bincount(owner, minlength=len(sweep))
+    seam = np.flatnonzero(found % 2 == 0)  # its root fell in the seam's rounding gap
+    owner, found[seam] = np.concatenate([owner, seam]), found[seam] + 1
+    p = power(np.concatenate([psi, np.full(len(seam), math.pi)]))
+    order = np.lexsort((p, owner))
+    stable = (np.arange(len(p)) - np.repeat(np.cumsum(found) - found, found)) % 2 == 0
+    return BranchArrays(p[order], stable, found)
 
 
 @dataclass(frozen=True)
@@ -373,11 +362,17 @@ def linearize(params: CavityParams, p_circ: float, phases,
     detuned.  A float ``detuning`` is that of a free-running cavity, with
     ``p_circ`` one of the roots :func:`steady_state_branches` finds there;
     ``None`` is a locked cavity, whose length servo holds ``delta_eff`` at zero.
-    A non-finite ``detuning`` raises :class:`DomainError`.
+    A non-finite ``detuning``, a non-finite or negative ``p_circ`` and
+    ``phases`` other than three finite numbers raise :class:`DomainError`.
     """
     if detuning is not None and not math.isfinite(detuning):
         raise DomainError(f"detuning must be finite, got {detuning}")
-    phi_lo, phi_at, phi_hi = (float(phi) for phi in phases)
+    if not math.isfinite(p_circ) or p_circ < 0.0:
+        raise DomainError(f"p_circ must be finite and >= 0, got {p_circ}")
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (3,) or not np.all(np.isfinite(phases)):
+        raise DomainError(f"phases must be 3 finite numbers, got {phases.tolist()}")
+    phi_lo, phi_at, phi_hi = phases.tolist()
     slope_p = (phi_hi - phi_lo) / (2.0 * SLOPE_STEP)
     fsr = params.fsr
     return OperatingPoint(

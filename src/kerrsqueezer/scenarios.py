@@ -250,8 +250,11 @@ def default_config_path(scenario: str) -> Path:
 
 
 def load_config_file(path) -> dict:
-    """Parse a YAML config file; parse errors carry line/column info."""
-    text = Path(path).read_text()
+    """Parse a UTF-8 YAML config file; parse errors carry line/column info."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"config is not UTF-8 text: {err}") from err
     try:
         data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as err:

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 from typing import Optional
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 from kerrsqueezer import (
     BranchArrays,
@@ -23,8 +25,7 @@ from kerrsqueezer import (
 )
 from kerrsqueezer import cavity as cavity_module
 from kerrsqueezer import scenarios as scenarios_module
-from kerrsqueezer.cavity import SLOPE_FACTORS, _SCAN_POINTS, _half_max_asymmetry, linearize
-from kerrsqueezer.roots import brentq
+from kerrsqueezer.cavity import SLOPE_FACTORS, _half_max_asymmetry, linearize
 from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
 
 # Resonator budget used throughout: 1% coupler, 0.19% residual loss.
@@ -84,62 +85,109 @@ class TestDerivedQuantities:
             CavityParams(**kwargs)
 
 
-# Detunings per block of the dense sign-change scan in reference_branches.
-_SCAN_BLOCK = 32
-
-
 def reference_branches(params, p_in, phi_nl, detuning):
-    """The blockwise sign-change scan that evaluated F on the whole bracket
-    grid, kept verbatim as the bit-for-bit oracle of steady_state_branches,
-    which reads the same signs off the resonance manifold.  One list of
-    (p_circ, stable) per detuning of the 1-D array ``detuning``."""
-    sweep = np.asarray(detuning, dtype=float)
-    if sweep.ndim != 1:
-        raise DomainError("detuning must be a 1-D array")
-    if not np.all(np.isfinite(sweep)):
-        raise DomainError("detuning must be finite")
-    if not math.isfinite(p_in) or p_in < 0.0:
-        raise DomainError(f"input power must be >= 0, got {p_in}")
-    if p_in == 0.0 or not len(sweep):
-        return [[(0.0, True)] for _ in sweep]
+    """The sign flips of ``F(p) = p |1 - r_eff exp(i(d + phi_nl(p)))|^2 - T1 p_in`` on
+    a grid of 512 powers over [0, resonant_buildup * p_in], the brackets
+    of the power-grid solve that came before the resonance curve; kept as the
+    count oracle.  One list per detuning of the 1-D array ``detuning``, one
+    flag per flip: whether F rises through it (a stable root)."""
+    if p_in == 0.0:
+        return [[True] for _ in detuning]
+    r, t1_p_in = params.r_eff, params.coupler_transmission * p_in
+    grid = np.linspace(0.0, params.resonant_buildup * p_in * (1.0 + 1e-6), 512)
+    phase = 0.0 if phi_nl is None else phi_nl(grid)
+    flips = []
+    for start in range(0, len(detuning), 32):
+        d = np.asarray(detuning[start:start + 32], dtype=float)[:, None]
+        above = grid * (1.0 + r * r - 2.0 * r * np.cos(d + phase)) > t1_p_in
+        flips += [(~row[:-1])[row[:-1] != row[1:]].tolist() for row in above]
+    return flips
+
+
+def curve_counts(params, p_in, phi_nl, detuning):
+    """Root counts from the resonance curve ``p(psi) = T1 p_in / |1 - r_eff
+    exp(i psi)|^2`` sampled at 2^14 + 1 points, evenly in u with ``tan(psi /
+    2) = e tan(u / 2)``, over one turn that starts at u = 1 - pi, away from psi
+    = pi: each sample cell whose ``D = psi - phi_nl(p)`` spans ``[lo, hi)``
+    holds one root for each ``d + 2 pi k`` there.  Exact but within a cell's
+    curvature of a fold, so it also counts the roots whose F < 0 windows are
+    narrower than the spacing of any feasible power grid."""
     r = params.r_eff
-    t1 = params.coupler_transmission
+    half = np.linspace(0.5 - 0.5 * math.pi, 0.5 + 0.5 * math.pi, 2**14 + 1)
+    # Continuous over the turn: u / 2 stays inside (-pi, pi), where arctan2 does not wrap.
+    psi = 2.0 * np.arctan2((1.0 - r) / (1.0 + r) * np.sin(half), np.cos(half))
+    p = params.coupler_transmission * p_in / ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * psi) ** 2)
+    level = psi if phi_nl is None else psi - phi_nl(p)
+    lo, hi = np.minimum(level[:-1], level[1:]), np.maximum(level[:-1], level[1:])
+    counts = []
+    for start in range(0, len(detuning), 16):
+        d = np.asarray(detuning[start:start + 16], dtype=float)[:, None]
+        counts += (np.ceil((hi - d) / math.tau) - np.ceil((lo - d) / math.tau)).sum(axis=1).tolist()
+    return [int(n) for n in counts]
 
-    def implicit(p, phase):
-        return p * (1.0 + r * r - 2.0 * r * np.cos(phase)) - t1 * p_in
 
-    p_max = params.resonant_buildup * p_in * (1.0 + 1e-6)
-    grid = np.linspace(0.0, p_max, _SCAN_POINTS)
-    phi_grid = None if phi_nl is None else phi_nl(grid)
-    owners, cells, stable, counts = [], [], [], []
-    for start in range(0, len(sweep), _SCAN_BLOCK):
-        block = sweep[start:start + _SCAN_BLOCK, None]
-        values = implicit(grid, block if phi_grid is None else block + phi_grid)
-        above = values > 0.0
-        # flatnonzero and divmod take a sixth of the time of a 2-D nonzero.
-        rows, cols = np.divmod(np.flatnonzero(above[:, :-1] != above[:, 1:]), _SCAN_POINTS - 1)
-        found = np.bincount(rows, minlength=len(block))
-        if not found.all():
-            j = int(np.argmin(found))
-            raise NumericalError(
-                "failed to bracket any steady state "
-                f"(p_in={p_in}, detuning={float(block[j, 0])}, p_max={p_max}); "
-                f"F(0)={values[j, 0]:.3e}, F(p_max)={values[j, -1]:.3e}"
-            )
-        owners.append(start + rows)
-        cells.append(cols)
-        stable.append(above[rows, cols + 1])
-        counts.append(found)
-    owners, cells = np.concatenate(owners), np.concatenate(cells)
+def linear_folds(params, p_in, g):
+    """Fold detunings of the linear phase ``phi = g p`` from the closed-form
+    manifold ``delta(p) = +-arccos(c(p)) - g p``, ``c(p) = (1 + r^2 - T1 p_in /
+    p) / (2 r)``: ``d delta / d p = -+T1 p_in / (2 r p^2 sqrt(1 - c^2)) - g``
+    vanishes on the branch of sign ``-sign(g)`` only, where scipy's brentq solves
+    it on the sign changes of a dense power grid."""
+    r, t1_p_in = params.r_eff, params.coupler_transmission * p_in
+    side = -math.copysign(1.0, g)
 
-    def implicit_at(p, index):
-        phase = sweep[owners[index]]
-        return implicit(p, phase if phi_nl is None else phase + phi_nl(p))
+    def cos_phase(p):
+        return (1.0 + r * r - t1_p_in / p) / (2.0 * r)
 
-    roots = brentq(implicit_at, grid[cells], grid[cells + 1], xtol=1e-300, rtol=8.9e-16).tolist()
-    branches = list(zip(roots, np.concatenate(stable).tolist()))
-    ends = np.cumsum(np.concatenate(counts)).tolist()
-    return [branches[i:j] for i, j in zip([0] + ends, ends)]
+    def excess(p):  # -side * d delta / d p
+        return t1_p_in / (2.0 * r * p * p * np.sqrt(1.0 - cos_phase(p) ** 2)) - abs(g)
+
+    grid = np.linspace(t1_p_in / (1.0 + r) ** 2, t1_p_in / (1.0 - r) ** 2, 100_001)[1:-1]
+    signs = np.sign(excess(grid))
+    return [side * math.acos(cos_phase(p)) - g * p
+            for p in (scipy_brentq(excess, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
+                      for i in np.flatnonzero(signs[1:] != signs[:-1]))]
+
+
+def newton_steps(params, p_in, phi_nl, detuning, found):
+    """Per root of the BranchArrays ``found``: the relative length of one
+    long-double Newton step on ``F(p) = p ((1 - r)^2 + 4 r sin^2(theta / 2)) - T1
+    p_in`` at ``theta = d + phi_nl(p)``, ``phi_nl`` evaluated in long double too;
+    the size ``|d| + |phi_nl(p)| + pi`` of the phase terms; and ``|d ln p / d
+    theta|``, the root's relative change per radian of phase."""
+    extended = np.longdouble
+    assert np.finfo(extended).nmant > 52, "the reference needs an extended long double"
+    r = extended(params.r_eff)
+    d = np.repeat(np.asarray(detuning, dtype=float), found.count).astype(extended)
+    p = found.p_circ.astype(extended)
+    phase = (lambda q: 0.0 * q) if phi_nl is None else phi_nl
+
+    def implicit(q):
+        theta = d + phase(q)
+        return q * ((1 - r) ** 2 + 4 * r * np.sin(theta / 2) ** 2) - extended(
+            params.coupler_transmission) * extended(p_in), theta
+
+    h = p * extended(1e-7)
+    slope = (implicit(p + h)[0] - implicit(p - h)[0]) / (2 * h)
+    value, theta = implicit(p)
+    return (np.abs(value / slope / p).astype(float),
+            (np.abs(d) + np.abs(phase(p)) + math.pi).astype(float),
+            np.abs(2 * r * np.sin(theta) / slope).astype(float))
+
+
+def assert_solves(params, p_in, phi_nl, detuning, counts, rounding=0.0):
+    """The counts of the solve are ``counts``, each root is within 1e-13 relative
+    of a long-double Newton step, plus ``rounding`` ulps of the phase terms times
+    the root's sensitivity to phase, and stability alternates from a stable
+    first root."""
+    found = steady_state_branches(params, p_in, phi_nl, detuning)
+    assert found.count.tolist() == list(counts)
+    step, scale, sensitivity = newton_steps(params, p_in, phi_nl, detuning, found)
+    bound = 1e-13 + rounding * np.finfo(float).eps * scale * sensitivity
+    assert np.all(step <= bound), float(np.max(step / bound))
+    starts = np.cumsum(found.count) - found.count
+    position = np.arange(len(found.p_circ)) - np.repeat(starts, found.count)
+    assert found.stable.tolist() == (position % 2 == 0).tolist()
+    return found
 
 
 def one_detuning(params, p_in, phi_nl, detuning):
@@ -291,33 +339,23 @@ class TestStackedSweep:
         with pytest.raises(DomainError, match="1-D"):
             steady_state_branches(cavity(), 0.0088, None, np.zeros((2, 3)))
 
-    def test_nan_phase_names_the_detuning(self):
-        # A phase that is NaN above 60 % of the resonant power leaves the
-        # detunings near resonance without a bracket.  Every bracket of the
-        # sweep is checked before any Brent step, so the stacked call raises
-        # NumericalError naming the first of them in array order, even where
-        # a detuning earlier in the array has a bracket into the NaN region,
-        # which stops Brent with ValueError when solved as a sweep of one.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_names_the_power(self, bad):
+        # A phase that is non-finite above 60 % of the resonant power is so on
+        # the sampled resonance curve.  Whatever the sweep, the solve raises
+        # NumericalError naming the first such power of the curve's grid, the
+        # lowest of them, before any root is refined.
         c = cavity()
         p_cut = 0.6 * c.resonant_buildup * 0.0088
-        phi = lambda p: np.where(p < p_cut, 0.0, np.nan)
-        dets = np.linspace(-0.05, 0.05, 129)
-        with pytest.raises(NumericalError) as stacked:
-            steady_state_branches(c, 0.0088, phi, dets)
-        with pytest.raises(ValueError, match="is NaN"):
-            steady_state_branches(c, 0.0088, phi, dets[:1])
-        errors = []
-        for det in dets:
-            try:
-                steady_state_branches(c, 0.0088, phi, np.array([det]))
-            except NumericalError as err:
-                errors.append((det, str(err)))
-            except ValueError:
-                pass
-        first = errors[0]
-        assert first[0] > dets[0]
-        assert f"detuning={first[0]}" in str(stacked.value)
-        assert str(stacked.value) == first[1]
+        phi = lambda p: np.where(p < p_cut, 0.0, bad)
+        messages = set()
+        for dets in (np.array([0.0]), np.array([3.0]), np.linspace(-0.05, 0.05, 129)):
+            with pytest.raises(NumericalError, match=f"phi_nl is {bad} at p_circ=") as err:
+                steady_state_branches(c, 0.0088, phi, dets)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        power = float(re.search(r"p_circ=(\S+) W", messages.pop()).group(1))
+        assert p_cut <= power < 1.02 * p_cut
 
     def test_phase_is_called_on_1d_arrays_only(self):
         def phi(p):
@@ -331,10 +369,11 @@ class TestStackedSweep:
 
 
 def manifold_ends(params, p_in, phi_nl, turns=(-1, 0, 1)):
-    """c_j and the F = 0 detunings -phi_j -+ arccos(c_j) + 2 pi k of the grid columns p_j > 0,
-    computed as steady_state_branches computes them."""
+    """c_j and the F = 0 detunings -phi_j -+ arccos(c_j) + 2 pi k of the columns p_j > 0 of
+    reference_branches' grid: the detunings where the power-grid solve read its brackets
+    off the resonance manifold."""
     r, t1 = params.r_eff, params.coupler_transmission
-    grid = np.linspace(0.0, params.resonant_buildup * p_in * (1.0 + 1e-6), _SCAN_POINTS)[1:]
+    grid = np.linspace(0.0, params.resonant_buildup * p_in * (1.0 + 1e-6), 512)[1:]
     phase = np.zeros_like(grid) if phi_nl is None else phi_nl(grid)
     c = (1.0 + r * r - t1 * p_in / grid) / (2.0 * r)
     half = np.arccos(np.clip(c, -1.0, 1.0))
@@ -348,17 +387,16 @@ def near(ends, offsets=(1e-15, 1e-13, 1e-11, 1e-9, 3e-8, 3e-7)):
                           + [ends + side * o for o in offsets for side in (-1.0, 1.0)])
 
 
+def branch_lists(arrays):
+    """Per-detuning lists of (p_circ, stable) of a BranchArrays."""
+    stops = np.cumsum(arrays.count).tolist()
+    branches = list(zip(arrays.p_circ.tolist(), arrays.stable.tolist()))
+    return [branches[a:b] for a, b in zip([0] + stops, stops)]
+
+
 def split_bits(arrays):
     """Per-detuning lists of (p_circ.hex(), stable) of a BranchArrays."""
-    stops = np.cumsum(arrays.count).tolist()
-    bits = list(zip(map(float.hex, arrays.p_circ.tolist()), arrays.stable.tolist()))
-    return [bits[a:b] for a, b in zip([0] + stops, stops)]
-
-
-def assert_reference_bits(params, p_in, phi_nl, detuning):
-    found = steady_state_branches(params, p_in, phi_nl, detuning)
-    expected = reference_branches(params, p_in, phi_nl, detuning)
-    assert split_bits(found) == [[(p.hex(), s) for p, s in b] for b in expected]
+    return [[(p.hex(), s) for p, s in branches] for branches in branch_lists(arrays)]
 
 
 def random_phase(rng, shape, p_max):
@@ -368,9 +406,14 @@ def random_phase(rng, shape, p_max):
             lambda p: g * turn * np.sin(p / turn))[shape]
 
 
+def grid_counts(params, p_in, phi_nl, detuning):
+    return [len(flags) for flags in reference_branches(params, p_in, phi_nl, detuning)]
+
+
 class TestManifoldBrackets:
-    """The brackets read off the resonance manifold are the dense grid's, so
-    every root and stable flag is bit for bit that of reference_branches."""
+    """The roots on the resonance curve: the counts of the count oracle, each
+    root within 1e-13 of a long-double Newton step, and stability alternating
+    from a stable first root."""
 
     @pytest.mark.filterwarnings("ignore:single-pass drive")
     def test_benchmark_and_packaged_scans(self, tmp_path, monkeypatch):
@@ -391,7 +434,7 @@ class TestManifoldBrackets:
             run_scenario(config, tmp_path / str(i))
         assert len(calls) == 2 + 13
         for args in calls:
-            assert_reference_bits(*args)
+            assert_solves(*args, grid_counts(*args))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_cavities(self, seed):
@@ -404,14 +447,17 @@ class TestManifoldBrackets:
         sweep = rng.uniform(-13.0, 13.0, 300)
         dets = np.concatenate([np.sort(sweep), sweep, ends, ends[:40], sweep[:25]])
         rng.shuffle(dets)
-        assert_reference_bits(c, p_in, phi, dets)
+        found = assert_solves(c, p_in, phi, dets, grid_counts(c, p_in, phi, dets))
         for i in range(12):
-            assert_reference_bits(c, p_in, phi, dets[i:i + 1])
+            assert split_bits(one_detuning(c, p_in, phi, dets[i])) == [split_bits(found)[i]]
 
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     def test_columns_at_plus_minus_one(self, side):
         # c_j = -1 needs (1 - r)^2 / (1 + r)^2 = j (1 + 1e-6) / 511 for some
-        # column j, and c_511 nears +1 as r nears 1.
+        # column j, and c_511 nears +1 as r nears 1.  There, at T1 = 2e-4, the
+        # Kerr phase turns by 800 rad over a resonance 1e-4 rad wide: about 255
+        # roots a detuning, in F < 0 windows of 2.5e-4 W that no power grid
+        # over 2000 W resolves, so the counts come from the sampled curve.
         rng = np.random.default_rng(7)
         if side < 0:
             q = math.sqrt(300 * (1.0 + 1e-6) / 511)
@@ -422,18 +468,73 @@ class TestManifoldBrackets:
             cj, ends = manifold_ends(c, 0.1, phi)
             assert np.min(np.abs(cj - side)) < 64 * np.finfo(float).eps
             ends = near(ends[np.abs(cj - side).argsort()[:8] % len(cj)])
-            assert_reference_bits(c, 0.1, phi, np.concatenate([ends, rng.uniform(-4, 4, 200)]))
+            dets = np.concatenate([ends, rng.uniform(-4, 4, 200)])
+            counts = curve_counts(c, 0.1, phi, dets)
+            if side < 0 or phi is None:
+                assert counts == grid_counts(c, 0.1, phi, dets)
+            assert_solves(c, 0.1, phi, dets, counts)
+        assert min(counts) >= (255 if side > 0 else 1)
 
     @given(t1=st.floats(0.002, 0.5), loss=st.floats(0.0, 0.05), p_in=st.floats(1e-4, 0.3),
            shape=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
            dets=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_dense_grid(self, t1, loss, p_in, shape, seed, dets):
+        # The counts are the densely sampled curve's: a strong phase at high
+        # finesse opens F < 0 windows narrower than a 512-point power grid's
+        # cells.  A root may be as sensitive to the phase as 400 / rad there,
+        # and one rounding of |d + phi| ~ 10 rad moves it by more than 1e-13,
+        # so its bound adds 4 ulps of the phase terms times that sensitivity.
         rng = np.random.default_rng(seed)
         c = CavityParams(RT_LENGTH, t1, loss)
         phi = random_phase(rng, shape, c.resonant_buildup * p_in)
         _, ends = manifold_ends(c, p_in, phi)
-        assert_reference_bits(c, p_in, phi, np.concatenate([dets, near(rng.choice(ends, 4))]))
+        dets = np.concatenate([dets, near(rng.choice(ends, 4))])
+        assert_solves(c, p_in, phi, dets, curve_counts(c, p_in, phi, dets), rounding=4.0)
+
+
+class TestResonanceCurve:
+    """Where the power grid failed: folds, the seam and accuracy near resonance."""
+
+    @pytest.mark.parametrize("g", [-0.1, -0.3])
+    def test_three_roots_just_inside_each_fold(self, g):
+        # The power grid saw 1 root 1e-8 rad inside 3 of these 4 folds and
+        # 1e-10 rad inside all 4; the closed-form folds say 3.  Two of them
+        # nearly meet there, so the phase's rounding moves them most.
+        c = CavityParams(RT_LENGTH, 0.1, 0.01)
+        low, high = sorted(linear_folds(c, 0.07, g))
+        dets = np.array([low + 1e-8, low + 1e-10, high - 1e-10, high - 1e-8])
+        found = assert_solves(c, 0.07, lambda p: g * p, dets, [3, 3, 3, 3], rounding=4.0)
+        outside = steady_state_branches(c, 0.07, lambda p: g * p,
+                                        np.array([low - 1e-8, high + 1e-8]))
+        assert outside.count.tolist() == [1, 1]
+        assert len(found.p_circ) == 12
+
+    @pytest.mark.parametrize("t1", [0.01, 0.5])
+    @pytest.mark.parametrize("phi", (None,) + KERR_PHASES, ids=("linear", "kerr", "tanh"))
+    def test_seam_has_an_odd_count(self, t1, phi):
+        # The curve closes at psi = +-pi, the least power, where D jumps by 2 pi;
+        # a detuning on the seam and its float neighbours keep an odd count.
+        c = CavityParams(RT_LENGTH, t1, LOSS)
+        p_min = t1 * 0.07 / (1.0 + c.r_eff) ** 2
+        seam = math.pi - (0.0 if phi is None else float(phi(np.array([p_min]))[0]))
+        dets = np.concatenate([[seam + turn, np.nextafter(seam + turn, -np.inf),
+                                np.nextafter(seam + turn, np.inf)]
+                               for turn in (-2.0 * math.pi, 0.0, 2.0 * math.pi)])
+        found = steady_state_branches(c, 0.07, phi, dets)
+        assert np.all(found.count % 2 == 1)
+        starts = np.cumsum(found.count) - found.count
+        np.testing.assert_allclose(found.p_circ[starts], p_min, rtol=1e-9)
+
+    def test_linear_roots_near_resonance(self):
+        # Within a few linewidths F = p (1 + r^2 - 2 r cos) - T1 p_in cancels to
+        # (1 - r)^2 ~ 3.6e-5 of its terms; the curve is exact there.
+        c = cavity()
+        dets = np.linspace(-3, 3, 601) * c.linewidth_phase_fwhm
+        found = assert_solves(c, 0.0088, None, dets, [1] * len(dets))
+        r = c.r_eff
+        exact = T1 * 0.0088 / ((1 - r) ** 2 + 4 * r * np.sin(dets / 2) ** 2)
+        np.testing.assert_allclose(found.p_circ, exact, rtol=4 * np.finfo(float).eps)
 
 
 class TestScanProfile:
@@ -560,13 +661,13 @@ def assert_same_profile(found, expected):
 
 
 def assert_follows_reference(params, p_in, dets, phi_nl=None, monitor_transmission=1e-4):
-    """Both directions of scan_profile equal the per-point follow of the dense-grid branches."""
-    branch_lists = reference_branches(params, p_in, phi_nl, np.asarray(dets, dtype=float))
+    """Both directions of scan_profile equal the per-point follow of the solve's branch lists."""
+    lists = branch_lists(steady_state_branches(params, p_in, phi_nl, np.asarray(dets, float)))
     for direction in ("up", "down"):
         found = scan_profile(params, p_in, dets, phi_nl, direction, monitor_transmission)
-        expected = reference_profile(branch_lists, dets, direction, monitor_transmission)
+        expected = reference_profile(lists, dets, direction, monitor_transmission)
         assert_same_profile(found, expected)
-    return max(map(len, branch_lists))
+    return max(map(len, lists))
 
 
 class TestArrayFollow:
@@ -594,7 +695,8 @@ class TestArrayFollow:
         assert any(found.multi_branch for _, found in calls)
         for (params, p_in, dets, phi, direction), found in calls:
             assert direction == "up"
-            expected = reference_profile(reference_branches(params, p_in, phi, dets), dets, "up")
+            lists = branch_lists(steady_state_branches(params, p_in, phi, dets))
+            expected = reference_profile(lists, dets, "up")
             assert_same_profile(found, expected)
             assert_follows_reference(params, p_in, dets, phi)
 
@@ -694,6 +796,24 @@ class TestOperatingPoint:
         for detuning in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="detuning must be finite"):
                 linearize(cavity(), 1.0, np.zeros(3), detuning)
+
+    @pytest.mark.parametrize("p_circ, phases, message", [
+        (math.nan, [0.0, 0.0, 0.0], "p_circ"),
+        (math.inf, [0.0, 0.0, 0.0], "p_circ"),
+        (-1.0, [0.0, 0.0, 0.0], "p_circ"),
+        (1.0, [0.0, math.nan, 0.0], "phases"),
+        (1.0, [0.0, 0.0, -math.inf], "phases"),
+        (1.0, [0.0, 0.0], "phases"),
+        (1.0, [0.0, 0.0, 0.0, 0.0], "phases"),
+        (1.0, [[0.0], [0.0], [0.0]], "phases"),
+    ], ids=["nan-power", "inf-power", "negative-power", "nan-phase", "inf-phase",
+            "two-phases", "four-phases", "column"])
+    def test_bad_power_or_phases_are_rejected(self, p_circ, phases, message):
+        # Before, a NaN power gave a passive point, a negative one a point and
+        # two phases a bare unpacking ValueError.
+        for detuning in (None, 0.0):
+            with pytest.raises(DomainError, match=message):
+                linearize(cavity(), p_circ, phases, detuning)
 
     def test_epsilon_linear_in_circulating_power(self):
         phi = lambda p: 1e-5 * p

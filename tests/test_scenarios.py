@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -880,6 +881,30 @@ class TestCli:
                      "--out", str(out)])
         assert code == 0
         assert (out / "manifest").read_text().splitlines()[2] == "seed: 9"
+
+    @pytest.mark.parametrize("command", [["validate"], ["run", "fig3"], ["extrema"]],
+                             ids=["validate", "run", "extrema"])
+    def test_config_that_is_not_utf8_exit_1(self, command, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"\xff\xfe" + yaml.safe_dump(small_fig3_config()).encode("utf-16-le"))
+        assert main([*command, "--config", str(path), *(["--out", str(tmp_path / "out")]
+                                                        if command[0] == "run" else [])]) == 1
+        assert capsys.readouterr().err.startswith("validation error: config is not UTF-8 text")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_is_utf8_in_any_locale(self, tmp_path):
+        # Under the C locale without UTF-8 mode the default text encoding is
+        # ASCII; the config is still read as UTF-8.
+        path = tmp_path / "cfg.yaml"
+        path.write_text("# 61.2 \u00b0C, the first conversion minimum\n"
+                        + yaml.safe_dump(small_fig3_config()), encoding="utf-8")
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import kerrsqueezer.cli as cli; "
+                  "sys.exit(cli.main(['validate', '--config', sys.argv[2]]))")
+        package_root = str(Path(kerrsqueezer.__file__).resolve().parent.parent)
+        env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        done = subprocess.run([sys.executable, "-c", script, package_root, str(path)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
 
     def test_run_scenario_mismatch(self, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"
