@@ -23,7 +23,6 @@ op = OperatingPoint(
     nl_phase_rt=-3.4e-3,
     epsilon=0.55 * params.gamma_total,
     delta_eff=0.0,
-    gamma_total=params.gamma_total,
     gamma_coupler=params.gamma_coupler,
     gamma_loss=params.gamma_loss,
 )
@@ -41,14 +40,14 @@ for mult, v_min, v_max in zip(mults, spectrum.v_min, spectrum.v_max):
 print("\n=== absolute sideband frequencies versus the comb ===")
 print("  f (MHz)    comb n   offset (MHz)   OMC transfer")
 for f in (357.7e6, 715.5e6, 1073.2e6, 536.6e6):
-    comb = sideband_comb_map(params, f)
+    comb = sideband_comb_map(params.fsr, f)
     transfer = omc_sideband_transfer(params.fsr, 200.0, f)
     print(f"  {f/1e6:8.1f}     {comb.index}      {comb.omega/2/np.pi/1e6:8.3f}"
           f"        {transfer:.4f}")
 print("(odd multiples reach the detector, even multiples are separated out)")
 
 print("\n=== closed-form check: on resonance, lossless, eps = gamma/2 ===")
-ideal = OperatingPoint(1.0, 0.0, 0.5, 0.0, 1.0, 1.0, 0.0)
+ideal = OperatingPoint(1.0, 0.0, 0.5, 0.0, 1.0, 0.0)
 pt = squeezing_spectrum(ideal, 0.0)
 print(f"v_min = {pt.v_min:.6f} (exactly 1/9 -> {variance_to_db(pt.v_min):.2f} dB), "
       f"purity v_min*v_max = {pt.v_min*pt.v_max:.12f}")

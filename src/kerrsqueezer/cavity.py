@@ -51,6 +51,8 @@ __all__ = [
 
 _C_LIGHT = 299_792_458.0  # speed of light in vacuum, m/s (exact in SI)
 
+MONITOR_TRANSMISSION = 1e-4  # circulating power fraction through the monitor port
+
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -261,19 +263,16 @@ def scan_profile(
     detunings: Sequence[float],
     phi_nl: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     direction: str = "up",
-    monitor_transmission: float = 1e-4,
 ) -> ResonanceProfile:
     """Sweep the detuning quasi-statically and follow one stable branch.
 
     At bistable points the branch nearest the previous circulating power
     is kept, which reproduces hysteresis jumps at the fold points; the
     model has no scan-speed parameter.  ``p_trans`` is the leakage through
-    a weak monitor port, ``monitor_transmission * p_circ``.
+    a weak monitor port, ``MONITOR_TRANSMISSION * p_circ``.
     """
     if direction not in ("up", "down"):
         raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
-    if not 0.0 <= monitor_transmission <= 1.0:
-        raise DomainError(f"monitor_transmission must lie in [0, 1], got {monitor_transmission}")
     dets = np.asarray(detunings, dtype=float)
     if dets.ndim != 1 or len(dets) < 3:
         raise DomainError("detuning sweep needs at least 3 points")
@@ -300,7 +299,7 @@ def scan_profile(
     return ResonanceProfile(
         detuning=dets[view].copy(),
         p_circ=p_follow[view].copy(),
-        p_trans=monitor_transmission * p_follow[view],
+        p_trans=MONITOR_TRANSMISSION * p_follow[view],
         direction=direction,
         asymmetry=asym,
         multi_branch=bool((count >= 3).any()),
@@ -320,15 +319,16 @@ class OperatingPoint:
     nl_phase_rt: float
     epsilon: float
     delta_eff: float
-    gamma_total: float
     gamma_coupler: float
     gamma_loss: float
 
     def __post_init__(self):
         if self.gamma_coupler <= 0.0 or self.gamma_loss < 0.0:
             raise DomainError("decay rates must be positive (coupler) / non-negative (loss)")
-        if abs(self.gamma_total - (self.gamma_coupler + self.gamma_loss)) > 1e-9 * self.gamma_total:
-            raise DomainError("gamma_total must equal gamma_coupler + gamma_loss")
+
+    @property
+    def gamma_total(self) -> float:
+        return self.gamma_coupler + self.gamma_loss
 
     @property
     def threshold_epsilon(self) -> float:
@@ -380,7 +380,6 @@ def linearize(params: CavityParams, p_circ: float, phases,
         nl_phase_rt=phi_at,
         epsilon=slope_p * fsr,
         delta_eff=0.0 if detuning is None else (detuning + 2.0 * slope_p) * fsr,
-        gamma_total=params.gamma_total,
         gamma_coupler=params.gamma_coupler,
         gamma_loss=params.gamma_loss,
     )
@@ -426,16 +425,15 @@ def squeezing_spectrum(op: OperatingPoint, omega) -> SpectrumPoint:
     return SpectrumPoint(v_min, v_max, theta)
 
 
-def sideband_comb_map(cavity, frequency) -> CombAssignment:
+def sideband_comb_map(fsr: float, frequency) -> CombAssignment:
     """Map an absolute sideband frequency onto (comb index, offset).
 
-    ``cavity`` may be a :class:`CavityParams` or a bare FSR in Hz.  The
-    offset is ``omega = 2 pi (f - n * FSR)`` with ``n = round(f / FSR)``;
+    ``fsr`` is the cavity's free spectral range in Hz.  The offset is
+    ``omega = 2 pi (f - n * FSR)`` with ``n = round(f / FSR)``;
     the spectrum at comb line n is then evaluated with the baseband model
     at that offset (quasi-degenerate approximation).  For an array
     ``frequency`` both fields are arrays of its shape.
     """
-    fsr = cavity.fsr if hasattr(cavity, "fsr") else float(cavity)
     if fsr <= 0.0 or not math.isfinite(fsr):
         raise DomainError(f"FSR must be positive, got {fsr}")
     f = np.asarray(frequency, dtype=float)

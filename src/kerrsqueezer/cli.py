@@ -20,10 +20,12 @@ from .errors import (
 from .phasematch import calibrate_from_extrema, find_conversion_extrema
 from .scenarios import (
     SCENARIOS,
+    budget_report,
     default_config_path,
-    infer_report,
     load_config,
     load_config_file,
+    loss_only_report,
+    phase_noise_report,
     read_fields,
     report_json,
     run_scenario,
@@ -117,18 +119,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_infer(args) -> int:
     if args.kind == "loss-only":
-        report = infer_report("loss-only", squeeze_db=args.sqz, antisqueeze_db=args.antisqz)
+        report = loss_only_report(args.sqz, args.antisqz)
     elif args.kind == "phase-noise":
-        report = infer_report("phase-noise", squeeze_db=args.sqz,
-                              antisqueeze_db=args.antisqz, eta=args.eta)
+        report = phase_noise_report(args.sqz, args.antisqz, args.eta)
     else:
-        report = infer_report(
-            "budget",
-            factors=args.factors,
-            sigmas=args.unc,
-            visibility=args.visibility,
-            visibility_in_bhd=not args.visibility_standalone,
-        )
+        report = budget_report(args.factors, args.unc, args.visibility,
+                               not args.visibility_standalone)
     text = report_json(report)
     print(text, end="")
     if args.out is not None:

@@ -1,12 +1,11 @@
 """Output filtering, efficiency budget and homodyne tomography synthesis.
 
 Dark noise is treated as an additive white variance at ``10^(dark_db/10)``
-relative to vacuum and is *not* subtracted from displayed traces (the
-subtracted view is available as an option); fits of the quadrature
-ellipse can remove the known dark level.  Trace points are displayed at
-the video-bandwidth rate and carry a multiplicative estimator noise of
-relative width ``1/sqrt(rbw/vbw)``, a deliberate simplification of
-spectrum-analyzer averaging.
+relative to vacuum and is *not* subtracted from displayed traces; fits
+of the quadrature ellipse can remove the known dark level.  Trace points
+are displayed at the video-bandwidth rate and carry a multiplicative
+estimator noise of relative width ``1/sqrt(rbw/vbw)``, a deliberate
+simplification of spectrum-analyzer averaging.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ __all__ = [
     "end_to_end_observe",
 ]
 
-SCAN_SHAPES = ("triangle", "sine", "sawtooth", "hold")
+SCAN_SHAPES = ("triangle", "sine", "sawtooth")
 
 
 @dataclass(frozen=True)
@@ -145,14 +144,13 @@ class TomographySettings:
     dark_db: float = -8.2  # electronic dark noise relative to vacuum
     scan_shape: str = "triangle"
     scan_period: float = 2.0  # s
-    scan_offset: float = 0.0  # rad, start angle of the scan
     duration: float = 4.0  # s
     rng_seed: int = 0
 
     def __post_init__(self):
         if not self.rbw > self.vbw > 0.0:
             raise DomainError(f"need rbw > vbw > 0, got rbw={self.rbw}, vbw={self.vbw}")
-        for name in ("duration", "scan_period", "dark_db", "scan_offset"):
+        for name in ("duration", "scan_period", "dark_db"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration <= 0.0:
@@ -192,17 +190,14 @@ def scan_phase(settings: TomographySettings, t) -> np.ndarray:
         ramp = 2.0 * np.where(frac < 0.5, frac, 1.0 - frac)
     elif settings.scan_shape == "sine":
         ramp = 0.5 * (1.0 - np.cos(2.0 * math.pi * frac))
-    elif settings.scan_shape == "sawtooth":
+    else:  # sawtooth
         ramp = frac
-    else:  # hold
-        ramp = np.zeros_like(frac)
-    return settings.scan_offset + math.pi * ramp
+    return math.pi * ramp
 
 
 def simulate_tomography_trace(
     state: GaussianQuadratureState,
     settings: TomographySettings,
-    subtract_dark: bool = False,
 ) -> TomographyTrace:
     """Zero-span noise trace of ``state`` while the phase angle is scanned.
 
@@ -217,10 +212,7 @@ def simulate_tomography_trace(
     v_ideal = quadrature_variance(state, theta)
     rng = np.random.default_rng(settings.rng_seed)
     gain = 1.0 + rng.standard_normal(n_points) / math.sqrt(settings.n_effective)
-    total = (v_ideal + settings.dark_variance) * gain
-    if subtract_dark:
-        total = total - settings.dark_variance
-    total = np.maximum(total, 1e-12)
+    total = np.maximum((v_ideal + settings.dark_variance) * gain, 1e-12)
     return TomographyTrace(t, theta, 10.0 * np.log10(total))
 
 

@@ -24,7 +24,7 @@ import operator
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -164,6 +164,13 @@ def _profile_name(temperature) -> str:
     return f"profile_{float(temperature):.1f}C".replace(".", "p")
 
 
+def _distinct_tasks(*tasks) -> None:
+    """Raise DomainError when a custom run lists a task twice."""
+    for i, task in enumerate(tasks):
+        if task in tasks[:i]:
+            raise DomainError(f"task {task!r} is listed twice")
+
+
 def _distinct_profile_names(*temperatures) -> None:
     """Raise DomainError when two profile temperatures share one table name."""
     seen: dict[str, Any] = {}
@@ -183,8 +190,8 @@ _FACTOR = _list("[value, uncertainty]", 2, 2, build=EfficiencyFactor)
 FIELDS = {
     "scenario": (_choice(*SCENARIOS), REQUIRED),
     "seed": (_integer(0), REQUIRED),
-    "custom.tasks": (_list("a non-empty list of tasks", 1, item=_choice(*TASK_SECTIONS)),
-                     REQUIRED),
+    "custom.tasks": (_list("a non-empty list of tasks", 1, item=_choice(*TASK_SECTIONS),
+                           build=_distinct_tasks), REQUIRED),
     "crystal.t_max_c": (_NUMBER, REQUIRED),
     "crystal.t_min1_c": (_NUMBER, REQUIRED),
     "crystal.length_m": (_POSITIVE, REQUIRED),
@@ -678,7 +685,7 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
 
     freq_cfg = _get(config, "fig5.sideband_frequency_hz")
     frequency = float(freq_cfg) if freq_cfg is not None else params.fsr
-    comb = sideband_comb_map(params, frequency)
+    comb = sideband_comb_map(params.fsr, frequency)
     eta_chain = (
         budget.omc_transmission.value
         * omc_sideband_transfer(params.fsr, finesse, frequency)
@@ -727,7 +734,7 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
 
     # Spectrum export at the best temperature.
     freqs = np.linspace(0.0, 4.0 * params.fsr, int(_get(config, "fig5.spectrum_points")))
-    spec = squeezing_spectrum(ops[i_best], sideband_comb_map(params, freqs).omega)
+    spec = squeezing_spectrum(ops[i_best], sideband_comb_map(params.fsr, freqs).omega)
     writer.table("spectrum", {"f_Hz": freqs,
                               "vmin_dB": [variance_to_db(v) for v in spec.v_min],
                               "vmax_dB": [variance_to_db(v) for v in spec.v_max],
@@ -797,67 +804,70 @@ def run_scenario(config: Mapping[str, Any], out_dir, fmt: str = "csv",
 # inference reports
 
 
-def infer_report(kind: str, **kwargs) -> dict:
-    """Shared backend of the ``infer`` command; returns a JSON-able report."""
-    if kind == "loss-only":
-        obs = _observation(kwargs["squeeze_db"], kwargs["antisqueeze_db"])
-        fit = infer_loss_only(obs)
-        forward = apply_loss(pure_squeezed(fit.r), fit.eta)
-        return {
-            "kind": kind,
-            "inputs": {"squeeze_db": obs.squeeze_db, "antisqueeze_db": obs.antisqueeze_db},
-            "eta": fit.eta,
-            "r": fit.r,
-            "source_squeeze_db": -variance_to_db(math.exp(-2 * fit.r)),
-            "forward_check_db": {
-                "squeeze": -variance_to_db(forward.v_min),
-                "antisqueeze": variance_to_db(forward.v_max),
-            },
-        }
-    if kind == "phase-noise":
-        obs = _observation(kwargs["squeeze_db"], kwargs["antisqueeze_db"])
-        eta = float(kwargs["eta"])
-        fit = infer_phase_noise(obs, eta)
-        return {
-            "kind": kind,
-            "inputs": {
-                "squeeze_db": obs.squeeze_db,
-                "antisqueeze_db": obs.antisqueeze_db,
-                "eta": eta,
-            },
-            "r": fit.r,
-            "sigma_rad": fit.sigma,
-            "residual_db": fit.residual_db,
-        }
-    if kind == "budget":
-        factors = kwargs["factors"]
-        sigmas = kwargs.get("sigmas") or [0.0] * len(factors)
-        if len(factors) != 4 or len(sigmas) != 4:
-            raise ValidationError("budget inference expects exactly 4 factors")
-        budget = LossBudget(
-            escape=EfficiencyFactor(factors[0], sigmas[0]),
-            omc_transmission=EfficiencyFactor(factors[1], sigmas[1]),
-            shg_residual=EfficiencyFactor(factors[2], sigmas[2]),
-            bhd_efficiency=EfficiencyFactor(factors[3], sigmas[3]),
-            visibility=float(kwargs.get("visibility", LossBudget.visibility)),
-            visibility_in_bhd=bool(kwargs.get("visibility_in_bhd", LossBudget.visibility_in_bhd)),
-        )
-        total = total_efficiency(budget)
-        return {
-            "kind": kind,
-            "factors": {
-                name: {"value": f.value, "sigma": f.sigma} for name, f in budget.factors()
-            },
-            "visibility": budget.visibility,
-            "visibility_in_bhd": budget.visibility_in_bhd,
-            "total": {"value": total.value, "sigma": total.sigma},
-        }
-    raise ValidationError(f"unknown inference kind {kind!r}")
+def loss_only_report(squeeze_db: float, antisqueeze_db: float) -> dict:
+    """Report of ``infer loss-only``: efficiency and source squeeze parameter."""
+    obs = _observation(squeeze_db, antisqueeze_db)
+    fit = infer_loss_only(obs)
+    forward = apply_loss(pure_squeezed(fit.r), fit.eta)
+    return {
+        "kind": "loss-only",
+        "inputs": {"squeeze_db": obs.squeeze_db, "antisqueeze_db": obs.antisqueeze_db},
+        "eta": fit.eta,
+        "r": fit.r,
+        "source_squeeze_db": -variance_to_db(math.exp(-2 * fit.r)),
+        "forward_check_db": {
+            "squeeze": -variance_to_db(forward.v_min),
+            "antisqueeze": variance_to_db(forward.v_max),
+        },
+    }
+
+
+def phase_noise_report(squeeze_db: float, antisqueeze_db: float, eta: float) -> dict:
+    """Report of ``infer phase-noise``: squeeze parameter and jitter at known ``eta``."""
+    obs = _observation(squeeze_db, antisqueeze_db)
+    eta = float(eta)
+    fit = infer_phase_noise(obs, eta)
+    return {
+        "kind": "phase-noise",
+        "inputs": {"squeeze_db": obs.squeeze_db, "antisqueeze_db": obs.antisqueeze_db,
+                   "eta": eta},
+        "r": fit.r,
+        "sigma_rad": fit.sigma,
+        "residual_db": fit.residual_db,
+    }
+
+
+def budget_report(factors: Sequence[float], sigmas: Optional[Sequence[float]],
+                  visibility: float, visibility_in_bhd: bool) -> dict:
+    """Report of ``infer budget``; ``sigmas=None`` gives exact factors."""
+    sigmas = sigmas or [0.0] * len(factors)
+    if len(factors) != 4 or len(sigmas) != 4:
+        raise ValidationError("budget inference expects exactly 4 factors")
+    budget = LossBudget(
+        escape=EfficiencyFactor(factors[0], sigmas[0]),
+        omc_transmission=EfficiencyFactor(factors[1], sigmas[1]),
+        shg_residual=EfficiencyFactor(factors[2], sigmas[2]),
+        bhd_efficiency=EfficiencyFactor(factors[3], sigmas[3]),
+        visibility=float(visibility),
+        visibility_in_bhd=bool(visibility_in_bhd),
+    )
+    total = total_efficiency(budget)
+    return {
+        "kind": "budget",
+        "factors": {
+            name: {"value": f.value, "sigma": f.sigma} for name, f in budget.factors()
+        },
+        "visibility": budget.visibility,
+        "visibility_in_bhd": budget.visibility_in_bhd,
+        "total": {"value": total.value, "sigma": total.sigma},
+    }
 
 
 def _observation(squeeze_db: float, antisqueeze_db: float) -> SqueezeObservation:
     try:
         return SqueezeObservation(float(squeeze_db), float(antisqueeze_db))
     except DomainError as err:
+        if not (math.isfinite(squeeze_db) and math.isfinite(antisqueeze_db)):
+            raise  # a bad argument, not an observation
         # An impossible pair is an inconsistent observation at this level.
         raise InconsistentObservationError(str(err)) from err

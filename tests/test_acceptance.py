@@ -136,8 +136,7 @@ def test_criterion_7_spectrum_properties():
         def op(eps, loss_fraction=0.0):
             return OperatingPoint(
                 p_circ=1.0, nl_phase_rt=0.0, epsilon=eps, delta_eff=0.0,
-                gamma_total=1.0, gamma_coupler=1.0 - loss_fraction,
-                gamma_loss=loss_fraction,
+                gamma_coupler=1.0 - loss_fraction, gamma_loss=loss_fraction,
             )
 
         for omega in (0.0, 0.5, 3.0):

@@ -25,7 +25,12 @@ from kerrsqueezer import (
 )
 from kerrsqueezer import cavity as cavity_module
 from kerrsqueezer import scenarios as scenarios_module
-from kerrsqueezer.cavity import SLOPE_FACTORS, _half_max_asymmetry, linearize
+from kerrsqueezer.cavity import (
+    MONITOR_TRANSMISSION,
+    SLOPE_FACTORS,
+    _half_max_asymmetry,
+    linearize,
+)
 from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
 
 # Resonator budget used throughout: 1% coupler, 0.19% residual loss.
@@ -555,18 +560,9 @@ class TestScanProfile:
     def test_monitor_port(self):
         c = cavity()
         dets = self.grid(3 * c.linewidth_phase_fwhm, 301)
-        prof = scan_profile(c, 0.0088, dets, None, "up", monitor_transmission=5e-5)
-        np.testing.assert_allclose(prof.p_trans, 5e-5 * prof.p_circ, rtol=1e-15)
-
-    def test_monitor_transmission_is_a_fraction(self):
-        c = cavity()
-        dets = self.grid(3 * c.linewidth_phase_fwhm, 31)
-        for fraction in (0.0, 1.0):
-            prof = scan_profile(c, 0.0088, dets, None, "up", monitor_transmission=fraction)
-            assert prof.p_trans.tolist() == (fraction * prof.p_circ).tolist()
-        for fraction in (-1.0, math.nan, math.inf, 1.5):
-            with pytest.raises(DomainError, match="monitor_transmission"):
-                scan_profile(c, 0.0088, dets, None, "up", monitor_transmission=fraction)
+        for direction in ("up", "down"):
+            prof = scan_profile(c, 0.0088, dets, None, direction)
+            assert prof.p_trans.tolist() == (MONITOR_TRANSMISSION * prof.p_circ).tolist()
 
     def test_kerr_profile_skewed(self):
         c = cavity()
@@ -639,7 +635,7 @@ def reference_follow(branch_lists, order, direction):
     return p_follow, multi
 
 
-def reference_profile(branch_lists, dets, direction, monitor_transmission=1e-4):
+def reference_profile(branch_lists, dets, direction):
     dets = np.asarray(dets, dtype=float)
     order = np.argsort(dets)
     if direction == "down":
@@ -647,7 +643,7 @@ def reference_profile(branch_lists, dets, direction, monitor_transmission=1e-4):
     p_follow, multi = reference_follow(branch_lists, order, direction)
     view = slice(None) if direction == "up" else slice(None, None, -1)
     return ResonanceProfile(dets[view].copy(), p_follow[view].copy(),
-                            monitor_transmission * p_follow[view], direction,
+                            MONITOR_TRANSMISSION * p_follow[view], direction,
                             _half_max_asymmetry(dets, p_follow), multi)
 
 
@@ -660,12 +656,12 @@ def assert_same_profile(found, expected):
     assert found.direction == expected.direction
 
 
-def assert_follows_reference(params, p_in, dets, phi_nl=None, monitor_transmission=1e-4):
+def assert_follows_reference(params, p_in, dets, phi_nl=None):
     """Both directions of scan_profile equal the per-point follow of the solve's branch lists."""
     lists = branch_lists(steady_state_branches(params, p_in, phi_nl, np.asarray(dets, float)))
     for direction in ("up", "down"):
-        found = scan_profile(params, p_in, dets, phi_nl, direction, monitor_transmission)
-        expected = reference_profile(lists, dets, direction, monitor_transmission)
+        found = scan_profile(params, p_in, dets, phi_nl, direction)
+        expected = reference_profile(lists, dets, direction)
         assert_same_profile(found, expected)
     return max(map(len, lists))
 
@@ -880,7 +876,6 @@ def op_point(epsilon, delta_eff=0.0, gamma=1.0, loss_fraction=0.0):
         nl_phase_rt=0.0,
         epsilon=epsilon,
         delta_eff=delta_eff,
-        gamma_total=gamma,
         gamma_coupler=gamma * (1 - loss_fraction),
         gamma_loss=gamma * loss_fraction,
     )
@@ -951,7 +946,7 @@ class TestSpectrum:
 class TestCombMap:
     def test_first_line(self):
         c = cavity()
-        comb = sideband_comb_map(c, c.fsr)
+        comb = sideband_comb_map(c.fsr, c.fsr)
         assert comb.index == 1 and comb.omega == pytest.approx(0.0, abs=1e-6)
 
     def test_third_line_at_nominal_fsr(self):

@@ -121,7 +121,7 @@ class TestTomographySettings:
         with pytest.raises(DomainError):
             TomographySettings(rbw=100.0, vbw=200.0)
 
-    @pytest.mark.parametrize("field", ["duration", "scan_period", "dark_db", "scan_offset"])
+    @pytest.mark.parametrize("field", ["duration", "scan_period", "dark_db"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(DomainError, match=f"{field} must be finite"):
@@ -136,8 +136,6 @@ class TestTomographySettings:
             theta = scan_phase(TomographySettings(scan_shape=shape), t)
             assert theta.min() >= 0.0 and theta.max() <= math.pi + 1e-12
             assert theta.max() - theta.min() > 0.9 * math.pi
-        frozen = scan_phase(TomographySettings(scan_shape="hold", scan_offset=0.7), t)
-        assert np.all(frozen == 0.7)
 
 
 class TestTrace:
@@ -165,14 +163,6 @@ class TestTrace:
         assert trace.measured_db.min() == pytest.approx(floor_db, abs=0.3)
         assert trace.measured_db.max() == pytest.approx(ceil_db, abs=0.3)
 
-    def test_frozen_scan_stationary(self):
-        state = GaussianQuadratureState(0.4, 3.0, theta0=0.9)
-        settings = TomographySettings(scan_shape="hold", scan_offset=0.9, rng_seed=5)
-        trace = simulate_tomography_trace(state, settings)
-        level = 10 * math.log10(state.v_min + settings.dark_variance)
-        assert trace.measured_db.mean() == pytest.approx(level, abs=0.02)
-        assert trace.measured_db.std() < 0.15
-
     def test_seed_determinism(self):
         state = GaussianQuadratureState(0.4, 3.0)
         settings = TomographySettings(rng_seed=42)
@@ -181,12 +171,6 @@ class TestTrace:
         np.testing.assert_array_equal(a.measured_db, b.measured_db)
         c = simulate_tomography_trace(state, TomographySettings(rng_seed=43))
         assert not np.array_equal(a.measured_db, c.measured_db)
-
-    def test_subtracted_view(self):
-        state = GaussianQuadratureState(0.4, 3.0)
-        settings = TomographySettings(scan_shape="hold", rng_seed=7, duration=20.0)
-        sub = simulate_tomography_trace(state, settings, subtract_dark=True)
-        assert sub.measured_db.mean() == pytest.approx(10 * math.log10(0.4), abs=0.05)
 
     def test_fit_recovers_state(self):
         state = GaussianQuadratureState(0.42, 5.47, theta0=0.3)

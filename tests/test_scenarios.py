@@ -26,10 +26,12 @@ from kerrsqueezer.cli import main
 from kerrsqueezer.scenarios import (
     FIELDS,
     RunWriter,
+    budget_report,
     default_config_path,
-    infer_report,
     load_config,
     locked_circulating_power,
+    loss_only_report,
+    phase_noise_report,
     run_scenario,
     validate_config,
 )
@@ -185,6 +187,12 @@ VALIDATE_THEN_CRASH = {
     # Both profiles once wrote profile_61p2C, the second over the first.
     "fig3_profiles_share_a_table": ("fig3", {"fig3.profile_temperatures_c": [40.5, 61.2, 61.24]},
                                     "fig3.profile_temperatures_c:"),
+    # A held phase left the ellipse fit rank-deficient: a negative v_min.
+    "fig4_held_scan": ("fig4", {"tomography.scan_shape": "hold"}, "tomography.scan_shape:"),
+    # The task ran twice and the manifest listed its tables twice.
+    "custom_repeated_task": (
+        "fig4", {"scenario": "custom", "custom": {"tasks": ["tomography", "tomography"]}},
+        "custom.tasks:"),
 }
 
 # Only the fields a scenario requires; everything else comes from the defaults.
@@ -245,7 +253,7 @@ DIAGNOSTIC_WORDING = [
     ("fig3", {"crystal.length_m": DELETE}, ["crystal.length_m: missing required field"]),
     ("fig4", {"tomography.rbw_hz": DELETE}, ["tomography.rbw_hz: missing required field"]),
     ("fig4", {"tomography.scan_shape": "square"},
-     ["tomography.scan_shape: must be one of ['hold', 'sawtooth', 'sine', 'triangle'], "
+     ["tomography.scan_shape: must be one of ['sawtooth', 'sine', 'triangle'], "
       "got 'square'"]),
     ("fig4", {"fig4.mode": "both"},
      ["fig4.mode: must be one of ['loss-only', 'phase-noise'], got 'both'"]),
@@ -282,6 +290,8 @@ DIAGNOSTIC_WORDING = [
     ("fig3", {"fig3.profile_temperatures_c": [61.2, 61.24]},
      ["fig3.profile_temperatures_c: temperatures 61.2 and 61.24 both write the table "
       "profile_61p2C"]),
+    ("fig4", {"scenario": "custom", "custom": {"tasks": ["tomography", "tomography"]}},
+     ["custom.tasks: task 'tomography' is listed twice"]),
 ]
 
 
@@ -296,6 +306,7 @@ class TestSchema:
         assert run_cli(config, tmp_path, "validate") == 1
         assert run_cli(config, tmp_path) == 1
         assert prefix in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scenario", sorted(MINIMAL))
     def test_minimal_config_runs_on_defaults(self, scenario, tmp_path, capsys):
@@ -806,25 +817,23 @@ class TestResolvedConfig:
 
 class TestInferReports:
     def test_loss_only(self):
-        report = infer_report("loss-only", squeeze_db=2.4, antisqueeze_db=7.5)
+        report = loss_only_report(2.4, 7.5)
         assert 0.46 <= report["eta"] <= 0.48
         assert report["forward_check_db"]["squeeze"] == pytest.approx(2.4, abs=1e-9)
 
     def test_budget(self):
-        report = infer_report(
-            "budget", factors=[0.84, 0.89, 0.98, 0.90], sigmas=[0.02, 0.01, 0.01, 0.04]
-        )
+        report = budget_report([0.84, 0.89, 0.98, 0.90], [0.02, 0.01, 0.01, 0.04], 1.0, True)
         assert report["total"]["value"] == pytest.approx(0.659, abs=1e-3)
         assert report["total"]["sigma"] == pytest.approx(0.0347, abs=1e-3)
 
     def test_phase_noise(self):
-        report = infer_report("phase-noise", squeeze_db=2.0, antisqueeze_db=9.5, eta=0.66)
+        report = phase_noise_report(2.0, 9.5, 0.66)
         assert report["sigma_rad"] > 0.0
         assert report["residual_db"] < 1e-6
 
     def test_impossible_pair(self):
         with pytest.raises(InconsistentObservationError):
-            infer_report("loss-only", squeeze_db=3.0, antisqueeze_db=2.0)
+            loss_only_report(3.0, 2.0)
 
 
 class TestCli:
@@ -856,6 +865,19 @@ class TestCli:
     def test_infer_db_overflow_exit_1(self, argv, capsys):
         assert main(["infer", *argv]) == 1
         assert capsys.readouterr().err.startswith("validation error: dB level")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ["loss-only", "--sqz={}", "--antisqz=7.5"],
+        ["loss-only", "--sqz=2.4", "--antisqz={}"],
+        ["phase-noise", "--sqz={}", "--antisqz=7.5", "--eta=0.6"],
+        ["phase-noise", "--sqz=2.4", "--antisqz={}", "--eta=0.6"],
+    ], ids=["loss-sqz", "loss-antisqz", "phase-sqz", "phase-antisqz"])
+    def test_infer_non_finite_db_exit_1(self, argv, value, capsys):
+        # A bad argument, not an inconsistent observation (exit 3).
+        assert main(["infer", *(arg.format(value) for arg in argv)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "validation error: observation values must be finite")
 
     def test_infer_loss_only_stdout(self, capsys):
         assert main(["infer", "loss-only", "--sqz", "2.4", "--antisqz", "7.5"]) == 0
