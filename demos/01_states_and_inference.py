@@ -10,11 +10,11 @@ import numpy as np
 from kerrsqueezer import (
     SqueezeObservation,
     apply_loss,
-    apply_phase_jitter,
     dephase,
     infer_loss_only,
     infer_phase_noise,
     pure_squeezed,
+    quadrature_variance,
     variance_to_db,
 )
 
@@ -28,11 +28,11 @@ print(f"eta=0.66:  {after_loss.squeeze_db:5.2f} dB squeezed / {after_loss.antisq
 after_jitter = dephase(after_loss, 0.17)
 print(f"+0.17 rad jitter: {after_jitter.squeeze_db:5.2f} dB / {after_jitter.antisqueeze_db:5.2f} dB")
 
-v_obs = apply_phase_jitter(after_loss, 0.17)
 angles = np.linspace(0, np.pi, 7)
 print("observed variance vs readout angle:")
 for theta in angles:
-    print(f"  theta = {theta:5.3f} rad -> V = {v_obs(theta):6.4f} ({variance_to_db(v_obs(theta)):+6.2f} dB)")
+    v_obs = quadrature_variance(after_jitter, theta)
+    print(f"  theta = {theta:5.3f} rad -> V = {v_obs:6.4f} ({variance_to_db(v_obs):+6.2f} dB)")
 
 print()
 print("=== inverse problem 1: what efficiency explains (2.4, 7.5) dB alone? ===")

@@ -30,7 +30,6 @@ from .detection import (
     LossBudget,
     TomographySettings,
     TomographyTrace,
-    end_to_end_observe,
     fit_quadrature_ellipse,
     omc_sideband_transfer,
     simulate_tomography_trace,
@@ -60,7 +59,6 @@ from .states import (
     PhaseNoiseFit,
     SqueezeObservation,
     apply_loss,
-    apply_phase_jitter,
     db_to_variance,
     dephase,
     infer_loss_only,

@@ -17,14 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .states import (
-    GaussianQuadratureState,
-    SqueezeObservation,
-    apply_loss,
-    dephase,
-    quadrature_variance,
-    variance_to_db,
-)
+from .states import GaussianQuadratureState, quadrature_variance
 
 __all__ = [
     "EfficiencyFactor",
@@ -35,9 +28,9 @@ __all__ = [
     "total_efficiency",
     "omc_sideband_transfer",
     "scan_phase",
+    "trace_samples",
     "simulate_tomography_trace",
     "fit_quadrature_ellipse",
-    "end_to_end_observe",
 ]
 
 SCAN_SHAPES = ("triangle", "sine", "sawtooth")
@@ -195,6 +188,11 @@ def scan_phase(settings: TomographySettings, t) -> np.ndarray:
     return math.pi * ramp
 
 
+def trace_samples(duration: float, vbw: float) -> int:
+    """Points of a zero-span trace: one per video-bandwidth interval, at least one."""
+    return max(1, int(round(duration * vbw)))
+
+
 def simulate_tomography_trace(
     state: GaussianQuadratureState,
     settings: TomographySettings,
@@ -206,7 +204,7 @@ def simulate_tomography_trace(
     relative to the dark-free vacuum.  Identical settings and seed give a
     bit-identical trace.
     """
-    n_points = max(1, int(round(settings.duration * settings.vbw)))
+    n_points = trace_samples(settings.duration, settings.vbw)
     t = np.arange(n_points) / settings.vbw
     theta = scan_phase(settings, t)
     v_ideal = quadrature_variance(state, theta)
@@ -223,47 +221,19 @@ def fit_quadrature_ellipse(
 
     The fit runs in the variance domain on the basis (1, cos 2theta,
     sin 2theta); ``dark_variance`` is removed from the fitted offset so the
-    returned extrema describe the optical state alone.
+    returned extrema describe the optical state alone.  A trace of fewer
+    than 3 distinct phases modulo pi leaves the fit rank-deficient and
+    raises :class:`DomainError`.
     """
     theta = np.asarray(theta, dtype=float)
     v = 10.0 ** (np.asarray(measured_db, dtype=float) / 10.0)
     basis = np.column_stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)])
-    coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(basis, v, rcond=None)
+    if rank < 3:
+        raise DomainError(f"the ellipse fit has rank {rank} < 3: the trace samples "
+                          "fewer than 3 distinct phases modulo pi")
     c0, a, b = coef
     spread = math.hypot(a, b)
     theta0 = (0.5 * math.atan2(-b, -a)) % math.pi
     center = c0 - dark_variance
     return EllipseFit(center - spread, center + spread, theta0)
-
-
-def end_to_end_observe(
-    v_min: float,
-    v_max: float,
-    budget: LossBudget,
-    sigma_phase: float = 0.0,
-) -> SqueezeObservation:
-    """Source spectrum through the loss chain and phase jitter, as dB pair.
-
-    Composition order is fixed: loss first (total budget efficiency as one
-    beam-splitter), then Gaussian phase jitter.  The quoted uncertainty is
-    the first-order propagation of the budget uncertainty into the
-    squeezed-quadrature dB value.
-    """
-    eta = total_efficiency(budget)
-    source = GaussianQuadratureState(v_min, v_max)
-
-    def observed(eta_value: float) -> GaussianQuadratureState:
-        return dephase(apply_loss(source, eta_value), sigma_phase)
-
-    out = observed(eta.value)
-    if eta.sigma > 0.0:
-        lo = observed(max(eta.value - eta.sigma, 1e-12))
-        hi = observed(min(eta.value + eta.sigma, 1.0))
-        unc = 0.5 * abs(variance_to_db(hi.v_min) - variance_to_db(lo.v_min))
-    else:
-        unc = 0.0
-    return SqueezeObservation(
-        squeeze_db=-variance_to_db(out.v_min),
-        antisqueeze_db=variance_to_db(out.v_max),
-        uncertainty_db=unc,
-    )

@@ -48,6 +48,7 @@ from .detection import (
     omc_sideband_transfer,
     simulate_tomography_trace,
     total_efficiency,
+    trace_samples,
 )
 from .errors import DomainError, InconsistentObservationError, ThresholdError, ValidationError
 from .phasematch import (
@@ -238,6 +239,11 @@ INVARIANTS = (
     ("crystal.t_min1_c", "crystal.t_max_c", operator.ne, "must differ from crystal.t_max_c"),
     ("tomography.vbw_hz", "tomography.rbw_hz", operator.lt,
      "must be < rbw_hz ({other}), got {value}"),
+    # The ellipse fit needs at least 3 samples; a scan that aliases onto
+    # fewer than 3 phases is caught by the fit's rank check instead.
+    ("tomography.duration_s", "tomography.vbw_hz",
+     lambda duration, vbw: trace_samples(duration, vbw) >= 3,
+     "must span at least 3 trace samples at vbw_hz ({other}), got {value}"),
     ("fig3.sweep.stop_c", "fig3.sweep.start_c", operator.gt, "must exceed fig3.sweep.start_c"),
 )
 

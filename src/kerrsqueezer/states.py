@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "variance_to_db",
     "quadrature_variance",
     "apply_loss",
-    "apply_phase_jitter",
     "dephase",
     "infer_loss_only",
     "infer_phase_noise",
@@ -96,17 +95,10 @@ class SqueezeObservation:
 
     squeeze_db: float
     antisqueeze_db: float
-    uncertainty_db: float = 0.0
 
     def __post_init__(self):
-        if not (
-            math.isfinite(self.squeeze_db)
-            and math.isfinite(self.antisqueeze_db)
-            and math.isfinite(self.uncertainty_db)
-        ):
+        if not (math.isfinite(self.squeeze_db) and math.isfinite(self.antisqueeze_db)):
             raise DomainError("observation values must be finite")
-        if self.uncertainty_db < 0.0:
-            raise DomainError("uncertainty_db must be non-negative")
         # Small slack so pairs computed through float chains stay legal.
         if self.squeeze_db >= 0.0 and self.antisqueeze_db < self.squeeze_db - 1e-9:
             raise DomainError(
@@ -186,45 +178,23 @@ def apply_loss(state: GaussianQuadratureState, eta: float) -> GaussianQuadrature
     )
 
 
-def apply_phase_jitter(
-    state: GaussianQuadratureState, sigma: float
-) -> Callable[[float], float]:
-    """Observed variance function under Gaussian quadrature-angle jitter.
+def dephase(state: GaussianQuadratureState, sigma: float) -> GaussianQuadratureState:
+    """Effective state of ``state`` under Gaussian quadrature-angle jitter.
 
     For zero-mean Gaussian jitter of RMS ``sigma`` on the readout angle,
-    averaging the cos(2 theta) dependence gives
+    averaging the cos(2 theta) dependence of the variance gives
 
         V_obs(theta) = (v_min + v_max)/2
-                       - exp(-2 sigma^2) * cos(2 (theta - theta0)) * (v_max - v_min)/2
+                       - exp(-2 sigma^2) * cos(2 (theta - theta0)) * (v_max - v_min)/2,
 
-    Returns the callable ``V_obs``; see :func:`dephase` for the equivalent
-    effective state.
+    which is the variance of the returned state at every angle: the mean
+    stays and the half spread is damped by exp(-2 sigma^2).
     """
     if not math.isfinite(sigma) or sigma < 0.0:
         raise DomainError(f"jitter RMS must be finite and >= 0, got {sigma}")
     mean = 0.5 * (state.v_min + state.v_max)
     half_spread = 0.5 * (state.v_max - state.v_min) * math.exp(-2.0 * sigma**2)
-    theta0 = state.theta0
-
-    def v_obs(theta):
-        v = mean - half_spread * np.cos(2.0 * (np.asarray(theta, dtype=float) - theta0))
-        return float(v) if np.isscalar(theta) else v
-
-    return v_obs
-
-
-def dephase(state: GaussianQuadratureState, sigma: float) -> GaussianQuadratureState:
-    """Effective state whose variance function equals the jittered one."""
-    v_obs = apply_phase_jitter(state, sigma)
-    return GaussianQuadratureState(
-        v_obs(state.theta0), v_obs(state.theta0 + 0.5 * math.pi), state.theta0
-    )
-
-
-def _forward_variances(r: float, eta: float, sigma: float) -> tuple[float, float]:
-    """Principal variances after pure squeezing, loss eta, then jitter sigma."""
-    state = dephase(apply_loss(pure_squeezed(r), eta), sigma)
-    return state.v_min, state.v_max
+    return GaussianQuadratureState(mean - half_spread, mean + half_spread, state.theta0)
 
 
 def infer_loss_only(obs: SqueezeObservation) -> LossOnlyFit:
@@ -294,8 +264,7 @@ def infer_phase_noise(obs: SqueezeObservation, eta_known: float) -> PhaseNoiseFi
     r = 0.5 * math.acosh(max(cosh_2r, 1.0))
     if r > 64.0:  # the largest source squeeze parameter accepted
         raise InconsistentObservationError(
-            "no bracket for squeeze parameter",
-            residual=eta_known * math.cosh(128.0) + (1.0 - eta_known) - target_mean)
+            f"solved squeeze parameter r = {r:.6g} exceeds the cap of 64", residual=r - 64.0)
 
     # The spread is damped by exp(-2 sigma^2).
     spread_nojitter = eta_known * math.sinh(2.0 * r)
@@ -321,10 +290,10 @@ def infer_phase_noise(obs: SqueezeObservation, eta_known: float) -> PhaseNoiseFi
         # Within rounding of the jitter-free solution sigma is zero.
         sigma = 0.0 if damping >= 1.0 - 1e-12 else math.sqrt(-0.5 * math.log(damping))
 
-    v_lo_fit, v_hi_fit = _forward_variances(r, eta_known, sigma)
+    forward = dephase(apply_loss(pure_squeezed(r), eta_known), sigma)
     residual_db = max(
-        abs(variance_to_db(v_lo_fit) - variance_to_db(v_lo)),
-        abs(variance_to_db(v_hi_fit) - variance_to_db(v_hi)),
+        abs(variance_to_db(forward.v_min) - variance_to_db(v_lo)),
+        abs(variance_to_db(forward.v_max) - variance_to_db(v_hi)),
     )
     if residual_db > _FORWARD_CHECK_DB:
         raise InconsistentObservationError(

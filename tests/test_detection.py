@@ -8,13 +8,10 @@ from kerrsqueezer import (
     EfficiencyFactor,
     GaussianQuadratureState,
     LossBudget,
-    SqueezeObservation,
     TomographySettings,
     apply_loss,
     dephase,
-    end_to_end_observe,
     fit_quadrature_ellipse,
-    infer_phase_noise,
     omc_sideband_transfer,
     pure_squeezed,
     simulate_tomography_trace,
@@ -181,6 +178,13 @@ class TestTrace:
         assert fit.v_max == pytest.approx(state.v_max, abs=3e-2)
         assert fit.theta0 == pytest.approx(0.3, abs=0.02)
 
+    @pytest.mark.parametrize("theta", [[0.3], [0.0, 1.0], [0.3] * 8, [0.0, math.pi] * 4,
+                                       [0.0, 0.5 * math.pi] * 4])
+    def test_fit_needs_three_distinct_phases(self, theta):
+        # Fewer than 3 distinct phases modulo pi cannot determine the ellipse.
+        with pytest.raises(DomainError, match="rank"):
+            fit_quadrature_ellipse(np.array(theta), np.zeros(len(theta)))
+
     def test_extrema_converge_as_vbw_drops(self):
         # Lower vbw means more averaging per point; at a fixed point count
         # the worst trace deviation from the analytic curve shrinks with it.
@@ -199,11 +203,13 @@ class TestTrace:
 
 
 class TestEndToEnd:
+    # The detected state is the source through the budget's loss, then jitter.
     def test_lossless_pure_passthrough(self):
         v = 1.0 / 9.0
-        obs = end_to_end_observe(v, 1.0 / v, unit_budget(), 0.0)
-        assert obs.squeeze_db == pytest.approx(9.54, abs=5e-3)
-        assert obs.antisqueeze_db == pytest.approx(obs.squeeze_db, abs=1e-9)
+        src = GaussianQuadratureState(v, 1.0 / v)
+        out = dephase(apply_loss(src, total_efficiency(unit_budget()).value), 0.0)
+        assert -variance_to_db(out.v_min) == pytest.approx(9.54, abs=5e-3)
+        assert variance_to_db(out.v_max) == pytest.approx(-variance_to_db(out.v_min), abs=1e-9)
 
     def test_loss_only_reproduction(self):
         # eta = 0.467, r = 1.194 regenerates the observed (2.4, 7.5) dB.
@@ -214,28 +220,6 @@ class TestEndToEnd:
             EfficiencyFactor(1.0),
         )
         src = pure_squeezed(1.1939175121484784)
-        obs = end_to_end_observe(src.v_min, src.v_max, budget, 0.0)
-        assert obs.squeeze_db == pytest.approx(2.4, abs=0.01)
-        assert obs.antisqueeze_db == pytest.approx(7.5, abs=0.01)
-
-    def test_phase_noise_self_consistency(self):
-        fit = infer_phase_noise(SqueezeObservation(2.4, 7.5), 0.66)
-        budget = LossBudget(
-            EfficiencyFactor(0.66),
-            EfficiencyFactor(1.0),
-            EfficiencyFactor(1.0),
-            EfficiencyFactor(1.0),
-        )
-        src = pure_squeezed(fit.r)
-        obs = end_to_end_observe(src.v_min, src.v_max, budget, fit.sigma)
-        assert obs.squeeze_db == pytest.approx(2.4, abs=0.01)
-        assert obs.antisqueeze_db == pytest.approx(7.5, abs=0.01)
-
-    def test_order_matches_manual_chain(self):
-        budget = measured_budget()
-        eta = total_efficiency(budget).value
-        src = pure_squeezed(1.2)
-        manual = dephase(apply_loss(src, eta), 0.1)
-        obs = end_to_end_observe(src.v_min, src.v_max, budget, 0.1)
-        assert obs.squeeze_db == pytest.approx(-variance_to_db(manual.v_min), rel=1e-12)
-        assert obs.uncertainty_db > 0.0
+        out = dephase(apply_loss(src, total_efficiency(budget).value), 0.0)
+        assert -variance_to_db(out.v_min) == pytest.approx(2.4, abs=0.01)
+        assert variance_to_db(out.v_max) == pytest.approx(7.5, abs=0.01)

@@ -189,6 +189,9 @@ VALIDATE_THEN_CRASH = {
                                     "fig3.profile_temperatures_c:"),
     # A held phase left the ellipse fit rank-deficient: a negative v_min.
     "fig4_held_scan": ("fig4", {"tomography.scan_shape": "hold"}, "tomography.scan_shape:"),
+    # A trace of 1 or 2 samples left the ellipse fit rank-deficient.
+    "fig4_one_sample": ("fig4", {"tomography.duration_s": 0.005}, "tomography.duration_s:"),
+    "fig4_two_samples": ("fig4", {"tomography.duration_s": 0.01}, "tomography.duration_s:"),
     # The task ran twice and the manifest listed its tables twice.
     "custom_repeated_task": (
         "fig4", {"scenario": "custom", "custom": {"tasks": ["tomography", "tomography"]}},
@@ -292,6 +295,8 @@ DIAGNOSTIC_WORDING = [
       "profile_61p2C"]),
     ("fig4", {"scenario": "custom", "custom": {"tasks": ["tomography", "tomography"]}},
      ["custom.tasks: task 'tomography' is listed twice"]),
+    ("fig4", {"tomography.duration_s": 0.01},
+     ["tomography.duration_s: must span at least 3 trace samples at vbw_hz (200.0), got 0.01"]),
 ]
 
 
@@ -477,6 +482,19 @@ class TestFig4:
         run_scenario(config, b, seed=7)
         for name in ("trace_vacuum.csv", "trace_squeezed.csv", "summary.json", "manifest"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("shape,period", [("triangle", 0.005), ("triangle", 0.01),
+                                              ("triangle", 0.015), ("sine", 0.01),
+                                              ("sawtooth", 0.01)])
+    def test_aliased_scan_exit_1(self, shape, period, tmp_path, capsys):
+        # At 200 Hz these scans sample only 1 or 2 distinct phases modulo pi:
+        # the config is valid, but the ellipse fit cannot determine the state.
+        config = mutated("fig4", {"tomography.scan_shape": shape,
+                                  "tomography.scan_period_s": period})
+        assert validate_config(config) == []
+        assert run_cli(config, tmp_path) == 1
+        assert "the ellipse fit has rank" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_trace_schema(self, tmp_path):
         config = load_config(default_config_path("fig4"))

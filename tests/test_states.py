@@ -12,7 +12,6 @@ from kerrsqueezer import (
     NoSolutionError,
     SqueezeObservation,
     apply_loss,
-    apply_phase_jitter,
     db_to_variance,
     dephase,
     infer_loss_only,
@@ -89,8 +88,6 @@ class TestStateInvariants:
     def test_observation_invariant(self):
         with pytest.raises(DomainError):
             SqueezeObservation(3.0, 2.0)
-        with pytest.raises(DomainError):
-            SqueezeObservation(2.0, 7.0, uncertainty_db=-0.1)
         SqueezeObservation(-1.0, -0.5)  # unsqueezed pairs are unconstrained
 
 
@@ -166,27 +163,25 @@ class TestLossChannel:
 class TestPhaseJitter:
     def test_zero_sigma_exact(self):
         s = GaussianQuadratureState(0.2, 6.0, 0.9)
-        v_obs = apply_phase_jitter(s, 0.0)
-        assert v_obs(0.9) == pytest.approx(0.2, rel=1e-12)
+        assert quadrature_variance(dephase(s, 0.0), 0.9) == pytest.approx(0.2, rel=1e-12)
 
     def test_full_dephasing(self):
         s = GaussianQuadratureState(0.2, 6.0, 0.9)
-        v_obs = apply_phase_jitter(s, 50.0)
         th = np.linspace(0, math.pi, 11)
-        np.testing.assert_allclose(v_obs(th), 3.1, rtol=1e-10)
+        np.testing.assert_allclose(quadrature_variance(dephase(s, 50.0), th), 3.1, rtol=1e-10)
 
     def test_monte_carlo_oracle(self):
-        # Closed form against a direct average over Gaussian angle jitter.
+        # The effective state against a direct average over Gaussian angle jitter.
         s = GaussianQuadratureState(0.15, 8.0, 0.4)
         sigma = 0.05
-        v_obs = apply_phase_jitter(s, sigma)
+        out = dephase(s, sigma)
         rng = np.random.default_rng(987)
         delta = rng.normal(0.0, sigma, size=1_000_000)
         for theta in (0.4, 0.4 + math.pi / 2, 1.1):
             samples = quadrature_variance(s, theta + delta)
             mc = samples.mean()
             sem = samples.std(ddof=1) / math.sqrt(len(samples))
-            assert abs(v_obs(theta) - mc) < 3.0 * sem
+            assert abs(quadrature_variance(out, theta) - mc) < 3.0 * sem
 
     def test_minimum_nondecreasing_in_sigma(self):
         s = GaussianQuadratureState(0.2, 6.0, 0.0)
@@ -203,7 +198,7 @@ class TestPhaseJitter:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
-            apply_phase_jitter(vacuum(), -0.1)
+            dephase(vacuum(), -0.1)
 
 
 class TestInferLossOnly:
@@ -283,9 +278,17 @@ class TestInferPhaseNoise:
         with pytest.raises(InconsistentObservationError) as err:
             infer_phase_noise(SqueezeObservation(2.4, 7.5), 0.30)
         assert err.value.residual is not None and err.value.residual > 0
-        # A source squeeze parameter above 64 is out of range.
-        with pytest.raises(InconsistentObservationError, match="no bracket"):
+        # A source squeeze parameter above 64 is out of range: the residual
+        # is its excess over the cap, acosh(1e60)/2 - 64 here ...
+        with pytest.raises(InconsistentObservationError,
+                           match="solved squeeze parameter r = 69.4.* exceeds the cap of 64"
+                           ) as err:
             infer_phase_noise(SqueezeObservation(3.0, 600.0), 0.5)
+        assert err.value.residual == pytest.approx(0.5 * math.log(2e60) - 64.0, rel=1e-12)
+        # ... and infinite when the solved r overflows.
+        with pytest.raises(InconsistentObservationError, match="r = inf") as err:
+            infer_phase_noise(SqueezeObservation(2.0, 7.0), 1e-320)
+        assert err.value.residual == math.inf
 
     def test_eta_domain(self):
         with pytest.raises(DomainError):
