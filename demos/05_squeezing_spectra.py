@@ -20,9 +20,7 @@ from kerrsqueezer import (
 params = CavityParams(0.838, 0.01, 0.0019)
 op = OperatingPoint(
     p_circ=23.9,
-    nl_phase_rt=-3.4e-3,
     epsilon=0.55 * params.gamma_total,
-    delta_eff=0.0,
     gamma_coupler=params.gamma_coupler,
     gamma_loss=params.gamma_loss,
 )
@@ -47,7 +45,7 @@ for f in (357.7e6, 715.5e6, 1073.2e6, 536.6e6):
 print("(odd multiples reach the detector, even multiples are separated out)")
 
 print("\n=== closed-form check: on resonance, lossless, eps = gamma/2 ===")
-ideal = OperatingPoint(1.0, 0.0, 0.5, 0.0, 1.0, 0.0)
+ideal = OperatingPoint(p_circ=1.0, epsilon=0.5, gamma_coupler=1.0, gamma_loss=0.0)
 pt = squeezing_spectrum(ideal, 0.0)
 print(f"v_min = {pt.v_min:.6f} (exactly 1/9 -> {variance_to_db(pt.v_min):.2f} dB), "
       f"purity v_min*v_max = {pt.v_min*pt.v_max:.12f}")

@@ -8,10 +8,8 @@ detection-chain model, and reproducible measurement scenarios.
 
 from .cascade import (
     CascadeResult,
-    FictitiousMirror,
     effective_kerr_phase,
     extract_cascade_result,
-    fictitious_mirror,
 )
 from .cavity import (
     BranchArrays,

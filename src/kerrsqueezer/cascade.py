@@ -52,10 +52,8 @@ from .errors import DomainError, ValidityError
 
 __all__ = [
     "CascadeResult",
-    "FictitiousMirror",
     "effective_kerr_phase",
     "extract_cascade_result",
-    "fictitious_mirror",
 ]
 
 _EPS = np.finfo(float).eps
@@ -75,11 +73,6 @@ class CascadeResult:
             raise DomainError(
                 f"residual conversion must lie in [0, 1], got {self.residual_conversion}"
             )
-
-
-class FictitiousMirror(NamedTuple):
-    r1: float
-    phase_offset: float
 
 
 def _wrap(phi):
@@ -228,30 +221,3 @@ def extract_cascade_result(p_in, delta_k, kappa: float, length: float) -> Cascad
     nl_phase = _wrap(np.where(orbit.elliptic, -0.5 * s * np.sqrt(w_b) * integral, 0.0))
     return CascadeResult(*_rows_out(orbit.shape, nl_phase, orbit.fraction(sn[:, -1:])))
 
-
-def fictitious_mirror(p_in, delta_k, kappa: float, length: float) -> FictitiousMirror:
-    """Mid-crystal converted fraction and its phase lag.
-
-    ``r1`` is the power fraction living at the harmonic halfway through
-    the crystal, i.e. the reflectivity of the equivalent beam-splitter
-    picture of the cascade; it stays finite at conversion zeros where the
-    end-of-crystal conversion vanishes.  ``phase_offset`` is the phase of
-    the mid-crystal harmonic relative to the local driving polarization
-    (conversion drive), zero when phase matched; in the low-conversion
-    limit it equals ``delta_k * length / 4``.  Arrays broadcast as in
-    :func:`extract_cascade_result`.
-
-    The lag is ``theta - pi/2`` with ``theta = arg a2 - 2 arg a1 + delta_k
-    z``, where the conserved quantity of the launch gives ``cos theta = -(s
-    / 2) sqrt(w) / (1 - w)`` and ``sin theta`` has the sign of ``dw/dz``,
-    that is of ``sn cn``; ``theta`` is taken by ``arctan2`` of the two.
-    """
-    orbit = _orbit(p_in, delta_k, kappa, length / 2.0)
-    s, w_b, w_c = orbit.s, orbit.w_b, orbit.w_c
-    sn, cn = _sn_cn(orbit.zeta / np.sqrt(w_b), orbit.levels)
-    dn = np.sqrt(w_c * (1.0 + w_b) + w_b * w_b * cn * cn)
-    r1 = orbit.fraction(sn)
-    # (1 - w) |sn| times (sin theta, cos theta).
-    theta = np.arctan2(sn * cn * dn, -0.5 * s * np.sqrt(w_b) * sn * sn)
-    phase_offset = np.where(orbit.elliptic & (r1 > 0.0), _wrap(theta - 0.5 * math.pi), 0.0)
-    return FictitiousMirror(*_rows_out(orbit.shape, r1, phase_offset))

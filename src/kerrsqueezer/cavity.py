@@ -6,18 +6,18 @@ The classical circulating power obeys the implicit resonance equation
 
 with ``r_eff = sqrt((1 - T1) (1 - loss))``; an intensity-dependent
 round-trip phase ``phi_nl`` skews the resonance and produces bistability.
-Fluctuations around a steady state follow the standard linearization
+For squeezing the cavity is locked: its length servo cancels the detuning
+and the self-shift, and fluctuations around the steady state follow
 
-    d(da)/dt = -(gamma_total + i delta_eff) da
-               + i epsilon exp(2 i arg(alpha)) da^dag + inputs,
+    d(da)/dt = -gamma_total da + i epsilon exp(2 i arg(alpha)) da^dag + inputs,
 
 where ``epsilon = g * p_circ * FSR`` is the effective parametric pump rate
-set by the Kerr slope ``g = d(phi_nl)/d(p_circ)``, and
-``delta_eff = (detuning + 2 g p_circ) * FSR`` includes the self-shift.
-:func:`linearize` assembles every :class:`OperatingPoint`, with ``g`` the tangent
-from a central difference at the stacked powers ``p_circ * SLOPE_FACTORS``.
-Output spectra are computed in a frame where the carrier phase is zero, so
-ellipse orientations are relative to the carrier quadrature.
+set by the Kerr slope ``g = d(phi_nl)/d(p_circ)``; the threshold is
+``|epsilon| = gamma_total``.  :func:`linearize` assembles every
+:class:`OperatingPoint`, with ``g`` the tangent from a central difference
+at the stacked powers ``p_circ * SLOPE_FACTORS``.  Output spectra are
+computed in a frame where the carrier phase is zero, so ellipse
+orientations are relative to the carrier quadrature.
 
 A sideband at absolute frequency f is mapped onto the nearest cavity comb
 line n and analyzed with this quasi-degenerate baseband model at offset
@@ -308,17 +308,14 @@ def scan_profile(
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Linearization data of one steady state.
+    """Linearization data of one locked steady state.
 
     Rates are angular (rad/s): ``gamma_coupler = T1 * FSR / 2``,
-    ``gamma_loss = loss * FSR / 2``, ``epsilon = g * p_circ * FSR`` and
-    ``delta_eff = (detuning + 2 g p_circ) * FSR``.
+    ``gamma_loss = loss * FSR / 2`` and ``epsilon = g * p_circ * FSR``.
     """
 
     p_circ: float
-    nl_phase_rt: float
     epsilon: float
-    delta_eff: float
     gamma_coupler: float
     gamma_loss: float
 
@@ -331,20 +328,15 @@ class OperatingPoint:
         return self.gamma_coupler + self.gamma_loss
 
     @property
-    def threshold_epsilon(self) -> float:
-        """Pump rate at which the linearized dynamics turn unstable."""
-        return math.hypot(self.gamma_total, self.delta_eff)
-
-    @property
     def headroom(self) -> float:
-        """threshold_epsilon / |epsilon| (inf for epsilon = 0)."""
+        """gamma_total / |epsilon|, the threshold over the pump (inf for epsilon = 0)."""
         if self.epsilon == 0.0:
             return math.inf
-        return self.threshold_epsilon / abs(self.epsilon)
+        return self.gamma_total / abs(self.epsilon)
 
     @property
     def below_threshold(self) -> bool:
-        return abs(self.epsilon) < self.threshold_epsilon
+        return abs(self.epsilon) < self.gamma_total
 
 
 # Relative power step of the central difference that gives the Kerr slope.
@@ -352,34 +344,24 @@ SLOPE_STEP = 1e-4
 SLOPE_FACTORS = np.array([1.0 - SLOPE_STEP, 1.0, 1.0 + SLOPE_STEP])
 
 
-def linearize(params: CavityParams, p_circ: float, phases,
-              detuning: Optional[float] = None) -> OperatingPoint:
-    """Linearization of the steady state at circulating power ``p_circ``.
+def linearize(params: CavityParams, p_circ: float, phases) -> OperatingPoint:
+    """Linearization of the locked steady state at circulating power ``p_circ``.
 
     ``phases`` holds ``phi_nl`` at ``p_circ * SLOPE_FACTORS``; their central
     difference is ``g * p_circ``, so ``p_circ = 0`` gives ``epsilon = 0``.
-    It is the one public builder of an :class:`OperatingPoint`, locked or
-    detuned.  A float ``detuning`` is that of a free-running cavity, with
-    ``p_circ`` one of the roots :func:`steady_state_branches` finds there;
-    ``None`` is a locked cavity, whose length servo holds ``delta_eff`` at zero.
-    A non-finite ``detuning``, a non-finite or negative ``p_circ`` and
-    ``phases`` other than three finite numbers raise :class:`DomainError`.
+    It is the one public builder of an :class:`OperatingPoint`.  A
+    non-finite or negative ``p_circ`` and ``phases`` other than three finite
+    numbers raise :class:`DomainError`.
     """
-    if detuning is not None and not math.isfinite(detuning):
-        raise DomainError(f"detuning must be finite, got {detuning}")
     if not math.isfinite(p_circ) or p_circ < 0.0:
         raise DomainError(f"p_circ must be finite and >= 0, got {p_circ}")
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (3,) or not np.all(np.isfinite(phases)):
         raise DomainError(f"phases must be 3 finite numbers, got {phases.tolist()}")
-    phi_lo, phi_at, phi_hi = phases.tolist()
-    slope_p = (phi_hi - phi_lo) / (2.0 * SLOPE_STEP)
-    fsr = params.fsr
+    phi_lo, _, phi_hi = phases.tolist()
     return OperatingPoint(
         p_circ=float(p_circ),
-        nl_phase_rt=phi_at,
-        epsilon=slope_p * fsr,
-        delta_eff=0.0 if detuning is None else (detuning + 2.0 * slope_p) * fsr,
+        epsilon=(phi_hi - phi_lo) / (2.0 * SLOPE_STEP) * params.fsr,
         gamma_coupler=params.gamma_coupler,
         gamma_loss=params.gamma_loss,
     )
@@ -389,40 +371,26 @@ def squeezing_spectrum(op: OperatingPoint, omega) -> SpectrumPoint:
     """Output quadrature spectrum at sideband offset ``omega`` (rad/s).
 
     Input-output solution of the linearized dynamics with vacuum entering
-    through both the coupler and the loss port.  For ``delta_eff = 0`` it
-    reduces to ``v_mp = 1 -/+ 4 gamma_coupler epsilon / ((gamma_total +/-
-    epsilon)^2 + omega^2)``.  The returned minor-axis angle is relative to
-    the carrier quadrature.  For an array ``omega`` the fields are arrays of
-    the same shape, from one stacked solve.
+    through both the coupler and the loss port (Collett & Gardiner, Phys.
+    Rev. A 30, 1386 (1984)): ``v_mp = 1 -/+ 4 gamma_coupler |epsilon| /
+    ((gamma_total +/- |epsilon|)^2 + omega^2)``.  The minor axis, relative
+    to the carrier quadrature, is at pi/4 for ``epsilon < 0`` and 3 pi/4 for
+    ``epsilon > 0``; without pump the output is vacuum, ``v = 1`` with
+    angle 0.  For an array ``omega`` the fields are arrays of its shape.
     """
     if not op.below_threshold:
         raise ThresholdError(
             f"spectrum undefined at or above threshold (headroom {op.headroom:.3f})"
         )
     omegas = np.asarray(omega, dtype=float)
-    if op.epsilon == 0.0:
-        # Passive cavity: the output is exactly vacuum at every frequency.
-        v_min, v_max, theta = np.ones(omegas.shape), np.ones(omegas.shape), np.zeros(omegas.shape)
-    else:
-        gam, gc, gl = op.gamma_total, op.gamma_coupler, op.gamma_loss
-        delta, eps = op.delta_eff, op.epsilon
-
-        # One 2x2 system per frequency; a scalar runs as a stack of one.
-        w = omegas.reshape(-1, 1, 1)
-        drift = np.array([[0.0, delta + eps], [eps - delta, 0.0]])
-        m = np.linalg.inv((gam - 1j * w) * np.eye(2) - drift)
-        t_in = 2.0 * gc * m - np.eye(2)
-        s_out = t_in @ t_in.conj().swapaxes(-1, -2)
-        if gl > 0.0:
-            t_loss = 2.0 * math.sqrt(gc * gl) * m
-            s_out = s_out + t_loss @ t_loss.conj().swapaxes(-1, -2)
-        sym = s_out.real
-        vals, vecs = np.linalg.eigh(0.5 * (sym + sym.swapaxes(-1, -2)))
-        theta = np.arctan2(vecs[:, 1, 0], vecs[:, 0, 0]) % math.pi
-        v_min, v_max, theta = (x.reshape(omegas.shape) for x in (vals[:, 0], vals[:, 1], theta))
+    gam, eps = op.gamma_total, abs(op.epsilon)
+    gain, w2 = 4.0 * op.gamma_coupler * eps, omegas * omegas
+    v_min = 1.0 - gain / ((gam + eps) ** 2 + w2)
+    v_max = 1.0 + gain / ((gam - eps) ** 2 + w2)
+    theta = 0.0 if eps == 0.0 else 0.25 * math.pi if op.epsilon < 0.0 else 0.75 * math.pi
     if not omegas.shape:
-        return SpectrumPoint(float(v_min), float(v_max), float(theta))
-    return SpectrumPoint(v_min, v_max, theta)
+        return SpectrumPoint(float(v_min), float(v_max), theta)
+    return SpectrumPoint(v_min, v_max, np.full(omegas.shape, theta))
 
 
 def sideband_comb_map(fsr: float, frequency) -> CombAssignment:

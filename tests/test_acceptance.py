@@ -135,7 +135,7 @@ def test_criterion_7_spectrum_properties():
     with criterion(7, "spectrum: vacuum at eps=0, purity to 1e-9, OPA 1/9 closed form"):
         def op(eps, loss_fraction=0.0):
             return OperatingPoint(
-                p_circ=1.0, nl_phase_rt=0.0, epsilon=eps, delta_eff=0.0,
+                p_circ=1.0, epsilon=eps,
                 gamma_coupler=1.0 - loss_fraction, gamma_loss=loss_fraction,
             )
 

@@ -5,13 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipkm1
 
-from kerrsqueezer import (
-    DomainError,
-    ValidityError,
-    effective_kerr_phase,
-    extract_cascade_result,
-    fictitious_mirror,
-)
+from kerrsqueezer import DomainError, ValidityError, effective_kerr_phase, extract_cascade_result
 
 LENGTH = 0.0093
 
@@ -99,9 +93,9 @@ class TestNonFiniteInputs:
     """Non-finite inputs raise DomainError before any work is done."""
 
     def test_nan_kappa(self):
-        for fn in (extract_cascade_result, fictitious_mirror):
+        for length in (LENGTH, LENGTH / 2):
             with pytest.raises(DomainError):
-                fn(0.09, 700.0, math.nan, LENGTH)
+                extract_cascade_result(0.09, 700.0, math.nan, length)
 
     def test_nan_mismatch_row(self):
         for dk in (math.nan, math.inf):
@@ -122,8 +116,9 @@ class TestZeroRows:
             extract_cascade_result(np.zeros(0), np.zeros(0), 3.2, LENGTH)
 
     def test_fictitious_mirror(self):
+        # The mirror's half-length pass, with a scalar mismatch broadcast.
         with pytest.raises(DomainError, match="at least one row"):
-            fictitious_mirror(np.zeros(0), 700.0, 3.2, LENGTH)
+            extract_cascade_result(np.zeros(0), 700.0, 3.2, LENGTH / 2)
 
 
 class TestPropagate:
@@ -284,14 +279,10 @@ class TestExtractCascade:
         mismatches[rng.random(rows) < 0.1] = 0.0
         kappa = float(rng.uniform(3.0, 150.0))
         batch = extract_cascade_result(powers, mismatches, kappa, LENGTH)
-        mirror = fictitious_mirror(powers, mismatches, kappa, LENGTH)
         for i, j in np.ndindex(powers.shape):
             row = extract_cascade_result(float(powers[i, j]), float(mismatches[j]), kappa, LENGTH)
             assert batch.nl_phase[i, j] == row.nl_phase
             assert batch.residual_conversion[i, j] == row.residual_conversion
-            row_mirror = fictitious_mirror(float(powers[i, j]), float(mismatches[j]), kappa, LENGTH)
-            assert mirror.r1[i, j] == row_mirror.r1
-            assert mirror.phase_offset[i, j] == row_mirror.phase_offset
 
     def test_phase_matched_pure_depletion(self):
         # At zero mismatch the crystal depletes but does not phase shift.
@@ -305,43 +296,42 @@ class TestExtractCascade:
         assert out.nl_phase == 0.0 and out.residual_conversion == 0.0
 
 
+def mirror_r1(p, dk, kappa):
+    """The reflectivity r1 of the paper's fictitious mirror: the harmonic
+    fraction halfway through the crystal, the residual conversion of the
+    half-length pass."""
+    return extract_cascade_result(p, dk, kappa, LENGTH / 2).residual_conversion
+
+
 class TestFictitiousMirror:
     def test_vanishes_with_power(self):
-        assert fictitious_mirror(0.0, 2 * math.pi / LENGTH, 14.0, LENGTH).r1 == 0.0
-        small = fictitious_mirror(1e-4, 2 * math.pi / LENGTH, 14.0, LENGTH).r1
+        assert mirror_r1(0.0, 2 * math.pi / LENGTH, 14.0) == 0.0
+        small = mirror_r1(1e-4, 2 * math.pi / LENGTH, 14.0)
         assert small < 1e-6
 
     def test_monotone_in_power(self):
         dk = 2 * math.pi / LENGTH
         powers = [0.05, 0.1, 0.2, 0.4, 0.8]
-        r1s = [fictitious_mirror(p, dk, 14.0, LENGTH).r1 for p in powers]
+        r1s = [mirror_r1(p, dk, 14.0) for p in powers]
         assert all(b > a for a, b in zip(r1s, r1s[1:]))
 
     def test_mid_crystal_conversion_at_zero(self):
         # Light is converted at mid-crystal even though none leaves the end.
         dk = 2 * math.pi / LENGTH
-        mirror = fictitious_mirror(0.2, dk, 14.0, LENGTH)
+        r1 = mirror_r1(0.2, dk, 14.0)
         end = extract_cascade_result(0.2, dk, 14.0, LENGTH)
         assert end.residual_conversion < 1e-6
-        assert mirror.r1 > 1e-4
+        assert r1 > 1e-4
         # Low-conversion closed form: r1 = 4 kappa^2 p / dk^2.
-        assert mirror.r1 == pytest.approx(4 * 14.0**2 * 0.2 / dk**2, rel=2e-3)
-
-    def test_phase_offset_low_conversion(self):
-        dk = 2 * math.pi / LENGTH
-        mirror = fictitious_mirror(0.05, dk, 14.0, LENGTH)
-        assert mirror.phase_offset == pytest.approx(dk * LENGTH / 4, abs=2e-3)
+        assert r1 == pytest.approx(4 * 14.0**2 * 0.2 / dk**2, rel=2e-3)
 
     def test_matches_rk4_reference(self):
-        # Strong drive, where the low-conversion forms no longer hold: r1 and
-        # the lag from the conserved quantity against the amplitudes of an
-        # RK4 run over the half crystal (the step of 16000 over the whole).
+        # Strong drive, where the low-conversion form no longer holds: r1
+        # against the amplitudes of an RK4 run over the half crystal (the
+        # step of 16000 over the whole).
         cases = [(1.0, 2 * math.pi), (9.0, 3 * math.pi), (4.0, 1.0), (9.0, -13.5),
                  (32.0, 30.0), (0.01, 0.5)]
         p = np.array([p for p, _ in cases])
         dk = np.array([x for _, x in cases]) / LENGTH
-        a1, a2 = reference_propagate(np.sqrt(p), 0.0, dk, 150.0, LENGTH / 2, 8000)
-        lag = np.angle(a2) - 2 * np.angle(a1) + dk * LENGTH / 2 - 0.5 * math.pi
-        mirror = fictitious_mirror(p, dk, 150.0, LENGTH)
-        assert np.all(np.abs(mirror.r1 - np.abs(a2) ** 2 / p) <= 1e-9)
-        assert np.all(np.abs(wrap(mirror.phase_offset - lag)) <= 1e-8)
+        _, a2 = reference_propagate(np.sqrt(p), 0.0, dk, 150.0, LENGTH / 2, 8000)
+        assert np.all(np.abs(mirror_r1(p, dk, 150.0) - np.abs(a2) ** 2 / p) <= 1e-9)

@@ -769,14 +769,25 @@ class TestHalfMaxAsymmetry:
 
 
 def detuned_point(params, p_in, phi_nl, detuning, branch=None):
-    """linearize on a root of a one-element solve: the free-running operating
-    point at ``detuning``.  ``branch`` indexes the roots; None takes the only one."""
+    """linearize on a root of a one-element solve at ``detuning``.  ``branch``
+    indexes the roots; None takes the only one."""
     found = one_detuning(params, p_in, phi_nl, detuning)
     if branch is None:
         assert len(found.p_circ) == 1
     p = found.p_circ.tolist()[branch or 0]
-    return linearize(params, p, np.zeros(3) if phi_nl is None else phi_nl(p * SLOPE_FACTORS),
-                     detuning)
+    return linearize(params, p, np.zeros(3) if phi_nl is None else phi_nl(p * SLOPE_FACTORS))
+
+
+def detuned_delta(params, op, detuning):
+    """``delta_eff = (detuning + 2 g p_circ) FSR`` of the point free running at
+    ``detuning`` rad, the self-shift included; a locked cavity holds it at 0."""
+    return detuning * params.fsr + 2.0 * op.epsilon
+
+
+def detuned_threshold(params, op, detuning):
+    """The pump rate at which the linearized dynamics free running at
+    ``detuning`` turn unstable: hypot(gamma_total, delta_eff)."""
+    return math.hypot(op.gamma_total, detuned_delta(params, op, detuning))
 
 
 class TestOperatingPoint:
@@ -784,14 +795,7 @@ class TestOperatingPoint:
         op = detuned_point(cavity(), 0.0088, None, 0.0)
         assert op.below_threshold
         assert op.epsilon == 0.0
-        assert op.delta_eff == 0.0
         assert op.headroom == math.inf
-
-    def test_non_finite_detuning_is_rejected(self):
-        # The message of steady_state_branches, which rejects the same detuning.
-        for detuning in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError, match="detuning must be finite"):
-                linearize(cavity(), 1.0, np.zeros(3), detuning)
 
     @pytest.mark.parametrize("p_circ, phases, message", [
         (math.nan, [0.0, 0.0, 0.0], "p_circ"),
@@ -807,9 +811,8 @@ class TestOperatingPoint:
     def test_bad_power_or_phases_are_rejected(self, p_circ, phases, message):
         # Before, a NaN power gave a passive point, a negative one a point and
         # two phases a bare unpacking ValueError.
-        for detuning in (None, 0.0):
-            with pytest.raises(DomainError, match=message):
-                linearize(cavity(), p_circ, phases, detuning)
+        with pytest.raises(DomainError, match=message):
+            linearize(cavity(), p_circ, phases)
 
     def test_epsilon_linear_in_circulating_power(self):
         phi = lambda p: 1e-5 * p
@@ -823,26 +826,26 @@ class TestOperatingPoint:
         g = 1e-5
         op = detuned_point(c, 0.001, lambda p: g * p, 0.001)
         assert op.below_threshold
+        assert op.headroom == c.gamma_total / abs(op.epsilon)
         assert op.gamma_coupler == pytest.approx(c.gamma_coupler, rel=1e-12)
         assert op.gamma_loss == pytest.approx(c.gamma_loss, rel=1e-12)
         # A linear phase has the slope g everywhere; only rounding remains.
         assert op.epsilon == pytest.approx(g * op.p_circ * c.fsr, rel=1e-10)
-        assert op.delta_eff == pytest.approx((0.001 + 2 * g * op.p_circ) * c.fsr, rel=1e-10)
+        assert detuned_delta(c, op, 0.001) == pytest.approx(
+            (0.001 + 2 * g * op.p_circ) * c.fsr, rel=1e-10)
         # No circulating power, no pump.
         assert detuned_point(c, 0.0, lambda p: g * p, 0.001).epsilon == 0.0
 
     def test_unstable_branch_is_above_threshold(self):
         # The middle branch of the S-curve is exactly the above-threshold
-        # solution of the linearized dynamics.
+        # solution of the linearized dynamics free running at its detuning.
         phi = lambda p: G_KERR * p
         c = cavity()
         op = detuned_point(c, 0.07, phi, 0.03, branch=1)
-        assert not op.below_threshold
-        assert op.headroom < 1.0
+        assert detuned_threshold(c, op, 0.03) < abs(op.epsilon)
         for stable_branch in (0, 2):
             op = detuned_point(c, 0.07, phi, 0.03, branch=stable_branch)
-            assert op.below_threshold
-            assert op.headroom > 1.0
+            assert detuned_threshold(c, op, 0.03) > abs(op.epsilon)
             assert op.p_circ > 0
 
     def test_fold_point_sits_at_threshold(self):
@@ -870,22 +873,42 @@ class TestOperatingPoint:
         assert headroom == pytest.approx(1.0, abs=0.05)
 
 
-def op_point(epsilon, delta_eff=0.0, gamma=1.0, loss_fraction=0.0):
+def op_point(epsilon, gamma=1.0, loss_fraction=0.0):
     return OperatingPoint(
         p_circ=1.0,
-        nl_phase_rt=0.0,
         epsilon=epsilon,
-        delta_eff=delta_eff,
         gamma_coupler=gamma * (1 - loss_fraction),
         gamma_loss=gamma * loss_fraction,
     )
+
+
+def reference_spectrum(op, omega, delta_eff=0.0):
+    """Principal output variances and minor-axis angle of the linearized
+    dynamics detuned by ``delta_eff``, from one 2x2 input-output solve per
+    offset: ``m = ((gamma - i w) I - A)^-1`` with drift ``A = [[0, delta +
+    eps], [eps - delta, 0]]``, the coupler's ``2 gc m - I`` and the loss
+    port's ``2 sqrt(gc gl) m``, and ``eigh`` of the symmetric real part of
+    their summed outer products.  The independent oracle of the locked
+    closed form.  Fields have the shape of ``omega``."""
+    gam, gc, gl, eps = op.gamma_total, op.gamma_coupler, op.gamma_loss, op.epsilon
+    omegas = np.asarray(omega, dtype=float)
+    w = omegas.reshape(-1, 1, 1)
+    drift = np.array([[0.0, delta_eff + eps], [eps - delta_eff, 0.0]])
+    m = np.linalg.inv((gam - 1j * w) * np.eye(2) - drift)
+    t_in, t_loss = 2.0 * gc * m - np.eye(2), 2.0 * math.sqrt(gc * gl) * m
+    s_out = (t_in @ t_in.conj().swapaxes(-1, -2) + t_loss @ t_loss.conj().swapaxes(-1, -2)).real
+    vals, vecs = np.linalg.eigh(0.5 * (s_out + s_out.swapaxes(-1, -2)))
+    theta = np.arctan2(vecs[:, 1, 0], vecs[:, 0, 0]) % math.pi
+    return SpectrumPoint(*(x.reshape(omegas.shape) for x in (vals[:, 0], vals[:, 1], theta)))
 
 
 class TestSpectrum:
     def test_vacuum_out_without_pump(self):
         for omega in (0.0, 0.3, 10.0):
             pt = squeezing_spectrum(op_point(0.0, loss_fraction=0.3), omega)
-            assert pt.v_min == 1.0 and pt.v_max == 1.0
+            assert pt.v_min == 1.0 and pt.v_max == 1.0 and pt.theta_min == 0.0
+        stacked = squeezing_spectrum(op_point(0.0), np.array([0.0, 0.3]))
+        assert [x.tolist() for x in stacked] == [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]
 
     def test_closed_form_on_resonance(self):
         # v_-/+ = 1 -/+ 4 gc eps / ((gt +/- eps)^2 + w^2), valid with loss.
@@ -895,12 +918,44 @@ class TestSpectrum:
             (0.3, 0.16, 0.0),
             (0.8, 0.16, 1.3),
         ]:
-            pt = squeezing_spectrum(op_point(eps, 0.0, 1.0, lf), omega)
+            pt = squeezing_spectrum(op_point(eps, 1.0, lf), omega)
             gc = 1.0 - lf
             v_minus = 1 - 4 * gc * eps / ((1 + eps) ** 2 + omega**2)
             v_plus = 1 + 4 * gc * eps / ((1 - eps) ** 2 + omega**2)
             assert pt.v_min == pytest.approx(v_minus, rel=1e-12)
             assert pt.v_max == pytest.approx(v_plus, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_lapack_reference(self, seed):
+        # Random locked points, pumped with either sign, lossless or lossy, at
+        # up to 0.6 of threshold: the closed form is the 2x2 solve to 1e-13,
+        # and its minor axis is exactly the reference's pi/4 or 3 pi/4.
+        rng = np.random.default_rng(seed)
+        omegas = np.concatenate([[0.0], rng.uniform(0.0, 5.0, 20)])
+        for _ in range(25):
+            gamma = float(rng.uniform(0.1, 10.0))
+            loss_fraction = float(rng.choice([0.0, rng.uniform(0.0, 0.6)]))
+            eps = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.6)) * gamma
+            op = op_point(eps, gamma, loss_fraction)
+            expected = reference_spectrum(op, gamma * omegas)
+            got = squeezing_spectrum(op, gamma * omegas)
+            theta = math.pi / 4 if eps < 0.0 else 3 * math.pi / 4
+            np.testing.assert_allclose(got.v_min, expected.v_min, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got.v_max, expected.v_max, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(expected.theta_min, theta, rtol=0.0, atol=1e-9)
+            assert got.theta_min.tolist() == [theta] * len(omegas)
+            for i, omega in enumerate(gamma * omegas):
+                pt = squeezing_spectrum(op, omega)
+                assert type(pt.v_min) is type(pt.theta_min) is float
+                assert pt == (got.v_min[i], got.v_max[i], theta)
+
+    def test_reference_detuned(self):
+        # The oracle off resonance: lossless output stays pure, and detuning
+        # raises the threshold to hypot(gamma, delta), so 1.5 gamma squeezes.
+        for eps, delta in ((0.5, 0.2), (0.9, 0.2), (1.5, 2.0)):
+            pt = reference_spectrum(op_point(eps), np.array([0.0, 0.5, 2.0]), delta)
+            np.testing.assert_allclose(pt.v_min * pt.v_max, 1.0, rtol=0.0, atol=1e-9)
+            assert pt.v_min[0] < 1.0
 
     def test_textbook_ninth(self):
         pt = squeezing_spectrum(op_point(0.5), 0.0)
@@ -910,14 +965,13 @@ class TestSpectrum:
     def test_lossless_purity(self):
         omegas = np.array([0.0, 0.5, 2.0])
         for eps in (0.1, 0.5, 0.9):
-            for delta in (0.0, 0.2):
-                points = [squeezing_spectrum(op_point(eps, delta), omega) for omega in omegas]
-                for pt in points:
-                    assert abs(pt.v_min * pt.v_max - 1.0) < 1e-9
-                # One stacked call gives the per-point results bit for bit.
-                stacked = squeezing_spectrum(op_point(eps, delta), omegas)
-                for field, values in zip(SpectrumPoint._fields, stacked):
-                    assert values.tolist() == [getattr(pt, field) for pt in points]
+            points = [squeezing_spectrum(op_point(eps), omega) for omega in omegas]
+            for pt in points:
+                assert abs(pt.v_min * pt.v_max - 1.0) < 1e-9
+            # One stacked call gives the per-point results bit for bit.
+            stacked = squeezing_spectrum(op_point(eps), omegas)
+            for field, values in zip(SpectrumPoint._fields, stacked):
+                assert values.tolist() == [getattr(pt, field) for pt in points]
 
     def test_loss_makes_mixed(self):
         pt = squeezing_spectrum(op_point(0.5, loss_fraction=0.16), 0.0)
@@ -930,11 +984,11 @@ class TestSpectrum:
         assert all(b >= a - 1e-12 for a, b in zip(v, v[1:]))
 
     def test_above_threshold_rejected(self):
-        with pytest.raises(ThresholdError):
-            squeezing_spectrum(op_point(1.5), 0.0)
-        # detuning raises the threshold, the same pump becomes legal
-        pt = squeezing_spectrum(op_point(1.5, delta_eff=2.0), 0.0)
-        assert pt.v_min < 1.0
+        for eps in (1.5, -1.0, 1.0):
+            with pytest.raises(ThresholdError):
+                squeezing_spectrum(op_point(eps), 0.0)
+            with pytest.raises(ThresholdError):
+                squeezing_spectrum(op_point(eps), np.array([0.0, 1.0]))
 
     def test_negative_epsilon_rotates_axes(self):
         plus = squeezing_spectrum(op_point(0.5), 0.0)

@@ -568,6 +568,15 @@ class TestFig5:
         spec_header = (out / "spectrum.csv").read_text().splitlines()[0]
         assert spec_header == "f_Hz,vmin_dB,vmax_dB,theta_rad"
 
+    def test_spectrum_axis_is_exactly_pi_over_4(self, fig5_run):
+        # The best row is pumped with epsilon < 0, whose minor axis is pi/4
+        # at every offset: each cell is that float, with no eigenvector
+        # rounding.
+        out, _ = fig5_run
+        rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+        assert len(rows) == 801
+        assert {row.rsplit(",", 1)[1] for row in rows} == {repr(math.pi / 4)}
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
     def test_lock_rejects_a_negative_or_non_finite_conversion(self, bad):
         # A negative conversion would be a cavity with gain: -1.0 /W at
