@@ -24,25 +24,25 @@ g_kerr = -(14.0**2) * 0.0093**2 / (2 * math.pi)  # rad/W at the first zero
 fwhm = params.linewidth_phase_fwhm
 
 
-def sweep(p_in, phi, direction):
+def sweep(p_in, g, direction):
     span = 6 * fwhm + 1.6 * abs(g_kerr) * params.resonant_buildup * p_in
     detunings = np.linspace(-span, span, 1501)
-    return scan_profile(params, p_in, detunings, phi, direction)
+    return scan_profile(params, p_in, detunings, g, direction)
 
 
 print("\n=== linear cavity (conversion maximum): symmetric Airy peak ===")
-linear = sweep(0.0088, None, "up")
+linear = sweep(0.0088, 0.0, "up")
 print(f"asymmetry metric: {linear.asymmetry:.2e}  bistable: {linear.multi_branch}")
 
 print("\n=== with the cascade phase (conversion zero): skewed peak ===")
 print(" p_in (mW)  asymmetry  bistable")
 for p_in in (2.2e-3, 4.4e-3, 8.8e-3, 17.6e-3, 35.2e-3, 70.4e-3):
-    prof = sweep(p_in, lambda p: g_kerr * p, "up")
+    prof = sweep(p_in, g_kerr, "up")
     print(f"  {p_in*1e3:6.1f}    {prof.asymmetry:8.4f}   {prof.multi_branch}")
 
 print("\n=== hysteresis at 70 mW ===")
-up = sweep(0.0704, lambda p: g_kerr * p, "up")
-down = sweep(0.0704, lambda p: g_kerr * p, "down")
+up = sweep(0.0704, g_kerr, "up")
+down = sweep(0.0704, g_kerr, "down")
 gap = np.max(np.abs(up.p_circ - down.p_circ[::-1]))
 print(f"max |up - down| circulating power: {gap:.2f} W "
       f"(peak {up.p_circ.max():.2f} W)")

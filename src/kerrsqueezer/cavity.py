@@ -2,22 +2,21 @@
 
 The classical circulating power obeys the implicit resonance equation
 
-    p_circ = T1 * p_in / |1 - r_eff * exp(i (detuning + phi_nl(p_circ)))|^2,
+    p_circ = T1 * p_in / |1 - r_eff * exp(i (detuning + g * p_circ))|^2,
 
-with ``r_eff = sqrt((1 - T1) (1 - loss))``; an intensity-dependent
-round-trip phase ``phi_nl`` skews the resonance and produces bistability.
+with ``r_eff = sqrt((1 - T1) (1 - loss))``; the Kerr phase ``g * p_circ``
+(slope ``g`` in rad/W) skews the resonance and produces bistability.
 For squeezing the cavity is locked: its length servo cancels the detuning
 and the self-shift, and fluctuations around the steady state follow
 
     d(da)/dt = -gamma_total da + i epsilon exp(2 i arg(alpha)) da^dag + inputs,
 
-where ``epsilon = g * p_circ * FSR`` is the effective parametric pump rate
-set by the Kerr slope ``g = d(phi_nl)/d(p_circ)``; the threshold is
-``|epsilon| = gamma_total``.  :func:`linearize` assembles every
-:class:`OperatingPoint`, with ``g`` the tangent from a central difference
-at the stacked powers ``p_circ * SLOPE_FACTORS``.  Output spectra are
-computed in a frame where the carrier phase is zero, so ellipse
-orientations are relative to the carrier quadrature.
+where ``epsilon = g * p_circ * FSR`` is the effective parametric pump rate;
+the threshold is ``|epsilon| = gamma_total``.  :func:`linearize` assembles
+every :class:`OperatingPoint`, with ``g`` the tangent of the cascade phase
+from a central difference at the stacked powers ``p_circ * SLOPE_FACTORS``.
+Output spectra are computed in a frame where the carrier phase is zero, so
+ellipse orientations are relative to the carrier quadrature.
 
 A sideband at absolute frequency f is mapped onto the nearest cavity comb
 line n and analyzed with this quasi-degenerate baseband model at offset
@@ -28,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ThresholdError
+from .errors import DomainError, ThresholdError
 from .roots import brentq
 
 __all__ = [
@@ -138,29 +137,49 @@ class CombAssignment(NamedTuple):
 _TWO_PI_HI, _TWO_PI_LO = 6.2831853069365025, 2.430840202602477e-10
 
 
-def steady_state_branches(
-    params: CavityParams,
-    p_in: float,
-    phi_nl: Optional[Callable[[np.ndarray], np.ndarray]],
-    detuning: np.ndarray,
-) -> BranchArrays:
+def _folds(r: float, t1_p_in: float, g: float) -> list:
+    """The phases psi, ascending, where ``D(psi) = psi - g p(psi)`` folds: none or two.
+
+    ``D' = 1 - g p'`` dips below 1 only where ``sign(psi) = -sign(g)``, most at
+    ``cos psi* = 2C / (q + sqrt(q^2 + 2 C^2))``, ``B = (1 - r)^2``, ``C = 4 r``, ``q
+    = B + C/2`` (taken through tan(psi*/2)).  If ``D'(psi*) < 0``, D' crosses 0
+    once in [0, psi*] and once in [psi*, pi], each bisected to adjacent floats.
+    """
+    b, c = (1.0 - r) ** 2, 4.0 * r
+    s = math.sqrt((b + 0.5 * c) ** 2 + 2.0 * c * c)  # q = b + c / 2
+    peak = 2.0 * math.atan(math.sqrt(4.0 * b * c / ((s + 1.5 * c - b) * (s + 2.5 * c + b))))
+    lean = 0.5 * c * abs(g) * t1_p_in  # |g p'(psi)| = lean sin(psi) / den^2
+
+    def dips(psi):  # D'(psi) < 0, for 0 <= psi <= pi on the folding side
+        return lean * math.sin(psi) > (b + c * math.sin(0.5 * psi) ** 2) ** 2
+
+    if not dips(peak):
+        return []
+    folds = []
+    for a, z in ((0.0, peak), (peak, math.pi)):
+        low, mid = dips(a), 0.5 * (a + z)
+        while a < mid < z:
+            a, z = (mid, z) if dips(mid) == low else (a, mid)
+            mid = 0.5 * (a + z)
+        folds.append(a)
+    return sorted(-math.copysign(f, g) for f in folds)
+
+
+def steady_state_branches(params: CavityParams, p_in: float, g: float,
+                          detuning: np.ndarray) -> BranchArrays:
     """Ascending circulating-power solutions at each detuning (rad) of the 1-D array ``detuning``.
 
-    ``p(psi) = T1 p_in / |1 - r_eff exp(i psi)|^2`` solves the resonance equation
-    at round-trip phase psi, so the roots at detuning d are the psi in [-pi, pi]
-    where ``D(psi) = psi - phi_nl(p(psi))`` meets ``d + 2 pi k`` (Drummond &
-    Walls, J. Phys. A 13, 725 (1980)).  D is sampled at ``tan(psi / 2) = e tan(u
-    / 2)``, ``e = (1 - r_eff) / (1 + r_eff)``, for 512 u evenly over [-pi, pi],
-    as densely on the resonance as on its wings.  A zooming grid refines each
-    turning point (fold); between folds D is monotone and each target in its
-    range is one root, refined with all others of the sweep by one array
-    :func:`brentq` in psi.  ``phi_nl`` gets 1-D arrays of circulating power; a
-    non-finite value raises :class:`NumericalError` naming the power, at the
-    first such grid point whatever the sweep.  As D(pi) = D(-pi) + 2 pi, the
-    count is odd: a detuning whose target falls in the rounding gap of that seam
-    gets its root at psi = pi.  Sorted by power, the roots alternate
-    stable/unstable from a stable one, as F(p) = p |1 - r_eff exp(i(d +
-    phi_nl))|^2 - T1 p_in rises through a stable root from F(0) < 0.
+    The Kerr phase is ``g p_circ``, with a finite slope ``g`` in rad/W.  ``p(psi)
+    = T1 p_in / |1 - r_eff exp(i psi)|^2`` solves the resonance equation at
+    round-trip phase psi, so the roots at detuning d are the psi in [-pi, pi]
+    where ``D(psi) = psi - g p(psi)`` meets ``d + 2 pi k`` (Drummond & Walls, J.
+    Phys. A 13, 725 (1980)).  Between -pi, the :func:`_folds` and pi, D is
+    monotone and each target in its range is one root, refined with all others
+    of the sweep by one array :func:`brentq` in psi.  As D(pi) = D(-pi) + 2 pi,
+    the count is odd: a detuning whose target falls in the rounding gap of that
+    seam gets its root at psi = pi.  Sorted by power, the roots alternate
+    stable/unstable from a stable one, as F(p) = p |1 - r_eff exp(i(d + g
+    p))|^2 - T1 p_in rises through a stable root from F(0) < 0.
     """
     sweep = np.asarray(detuning, dtype=float)
     if sweep.ndim != 1:
@@ -169,6 +188,8 @@ def steady_state_branches(
         raise DomainError("detuning must be finite")
     if not math.isfinite(p_in) or p_in < 0.0:
         raise DomainError(f"input power must be >= 0, got {p_in}")
+    if not math.isfinite(g):
+        raise DomainError(f"Kerr slope g must be finite, got {g}")
     if p_in == 0.0 or not len(sweep):  # one root, p = 0, at each detuning
         return BranchArrays(np.zeros(len(sweep)), np.ones(len(sweep), bool),
                             np.ones(len(sweep), int))
@@ -178,30 +199,10 @@ def steady_state_branches(
         return t1_p_in / ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * psi) ** 2)
 
     def level(psi):  # D(psi)
-        if phi_nl is None or not len(psi):
-            return psi
-        p = power(psi)
-        phi = np.asarray(phi_nl(p), dtype=float)
-        bad = ~np.isfinite(phi)
-        if bad.any():
-            raise NumericalError(f"phi_nl is {float(phi[bad][0])} at p_circ={float(p[bad][0])} W")
-        return psi - phi
+        return psi - g * power(psi)
 
-    half = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 512)[1:-1]  # u / 2
-    grid = np.hstack([-math.pi, 2.0 * np.arctan((1.0 - r) / (1.0 + r) * np.tan(half)), math.pi])
-    values = level(grid)
-    rising = np.diff(values) > 0.0
-    turn = np.flatnonzero(rising[1:] != rising[:-1]) + 1
-    # Each fold's extreme D: a 129-point grid zooms 64-fold onto its best point per round.
-    sign, rows = np.where(rising[turn - 1], 1.0, -1.0), np.arange(len(turn))  # +1: a maximum
-    a, b = grid[turn - 1], grid[turn + 1]
-    for _ in range(5):
-        x = a[:, None] + np.outer(b - a, np.linspace(0.0, 1.0, 129))
-        f = sign[:, None] * level(x.ravel()).reshape(x.shape)
-        best = np.argmax(f, axis=1)
-        a, b = x[rows, np.maximum(best - 1, 0)], x[rows, np.minimum(best + 1, 128)]
-    ends = np.concatenate([grid[:1], x[rows, best], grid[-1:]])
-    heights = np.concatenate([values[:1], sign * f[rows, best], values[-1:]])
+    ends = np.array([-math.pi, *_folds(r, t1_p_in, g), math.pi])
+    heights = level(ends)
     lo, hi = np.minimum(heights[:-1], heights[1:]), np.maximum(heights[:-1], heights[1:])
     # Each k with lo <= d + 2 pi k < hi is a root on that run: a few candidate k
     # per (run, detuning), kept by the test on the target itself.
@@ -257,19 +258,15 @@ def _half_max_asymmetry(x: np.ndarray, y: np.ndarray) -> float:
     return abs(w_left - w_right) / (w_left + w_right)
 
 
-def scan_profile(
-    params: CavityParams,
-    p_in: float,
-    detunings: Sequence[float],
-    phi_nl: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    direction: str = "up",
-) -> ResonanceProfile:
+def scan_profile(params: CavityParams, p_in: float, detunings: Sequence[float], g: float,
+                 direction: str = "up") -> ResonanceProfile:
     """Sweep the detuning quasi-statically and follow one stable branch.
 
-    At bistable points the branch nearest the previous circulating power
-    is kept, which reproduces hysteresis jumps at the fold points; the
-    model has no scan-speed parameter.  ``p_trans`` is the leakage through
-    a weak monitor port, ``MONITOR_TRANSMISSION * p_circ``.
+    One :func:`steady_state_branches` call with the Kerr slope ``g`` (rad/W)
+    solves the sweep.  At bistable points the branch nearest the previous
+    circulating power is kept, which reproduces hysteresis jumps at the fold
+    points; the model has no scan-speed parameter.  ``p_trans`` is the
+    leakage through a weak monitor port, ``MONITOR_TRANSMISSION * p_circ``.
     """
     if direction not in ("up", "down"):
         raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
@@ -281,7 +278,7 @@ def scan_profile(
         raise DomainError("detuning sweep must be strictly monotone")
     order = np.argsort(dets)[::1 if direction == "up" else -1]
 
-    roots, stable, count = steady_state_branches(params, p_in, phi_nl, dets)
+    roots, stable, count = steady_state_branches(params, p_in, g, dets)
     starts = np.cumsum(count) - count
     p_follow = roots[starts]  # a detuning's only root, or its first stable one
     step = order[1] - order[0]  # the sweep visits the indices one by one
@@ -347,7 +344,7 @@ SLOPE_FACTORS = np.array([1.0 - SLOPE_STEP, 1.0, 1.0 + SLOPE_STEP])
 def linearize(params: CavityParams, p_circ: float, phases) -> OperatingPoint:
     """Linearization of the locked steady state at circulating power ``p_circ``.
 
-    ``phases`` holds ``phi_nl`` at ``p_circ * SLOPE_FACTORS``; their central
+    ``phases`` holds the cascade phase at ``p_circ * SLOPE_FACTORS``; their central
     difference is ``g * p_circ``, so ``p_circ = 0`` gives ``epsilon = 0``.
     It is the one public builder of an :class:`OperatingPoint`.  A
     non-finite or negative ``p_circ`` and ``phases`` other than three finite

@@ -603,12 +603,11 @@ def run_profiles(config, writer: RunWriter) -> dict:
     out = []
     for temperature, (_, _, g, scan_params, op) in zip(
             temperatures, _locked_points(model, kappa, temperatures, params, p_in)):
-        phi = (lambda slope: (lambda p: slope * p))(g)
         span = span_lw * scan_params.linewidth_phase_fwhm + 1.6 * abs(g) * max(
             op.p_circ, scan_params.resonant_buildup * p_in
         )
         detunings = np.linspace(-span, span, n_points)
-        profile = scan_profile(scan_params, p_in, detunings, phi, "up")
+        profile = scan_profile(scan_params, p_in, detunings, g, "up")
         writer.table(_profile_name(temperature), {"detuning_rad": profile.detuning,
                                                   "p_circ_W": profile.p_circ,
                                                   "p_trans_W": profile.p_trans})

@@ -114,7 +114,7 @@ def test_criterion_6_kerr_cavity_limits():
         params = CavityParams(0.838, 0.01, 0.0019)
         fwhm = params.linewidth_phase_fwhm
         detunings = np.linspace(-6 * fwhm, 6 * fwhm, 1201)
-        profile = scan_profile(params, 0.0088, detunings, None, "up")
+        profile = scan_profile(params, 0.0088, detunings, 0.0, "up")
         r = params.r_eff
         airy = 0.01 * 0.0088 / (1 + r**2 - 2 * r * np.cos(detunings))
         np.testing.assert_allclose(profile.p_circ, airy, rtol=1e-6)
@@ -124,9 +124,7 @@ def test_criterion_6_kerr_cavity_limits():
         asymmetries = []
         for p_in in (0.0022, 0.0044, 0.0088, 0.0176, 0.0352, 0.0704):
             span = 6 * fwhm + 1.6 * abs(g) * params.resonant_buildup * p_in
-            prof = scan_profile(
-                params, p_in, np.linspace(-span, span, 2001), lambda p: g * p, "up"
-            )
+            prof = scan_profile(params, p_in, np.linspace(-span, span, 2001), g, "up")
             asymmetries.append(prof.asymmetry)
         assert all(b > a for a, b in zip(asymmetries, asymmetries[1:]))
 

@@ -1,5 +1,4 @@
 import math
-import re
 from pathlib import Path
 from typing import Optional
 
@@ -13,7 +12,6 @@ from kerrsqueezer import (
     BranchArrays,
     CavityParams,
     DomainError,
-    NumericalError,
     OperatingPoint,
     ResonanceProfile,
     SpectrumPoint,
@@ -26,11 +24,15 @@ from kerrsqueezer import (
 from kerrsqueezer import cavity as cavity_module
 from kerrsqueezer import scenarios as scenarios_module
 from kerrsqueezer.cavity import (
+    _TWO_PI_HI,
+    _TWO_PI_LO,
     MONITOR_TRANSMISSION,
     SLOPE_FACTORS,
+    _folds,
     _half_max_asymmetry,
     linearize,
 )
+from kerrsqueezer.roots import brentq
 from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
 
 # Resonator budget used throughout: 1% coupler, 0.19% residual loss.
@@ -39,13 +41,12 @@ LOSS = 0.0019
 RT_LENGTH = 0.838
 # Round-trip Kerr phase slope at the first conversion zero for kappa = 14.
 G_KERR = -(14.0**2) * 0.0093**2 / (2 * math.pi)
-# Kerr phases the root finder is fed: the linear cascade phase and a lean
-# with the same small-power slope that saturates above 12 W (still bistable
-# at 70 mW, 0.03 rad).  Both take arrays, as steady_state_branches requires.
-KERR_PHASES = (
-    lambda p: G_KERR * p,
-    lambda p: G_KERR * 12.0 * np.tanh(p / 12.0),
-)
+# Kerr phases the solves are fed: the linear cascade phase, which
+# steady_state_branches takes as its slope G_KERR, and a lean with the same
+# small-power slope that saturates above 12 W (still bistable at 70 mW, 0.03
+# rad), a callable on arrays that only the sampled solve, the oracle of
+# general phases, takes.
+KERR_PHASES = (G_KERR, lambda p: G_KERR * 12.0 * np.tanh(p / 12.0))
 
 
 def cavity(loss=LOSS):
@@ -90,8 +91,85 @@ class TestDerivedQuantities:
             CavityParams(**kwargs)
 
 
-def reference_branches(params, p_in, phi_nl, detuning):
-    """The sign flips of ``F(p) = p |1 - r_eff exp(i(d + phi_nl(p)))|^2 - T1 p_in`` on
+def phase_of(phase):
+    """The round-trip phase of a slope g, ``g p``, or the callable ``phase`` itself."""
+    return phase if callable(phase) else (lambda p: phase * p)
+
+
+def sampled_branches(params, p_in, phi_nl, detuning):
+    """The steady-state solve for a general phase callable ``phi_nl``, kept as
+    the oracle of the closed-form folds: ``D(psi) = psi - phi_nl(p(psi))`` is
+    sampled at 512 points evenly in u, ``tan(psi / 2) = e tan(u / 2)``, ``e =
+    (1 - r_eff) / (1 + r_eff)``; a 129-point grid zooms 64-fold onto each
+    turn's extreme D for 5 rounds, and the runs, targets, seam and stability
+    are those of steady_state_branches."""
+    sweep = np.asarray(detuning, dtype=float)
+    if p_in == 0.0 or not len(sweep):
+        return BranchArrays(np.zeros(len(sweep)), np.ones(len(sweep), bool),
+                            np.ones(len(sweep), int))
+    r, t1_p_in = params.r_eff, params.coupler_transmission * p_in
+
+    def power(psi):
+        return t1_p_in / ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * psi) ** 2)
+
+    def level(psi):
+        return psi - np.asarray(phi_nl(power(psi)), dtype=float) if len(psi) else psi
+
+    half = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 512)[1:-1]
+    grid = np.hstack([-math.pi, 2.0 * np.arctan((1.0 - r) / (1.0 + r) * np.tan(half)), math.pi])
+    values = level(grid)
+    rising = np.diff(values) > 0.0
+    turn = np.flatnonzero(rising[1:] != rising[:-1]) + 1
+    sign, rows = np.where(rising[turn - 1], 1.0, -1.0), np.arange(len(turn))
+    a, b = grid[turn - 1], grid[turn + 1]
+    for _ in range(5):
+        x = a[:, None] + np.outer(b - a, np.linspace(0.0, 1.0, 129))
+        f = sign[:, None] * level(x.ravel()).reshape(x.shape)
+        best = np.argmax(f, axis=1)
+        a, b = x[rows, np.maximum(best - 1, 0)], x[rows, np.minimum(best + 1, 128)]
+    ends = np.concatenate([grid[:1], x[rows, best], grid[-1:]])
+    heights = np.concatenate([values[:1], sign * f[rows, best], values[-1:]])
+    lo, hi = np.minimum(heights[:-1], heights[1:]), np.maximum(heights[:-1], heights[1:])
+    first = np.floor((lo[:, None] - sweep) / math.tau).ravel()
+    tries = (np.ceil((hi[:, None] - sweep) / math.tau).ravel() - first + 1).astype(int)
+    cell = np.repeat(np.arange(len(tries)), tries)
+    turns = first[cell] + np.arange(len(cell)) - np.repeat(np.cumsum(tries) - tries, tries)
+    run, owner = np.divmod(cell, len(sweep))
+    target = (sweep[owner] + turns * _TWO_PI_HI) + turns * _TWO_PI_LO
+    keep = (lo[run] <= target) & (target < hi[run])
+    run, owner, target = run[keep], owner[keep], target[keep]
+    psi = brentq(lambda x, i: level(x) - target[i], ends[run], ends[run + 1],
+                 xtol=1e-300, rtol=8.9e-16)
+    found = np.bincount(owner, minlength=len(sweep))
+    seam = np.flatnonzero(found % 2 == 0)
+    owner, found[seam] = np.concatenate([owner, seam]), found[seam] + 1
+    p = power(np.concatenate([psi, np.full(len(seam), math.pi)]))
+    order = np.lexsort((p, owner))
+    stable = (np.arange(len(p)) - np.repeat(np.cumsum(found) - found, found)) % 2 == 0
+    return BranchArrays(p[order], stable, found)
+
+
+def follow_slope(phase, monkeypatch):
+    """The slope to give scan_profile for ``phase``.  It takes a slope only, so
+    for a phase callable the sampled solve is patched in for
+    steady_state_branches, and the slope it is given, 0, goes unused."""
+    if callable(phase):
+        monkeypatch.setattr(cavity_module, "steady_state_branches",
+                            lambda params, p_in, _, detuning: sampled_branches(
+                                params, p_in, phase, detuning))
+        return 0.0
+    return phase
+
+
+def solve(params, p_in, phase, detuning):
+    """steady_state_branches for a slope g, the sampled solve for a phase callable."""
+    if callable(phase):
+        return sampled_branches(params, p_in, phase, detuning)
+    return steady_state_branches(params, p_in, phase, detuning)
+
+
+def reference_branches(params, p_in, phase, detuning):
+    """The sign flips of ``F(p) = p |1 - r_eff exp(i(d + phi(p)))|^2 - T1 p_in`` on
     a grid of 512 powers over [0, resonant_buildup * p_in], the brackets
     of the power-grid solve that came before the resonance curve; kept as the
     count oracle.  One list per detuning of the 1-D array ``detuning``, one
@@ -100,20 +178,20 @@ def reference_branches(params, p_in, phi_nl, detuning):
         return [[True] for _ in detuning]
     r, t1_p_in = params.r_eff, params.coupler_transmission * p_in
     grid = np.linspace(0.0, params.resonant_buildup * p_in * (1.0 + 1e-6), 512)
-    phase = 0.0 if phi_nl is None else phi_nl(grid)
+    phi = phase_of(phase)(grid)
     flips = []
     for start in range(0, len(detuning), 32):
         d = np.asarray(detuning[start:start + 32], dtype=float)[:, None]
-        above = grid * (1.0 + r * r - 2.0 * r * np.cos(d + phase)) > t1_p_in
+        above = grid * (1.0 + r * r - 2.0 * r * np.cos(d + phi)) > t1_p_in
         flips += [(~row[:-1])[row[:-1] != row[1:]].tolist() for row in above]
     return flips
 
 
-def curve_counts(params, p_in, phi_nl, detuning):
+def curve_counts(params, p_in, phase, detuning):
     """Root counts from the resonance curve ``p(psi) = T1 p_in / |1 - r_eff
     exp(i psi)|^2`` sampled at 2^14 + 1 points, evenly in u with ``tan(psi /
     2) = e tan(u / 2)``, over one turn that starts at u = 1 - pi, away from psi
-    = pi: each sample cell whose ``D = psi - phi_nl(p)`` spans ``[lo, hi)``
+    = pi: each sample cell whose ``D = psi - phi(p)`` spans ``[lo, hi)``
     holds one root for each ``d + 2 pi k`` there.  Exact but within a cell's
     curvature of a fold, so it also counts the roots whose F < 0 windows are
     narrower than the spacing of any feasible power grid."""
@@ -122,7 +200,7 @@ def curve_counts(params, p_in, phi_nl, detuning):
     # Continuous over the turn: u / 2 stays inside (-pi, pi), where arctan2 does not wrap.
     psi = 2.0 * np.arctan2((1.0 - r) / (1.0 + r) * np.sin(half), np.cos(half))
     p = params.coupler_transmission * p_in / ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * psi) ** 2)
-    level = psi if phi_nl is None else psi - phi_nl(p)
+    level = psi - phase_of(phase)(p)
     lo, hi = np.minimum(level[:-1], level[1:]), np.maximum(level[:-1], level[1:])
     counts = []
     for start in range(0, len(detuning), 16):
@@ -133,41 +211,50 @@ def curve_counts(params, p_in, phi_nl, detuning):
 
 def linear_folds(params, p_in, g):
     """Fold detunings of the linear phase ``phi = g p`` from the closed-form
-    manifold ``delta(p) = +-arccos(c(p)) - g p``, ``c(p) = (1 + r^2 - T1 p_in /
-    p) / (2 r)``: ``d delta / d p = -+T1 p_in / (2 r p^2 sqrt(1 - c^2)) - g``
-    vanishes on the branch of sign ``-sign(g)`` only, where scipy's brentq solves
-    it on the sign changes of a dense power grid."""
+    manifold ``delta(p) = +-psi(p) - g p``, with ``sin^2(psi / 2) = (T1 p_in / p
+    - (1 - r)^2) / (4 r)``, which does not cancel near resonance: ``d delta / d
+    p = -+T1 p_in / (2 r p^2 sin psi) - g`` vanishes on the branch of sign
+    ``-sign(g)`` only, where scipy's brentq solves it on the sign changes of a
+    power grid that is geometric towards both ends of the curve.  It rises to
+    +inf at p_max, so a fold above the top of the grid is within a float of
+    p_max and at ``delta(p_max) = -g p_max``."""
     r, t1_p_in = params.r_eff, params.coupler_transmission * p_in
-    side = -math.copysign(1.0, g)
+    b, side = (1.0 - r) ** 2, -math.copysign(1.0, g)
 
-    def cos_phase(p):
-        return (1.0 + r * r - t1_p_in / p) / (2.0 * r)
+    def squared_half_sin(p):  # sin^2(psi / 2)
+        return (t1_p_in / p - b) / (4.0 * r)
 
     def excess(p):  # -side * d delta / d p
-        return t1_p_in / (2.0 * r * p * p * np.sqrt(1.0 - cos_phase(p) ** 2)) - abs(g)
+        s2 = squared_half_sin(p)
+        return t1_p_in / (4.0 * r * p * p * np.sqrt(s2 * (1.0 - s2))) - abs(g)
 
-    grid = np.linspace(t1_p_in / (1.0 + r) ** 2, t1_p_in / (1.0 - r) ** 2, 100_001)[1:-1]
+    p_min, p_max = t1_p_in / (1.0 + r) ** 2, t1_p_in / b
+    steps = (p_max - p_min) * np.logspace(-16.0, 0.0, 4001)
+    grid = np.unique(np.concatenate([p_min + steps, p_max - steps]))
+    s2 = squared_half_sin(grid)
+    grid = grid[(s2 > 0.0) & (s2 < 1.0)]
     signs = np.sign(excess(grid))
-    return [side * math.acos(cos_phase(p)) - g * p
-            for p in (scipy_brentq(excess, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
-                      for i in np.flatnonzero(signs[1:] != signs[:-1]))]
+    powers = [scipy_brentq(excess, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16)
+              for i in np.flatnonzero(signs[1:] != signs[:-1])]
+    top = [-g * p_max] if signs[-1] < 0.0 else []
+    return [side * 2.0 * math.asin(math.sqrt(squared_half_sin(p))) - g * p for p in powers] + top
 
 
-def newton_steps(params, p_in, phi_nl, detuning, found):
+def newton_steps(params, p_in, phase, detuning, found):
     """Per root of the BranchArrays ``found``: the relative length of one
     long-double Newton step on ``F(p) = p ((1 - r)^2 + 4 r sin^2(theta / 2)) - T1
-    p_in`` at ``theta = d + phi_nl(p)``, ``phi_nl`` evaluated in long double too;
-    the size ``|d| + |phi_nl(p)| + pi`` of the phase terms; and ``|d ln p / d
+    p_in`` at ``theta = d + phi(p)``, ``phi`` evaluated in long double too;
+    the size ``|d| + |phi(p)| + pi`` of the phase terms; and ``|d ln p / d
     theta|``, the root's relative change per radian of phase."""
     extended = np.longdouble
     assert np.finfo(extended).nmant > 52, "the reference needs an extended long double"
     r = extended(params.r_eff)
     d = np.repeat(np.asarray(detuning, dtype=float), found.count).astype(extended)
     p = found.p_circ.astype(extended)
-    phase = (lambda q: 0.0 * q) if phi_nl is None else phi_nl
+    phi = phase_of(phase)
 
     def implicit(q):
-        theta = d + phase(q)
+        theta = d + phi(q)
         return q * ((1 - r) ** 2 + 4 * r * np.sin(theta / 2) ** 2) - extended(
             params.coupler_transmission) * extended(p_in), theta
 
@@ -175,18 +262,18 @@ def newton_steps(params, p_in, phi_nl, detuning, found):
     slope = (implicit(p + h)[0] - implicit(p - h)[0]) / (2 * h)
     value, theta = implicit(p)
     return (np.abs(value / slope / p).astype(float),
-            (np.abs(d) + np.abs(phase(p)) + math.pi).astype(float),
+            (np.abs(d) + np.abs(phi(p)) + math.pi).astype(float),
             np.abs(2 * r * np.sin(theta) / slope).astype(float))
 
 
-def assert_solves(params, p_in, phi_nl, detuning, counts, rounding=0.0):
-    """The counts of the solve are ``counts``, each root is within 1e-13 relative
+def assert_solves(params, p_in, phase, detuning, counts, rounding=0.0):
+    """The counts of :func:`solve` are ``counts``, each root is within 1e-13 relative
     of a long-double Newton step, plus ``rounding`` ulps of the phase terms times
     the root's sensitivity to phase, and stability alternates from a stable
     first root."""
-    found = steady_state_branches(params, p_in, phi_nl, detuning)
+    found = solve(params, p_in, phase, detuning)
     assert found.count.tolist() == list(counts)
-    step, scale, sensitivity = newton_steps(params, p_in, phi_nl, detuning, found)
+    step, scale, sensitivity = newton_steps(params, p_in, phase, detuning, found)
     bound = 1e-13 + rounding * np.finfo(float).eps * scale * sensitivity
     assert np.all(step <= bound), float(np.max(step / bound))
     starts = np.cumsum(found.count) - found.count
@@ -195,16 +282,16 @@ def assert_solves(params, p_in, phi_nl, detuning, counts, rounding=0.0):
     return found
 
 
-def one_detuning(params, p_in, phi_nl, detuning):
-    """The BranchArrays of a one-element sweep at ``detuning``."""
-    found = steady_state_branches(params, p_in, phi_nl, np.array([detuning]))
+def one_detuning(params, p_in, phase, detuning):
+    """The BranchArrays of :func:`solve` on a one-element sweep at ``detuning``."""
+    found = solve(params, p_in, phase, np.array([detuning]))
     assert found.count.tolist() == [len(found.p_circ)] == [len(found.stable)]
     return found
 
 
 class TestSteadyState:
     def test_linear_resonant_buildup(self):
-        found = one_detuning(cavity(), 0.0088, None, 0.0)
+        found = one_detuning(cavity(), 0.0088, 0.0, 0.0)
         assert found.stable.tolist() == [True]
         assert found.p_circ[0] == pytest.approx(
             cavity().resonant_buildup * 0.0088, rel=1e-9
@@ -213,18 +300,17 @@ class TestSteadyState:
     @pytest.mark.parametrize("detuning", [-0.02, -0.003, 0.0, 0.004, 0.05])
     def test_linear_single_airy_root(self, detuning):
         c = cavity()
-        found = one_detuning(c, 0.0088, None, detuning)
+        found = one_detuning(c, 0.0088, 0.0, detuning)
         assert len(found.p_circ) == 1
         assert found.p_circ[0] == pytest.approx(float(airy(c, 0.0088, detuning)), rel=1e-9)
 
     def test_zero_input(self):
-        assert split_bits(one_detuning(cavity(), 0.0, None, 0.0)) == [[((0.0).hex(), True)]]
+        assert split_bits(one_detuning(cavity(), 0.0, 0.0, 0.0)) == [[((0.0).hex(), True)]]
 
     def test_bistable_root_structure(self):
         # 70 mW drive against the Kerr lean: classic S-curve with 3 roots.
-        phi = lambda p: G_KERR * p
         c = cavity()
-        found = one_detuning(c, 0.07, phi, 0.03)
+        found = one_detuning(c, 0.07, G_KERR, 0.03)
         assert len(found.p_circ) == 3
         assert found.stable.tolist() == [True, False, True]
         ps = found.p_circ.tolist()
@@ -232,24 +318,24 @@ class TestSteadyState:
 
     def test_graphical_intersection_oracle(self):
         # Count sign changes of the implicit equation on a dense grid.
-        for phi in KERR_PHASES:
+        for phase in KERR_PHASES:
             for det, p_in in [(0.03, 0.07), (0.0, 0.0088), (0.1, 0.07), (0.02, 0.002)]:
                 c = cavity()
-                found = one_detuning(c, p_in, phi, det)
+                found = one_detuning(c, p_in, phase, det)
                 r = c.r_eff
                 grid = np.linspace(0.0, c.resonant_buildup * p_in * (1 + 1e-6), 400_001)
-                f = grid * (1 + r**2 - 2 * r * np.cos(det + phi(grid))) - T1 * p_in
+                f = grid * (1 + r**2 - 2 * r * np.cos(det + phase_of(phase)(grid))) - T1 * p_in
                 crossings = int(np.sum(np.sign(f[1:]) != np.sign(f[:-1])))
                 assert crossings == len(found.p_circ)
 
     def test_roots_satisfy_implicit_equation(self):
         c = cavity()
         r = c.r_eff
-        for phi in KERR_PHASES:
-            found = one_detuning(c, 0.07, phi, 0.03)
+        for phase in KERR_PHASES:
+            found = one_detuning(c, 0.07, phase, 0.03)
             assert len(found.p_circ) == 3
             for p in found.p_circ.tolist():
-                resonance = 1 + r**2 - 2 * r * math.cos(0.03 + phi(p))
+                resonance = 1 + r**2 - 2 * r * math.cos(0.03 + phase_of(phase)(p))
                 assert p * resonance == pytest.approx(T1 * 0.07, rel=1e-10)
 
     def test_branch_lists_alternate_from_stable_ends(self):
@@ -261,9 +347,7 @@ class TestSteadyState:
         multi = 0
         for _ in range(3000):
             det, p_in, g = rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.1), rng.uniform(-0.5, 0.5)
-            linear = rng.random() < 0.5
-            phi = lambda p: g * p if linear else g * 12.0 * np.tanh(p / 12.0)
-            stable = one_detuning(c, p_in, phi, det).stable.tolist()
+            stable = one_detuning(c, p_in, g, det).stable.tolist()
             assert len(stable) % 2 == 1
             assert stable == [i % 2 == 0 for i in range(len(stable))]
             multi += len(stable) >= 3
@@ -273,7 +357,7 @@ class TestSteadyState:
     def test_non_finite_detuning_rejected(self, detuning):
         for p_in in (0.0, 0.0088):
             with pytest.raises(DomainError, match="detuning must be finite"):
-                steady_state_branches(cavity(), p_in, None, np.array([detuning]))
+                steady_state_branches(cavity(), p_in, 0.0, np.array([detuning]))
 
     @pytest.mark.parametrize("detuning", [0.03, np.float64(0.03), np.array(0.03)],
                              ids=("float", "float64", "0-d"))
@@ -293,34 +377,34 @@ class TestSteadyState:
 class TestStackedSweep:
     """An array of detunings: one branch list per detuning from one solve."""
 
-    @pytest.mark.parametrize("phi", (None,) + KERR_PHASES, ids=("linear", "kerr", "tanh"))
+    @pytest.mark.parametrize("phase", (0.0,) + KERR_PHASES, ids=("linear", "kerr", "tanh"))
     @pytest.mark.parametrize("p_in", [0.015, 0.07])
-    def test_equals_float_calls(self, phi, p_in):
+    def test_equals_float_calls(self, phase, p_in):
         # Each detuning solved as a sweep of one gives the same bits.
         c = cavity()
         span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
         dets = np.linspace(-span, span, 167)
-        stacked = steady_state_branches(c, p_in, phi, dets)
+        stacked = solve(c, p_in, phase, dets)
         assert isinstance(stacked, BranchArrays) and len(stacked.count) == len(dets)
         assert stacked.p_circ.dtype == np.float64 and stacked.stable.dtype == np.bool_
         for det, branches in zip(dets, split_bits(stacked), strict=True):
-            assert split_bits(one_detuning(c, p_in, phi, det)) == [branches]
+            assert split_bits(one_detuning(c, p_in, phase, det)) == [branches]
         # Both powers are bistable against the Kerr lean.
-        assert bool((stacked.count >= 3).any()) == (phi is not None)
+        assert bool((stacked.count >= 3).any()) == (phase != 0.0)
 
     def test_counts_cover_the_roots_and_stability_alternates(self):
         c = cavity()
-        for phi in (None,) + KERR_PHASES:
-            found = steady_state_branches(c, 0.07, phi, np.linspace(-0.2, 0.2, 401))
+        for phase in (0.0,) + KERR_PHASES:
+            found = solve(c, 0.07, phase, np.linspace(-0.2, 0.2, 401))
             assert found.count.sum() == len(found.p_circ) == len(found.stable)
             assert np.all(found.count % 2 == 1)
             for branches in split_bits(found):
                 assert [stable for _, stable in branches] == [
                     i % 2 == 0 for i in range(len(branches))]
-            assert bool((found.count >= 3).any()) == (phi is not None)
+            assert bool((found.count >= 3).any()) == (phase != 0.0)
 
     def test_zero_input(self):
-        found = steady_state_branches(cavity(), 0.0, None, np.linspace(-0.1, 0.1, 40))
+        found = steady_state_branches(cavity(), 0.0, 0.0, np.linspace(-0.1, 0.1, 40))
         assert isinstance(found, BranchArrays)
         assert found.p_circ.dtype == np.float64 and found.stable.dtype == np.bool_
         assert split_bits(found) == [[((0.0).hex(), True)]] * 40
@@ -338,51 +422,33 @@ class TestStackedSweep:
         dets = np.linspace(-0.1, 0.1, 96)
         dets[69] = bad
         with pytest.raises(DomainError, match="detuning must be finite"):
-            steady_state_branches(cavity(), p_in, None, dets)
+            steady_state_branches(cavity(), p_in, 0.0, dets)
 
     def test_two_dimensional_detuning_rejected(self):
         with pytest.raises(DomainError, match="1-D"):
-            steady_state_branches(cavity(), 0.0088, None, np.zeros((2, 3)))
+            steady_state_branches(cavity(), 0.0088, 0.0, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_phase_names_the_power(self, bad):
-        # A phase that is non-finite above 60 % of the resonant power is so on
-        # the sampled resonance curve.  Whatever the sweep, the solve raises
-        # NumericalError naming the first such power of the curve's grid, the
-        # lowest of them, before any root is refined.
-        c = cavity()
-        p_cut = 0.6 * c.resonant_buildup * 0.0088
-        phi = lambda p: np.where(p < p_cut, 0.0, bad)
-        messages = set()
-        for dets in (np.array([0.0]), np.array([3.0]), np.linspace(-0.05, 0.05, 129)):
-            with pytest.raises(NumericalError, match=f"phi_nl is {bad} at p_circ=") as err:
-                steady_state_branches(c, 0.0088, phi, dets)
-            messages.add(str(err.value))
-        assert len(messages) == 1
-        power = float(re.search(r"p_circ=(\S+) W", messages.pop()).group(1))
-        assert p_cut <= power < 1.02 * p_cut
-
-    def test_phase_is_called_on_1d_arrays_only(self):
-        def phi(p):
-            assert isinstance(p, np.ndarray) and p.ndim == 1
-            return G_KERR * p
-
-        c = cavity()
-        steady_state_branches(c, 0.07, phi, np.array([0.03]))
-        steady_state_branches(c, 0.07, phi, np.linspace(-0.05, 0.05, 50))
-        scan_profile(c, 0.07, np.linspace(-0.05, 0.05, 50), phi, "down")
+    def test_non_finite_slope_rejected(self, bad):
+        # Zero drive included: the slope is checked before its shortcut.
+        dets = np.linspace(-0.05, 0.05, 50)
+        for p_in in (0.0, 0.0088):
+            with pytest.raises(DomainError, match="Kerr slope g must be finite"):
+                steady_state_branches(cavity(), p_in, bad, dets)
+            with pytest.raises(DomainError, match="Kerr slope g must be finite"):
+                scan_profile(cavity(), p_in, dets, bad, "down")
 
 
-def manifold_ends(params, p_in, phi_nl, turns=(-1, 0, 1)):
+def manifold_ends(params, p_in, phase, turns=(-1, 0, 1)):
     """c_j and the F = 0 detunings -phi_j -+ arccos(c_j) + 2 pi k of the columns p_j > 0 of
     reference_branches' grid: the detunings where the power-grid solve read its brackets
     off the resonance manifold."""
     r, t1 = params.r_eff, params.coupler_transmission
     grid = np.linspace(0.0, params.resonant_buildup * p_in * (1.0 + 1e-6), 512)[1:]
-    phase = np.zeros_like(grid) if phi_nl is None else phi_nl(grid)
+    phi = phase_of(phase)(grid)
     c = (1.0 + r * r - t1 * p_in / grid) / (2.0 * r)
     half = np.arccos(np.clip(c, -1.0, 1.0))
-    return c, np.ravel([-phase + side * half + 2.0 * math.pi * k
+    return c, np.ravel([-phi + side * half + 2.0 * math.pi * k
                         for k in turns for side in (-1.0, 1.0)])
 
 
@@ -407,12 +473,12 @@ def split_bits(arrays):
 def random_phase(rng, shape, p_max):
     g = rng.uniform(-0.8, 0.8)
     turn = rng.uniform(0.1, 0.6) * p_max
-    return (None, lambda p: g * p, lambda p: g * turn * np.tanh(p / turn),
+    return (0.0, g, lambda p: g * turn * np.tanh(p / turn),
             lambda p: g * turn * np.sin(p / turn))[shape]
 
 
-def grid_counts(params, p_in, phi_nl, detuning):
-    return [len(flags) for flags in reference_branches(params, p_in, phi_nl, detuning)]
+def grid_counts(params, p_in, phase, detuning):
+    return [len(flags) for flags in reference_branches(params, p_in, phase, detuning)]
 
 
 class TestManifoldBrackets:
@@ -446,15 +512,15 @@ class TestManifoldBrackets:
         rng = np.random.default_rng(seed)
         c = CavityParams(RT_LENGTH, rng.uniform(0.003, 0.3), rng.uniform(0.0, 0.05))
         p_in = 10.0 ** rng.uniform(-3.0, -0.5)
-        phi = random_phase(rng, seed % 4, c.resonant_buildup * p_in)
-        _, ends = manifold_ends(c, p_in, phi)
+        phase = random_phase(rng, seed % 4, c.resonant_buildup * p_in)
+        _, ends = manifold_ends(c, p_in, phase)
         ends = near(rng.choice(ends, 60))
         sweep = rng.uniform(-13.0, 13.0, 300)
         dets = np.concatenate([np.sort(sweep), sweep, ends, ends[:40], sweep[:25]])
         rng.shuffle(dets)
-        found = assert_solves(c, p_in, phi, dets, grid_counts(c, p_in, phi, dets))
+        found = assert_solves(c, p_in, phase, dets, grid_counts(c, p_in, phase, dets))
         for i in range(12):
-            assert split_bits(one_detuning(c, p_in, phi, dets[i])) == [split_bits(found)[i]]
+            assert split_bits(one_detuning(c, p_in, phase, dets[i])) == [split_bits(found)[i]]
 
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     def test_columns_at_plus_minus_one(self, side):
@@ -469,15 +535,15 @@ class TestManifoldBrackets:
             c = CavityParams(RT_LENGTH, 1.0 - ((1.0 - q) / (1.0 + q)) ** 2, 0.0)
         else:
             c = CavityParams(RT_LENGTH, 2e-4, 0.0)
-        for phi in (None, lambda p: -0.4 * p):
-            cj, ends = manifold_ends(c, 0.1, phi)
+        for phase in (0.0, -0.4):
+            cj, ends = manifold_ends(c, 0.1, phase)
             assert np.min(np.abs(cj - side)) < 64 * np.finfo(float).eps
             ends = near(ends[np.abs(cj - side).argsort()[:8] % len(cj)])
             dets = np.concatenate([ends, rng.uniform(-4, 4, 200)])
-            counts = curve_counts(c, 0.1, phi, dets)
-            if side < 0 or phi is None:
-                assert counts == grid_counts(c, 0.1, phi, dets)
-            assert_solves(c, 0.1, phi, dets, counts)
+            counts = curve_counts(c, 0.1, phase, dets)
+            if side < 0 or phase == 0.0:
+                assert counts == grid_counts(c, 0.1, phase, dets)
+            assert_solves(c, 0.1, phase, dets, counts)
         assert min(counts) >= (255 if side > 0 else 1)
 
     @given(t1=st.floats(0.002, 0.5), loss=st.floats(0.0, 0.05), p_in=st.floats(1e-4, 0.3),
@@ -488,14 +554,14 @@ class TestManifoldBrackets:
         # The counts are the densely sampled curve's: a strong phase at high
         # finesse opens F < 0 windows narrower than a 512-point power grid's
         # cells.  A root may be as sensitive to the phase as 400 / rad there,
-        # and one rounding of |d + phi| ~ 10 rad moves it by more than 1e-13,
+        # and one rounding of |d + phase| ~ 10 rad moves it by more than 1e-13,
         # so its bound adds 4 ulps of the phase terms times that sensitivity.
         rng = np.random.default_rng(seed)
         c = CavityParams(RT_LENGTH, t1, loss)
-        phi = random_phase(rng, shape, c.resonant_buildup * p_in)
-        _, ends = manifold_ends(c, p_in, phi)
+        phase = random_phase(rng, shape, c.resonant_buildup * p_in)
+        _, ends = manifold_ends(c, p_in, phase)
         dets = np.concatenate([dets, near(rng.choice(ends, 4))])
-        assert_solves(c, p_in, phi, dets, curve_counts(c, p_in, phi, dets), rounding=4.0)
+        assert_solves(c, p_in, phase, dets, curve_counts(c, p_in, phase, dets), rounding=4.0)
 
 
 class TestResonanceCurve:
@@ -509,24 +575,23 @@ class TestResonanceCurve:
         c = CavityParams(RT_LENGTH, 0.1, 0.01)
         low, high = sorted(linear_folds(c, 0.07, g))
         dets = np.array([low + 1e-8, low + 1e-10, high - 1e-10, high - 1e-8])
-        found = assert_solves(c, 0.07, lambda p: g * p, dets, [3, 3, 3, 3], rounding=4.0)
-        outside = steady_state_branches(c, 0.07, lambda p: g * p,
-                                        np.array([low - 1e-8, high + 1e-8]))
+        found = assert_solves(c, 0.07, g, dets, [3, 3, 3, 3], rounding=4.0)
+        outside = steady_state_branches(c, 0.07, g, np.array([low - 1e-8, high + 1e-8]))
         assert outside.count.tolist() == [1, 1]
         assert len(found.p_circ) == 12
 
     @pytest.mark.parametrize("t1", [0.01, 0.5])
-    @pytest.mark.parametrize("phi", (None,) + KERR_PHASES, ids=("linear", "kerr", "tanh"))
-    def test_seam_has_an_odd_count(self, t1, phi):
+    @pytest.mark.parametrize("phase", (0.0,) + KERR_PHASES, ids=("linear", "kerr", "tanh"))
+    def test_seam_has_an_odd_count(self, t1, phase):
         # The curve closes at psi = +-pi, the least power, where D jumps by 2 pi;
         # a detuning on the seam and its float neighbours keep an odd count.
         c = CavityParams(RT_LENGTH, t1, LOSS)
         p_min = t1 * 0.07 / (1.0 + c.r_eff) ** 2
-        seam = math.pi - (0.0 if phi is None else float(phi(np.array([p_min]))[0]))
+        seam = math.pi - float(phase_of(phase)(np.array([p_min]))[0])
         dets = np.concatenate([[seam + turn, np.nextafter(seam + turn, -np.inf),
                                 np.nextafter(seam + turn, np.inf)]
                                for turn in (-2.0 * math.pi, 0.0, 2.0 * math.pi)])
-        found = steady_state_branches(c, 0.07, phi, dets)
+        found = solve(c, 0.07, phase, dets)
         assert np.all(found.count % 2 == 1)
         starts = np.cumsum(found.count) - found.count
         np.testing.assert_allclose(found.p_circ[starts], p_min, rtol=1e-9)
@@ -536,10 +601,94 @@ class TestResonanceCurve:
         # (1 - r)^2 ~ 3.6e-5 of its terms; the curve is exact there.
         c = cavity()
         dets = np.linspace(-3, 3, 601) * c.linewidth_phase_fwhm
-        found = assert_solves(c, 0.0088, None, dets, [1] * len(dets))
+        found = assert_solves(c, 0.0088, 0.0, dets, [1] * len(dets))
         r = c.r_eff
         exact = T1 * 0.0088 / ((1 - r) ** 2 + 4 * r * np.sin(dets / 2) ** 2)
         np.testing.assert_allclose(found.p_circ, exact, rtol=4 * np.finfo(float).eps)
+
+
+def fold_level(params, p_in, g, psi):
+    """``D(psi) = psi - g p(psi)`` on the resonance curve."""
+    r = params.r_eff
+    return psi - g * params.coupler_transmission * p_in / (
+        (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * psi) ** 2)
+
+
+def slope_dips(r, lean, psi):
+    """Where ``D' = 1 - g p'`` is negative, with ``lean = g T1 p_in`` and ``p'``
+    from ``p = T1 p_in / (1 + r^2 - 2 r cos psi)``."""
+    den = 1.0 + r * r - 2.0 * r * np.cos(psi)
+    return 1.0 + 2.0 * r * lean * np.sin(psi) / (den * den) < 0.0
+
+
+def dense_fold_counts(r, t1_p_in, g, points=4001):
+    """Per cavity of the arrays ``r``, ``t1_p_in`` and ``g``: the sign changes of
+    ``D'`` on a grid evenly in u, ``tan(psi / 2) = e tan(u / 2)``."""
+    u = np.linspace(-math.pi, math.pi, points)[1:-1]
+    counts = []
+    for start in range(0, len(r), 200):
+        rr, lean = r[start:start + 200, None], (g * t1_p_in)[start:start + 200, None]
+        psi = 2.0 * np.arctan((1.0 - rr) / (1.0 + rr) * np.tan(0.5 * u))
+        dips = slope_dips(rr, lean, psi)
+        counts += np.count_nonzero(dips[:, 1:] != dips[:, :-1], axis=1).tolist()
+    return counts
+
+
+class TestClosedFormFolds:
+    """D(psi) = psi - g p(psi) turns nowhere or at the two phases of _folds."""
+
+    def test_random_cavities(self):
+        # T1 1e-4 to 0.3, loss 1e-4 to 0.03, p_in 1 to 300 mW and |g| 1e-3 to
+        # 10 rad/W, log-uniform, g of either sign: the count is the dense
+        # grid's, and each fold detuning is the manifold's to 1e-12 rad, or to
+        # 4 ulps of D where |D| reaches thousands of radians.
+        rng = np.random.default_rng(20221019)
+        n = 3000
+        t1 = 10.0 ** rng.uniform(-4.0, math.log10(0.3), n)
+        loss = 10.0 ** rng.uniform(-4.0, math.log10(0.03), n)
+        p_in = 10.0 ** rng.uniform(-3.0, math.log10(0.3), n)
+        g = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 1.0, n)
+        cavities = [CavityParams(RT_LENGTH, a, b) for a, b in zip(t1.tolist(), loss.tolist())]
+        folds = [_folds(c.r_eff, c.coupler_transmission * p, s)
+                 for c, p, s in zip(cavities, p_in.tolist(), g.tolist())]
+        r = np.array([c.r_eff for c in cavities])
+        assert [len(psi) for psi in folds] == dense_fold_counts(r, t1 * p_in, g)
+        assert sum(map(len, folds)) > 4000
+        for c, p, s, psi in zip(cavities, p_in.tolist(), g.tolist(), folds):
+            if psi:
+                assert psi == sorted(psi) and all(x * s < 0.0 for x in psi)
+                np.testing.assert_allclose(np.sort(fold_level(c, p, s, np.array(psi))),
+                                           sorted(linear_folds(c, p, s)),
+                                           rtol=4 * np.finfo(float).eps, atol=1e-12)
+
+    @pytest.mark.parametrize("dip", [-1e-6, 1e-6], ids=("no-fold", "two-folds"))
+    def test_at_the_threshold(self, dip):
+        # g p'(psi*) = 1 + dip at the peak psi* of |p'|, cos psi* = 2C / (q +
+        # sqrt(q^2 + 2 C^2)), so D'(psi*) = -dip.  Just above 0 D is monotone;
+        # just below it folds twice, 5e-11 rad apart, and a detuning 1e-3 of
+        # that gap inside either fold has 3 roots.
+        c = CavityParams(RT_LENGTH, 0.1, 0.01)
+        r, t1_p_in = c.r_eff, 0.1 * 0.07
+        b, cc = (1.0 - r) ** 2, 4.0 * r
+        q = b + 0.5 * cc
+        peak = math.acos(2.0 * cc / (q + math.sqrt(q * q + 2.0 * cc * cc)))
+        g = -(1.0 + dip) * (b + cc * math.sin(0.5 * peak) ** 2) ** 2 / (
+            0.5 * cc * t1_p_in * math.sin(peak))
+        dips = slope_dips(r, g * t1_p_in, np.linspace(peak - 1e-3, peak + 1e-3, 100_001))
+        found = _folds(r, t1_p_in, g)
+        assert len(found) == np.count_nonzero(dips[1:] != dips[:-1]) == (2 if dip > 0 else 0)
+        if dip < 0:
+            dets = fold_level(c, 0.07, g, peak) + np.linspace(-1e-3, 1e-3, 201)
+            assert_solves(c, 0.07, g, dets, [1] * len(dets), rounding=4.0)
+            return
+        low, high = np.sort(fold_level(c, 0.07, g, np.array(found)))
+        assert 0.0 < high - low < 1e-10
+        inside = 1e-3 * (high - low)
+        roots = assert_solves(c, 0.07, g, np.array([low + inside, high - inside]), [3, 3],
+                              rounding=4.0)
+        assert np.all(np.diff(roots.p_circ.reshape(2, 3), axis=1) > 0.0)
+        outside = steady_state_branches(c, 0.07, g, np.array([low - inside, high + inside]))
+        assert outside.count.tolist() == [1, 1]
 
 
 class TestScanProfile:
@@ -549,7 +698,7 @@ class TestScanProfile:
     def test_linear_matches_airy(self):
         c = cavity()
         dets = self.grid(6 * c.linewidth_phase_fwhm)
-        prof = scan_profile(c, 0.0088, dets, None, "up")
+        prof = scan_profile(c, 0.0088, dets, 0.0, "up")
         expected = airy(c, 0.0088, dets)
         np.testing.assert_allclose(prof.p_circ, expected, rtol=1e-6)
         area = np.trapezoid(prof.p_circ, dets)
@@ -561,51 +710,50 @@ class TestScanProfile:
         c = cavity()
         dets = self.grid(3 * c.linewidth_phase_fwhm, 301)
         for direction in ("up", "down"):
-            prof = scan_profile(c, 0.0088, dets, None, direction)
+            prof = scan_profile(c, 0.0088, dets, 0.0, direction)
             assert prof.p_trans.tolist() == (MONITOR_TRANSMISSION * prof.p_circ).tolist()
 
     def test_kerr_profile_skewed(self):
         c = cavity()
-        phi = lambda p: G_KERR * p
         span = 6 * c.linewidth_phase_fwhm + 2 * abs(G_KERR) * c.resonant_buildup * 0.0088
-        prof = scan_profile(c, 0.0088, self.grid(span, 1601), phi, "up")
+        prof = scan_profile(c, 0.0088, self.grid(span, 1601), G_KERR, "up")
         assert prof.asymmetry > 0.3
 
     def test_asymmetry_strictly_increases_with_power(self):
         c = cavity()
-        phi = lambda p: G_KERR * p
         asyms = []
         for p_in in (0.0022, 0.0044, 0.0088, 0.0176, 0.0352, 0.0704):
             span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
-            prof = scan_profile(c, p_in, self.grid(span, 2001), phi, "up")
+            prof = scan_profile(c, p_in, self.grid(span, 2001), G_KERR, "up")
             asyms.append(prof.asymmetry)
         assert all(b > a for a, b in zip(asyms, asyms[1:]))
 
     def test_hysteresis_iff_multiple_branches(self):
         c = cavity()
-        phi = lambda p: G_KERR * p
         for p_in in (0.0088, 0.0704):
             span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
             dets = self.grid(span, 1201)
-            up = scan_profile(c, p_in, dets, phi, "up")
-            down = scan_profile(c, p_in, dets, phi, "down")
+            up = scan_profile(c, p_in, dets, G_KERR, "up")
+            down = scan_profile(c, p_in, dets, G_KERR, "down")
             gap = float(np.max(np.abs(up.p_circ - down.p_circ[::-1])))
             if up.multi_branch:
                 assert gap > 0.1 * np.max(up.p_circ)
             else:
                 assert gap < 1e-9 * np.max(up.p_circ)
 
-    @pytest.mark.parametrize("phi", (None,) + KERR_PHASES, ids=("linear", "kerr", "tanh"))
+    @pytest.mark.parametrize("phase", (0.0,) + KERR_PHASES, ids=("linear", "kerr", "tanh"))
     @pytest.mark.parametrize("p_in", [0.015, 0.07])
-    def test_points_are_single_detuning_roots(self, phi, p_in):
+    def test_points_are_single_detuning_roots(self, phase, p_in, monkeypatch):
         # Every profile point is bit for bit a root of the one-detuning
-        # solver, in either sweep direction.
+        # solver, in either sweep direction; the tanh lean's profile follows
+        # the sampled solve.
         c = cavity()
         span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
         dets = self.grid(span, 301)
-        roots = [one_detuning(c, p_in, phi, d).p_circ.tolist() for d in dets]
+        roots = [one_detuning(c, p_in, phase, d).p_circ.tolist() for d in dets]
+        g = follow_slope(phase, monkeypatch)
         for direction, expected in (("up", roots), ("down", roots[::-1])):
-            prof = scan_profile(c, p_in, dets, phi, direction)
+            prof = scan_profile(c, p_in, dets, g, direction)
             for p, found in zip(prof.p_circ, expected, strict=True):
                 assert p in found
             assert prof.multi_branch == any(len(found) >= 3 for found in roots)
@@ -613,7 +761,7 @@ class TestScanProfile:
     def test_monotone_sweep_required(self):
         for detunings in ([0.0, 1.0, 0.5], [-np.inf, 0.0, 1.0]):
             with pytest.raises(DomainError):
-                scan_profile(cavity(), 0.01, np.array(detunings), None, "up")
+                scan_profile(cavity(), 0.01, np.array(detunings), 0.0, "up")
 
 
 def reference_follow(branch_lists, order, direction):
@@ -656,11 +804,13 @@ def assert_same_profile(found, expected):
     assert found.direction == expected.direction
 
 
-def assert_follows_reference(params, p_in, dets, phi_nl=None):
-    """Both directions of scan_profile equal the per-point follow of the solve's branch lists."""
-    lists = branch_lists(steady_state_branches(params, p_in, phi_nl, np.asarray(dets, float)))
+def assert_follows_reference(params, p_in, dets, phase, monkeypatch=None):
+    """Both directions of scan_profile equal the per-point follow of the branch
+    lists of :func:`solve`."""
+    lists = branch_lists(solve(params, p_in, phase, np.asarray(dets, float)))
+    g = follow_slope(phase, monkeypatch)
     for direction in ("up", "down"):
-        found = scan_profile(params, p_in, dets, phi_nl, direction)
+        found = scan_profile(params, p_in, dets, g, direction)
         expected = reference_profile(lists, dets, direction)
         assert_same_profile(found, expected)
     return max(map(len, lists))
@@ -689,15 +839,15 @@ class TestArrayFollow:
             run_scenario(config, tmp_path / str(i))
         assert len(calls) == 2 + 13
         assert any(found.multi_branch for _, found in calls)
-        for (params, p_in, dets, phi, direction), found in calls:
+        for (params, p_in, dets, g, direction), found in calls:
             assert direction == "up"
-            lists = branch_lists(steady_state_branches(params, p_in, phi, dets))
+            lists = branch_lists(steady_state_branches(params, p_in, g, dets))
             expected = reference_profile(lists, dets, "up")
             assert_same_profile(found, expected)
-            assert_follows_reference(params, p_in, dets, phi)
+            assert_follows_reference(params, p_in, dets, g)
 
     @pytest.mark.parametrize("shape", ["linear", "tanh", "sine"])
-    def test_random_cavities(self, shape):
+    def test_random_cavities(self, shape, monkeypatch):
         rng = np.random.default_rng(["linear", "tanh", "sine"].index(shape))
         most = []
         for _ in range(8):
@@ -706,11 +856,12 @@ class TestArrayFollow:
             p_max = c.resonant_buildup * p_in
             g = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 5.0) / p_max
             turn = rng.uniform(0.1, 0.3) * p_max
-            phi = {"linear": lambda p: g * p,
-                   "tanh": lambda p: g * turn * np.tanh(p / turn),
-                   "sine": lambda p: g * turn * np.sin(p / turn)}[shape]
+            phase = {"linear": g,
+                     "tanh": lambda p: g * turn * np.tanh(p / turn),
+                     "sine": lambda p: g * turn * np.sin(p / turn)}[shape]
             dets = np.linspace(-4.0, 4.0, int(rng.integers(200, 700)))
-            most.append(assert_follows_reference(c, p_in, dets[::int(rng.choice([-1, 1]))], phi))
+            most.append(assert_follows_reference(c, p_in, dets[::int(rng.choice([-1, 1]))],
+                                                 phase, monkeypatch))
         assert max(most) >= (5 if shape == "sine" else 3)
 
     def test_first_point_multi_branch(self):
@@ -737,7 +888,7 @@ class TestArrayFollow:
                               np.array([len(r) for r in roots]))
         monkeypatch.setattr(cavity_module, "steady_state_branches", lambda *args: arrays)
         dets = np.array([0.0, 0.1, 0.2, 0.3])
-        found = scan_profile(cavity(), 0.07, dets, None, direction)
+        found = scan_profile(cavity(), 0.07, dets, 0.0, direction)
         assert_same_profile(found, reference_profile(lists, dets, direction))
         assert sorted(found.p_circ.tolist()) == [0.5, 1.0, 1.0, 2.0]
 
@@ -768,14 +919,14 @@ class TestHalfMaxAsymmetry:
         assert _half_max_asymmetry(x, y) == 0.451532836393328
 
 
-def detuned_point(params, p_in, phi_nl, detuning, branch=None):
-    """linearize on a root of a one-element solve at ``detuning``.  ``branch``
-    indexes the roots; None takes the only one."""
-    found = one_detuning(params, p_in, phi_nl, detuning)
+def detuned_point(params, p_in, g, detuning, branch=None):
+    """linearize on a root of a one-element solve of slope ``g`` at ``detuning``.
+    ``branch`` indexes the roots; None takes the only one."""
+    found = one_detuning(params, p_in, g, detuning)
     if branch is None:
         assert len(found.p_circ) == 1
     p = found.p_circ.tolist()[branch or 0]
-    return linearize(params, p, np.zeros(3) if phi_nl is None else phi_nl(p * SLOPE_FACTORS))
+    return linearize(params, p, g * (p * SLOPE_FACTORS))
 
 
 def detuned_delta(params, op, detuning):
@@ -792,7 +943,7 @@ def detuned_threshold(params, op, detuning):
 
 class TestOperatingPoint:
     def test_zero_kerr_no_pump(self):
-        op = detuned_point(cavity(), 0.0088, None, 0.0)
+        op = detuned_point(cavity(), 0.0088, 0.0, 0.0)
         assert op.below_threshold
         assert op.epsilon == 0.0
         assert op.headroom == math.inf
@@ -815,8 +966,7 @@ class TestOperatingPoint:
             linearize(cavity(), p_circ, phases)
 
     def test_epsilon_linear_in_circulating_power(self):
-        phi = lambda p: 1e-5 * p
-        ops = [detuned_point(cavity(), p_in, phi, 0.0) for p_in in (0.001, 0.002)]
+        ops = [detuned_point(cavity(), p_in, 1e-5, 0.0) for p_in in (0.001, 0.002)]
         assert all(op.below_threshold for op in ops)
         ratio = ops[1].epsilon / ops[0].epsilon
         assert ratio == pytest.approx(ops[1].p_circ / ops[0].p_circ, rel=1e-6)
@@ -824,7 +974,7 @@ class TestOperatingPoint:
     def test_rates_and_shift(self):
         c = cavity()
         g = 1e-5
-        op = detuned_point(c, 0.001, lambda p: g * p, 0.001)
+        op = detuned_point(c, 0.001, g, 0.001)
         assert op.below_threshold
         assert op.headroom == c.gamma_total / abs(op.epsilon)
         assert op.gamma_coupler == pytest.approx(c.gamma_coupler, rel=1e-12)
@@ -834,27 +984,25 @@ class TestOperatingPoint:
         assert detuned_delta(c, op, 0.001) == pytest.approx(
             (0.001 + 2 * g * op.p_circ) * c.fsr, rel=1e-10)
         # No circulating power, no pump.
-        assert detuned_point(c, 0.0, lambda p: g * p, 0.001).epsilon == 0.0
+        assert detuned_point(c, 0.0, g, 0.001).epsilon == 0.0
 
     def test_unstable_branch_is_above_threshold(self):
         # The middle branch of the S-curve is exactly the above-threshold
         # solution of the linearized dynamics free running at its detuning.
-        phi = lambda p: G_KERR * p
         c = cavity()
-        op = detuned_point(c, 0.07, phi, 0.03, branch=1)
+        op = detuned_point(c, 0.07, G_KERR, 0.03, branch=1)
         assert detuned_threshold(c, op, 0.03) < abs(op.epsilon)
         for stable_branch in (0, 2):
-            op = detuned_point(c, 0.07, phi, 0.03, branch=stable_branch)
+            op = detuned_point(c, 0.07, G_KERR, 0.03, branch=stable_branch)
             assert detuned_threshold(c, op, 0.03) > abs(op.epsilon)
             assert op.p_circ > 0
 
     def test_fold_point_sits_at_threshold(self):
         # The quasi-static fold and the linearized instability must agree.
-        phi = lambda p: G_KERR * p
         p_in = 0.07
 
         def n_roots(det):
-            return len(one_detuning(cavity(), p_in, phi, det).p_circ)
+            return len(one_detuning(cavity(), p_in, G_KERR, det).p_circ)
 
         lo = next(d for d in np.linspace(0.0, 0.15, 400) if n_roots(d) == 3)
         hi = 0.15
@@ -865,7 +1013,7 @@ class TestOperatingPoint:
             else:
                 hi = mid
         c = cavity()
-        roots = one_detuning(c, p_in, phi, lo).p_circ.tolist()
+        roots = one_detuning(c, p_in, G_KERR, lo).p_circ.tolist()
         p_star = 0.5 * (roots[1] + roots[2])
         epsilon = G_KERR * p_star * c.fsr
         delta_eff = (lo + 2 * G_KERR * p_star) * c.fsr

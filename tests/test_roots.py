@@ -71,14 +71,10 @@ def outcome(solver, f, a, b, **options):
         return type(err), str(err)
 
 
-@pytest.mark.parametrize("p_in,phi_nl", [
-    (0.015, lambda p: G_KERR * p),
-    (0.070, lambda p: G_KERR * p),
-    (0.070, lambda p: G_KERR * 12.0 * np.tanh(p / 12.0)),
-], ids=["linear-monostable", "linear-bistable", "tanh-bistable"])
-def test_cavity_steady_states(recorded, p_in, phi_nl):
+@pytest.mark.parametrize("p_in", [0.015, 0.070], ids=["linear-monostable", "linear-bistable"])
+def test_cavity_steady_states(recorded, p_in):
     params = CavityParams(RT_LENGTH, T1, LOSS)
-    profile = scan_profile(params, p_in, np.linspace(-0.08, 0.04, 241), phi_nl)
+    profile = scan_profile(params, p_in, np.linspace(-0.08, 0.04, 241), G_KERR)
     # One array call refines every bracket of the scan.
     assert len(recorded) == 1
     assert_matches_scipy(recorded, 241)
