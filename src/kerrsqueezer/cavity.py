@@ -12,9 +12,10 @@ and the self-shift, and fluctuations around the steady state follow
     d(da)/dt = -gamma_total da + i epsilon exp(2 i arg(alpha)) da^dag + inputs,
 
 where ``epsilon = g * p_circ * FSR`` is the effective parametric pump rate;
-the threshold is ``|epsilon| = gamma_total``.  :func:`linearize` assembles
-every :class:`OperatingPoint`, with ``g`` the tangent of the cascade phase
-from a central difference at the stacked powers ``p_circ * SLOPE_FACTORS``.
+the threshold is ``|epsilon| = gamma_total``.  The :class:`OperatingPoint`
+constructor is the one builder of a locked point; a locked run gives it
+``epsilon`` from ``g``, the tangent of the cascade phase from a central
+difference at the powers ``p_circ * scenarios.SLOPE_FACTORS``.
 Output spectra are computed in a frame where the carrier phase is zero, so
 ellipse orientations are relative to the carrier quadrature.
 
@@ -43,7 +44,6 @@ __all__ = [
     "CombAssignment",
     "steady_state_branches",
     "scan_profile",
-    "linearize",
     "squeezing_spectrum",
     "sideband_comb_map",
 ]
@@ -179,7 +179,8 @@ def steady_state_branches(params: CavityParams, p_in: float, g: float,
     the count is odd: a detuning whose target falls in the rounding gap of that
     seam gets its root at psi = pi.  Sorted by power, the roots alternate
     stable/unstable from a stable one, as F(p) = p |1 - r_eff exp(i(d + g
-    p))|^2 - T1 p_in rises through a stable root from F(0) < 0.
+    p))|^2 - T1 p_in rises through a stable root from F(0) < 0.  An overflowing
+    peak Kerr phase raises :class:`DomainError`.
     """
     sweep = np.asarray(detuning, dtype=float)
     if sweep.ndim != 1:
@@ -194,6 +195,10 @@ def steady_state_branches(params: CavityParams, p_in: float, g: float,
         return BranchArrays(np.zeros(len(sweep)), np.ones(len(sweep), bool),
                             np.ones(len(sweep), int))
     r, t1_p_in = params.r_eff, params.coupler_transmission * p_in
+    peak = g * t1_p_in / (1.0 - r) ** 2  # the Kerr phase at the top of the resonance
+    if not abs(peak) < 2.0**63 * math.tau:  # the candidate counts are int64 turns
+        raise DomainError(f"peak Kerr phase g T1 p_in / (1 - r_eff)^2 = {peak} rad is "
+                          "not finite or spans 2**63 turns or more")
 
     def power(psi):  # the resonance curve
         return t1_p_in / ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * psi) ** 2)
@@ -308,7 +313,8 @@ class OperatingPoint:
     """Linearization data of one locked steady state.
 
     Rates are angular (rad/s): ``gamma_coupler = T1 * FSR / 2``,
-    ``gamma_loss = loss * FSR / 2`` and ``epsilon = g * p_circ * FSR``.
+    ``gamma_loss = loss * FSR / 2`` and ``epsilon = g * p_circ * FSR``.  A
+    non-finite ``p_circ`` or ``epsilon`` or a negative ``p_circ`` raises :class:`DomainError`.
     """
 
     p_circ: float
@@ -317,6 +323,10 @@ class OperatingPoint:
     gamma_loss: float
 
     def __post_init__(self):
+        if not math.isfinite(self.p_circ) or self.p_circ < 0.0:
+            raise DomainError(f"p_circ must be finite and >= 0, got {self.p_circ}")
+        if not math.isfinite(self.epsilon):
+            raise DomainError(f"epsilon must be finite, got {self.epsilon}")
         if self.gamma_coupler <= 0.0 or self.gamma_loss < 0.0:
             raise DomainError("decay rates must be positive (coupler) / non-negative (loss)")
 
@@ -334,34 +344,6 @@ class OperatingPoint:
     @property
     def below_threshold(self) -> bool:
         return abs(self.epsilon) < self.gamma_total
-
-
-# Relative power step of the central difference that gives the Kerr slope.
-SLOPE_STEP = 1e-4
-SLOPE_FACTORS = np.array([1.0 - SLOPE_STEP, 1.0, 1.0 + SLOPE_STEP])
-
-
-def linearize(params: CavityParams, p_circ: float, phases) -> OperatingPoint:
-    """Linearization of the locked steady state at circulating power ``p_circ``.
-
-    ``phases`` holds the cascade phase at ``p_circ * SLOPE_FACTORS``; their central
-    difference is ``g * p_circ``, so ``p_circ = 0`` gives ``epsilon = 0``.
-    It is the one public builder of an :class:`OperatingPoint`.  A
-    non-finite or negative ``p_circ`` and ``phases`` other than three finite
-    numbers raise :class:`DomainError`.
-    """
-    if not math.isfinite(p_circ) or p_circ < 0.0:
-        raise DomainError(f"p_circ must be finite and >= 0, got {p_circ}")
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (3,) or not np.all(np.isfinite(phases)):
-        raise DomainError(f"phases must be 3 finite numbers, got {phases.tolist()}")
-    phi_lo, _, phi_hi = phases.tolist()
-    return OperatingPoint(
-        p_circ=float(p_circ),
-        epsilon=(phi_hi - phi_lo) / (2.0 * SLOPE_STEP) * params.fsr,
-        gamma_coupler=params.gamma_coupler,
-        gamma_loss=params.gamma_loss,
-    )
 
 
 def squeezing_spectrum(op: OperatingPoint, omega) -> SpectrumPoint:

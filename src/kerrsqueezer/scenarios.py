@@ -32,9 +32,8 @@ import yaml
 from . import __version__ as _VERSION
 from .cascade import extract_cascade_result
 from .cavity import (
-    SLOPE_FACTORS,
     CavityParams,
-    linearize,
+    OperatingPoint,
     scan_profile,
     sideband_comb_map,
     squeezing_spectrum,
@@ -413,6 +412,11 @@ def locked_circulating_power(params: CavityParams, p_in: float, conversion_per_w
                   xtol=1e-300, rtol=8.9e-16)
 
 
+# Relative power step of the central difference that gives the Kerr slope.
+SLOPE_STEP = 1e-4
+SLOPE_FACTORS = np.array([1.0 - SLOPE_STEP, 1.0, 1.0 + SLOPE_STEP])
+
+
 def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float) -> list:
     """Lock the cavity at each crystal temperature and linearize it there.
 
@@ -423,8 +427,9 @@ def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float
     Each pass solves the lock for all rows in one call and computes all
     rows in one cascade call.
     The last pass runs at ``p_lock * SLOPE_FACTORS``: the middle row gives
-    the phase and the residual conversion, the outer rows the tangent
-    ``g = dphi/dp``.
+    the residual conversion, the outer rows' central difference ``epsilon =
+    g * p_lock * FSR`` of each row's :class:`OperatingPoint`.  A residual
+    conversion that takes the round-trip loss to 1 raises :class:`DomainError`.
     """
     temps = np.asarray(temperatures, dtype=float)
     dk = delta_k(model, temps)
@@ -433,11 +438,17 @@ def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float
         p_lock = locked_circulating_power(params, p_in, conv_w)
         res = extract_cascade_result(np.multiply.outer(factors, p_lock), dk, kappa, model.length)
         conv_w = res.residual_conversion[len(factors) // 2] / p_lock
-    points = []
-    for dk_i, phases, residual, p in zip(dk, res.nl_phase.T, res.residual_conversion[1], p_lock):
-        cav = replace(params, round_trip_loss=params.round_trip_loss + float(residual))
-        op = linearize(cav, p, phases)
-        points.append((float(dk_i), float(residual), op.epsilon / (op.p_circ * cav.fsr), cav, op))
+    phi_lo, _, phi_hi = res.nl_phase
+    epsilon = (phi_hi - phi_lo) / (2.0 * SLOPE_STEP) * params.fsr
+    loss0, points = params.round_trip_loss, []
+    rows = np.stack([temps, dk, res.residual_conversion[1], p_lock, epsilon], axis=1).tolist()
+    for temp, dk_i, residual, p, eps in rows:
+        if loss0 + residual >= 1.0:
+            raise DomainError(f"residual conversion {residual} at crystal temperature {temp} C "
+                              f"and input power {p_in} W takes the round-trip loss to 1")
+        cav = replace(params, round_trip_loss=loss0 + residual)
+        op = OperatingPoint(p, eps, cav.gamma_coupler, cav.gamma_loss)
+        points.append((dk_i, residual, eps / (p * cav.fsr), cav, op))
     return points
 
 

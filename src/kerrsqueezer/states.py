@@ -132,11 +132,11 @@ def vacuum() -> GaussianQuadratureState:
     return GaussianQuadratureState(1.0, 1.0, 0.0)
 
 
-def pure_squeezed(r: float, theta0: float = 0.0) -> GaussianQuadratureState:
-    """Pure squeezed state with squeeze parameter ``r >= 0``."""
+def pure_squeezed(r: float) -> GaussianQuadratureState:
+    """Pure squeezed state with squeeze parameter ``r >= 0``, minor axis at theta = 0."""
     if not math.isfinite(r) or r < 0.0:
         raise DomainError(f"squeeze parameter must be finite and >= 0, got {r}")
-    return GaussianQuadratureState(math.exp(-2.0 * r), math.exp(2.0 * r), theta0)
+    return GaussianQuadratureState(math.exp(-2.0 * r), math.exp(2.0 * r))
 
 
 def db_to_variance(level_db: float) -> float:

@@ -27,13 +27,11 @@ from kerrsqueezer.cavity import (
     _TWO_PI_HI,
     _TWO_PI_LO,
     MONITOR_TRANSMISSION,
-    SLOPE_FACTORS,
     _folds,
     _half_max_asymmetry,
-    linearize,
 )
 from kerrsqueezer.roots import brentq
-from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
+from kerrsqueezer.scenarios import SLOPE_STEP, default_config_path, load_config, run_scenario
 
 # Resonator budget used throughout: 1% coupler, 0.19% residual loss.
 T1 = 0.01
@@ -437,6 +435,18 @@ class TestStackedSweep:
                 steady_state_branches(cavity(), p_in, bad, dets)
             with pytest.raises(DomainError, match="Kerr slope g must be finite"):
                 scan_profile(cavity(), p_in, dets, bad, "down")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p_in, g", [(1.0, 1e308), (1e300, 1.0)],
+                             ids=["inf-phase", "huge-phase"])
+    def test_overflowing_peak_phase_rejected(self, p_in, g):
+        # The peak Kerr phase g T1 p_in / (1 - r_eff)^2 is inf, or 2.8e302 rad:
+        # more 2 pi turns than the int64 candidate counts hold.
+        dets = np.array([-0.1, 0.0, 0.1])
+        with pytest.raises(DomainError, match="peak Kerr phase"):
+            steady_state_branches(CavityParams(0.838, T1, LOSS), p_in, g, dets)
+        with pytest.raises(DomainError, match="peak Kerr phase"):
+            scan_profile(CavityParams(0.838, T1, LOSS), p_in, dets, g, "up")
 
 
 def manifold_ends(params, p_in, phase, turns=(-1, 0, 1)):
@@ -920,13 +930,13 @@ class TestHalfMaxAsymmetry:
 
 
 def detuned_point(params, p_in, g, detuning, branch=None):
-    """linearize on a root of a one-element solve of slope ``g`` at ``detuning``.
-    ``branch`` indexes the roots; None takes the only one."""
+    """The OperatingPoint of slope ``g`` on a root of a one-element solve at
+    ``detuning``.  ``branch`` indexes the roots; None takes the only one."""
     found = one_detuning(params, p_in, g, detuning)
     if branch is None:
         assert len(found.p_circ) == 1
     p = found.p_circ.tolist()[branch or 0]
-    return linearize(params, p, g * (p * SLOPE_FACTORS))
+    return OperatingPoint(p, g * p * params.fsr, params.gamma_coupler, params.gamma_loss)
 
 
 def detuned_delta(params, op, detuning):
@@ -949,21 +959,23 @@ class TestOperatingPoint:
         assert op.headroom == math.inf
 
     @pytest.mark.parametrize("p_circ, phases, message", [
-        (math.nan, [0.0, 0.0, 0.0], "p_circ"),
-        (math.inf, [0.0, 0.0, 0.0], "p_circ"),
-        (-1.0, [0.0, 0.0, 0.0], "p_circ"),
-        (1.0, [0.0, math.nan, 0.0], "phases"),
-        (1.0, [0.0, 0.0, -math.inf], "phases"),
-        (1.0, [0.0, 0.0], "phases"),
-        (1.0, [0.0, 0.0, 0.0, 0.0], "phases"),
-        (1.0, [[0.0], [0.0], [0.0]], "phases"),
-    ], ids=["nan-power", "inf-power", "negative-power", "nan-phase", "inf-phase",
-            "two-phases", "four-phases", "column"])
+        (math.nan, (0.0, 0.0), "p_circ"),
+        (math.inf, (0.0, 0.0), "p_circ"),
+        (-math.inf, (0.0, 0.0), "p_circ"),
+        (-1.0, (0.0, 0.0), "p_circ"),
+        (1.0, (math.nan, 0.0), "epsilon"),
+        (1.0, (0.0, -math.inf), "epsilon"),
+        (1.0, (0.0, math.inf), "epsilon"),
+    ], ids=["nan-power", "inf-power", "minus-inf-power", "negative-power", "nan-phase",
+            "inf-phase", "plus-inf-phase"])
     def test_bad_power_or_phases_are_rejected(self, p_circ, phases, message):
-        # Before, a NaN power gave a passive point, a negative one a point and
-        # two phases a bare unpacking ValueError.
+        # ``phases`` are the outer cascade phases (lo, hi) of a locked run; a
+        # non-finite one reaches the constructor as a non-finite epsilon.
+        c = cavity()
+        phi_lo, phi_hi = phases
+        epsilon = (phi_hi - phi_lo) / (2.0 * SLOPE_STEP) * c.fsr
         with pytest.raises(DomainError, match=message):
-            linearize(cavity(), p_circ, phases)
+            OperatingPoint(p_circ, epsilon, c.gamma_coupler, c.gamma_loss)
 
     def test_epsilon_linear_in_circulating_power(self):
         ops = [detuned_point(cavity(), p_in, 1e-5, 0.0) for p_in in (0.001, 0.002)]
@@ -979,8 +991,6 @@ class TestOperatingPoint:
         assert op.headroom == c.gamma_total / abs(op.epsilon)
         assert op.gamma_coupler == pytest.approx(c.gamma_coupler, rel=1e-12)
         assert op.gamma_loss == pytest.approx(c.gamma_loss, rel=1e-12)
-        # A linear phase has the slope g everywhere; only rounding remains.
-        assert op.epsilon == pytest.approx(g * op.p_circ * c.fsr, rel=1e-10)
         assert detuned_delta(c, op, 0.001) == pytest.approx(
             (0.001 + 2 * g * op.p_circ) * c.fsr, rel=1e-10)
         # No circulating power, no pump.

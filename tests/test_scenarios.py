@@ -418,6 +418,18 @@ class TestFig3:
         low = profiles_at(0.0088, tmp_path / "lo")
         assert high["asymmetry"] > low["asymmetry"]
 
+    @pytest.mark.filterwarnings("ignore:single-pass drive")
+    def test_saturating_conversion_exit_1(self, tmp_path, capsys):
+        # At 1e5 W the lock's residual conversion alone takes the round-trip
+        # loss past 1; at 3e4 W it does not.
+        (tmp_path / "ok").mkdir()
+        assert run_cli(mutated("fig3", {"fig3.input_power_w": 3.0e4}), tmp_path / "ok") == 0
+        assert run_cli(mutated("fig3", {"fig3.input_power_w": 1.0e5}), tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "residual conversion 0.99894" in err
+        assert "crystal temperature 40.5 C and input power 100000.0 W" in err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_csv_schemas(self, fig3_run):
         out, _ = fig3_run
         assert (out / "conversion_sweep.csv").read_text().splitlines()[0] == (
