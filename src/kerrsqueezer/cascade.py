@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,55 +87,6 @@ def _gauss_legendre() -> tuple:
     return nodes, weights
 
 
-class _Orbit(NamedTuple):
-    """Per-row constants of the pure-fundamental launch, as (rows, 1) columns."""
-
-    shape: tuple  # broadcast shape of the inputs
-    zeta: np.ndarray  # |kappa| sqrt(p) length
-    s: np.ndarray  # delta_k / (|kappa| sqrt(p)); 0 where not elliptic
-    w_b: np.ndarray  # peak harmonic fraction; 0.5 where not elliptic
-    w_c: np.ndarray  # 1 - w_b, without cancellation; 0.5 where not elliptic
-    elliptic: np.ndarray  # the row's orbit has 0 < w_b < 1
-    matched: np.ndarray  # the row is phase matched: w = tanh^2(zeta), no phase
-    levels: list  # AGM levels (a_i, c_i) of m = w_b^2
-
-    def fraction(self, sn):
-        """Harmonic fraction at ``zeta``, given ``sn`` there: ``w_b sn^2`` on an
-        elliptic orbit, ``tanh^2(zeta)`` phase matched and 0 without coupling."""
-        return np.where(self.elliptic, self.w_b * sn * sn,
-                        np.where(self.matched, np.tanh(self.zeta) ** 2, 0.0))
-
-
-def _orbit(p_in, delta_k, kappa: float, length: float) -> _Orbit:
-    """Check the inputs and set up each row's orbit over ``length``."""
-    if length <= 0.0 or not math.isfinite(length):
-        raise DomainError(f"length must be positive, got {length}")
-    if not math.isfinite(kappa):
-        raise DomainError(f"kappa must be finite, got {kappa}")
-    p, dk = np.broadcast_arrays(np.asarray(p_in, dtype=float), np.asarray(delta_k, dtype=float))
-    if not np.all(np.isfinite(p) & (p >= 0.0)):
-        raise DomainError(f"power must be >= 0, got {p_in}")
-    if not p.size:
-        raise DomainError("the cascade needs at least one row")
-    if not np.all(np.isfinite(dk)):
-        raise DomainError(f"delta_k must be finite, got {delta_k}")
-    g = abs(kappa) * np.sqrt(p.reshape(-1, 1))
-    dk = dk.reshape(-1, 1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = dk / g
-        x = s * s / 8.0  # q - 1
-        root = np.sqrt(x) * np.sqrt(x + 2.0)  # sqrt(q^2 - 1)
-        w_b = 1.0 / (1.0 + x + root)
-        w_c = (x + root) * w_b
-    # No coupling leaves w_b 0 or NaN; a mismatch too small to square
-    # leaves w_c 0, and the row is phase matched.
-    elliptic = (w_b > 0.0) & (w_c > 0.0)
-    matched = (g > 0.0) & (w_c == 0.0)
-    s = np.where(elliptic, s, 0.0)
-    w_b, w_c = np.where(elliptic, w_b, 0.5), np.where(elliptic, w_c, 0.5)
-    return _Orbit(p.shape, g * length, s, w_b, w_c, elliptic, matched, _agm(w_b, w_c))
-
-
 def _agm(w_b, w_c) -> list:
     """Descending AGM levels ``(a_i, c_i)`` of ``m = w_b^2``, from ``a_0 = 1``,
     ``b_0 = sqrt(1 - m)`` and ``c_0 = sqrt(m)``, with ``c_{i+1} = c_i^2 / (4
@@ -159,12 +109,6 @@ def _sn_cn(u, levels) -> tuple:
     for a, c in reversed(levels[1:]):
         phi = 0.5 * (np.arcsin(c * np.sin(phi) / a) + phi)
     return np.sin(phi), np.cos(phi)
-
-
-def _rows_out(shape, *columns):
-    if not shape:
-        return tuple(float(column[0, 0]) for column in columns)
-    return tuple(column.reshape(shape) for column in columns)
 
 
 def effective_kerr_phase(p_in: float, delta_k: float, kappa: float, length: float) -> float:
@@ -192,17 +136,42 @@ def extract_cascade_result(p_in, delta_k, kappa: float, length: float) -> Cascad
     """Nonlinear phase and residual conversion of one crystal pass, exactly.
 
     ``p_in`` and ``delta_k`` may be arrays; they broadcast, and the result
-    holds one array entry per row.  In the interaction picture the linear
-    phase is exactly zero, so the nonlinear phase is the phase of the output
-    fundamental.  Raises :class:`DomainError` for zero rows, a negative or
-    non-finite power, a non-finite ``kappa`` or ``delta_k``, or a length
-    that is not positive.
+    holds one array entry per row; each row's orbit (``s``, ``w_b`` and the
+    AGM levels of ``m = w_b^2``) follows the closed form above.  In the
+    interaction picture the linear phase is exactly zero, so the nonlinear
+    phase is the phase of the output fundamental.  Raises :class:`DomainError`
+    for zero rows, a negative or non-finite power, a non-finite ``kappa`` or
+    ``delta_k``, or a length that is not positive.
     """
-    orbit = _orbit(p_in, delta_k, kappa, length)
-    s, w_b, w_c = orbit.s, orbit.w_b, orbit.w_c
+    if length <= 0.0 or not math.isfinite(length):
+        raise DomainError(f"length must be positive, got {length}")
+    if not math.isfinite(kappa):
+        raise DomainError(f"kappa must be finite, got {kappa}")
+    p, dk = np.broadcast_arrays(np.asarray(p_in, dtype=float), np.asarray(delta_k, dtype=float))
+    if not np.all(np.isfinite(p) & (p >= 0.0)):
+        raise DomainError(f"power must be >= 0, got {p_in}")
+    if not p.size:
+        raise DomainError("the cascade needs at least one row")
+    if not np.all(np.isfinite(dk)):
+        raise DomainError(f"delta_k must be finite, got {delta_k}")
+    g = abs(kappa) * np.sqrt(p.reshape(-1, 1))
+    dk = dk.reshape(-1, 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = dk / g
+        x = s * s / 8.0  # q - 1
+        root = np.sqrt(x) * np.sqrt(x + 2.0)  # sqrt(q^2 - 1)
+        w_b = 1.0 / (1.0 + x + root)
+        w_c = (x + root) * w_b  # 1 - w_b, without cancellation
+    # No coupling leaves w_b 0 or NaN; a mismatch too small to square
+    # leaves w_c 0, and the row is phase matched: w = tanh^2(zeta), no phase.
+    elliptic = (w_b > 0.0) & (w_c > 0.0)
+    matched = (g > 0.0) & (w_c == 0.0)
+    s = np.where(elliptic, s, 0.0)
+    w_b, w_c = np.where(elliptic, w_b, 0.5), np.where(elliptic, w_c, 0.5)
+    zeta, levels = g * length, _agm(w_b, w_c)
     nodes, weights = _gauss_legendre()
-    quarter = 0.5 * math.pi / orbit.levels[-1][0]  # K
-    u_end = orbit.zeta / np.sqrt(w_b)
+    quarter = 0.5 * math.pi / levels[-1][0]  # K
+    u_end = zeta / np.sqrt(w_b)
     # u_end = 2K periods + rest, and sn^2 is even about K: a rest past K is
     # folded to 2K - rest, and its integral is the whole period's less the
     # folded part.  sn^2(u_end) is sn^2 of the folded rest.
@@ -210,7 +179,7 @@ def extract_cascade_result(p_in, delta_k, kappa: float, length: float) -> Cascad
     rest = u_end - periods * (2.0 * quarter)
     folded = rest > quarter
     rest = np.where(folded, 2.0 * quarter - rest, rest)
-    sn, cn = _sn_cn(np.concatenate((quarter * nodes, rest * nodes, rest), axis=1), orbit.levels)
+    sn, cn = _sn_cn(np.concatenate((quarter * nodes, rest * nodes, rest), axis=1), levels)
     w = w_b * sn * sn
     integrand = w / (w_c + w_b * cn * cn)  # w / (1 - w), without cancellation near w_b = 1
     n = len(nodes)
@@ -218,6 +187,10 @@ def extract_cascade_result(p_in, delta_k, kappa: float, length: float) -> Cascad
     over_rest = rest * np.sum(weights * integrand[:, n:2 * n], axis=1, keepdims=True)
     integral = 2.0 * periods * over_quarter + np.where(folded, 2.0 * over_quarter - over_rest,
                                                        over_rest)
-    nl_phase = _wrap(np.where(orbit.elliptic, -0.5 * s * np.sqrt(w_b) * integral, 0.0))
-    return CascadeResult(*_rows_out(orbit.shape, nl_phase, orbit.fraction(sn[:, -1:])))
+    nl_phase = _wrap(np.where(elliptic, -0.5 * s * np.sqrt(w_b) * integral, 0.0))
+    residual = np.where(elliptic, w_b * sn[:, -1:] * sn[:, -1:],  # w at zeta
+                        np.where(matched, np.tanh(zeta) ** 2, 0.0))
+    if not p.shape:
+        return CascadeResult(float(nl_phase[0, 0]), float(residual[0, 0]))
+    return CascadeResult(nl_phase.reshape(p.shape), residual.reshape(p.shape))
 

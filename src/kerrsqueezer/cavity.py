@@ -179,8 +179,9 @@ def steady_state_branches(params: CavityParams, p_in: float, g: float,
     the count is odd: a detuning whose target falls in the rounding gap of that
     seam gets its root at psi = pi.  Sorted by power, the roots alternate
     stable/unstable from a stable one, as F(p) = p |1 - r_eff exp(i(d + g
-    p))|^2 - T1 p_in rises through a stable root from F(0) < 0.  An overflowing
-    peak Kerr phase raises :class:`DomainError`.
+    p))|^2 - T1 p_in rises through a stable root from F(0) < 0.  A zero drive
+    has no fold and one root per detuning, p = 0.  An overflowing peak Kerr
+    phase raises :class:`DomainError`, an empty sweep's too.
     """
     sweep = np.asarray(detuning, dtype=float)
     if sweep.ndim != 1:
@@ -191,9 +192,6 @@ def steady_state_branches(params: CavityParams, p_in: float, g: float,
         raise DomainError(f"input power must be >= 0, got {p_in}")
     if not math.isfinite(g):
         raise DomainError(f"Kerr slope g must be finite, got {g}")
-    if p_in == 0.0 or not len(sweep):  # one root, p = 0, at each detuning
-        return BranchArrays(np.zeros(len(sweep)), np.ones(len(sweep), bool),
-                            np.ones(len(sweep), int))
     r, t1_p_in = params.r_eff, params.coupler_transmission * p_in
     peak = g * t1_p_in / (1.0 - r) ** 2  # the Kerr phase at the top of the resonance
     if not abs(peak) < 2.0**63 * math.tau:  # the candidate counts are int64 turns
@@ -244,6 +242,8 @@ class ResonanceProfile:
 
 def _half_max_asymmetry(x: np.ndarray, y: np.ndarray) -> float:
     """|w_left - w_right| / (w_left + w_right) of the half-maximum widths."""
+    if x[-1] < x[0]:  # a decreasing sweep is read reversed
+        x, y = x[::-1], y[::-1]
     i_pk = int(np.argmax(y))
     half = 0.5 * y[i_pk]
     below = y < half

@@ -78,9 +78,13 @@ def shg_efficiency(model: PhaseMatchModel, temperature, p_in: float, kappa: floa
             f"single-pass drive {drive:.3g} exceeds the low-conversion regime",
             stacklevel=2,
         )
-    x = delta_k(model, temperature) * model.length / 2.0
-    eff = drive * _sinc(x) ** 2
+    eff = _sinc2_conversion(model, temperature, drive)
     return float(eff) if np.isscalar(temperature) else eff
+
+
+def _sinc2_conversion(model: PhaseMatchModel, temperature, drive: float):
+    """The sinc^2 law at single-pass drive ``kappa^2 p L^2``, without the regime check."""
+    return drive * _sinc(delta_k(model, temperature) * model.length / 2.0) ** 2
 
 
 def calibrate_from_extrema(t_max: float, t_min1: float, length: float) -> PhaseMatchModel:

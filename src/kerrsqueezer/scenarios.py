@@ -51,11 +51,11 @@ from .detection import (
 )
 from .errors import DomainError, InconsistentObservationError, ThresholdError, ValidationError
 from .phasematch import (
+    _sinc2_conversion,
     calibrate_from_extrema,
     conversion_sweep,
     delta_k,
     find_conversion_extrema,
-    shg_efficiency,
 )
 from .roots import brentq
 from .states import (
@@ -389,8 +389,8 @@ def locked_circulating_power(params: CavityParams, p_in: float, conversion_per_w
     Solves ``p * (1 - r_eff(loss_0 + c p))^2 = T1 * p_in`` for each
     conversion ``c`` of the 1-D array ``conversion_per_watt`` by bracketed
     root finding, all rows in one call; the left side is strictly
-    increasing in p, so each root is unique.  A negative or non-finite
-    conversion raises :class:`DomainError`: conversion only adds loss.
+    increasing in p, so each root is unique (0 at zero drive).  A negative or
+    non-finite conversion raises :class:`DomainError`: conversion only adds loss.
     """
     t1 = params.coupler_transmission
     loss0 = params.round_trip_loss
@@ -399,8 +399,6 @@ def locked_circulating_power(params: CavityParams, p_in: float, conversion_per_w
         raise DomainError(f"input power must be >= 0, got {p_in}")
     if not np.all(np.isfinite(conversion) & (conversion >= 0.0)):
         raise DomainError(f"conversion per watt must be finite and >= 0, got {conversion_per_watt}")
-    if p_in == 0.0:
-        return np.zeros(conversion.shape)
 
     def implicit(p, index):
         loss = np.minimum(loss0 + conversion[index] * p, 0.999999)
@@ -433,7 +431,7 @@ def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float
     """
     temps = np.asarray(temperatures, dtype=float)
     dk = delta_k(model, temps)
-    conv_w = shg_efficiency(model, temps, 1.0, kappa)
+    conv_w = _sinc2_conversion(model, temps, kappa**2 * model.length**2)  # per watt
     for factors in ([1.0], SLOPE_FACTORS):
         p_lock = locked_circulating_power(params, p_in, conv_w)
         res = extract_cascade_result(np.multiply.outer(factors, p_lock), dk, kappa, model.length)

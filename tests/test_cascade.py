@@ -115,8 +115,8 @@ class TestZeroRows:
         with pytest.raises(DomainError, match="at least one row"):
             extract_cascade_result(np.zeros(0), np.zeros(0), 3.2, LENGTH)
 
-    def test_fictitious_mirror(self):
-        # The mirror's half-length pass, with a scalar mismatch broadcast.
+    def test_half_length_pass_with_a_broadcast_mismatch(self):
+        # The fictitious mirror's half-length pass, with a scalar mismatch broadcast.
         with pytest.raises(DomainError, match="at least one row"):
             extract_cascade_result(np.zeros(0), 700.0, 3.2, LENGTH / 2)
 

@@ -402,17 +402,22 @@ class TestStackedSweep:
             assert bool((found.count >= 3).any()) == (phase != 0.0)
 
     def test_zero_input(self):
-        found = steady_state_branches(cavity(), 0.0, 0.0, np.linspace(-0.1, 0.1, 40))
-        assert isinstance(found, BranchArrays)
-        assert found.p_circ.dtype == np.float64 and found.stable.dtype == np.bool_
-        assert split_bits(found) == [[((0.0).hex(), True)]] * 40
-        assert found.count.tolist() == [1] * 40
+        # The general solve: a zero curve has no fold, and Brent returns each target.
+        dets = np.concatenate([np.linspace(-0.1, 0.1, 40), [-math.pi, math.pi, 7.0, -20.0]])
+        for g in (0.0, 5.0, -3.0):
+            found = steady_state_branches(cavity(), 0.0, g, dets)
+            assert isinstance(found, BranchArrays)
+            assert [field.dtype for field in found] == [np.float64, np.bool_, np.int64]
+            assert split_bits(found) == [[((0.0).hex(), True)]] * len(dets)
+            assert found.count.tolist() == [1] * len(dets)
 
     def test_empty_sweep(self):
-        found = steady_state_branches(cavity(), 0.07, KERR_PHASES[0], np.array([]))
-        assert isinstance(found, BranchArrays)
-        assert [len(field) for field in found] == [0, 0, 0]
-        assert split_bits(found) == []
+        for p_in, g in ((0.07, KERR_PHASES[0]), (0.07, 5.0), (0.0, -3.0)):
+            found = steady_state_branches(cavity(), p_in, g, np.array([]))
+            assert isinstance(found, BranchArrays)
+            assert [len(field) for field in found] == [0, 0, 0]
+            assert [field.dtype for field in found] == [np.float64, np.bool_, np.int64]
+            assert split_bits(found) == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("p_in", [0.0, 0.0088])
@@ -447,6 +452,9 @@ class TestStackedSweep:
             steady_state_branches(CavityParams(0.838, T1, LOSS), p_in, g, dets)
         with pytest.raises(DomainError, match="peak Kerr phase"):
             scan_profile(CavityParams(0.838, T1, LOSS), p_in, dets, g, "up")
+        # Checked before every solve, an empty sweep's too.
+        with pytest.raises(DomainError, match="peak Kerr phase"):
+            steady_state_branches(CavityParams(0.838, T1, LOSS), p_in, g, np.array([]))
 
 
 def manifold_ends(params, p_in, phase, turns=(-1, 0, 1)):
@@ -919,6 +927,17 @@ class TestHalfMaxAsymmetry:
     ])
     def test_end_point_crossings(self, y, expected):
         assert _half_max_asymmetry(np.arange(len(y), dtype=float), np.array(y)) == expected
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_sweep_order_leaves_the_value(self, descending, direction):
+        # Both orders of one sweep read the same skew, and it is >= 0.
+        c = CavityParams(0.838, 0.01, 0.0019)
+        dets = np.linspace(-8.0, 8.0, 1501) * c.linewidth_phase_fwhm
+        ascending = scan_profile(c, 0.0088, dets, -0.01, direction).asymmetry
+        found = scan_profile(c, 0.0088, dets[::-1] if descending else dets, -0.01,
+                             direction).asymmetry
+        assert found.hex() == ascending.hex() and found > 0.9
 
     def test_skewed_curve(self):
         # Lorentzian halves of half widths 0.3 and 0.8 on a grid that puts

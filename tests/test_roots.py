@@ -93,10 +93,12 @@ def test_lock_equation(recorded):
 
 
 def test_lock_without_drive():
+    # The general solve: each bracket [0, 0] starts on its root, +0.0.
     params = CavityParams(RT_LENGTH, T1, LOSS)
-    for conversion in (np.logspace(-7, 1, 5), np.array([])):
+    for conversion in (np.logspace(-7, 1, 5), np.array([0.0]), np.array([])):
         p = scenarios.locked_circulating_power(params, 0.0, conversion)
-        assert p.dtype == float and p.shape == conversion.shape and not p.any()
+        assert p.dtype == float and p.shape == conversion.shape
+        assert [x.hex() for x in p.tolist()] == [(0.0).hex()] * len(conversion)
 
 
 @pytest.mark.parametrize("p_in", [-0.01, math.nan, math.inf])

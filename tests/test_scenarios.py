@@ -418,6 +418,13 @@ class TestFig3:
         low = profiles_at(0.0088, tmp_path / "lo")
         assert high["asymmetry"] > low["asymmetry"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_warning_about_a_drive_the_run_never_reaches(self, tmp_path):
+        # kappa^2 L^2 = 0.078 per watt, but the lock runs at about 28 mW and the
+        # sweep at 0.1 mW: the lock's start estimate is per watt, not a 1 W drive.
+        config = mutated("fig3", {"crystal.kappa": 30.0, "fig3.input_power_w": 1.0e-4})
+        assert run_cli(config, tmp_path) == 0
+
     @pytest.mark.filterwarnings("ignore:single-pass drive")
     def test_saturating_conversion_exit_1(self, tmp_path, capsys):
         # At 1e5 W the lock's residual conversion alone takes the round-trip
