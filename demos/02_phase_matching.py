@@ -9,8 +9,8 @@ import numpy as np
 
 from kerrsqueezer import (
     calibrate_from_extrema,
-    conversion_sweep,
     find_conversion_extrema,
+    shg_efficiency,
 )
 
 model = calibrate_from_extrema(t_max=40.5, t_min1=61.2, length=0.0093)
@@ -22,7 +22,7 @@ for temperature, kind in find_conversion_extrema(model, (20.0, 88.0)):
 print("(the second zero lands at 81.9 C, 0.1 K from the measured 81.8 C)")
 
 temps = np.linspace(20.0, 88.0, 137)
-dk, eff = conversion_sweep(model, temps, p_in=2.48, kappa=14.0)
+eff = shg_efficiency(model, temps, p_in=2.48, kappa=14.0)
 peak = eff.max()
 print(f"\nconversion curve at 2.48 W circulating (kappa = 14 /sqrt(W)/m):")
 print(f"  peak single-pass conversion: {peak*100:.2f}% at {temps[np.argmax(eff)]:.1f} C")

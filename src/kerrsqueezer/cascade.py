@@ -74,10 +74,6 @@ class CascadeResult:
             )
 
 
-def _wrap(phi):
-    return (phi + math.pi) % (2.0 * math.pi) - math.pi
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre() -> tuple:
     """48-point Gauss-Legendre nodes and weights on [0, 1]."""
@@ -187,7 +183,8 @@ def extract_cascade_result(p_in, delta_k, kappa: float, length: float) -> Cascad
     over_rest = rest * np.sum(weights * integrand[:, n:2 * n], axis=1, keepdims=True)
     integral = 2.0 * periods * over_quarter + np.where(folded, 2.0 * over_quarter - over_rest,
                                                        over_rest)
-    nl_phase = _wrap(np.where(elliptic, -0.5 * s * np.sqrt(w_b) * integral, 0.0))
+    nl_phase = np.where(elliptic, -0.5 * s * np.sqrt(w_b) * integral, 0.0)
+    nl_phase = (nl_phase + math.pi) % (2.0 * math.pi) - math.pi  # wrapped into [-pi, pi)
     residual = np.where(elliptic, w_b * sn[:, -1:] * sn[:, -1:],  # w at zeta
                         np.where(matched, np.tanh(zeta) ** 2, 0.0))
     if not p.shape:

@@ -48,7 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves no state in the parser, as each
+    # parse_args call starts a fresh namespace from the defaults.
     parser = _Parser(prog="kerrsqueezer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -97,14 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Parsing leaves no state in the parser: each parse_args call starts a
-    # fresh namespace from the defaults.
-    return build_parser()
-
-
 def _cmd_run(args) -> int:
+    if args.config is None and args.scenario == "custom":
+        raise ValidationError("scenario 'custom' has no packaged config; pass --config")
     config_path = args.config or default_config_path(args.scenario)
     config = load_config(config_path)
     if config["scenario"] != args.scenario:
@@ -167,7 +165,7 @@ def _cmd_extrema(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "infer":

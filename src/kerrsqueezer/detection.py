@@ -49,10 +49,6 @@ class EfficiencyFactor:
         if self.sigma < 0.0 or not math.isfinite(self.sigma):
             raise DomainError(f"sigma must be finite and >= 0, got {self.sigma}")
 
-    @property
-    def relative_sigma(self) -> float:
-        return self.sigma / self.value
-
 
 @dataclass(frozen=True)
 class LossBudget:
@@ -99,7 +95,7 @@ def total_efficiency(budget: LossBudget) -> EfficiencyFactor:
     rel_sq = 0.0
     for _, factor in budget.factors():
         value *= factor.value
-        rel_sq += factor.relative_sigma**2
+        rel_sq += (factor.sigma / factor.value) ** 2
     value *= budget.visibility_factor
     return EfficiencyFactor(value, value * math.sqrt(rel_sq))
 

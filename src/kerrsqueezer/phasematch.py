@@ -28,12 +28,16 @@ __all__ = [
     "shg_efficiency",
     "calibrate_from_extrema",
     "find_conversion_extrema",
-    "conversion_sweep",
 ]
 
 # Above this single-pass drive (kappa^2 * p * L^2) the low-conversion
 # formula starts to misstate depletion noticeably.
 LOW_CONVERSION_DRIVE = 0.05
+
+# find_conversion_extrema lists about two extrema per conversion order (pi
+# in x = delta_k L / 2); a range reaching past this many orders from t_pm is
+# refused before any list is built.
+MAX_EXTREMA_ORDERS = 10**5
 
 
 @dataclass(frozen=True)
@@ -128,12 +132,18 @@ def find_conversion_extrema(
     Returns (temperature, kind) pairs sorted by temperature, ``kind`` being
     ``"max"`` (global maximum at t_pm and the secondary maxima at the roots
     of tan x = x) or ``"min"`` (the exact zeros at delta_k * L = 2 pi m).
+    A range reaching past ``MAX_EXTREMA_ORDERS`` orders from t_pm raises
+    ``DomainError``.
     """
     lo, hi = min(t_range), max(t_range)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("temperature range must be finite")
     scale = model.dk_dt * model.length / 2.0  # x = scale * (T - t_pm)
     x_lo, x_hi = sorted((scale * (lo - model.t_pm), scale * (hi - model.t_pm)))
+    x_abs_max = max(abs(x_lo), abs(x_hi))
+    if x_abs_max / math.pi > MAX_EXTREMA_ORDERS:
+        raise DomainError(f"temperature range ({lo}, {hi}) reaches {x_abs_max / math.pi:.3g} "
+                          f"conversion orders from t_pm; at most {MAX_EXTREMA_ORDERS} are listed")
 
     def temperature_of(x: float) -> float:
         return model.t_pm + x / scale
@@ -146,16 +156,9 @@ def find_conversion_extrema(
     for m in range(m_lo, m_hi + 1):
         if m != 0:
             extrema.append((temperature_of(m * math.pi), "min"))
-    x_abs_max = max(abs(x_lo), abs(x_hi))
     for root in _tan_x_equals_x_roots(x_abs_max):
         for x in (root, -root):
             if x_lo <= x <= x_hi:
                 extrema.append((temperature_of(x), "max"))
     extrema.sort(key=lambda item: item[0])
     return extrema
-
-
-def conversion_sweep(model: PhaseMatchModel, temperatures, p_in: float, kappa: float):
-    """Mismatch and conversion arrays for a temperature grid (CSV-ready)."""
-    temps = np.asarray(temperatures, dtype=float)
-    return delta_k(model, temps), shg_efficiency(model, temps, p_in, kappa)

@@ -53,9 +53,9 @@ from .errors import DomainError, InconsistentObservationError, ThresholdError, V
 from .phasematch import (
     _sinc2_conversion,
     calibrate_from_extrema,
-    conversion_sweep,
     delta_k,
     find_conversion_extrema,
+    shg_efficiency,
 )
 from .roots import brentq
 from .states import (
@@ -463,20 +463,12 @@ class RunWriter:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.fmt = fmt
-        self.files: list[Path] = []
-        self._digests: dict[Path, str] = {}  # sha256 of the bytes last written to each path
+        self.files: dict[Path, str] = {}  # sha256 of the bytes last written to each path
         # Cells of every column written so far, keyed by dtype, shape and
         # bytes: a column repeated within a run is formatted once.
         self._cell_memo: dict[tuple, list[str]] = {}
         # An earlier run's manifest would vouch for files this run replaces.
         (self.out_dir / "manifest").unlink(missing_ok=True)
-
-    def _write(self, name: str, content: str) -> Path:
-        path = self.out_dir / name
-        self.files.append(path)
-        path.write_bytes(data := content.encode())
-        self._digests[path] = hashlib.sha256(data).hexdigest()
-        return path
 
     def table(self, name: str, columns: Mapping[str, Any]) -> Path:
         """Write the equal-length 1-D numeric or bool ``columns`` (name -> array or
@@ -505,7 +497,7 @@ class RunWriter:
         seq[0], seq[-1] = (head, tail) if n else ("", empty)  # no rows: one slot
         text = "".join(seq)
         del seq  # the write encodes a copy of text; let it reuse this memory
-        return self._write(f"{name}.{self.fmt}", text)
+        return self.text(f"{name}.{self.fmt}", text)
 
     def _cells(self, v: np.ndarray) -> list[str]:
         # Checked before the key is built: an object array's bytes are pointers.
@@ -525,10 +517,14 @@ class RunWriter:
         return cells
 
     def report(self, name: str, payload: Mapping[str, Any]) -> Path:
-        return self._write(f"{name}.json", report_json(payload))
+        return self.text(f"{name}.json", report_json(payload))
 
     def text(self, name: str, content: str) -> Path:
-        return self._write(name, content)
+        """Write ``content`` as UTF-8 to ``name``; every file of the run goes through here."""
+        path, data = self.out_dir / name, content.encode()
+        self.files[path] = hashlib.sha256(data).hexdigest()  # before the write: discard sees it
+        path.write_bytes(data)
+        return path
 
     def discard(self) -> None:
         """Delete every file this writer wrote."""
@@ -546,8 +542,8 @@ class RunWriter:
             f"config_sha256: {config_hash}",
             "outputs:",
         ]
-        for path in sorted(self.files):
-            lines.append(f"  {path.name}: sha256={self._digests[path]}")
+        for path, digest in sorted(self.files.items()):
+            lines.append(f"  {path.name}: sha256={digest}")
         path = self.out_dir / "manifest"
         path.write_text("\n".join(lines) + "\n")
         return path
@@ -588,8 +584,8 @@ def run_conversion_sweep(config, writer: RunWriter) -> dict:
     temps = np.linspace(*t_range, int(_get(config, "fig3.sweep.points")))
     # Drive at the ideal resonant circulating power of the base cavity.
     p_drive = params.resonant_buildup * p_in
-    dk, eff = conversion_sweep(model, temps, p_drive, kappa)
-    writer.table("conversion_sweep", {"T_celsius": temps, "delta_k": dk, "shg_efficiency": eff})
+    writer.table("conversion_sweep", {"T_celsius": temps, "delta_k": delta_k(model, temps),
+                                      "shg_efficiency": shg_efficiency(model, temps, p_drive, kappa)})
     extrema = find_conversion_extrema(model, t_range)
     writer.table("extrema", {"T_celsius": [t for t, _ in extrema],
                              "kind_is_max": [k == "max" for _, k in extrema]})

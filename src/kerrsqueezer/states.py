@@ -23,7 +23,6 @@ __all__ = [
     "SqueezeObservation",
     "LossOnlyFit",
     "PhaseNoiseFit",
-    "vacuum",
     "pure_squeezed",
     "db_to_variance",
     "variance_to_db",
@@ -126,10 +125,6 @@ class PhaseNoiseFit(NamedTuple):
     r: float
     sigma: float
     residual_db: float
-
-
-def vacuum() -> GaussianQuadratureState:
-    return GaussianQuadratureState(1.0, 1.0, 0.0)
 
 
 def pure_squeezed(r: float) -> GaussianQuadratureState:

@@ -6,7 +6,6 @@ import pytest
 from kerrsqueezer import (
     DomainError,
     calibrate_from_extrema,
-    conversion_sweep,
     delta_k,
     find_conversion_extrema,
     shg_efficiency,
@@ -117,12 +116,6 @@ class TestEfficiency:
         with pytest.warns(UserWarning):
             shg_efficiency(model, T_MAX, 50.0, KAPPA)
 
-    def test_sweep_helper(self, model):
-        temps = np.linspace(30.0, 50.0, 5)
-        dk, eff = conversion_sweep(model, temps, 1.0, KAPPA)
-        np.testing.assert_allclose(dk, delta_k(model, temps))
-        np.testing.assert_allclose(eff, shg_efficiency(model, temps, 1.0, KAPPA))
-
 
 class TestExtrema:
     def test_reported_set(self, model):
@@ -165,6 +158,22 @@ class TestExtrema:
     def test_model_validation(self):
         with pytest.raises(DomainError):
             PhaseMatchModel(40.0, 0.0, 0.0093)
+
+    def test_huge_range_rejected(self, model):
+        # 4.8e298 orders: the list would never fit in memory.
+        with pytest.raises(DomainError) as err:
+            find_conversion_extrema(model, (20.0, 1e300))
+        assert str(err.value) == ("temperature range (20.0, 1e+300) reaches 4.83e+298 conversion "
+                                  "orders from t_pm; at most 100000 are listed")
+
+    def test_order_limit_counts_from_t_pm(self, model, monkeypatch):
+        # 88 C is 2.29 orders above t_pm, 0 C 1.96 below, 101 C 2.92 and 111 C
+        # 3.41 above.
+        monkeypatch.setattr(phasematch, "MAX_EXTREMA_ORDERS", 3)
+        assert len(find_conversion_extrema(model, (0.0, 88.0))) == 6
+        assert find_conversion_extrema(model, (100.0, 101.0)) == []
+        with pytest.raises(DomainError, match="3.41 conversion orders"):
+            find_conversion_extrema(model, (110.0, 111.0))
 
 
 class TestTanRootCache:

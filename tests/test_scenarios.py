@@ -1,9 +1,11 @@
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -805,25 +807,25 @@ class TestRunWriter:
         writer = RunWriter(tmp_path, fmt)
         with pytest.raises(ValueError, match=r"unequal column lengths \[2, 3\]"):
             writer.table("t", {"x": np.array([0.1, 0.2]), "n": [1, 2, 3]})
-        assert writer.files == [] and list(tmp_path.iterdir()) == []
+        assert writer.files == {} and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_two_dimensional_column_raises(self, fmt, tmp_path):
         writer = RunWriter(tmp_path, fmt)
         with pytest.raises(ValueError, match=r"must be 1-D, got \[\(2, 2\), \(2,\)\]"):
             writer.table("t", {"x": np.ones((2, 2)), "y": [1, 2]})
-        assert writer.files == [] and list(tmp_path.iterdir()) == []
+        assert writer.files == {} and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_zero_dimensional_column_raises(self, fmt, tmp_path):
         writer = RunWriter(tmp_path, fmt)
         with pytest.raises(ValueError, match=r"must be 1-D, got \[\(2,\), \(\)\]"):
             writer.table("t", {"x": [0.5, 1.5], "y": np.float64(2.0)})
-        assert writer.files == [] and list(tmp_path.iterdir()) == []
+        assert writer.files == {} and list(tmp_path.iterdir()) == []
 
     def test_manifest_hashes_the_written_bytes(self, tmp_path, monkeypatch):
-        # A name written twice lists the last content's digest on both of its
-        # lines, and the manifest reads no file back.
+        # A name written twice is listed once, with the last content's digest,
+        # and the manifest reads no file back.
         import hashlib
 
         writer = RunWriter(tmp_path)
@@ -834,7 +836,7 @@ class TestRunWriter:
         lines = writer.manifest("custom", 1, "seed: 1\n").read_text().splitlines()
         monkeypatch.undo()
         listed = [line.strip().split(": sha256=") for line in lines if "sha256=" in line]
-        assert [name for name, _ in listed] == ["a.txt", "a.txt", "t.csv"]
+        assert [name for name, _ in listed] == ["a.txt", "t.csv"]
         for name, digest in listed:
             assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert (tmp_path / "a.txt").read_bytes() == "sécond\n".encode("utf-8")
@@ -1049,3 +1051,41 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         temps = {round(e["T_celsius"], 1): e["kind"] for e in report["extrema"]}
         assert temps[61.2] == "min" and temps[81.9] == "min" and temps[40.5] == "max"
+
+    def test_run_custom_needs_config(self, tmp_path, monkeypatch, capsys):
+        # No custom config is packaged; the run names the missing option and
+        # creates no output directory.
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "custom"]) == 1
+        assert capsys.readouterr().err == (
+            "validation error: scenario 'custom' has no packaged config; pass --config\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scenario, changes", [
+        ("fig3", {"fig3.sweep.stop_c": 1.0e300}),
+        ("fig5", {"fig5.temperatures_c": [40.5, 61.2, 1.0e300]}),
+    ], ids=["fig3", "fig5"])
+    def test_run_over_a_huge_temperature_range_exit_1(self, scenario, changes, tmp_path, capsys):
+        path, out = tmp_path / "cfg.yaml", tmp_path / "out"
+        path.write_text(yaml.safe_dump(mutated(scenario, changes)))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", scenario, "--config", str(path), "--out", str(out)]) == 1
+        assert "conversion orders from t_pm" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+class TestPackageApi:
+    """The package exports each module's public names and nothing else."""
+
+    def test_exports_each_module_list_and_nothing_else(self):
+        from kerrsqueezer import errors
+
+        exceptions = {name for name, value in vars(errors).items()
+                      if isinstance(value, type) and issubclass(value, Exception)}
+        assert len(exceptions) == 8
+        expected = exceptions.union(*(importlib.import_module(f"kerrsqueezer.{module}").__all__
+                                      for module in ("cascade", "cavity", "detection",
+                                                     "phasematch", "states")))
+        exported = {name for name, value in vars(kerrsqueezer).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert exported == expected

@@ -18,7 +18,6 @@ from kerrsqueezer import (
     infer_phase_noise,
     pure_squeezed,
     quadrature_variance,
-    vacuum,
     variance_to_db,
 )
 
@@ -157,7 +156,7 @@ class TestLossChannel:
     @pytest.mark.parametrize("eta", [-0.01, 1.01, math.nan])
     def test_domain(self, eta):
         with pytest.raises(DomainError):
-            apply_loss(vacuum(), eta)
+            apply_loss(GaussianQuadratureState(1.0, 1.0), eta)
 
 
 class TestPhaseJitter:
@@ -198,7 +197,7 @@ class TestPhaseJitter:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
-            dephase(vacuum(), -0.1)
+            dephase(GaussianQuadratureState(1.0, 1.0), -0.1)
 
 
 class TestInferLossOnly:
