@@ -28,6 +28,8 @@ periods of ``sn^2`` plus a remainder, each folded at the quarter period K,
 by 48-node Gauss-Legendre quadrature; ``sn`` and K come from the descending
 AGM, so only numpy's ``sin``, ``arcsin`` and ``sqrt`` are involved.  Each row
 is computed on its own, so a batch gives the bits of row-by-row calls.
+``single_pass_conversion`` evaluates ``sn`` at the folded end alone; at low
+drive ``w -> zeta^2 sinc^2(delta_k L / 2)``, the sinc^2 law of ``phasematch``.
 
 In the low-conversion, strongly mismatched regime the accumulated
 intensity-dependent phase of the fundamental follows the cascading
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +56,7 @@ __all__ = [
     "CascadeResult",
     "effective_kerr_phase",
     "extract_cascade_result",
+    "single_pass_conversion",
 ]
 
 _EPS = np.finfo(float).eps
@@ -128,17 +132,14 @@ def effective_kerr_phase(p_in: float, delta_k: float, kappa: float, length: floa
     return -(kappa**2 * p_in * length / delta_k) * (1.0 - sinc_x)
 
 
-def extract_cascade_result(p_in, delta_k, kappa: float, length: float) -> CascadeResult:
-    """Nonlinear phase and residual conversion of one crystal pass, exactly.
+_Orbit = namedtuple("_Orbit", "shape s w_b w_c elliptic levels quarter periods rest folded "
+                              "residual")  # the input shape, then (rows, 1) arrays
 
-    ``p_in`` and ``delta_k`` may be arrays; they broadcast, and the result
-    holds one array entry per row; each row's orbit (``s``, ``w_b`` and the
-    AGM levels of ``m = w_b^2``) follows the closed form above.  In the
-    interaction picture the linear phase is exactly zero, so the nonlinear
-    phase is the phase of the output fundamental.  Raises :class:`DomainError`
-    for zero rows, a negative or non-finite power, a non-finite ``kappa`` or
-    ``delta_k``, or a length that is not positive.
-    """
+
+def _orbit(p_in, delta_k, kappa: float, length: float) -> _Orbit:
+    """Checks a pass's inputs and sets up each row's orbit from the closed form
+    above, down to the ``rest`` of ``zeta / sqrt(w_b)`` after whole periods 2K
+    of ``sn^2``, folded at ``quarter`` = K, and ``w`` there, the ``residual``."""
     if length <= 0.0 or not math.isfinite(length):
         raise DomainError(f"length must be positive, got {length}")
     if not math.isfinite(kappa):
@@ -165,29 +166,54 @@ def extract_cascade_result(p_in, delta_k, kappa: float, length: float) -> Cascad
     s = np.where(elliptic, s, 0.0)
     w_b, w_c = np.where(elliptic, w_b, 0.5), np.where(elliptic, w_c, 0.5)
     zeta, levels = g * length, _agm(w_b, w_c)
-    nodes, weights = _gauss_legendre()
     quarter = 0.5 * math.pi / levels[-1][0]  # K
     u_end = zeta / np.sqrt(w_b)
     # u_end = 2K periods + rest, and sn^2 is even about K: a rest past K is
-    # folded to 2K - rest, and its integral is the whole period's less the
-    # folded part.  sn^2(u_end) is sn^2 of the folded rest.
+    # folded to 2K - rest, and sn^2(u_end) is sn^2 of the folded rest.
     periods = np.floor(u_end / (2.0 * quarter))
     rest = u_end - periods * (2.0 * quarter)
     folded = rest > quarter
     rest = np.where(folded, 2.0 * quarter - rest, rest)
-    sn, cn = _sn_cn(np.concatenate((quarter * nodes, rest * nodes, rest), axis=1), levels)
+    sn = _sn_cn(rest, levels)[0]
+    residual = np.where(elliptic, w_b * sn * sn, np.where(matched, np.tanh(zeta) ** 2, 0.0))
+    return _Orbit(p.shape, s, w_b, w_c, elliptic, levels, quarter, periods, rest, folded, residual)
+
+
+def single_pass_conversion(p_in, delta_k, kappa: float, length: float) -> np.ndarray:
+    """Harmonic power fraction ``w`` after one crystal pass, exactly, in the
+    broadcast shape of ``p_in`` and ``delta_k`` (a float for scalars): the
+    bits of ``extract_cascade_result(...).residual_conversion`` without the
+    phase quadrature.  Raises :class:`DomainError` as that function does."""
+    orbit = _orbit(p_in, delta_k, kappa, length)
+    return orbit.residual.reshape(orbit.shape)[()]  # [()]: a float64 for scalar inputs
+
+
+def extract_cascade_result(p_in, delta_k, kappa: float, length: float) -> CascadeResult:
+    """Nonlinear phase and residual conversion of one crystal pass, exactly.
+
+    ``p_in`` and ``delta_k`` may be arrays; they broadcast, and the result
+    holds one array entry per row; each row's orbit (``s``, ``w_b`` and the
+    AGM levels of ``m = w_b^2``) follows the closed form above.  In the
+    interaction picture the linear phase is exactly zero, so the nonlinear
+    phase is the phase of the output fundamental.  Raises :class:`DomainError`
+    for zero rows, a negative or non-finite power, a non-finite ``kappa`` or
+    ``delta_k``, or a length that is not positive.
+    """
+    orbit = _orbit(p_in, delta_k, kappa, length)
+    quarter, rest, w_b = orbit.quarter, orbit.rest, orbit.w_b
+    nodes, weights = _gauss_legendre()
+    sn, cn = _sn_cn(np.concatenate((quarter * nodes, rest * nodes), axis=1), orbit.levels)
     w = w_b * sn * sn
-    integrand = w / (w_c + w_b * cn * cn)  # w / (1 - w), without cancellation near w_b = 1
+    integrand = w / (orbit.w_c + w_b * cn * cn)  # w / (1 - w), without cancellation near w_b = 1
     n = len(nodes)
     over_quarter = quarter * np.sum(weights * integrand[:, :n], axis=1, keepdims=True)
-    over_rest = rest * np.sum(weights * integrand[:, n:2 * n], axis=1, keepdims=True)
-    integral = 2.0 * periods * over_quarter + np.where(folded, 2.0 * over_quarter - over_rest,
-                                                       over_rest)
-    nl_phase = np.where(elliptic, -0.5 * s * np.sqrt(w_b) * integral, 0.0)
+    over_rest = rest * np.sum(weights * integrand[:, n:], axis=1, keepdims=True)
+    # A folded rest's integral is the whole period's less the folded part.
+    integral = 2.0 * orbit.periods * over_quarter + np.where(
+        orbit.folded, 2.0 * over_quarter - over_rest, over_rest)
+    nl_phase = np.where(orbit.elliptic, -0.5 * orbit.s * np.sqrt(w_b) * integral, 0.0)
     nl_phase = (nl_phase + math.pi) % (2.0 * math.pi) - math.pi  # wrapped into [-pi, pi)
-    residual = np.where(elliptic, w_b * sn[:, -1:] * sn[:, -1:],  # w at zeta
-                        np.where(matched, np.tanh(zeta) ** 2, 0.0))
-    if not p.shape:
+    residual = orbit.residual
+    if not orbit.shape:
         return CascadeResult(float(nl_phase[0, 0]), float(residual[0, 0]))
-    return CascadeResult(nl_phase.reshape(p.shape), residual.reshape(p.shape))
-
+    return CascadeResult(nl_phase.reshape(orbit.shape), residual.reshape(orbit.shape))

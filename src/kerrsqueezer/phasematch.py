@@ -1,20 +1,22 @@
 """Temperature tuning of quasi-phase-matched second-harmonic conversion.
 
 The wavevector mismatch is modeled as linear in crystal temperature,
-``delta_k(T) = dk_dt * (T - t_pm)``, and low-depletion conversion follows
-the usual sinc^2 law
+``delta_k(T) = dk_dt * (T - t_pm)``.  At low drive the single-pass
+conversion follows the sinc^2 law
 
     eta_SHG = kappa^2 * p_in * L^2 * sinc^2(delta_k * L / 2),
 
 with ``sinc(x) = sin(x)/x``.  ``kappa`` (units W^-1/2 m^-1) lumps the
-effective nonlinearity and mode overlap and is a calibration input.
+effective nonlinearity and mode overlap and is a calibration input.  The
+law's zeros and maxima calibrate the model and are the extrema listed here;
+it is also the lock's start estimate.  The exact conversion at any drive is
+:func:`kerrsqueezer.cascade.single_pass_conversion`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +27,9 @@ from .roots import brentq
 __all__ = [
     "PhaseMatchModel",
     "delta_k",
-    "shg_efficiency",
     "calibrate_from_extrema",
     "find_conversion_extrema",
 ]
-
-# Above this single-pass drive (kappa^2 * p * L^2) the low-conversion
-# formula starts to misstate depletion noticeably.
-LOW_CONVERSION_DRIVE = 0.05
 
 # find_conversion_extrema lists about two extrema per conversion order (pi
 # in x = delta_k L / 2); a range reaching past this many orders from t_pm is
@@ -57,38 +54,15 @@ class PhaseMatchModel:
             raise DomainError("mismatch slope dk_dt must be nonzero")
 
 
-def _sinc(x):
-    """sin(x)/x with sinc(0) = 1 (numpy's sinc uses the normalized argument)."""
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
-
-
 def delta_k(model: PhaseMatchModel, temperature):
     """Phase mismatch in rad/m at ``temperature`` (scalar or array, deg C)."""
     dk = model.dk_dt * (np.asarray(temperature, dtype=float) - model.t_pm)
     return float(dk) if np.isscalar(temperature) else dk
 
 
-def shg_efficiency(model: PhaseMatchModel, temperature, p_in: float, kappa: float):
-    """Single-pass converted power fraction at the given drive power.
-
-    Valid in the low-conversion regime; a warning is emitted once the
-    drive ``kappa^2 * p_in * L^2`` exceeds ``LOW_CONVERSION_DRIVE``.
-    """
-    if not math.isfinite(p_in) or p_in < 0.0:
-        raise DomainError(f"drive power must be >= 0, got {p_in}")
-    drive = kappa**2 * p_in * model.length**2
-    if drive > LOW_CONVERSION_DRIVE:
-        warnings.warn(
-            f"single-pass drive {drive:.3g} exceeds the low-conversion regime",
-            stacklevel=2,
-        )
-    eff = _sinc2_conversion(model, temperature, drive)
-    return float(eff) if np.isscalar(temperature) else eff
-
-
 def _sinc2_conversion(model: PhaseMatchModel, temperature, drive: float):
-    """The sinc^2 law at single-pass drive ``kappa^2 p L^2``, without the regime check."""
-    return drive * _sinc(delta_k(model, temperature) * model.length / 2.0) ** 2
+    """The sinc^2 law at single-pass drive ``kappa^2 p L^2``; ``np.sinc`` takes x / pi."""
+    return drive * np.sinc(delta_k(model, temperature) * model.length / 2.0 / np.pi) ** 2
 
 
 def calibrate_from_extrema(t_max: float, t_min1: float, length: float) -> PhaseMatchModel:

@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import __version__ as _VERSION
-from .cascade import extract_cascade_result
+from .cascade import extract_cascade_result, single_pass_conversion
 from .cavity import (
     CavityParams,
     OperatingPoint,
@@ -50,13 +50,7 @@ from .detection import (
     trace_samples,
 )
 from .errors import DomainError, InconsistentObservationError, ThresholdError, ValidationError
-from .phasematch import (
-    _sinc2_conversion,
-    calibrate_from_extrema,
-    delta_k,
-    find_conversion_extrema,
-    shg_efficiency,
-)
+from .phasematch import _sinc2_conversion, calibrate_from_extrema, delta_k, find_conversion_extrema
 from .roots import brentq
 from .states import (
     GaussianQuadratureState,
@@ -575,6 +569,11 @@ def _jsonify(obj):
 # scenario runners
 
 
+def _first_minimum(model, extrema) -> Optional[float]:
+    """The first conversion minimum above ``t_pm`` among ``extrema``, or None."""
+    return next((t for t, k in extrema if k == "min" and t > model.t_pm), None)
+
+
 def run_conversion_sweep(config, writer: RunWriter) -> dict:
     """Conversion-vs-temperature table and extrema report (fig3 core)."""
     model, kappa = _crystal(config)
@@ -582,17 +581,17 @@ def run_conversion_sweep(config, writer: RunWriter) -> dict:
     p_in = float(_get(config, "fig3.input_power_w"))
     t_range = (float(_get(config, "fig3.sweep.start_c")), float(_get(config, "fig3.sweep.stop_c")))
     temps = np.linspace(*t_range, int(_get(config, "fig3.sweep.points")))
-    # Drive at the ideal resonant circulating power of the base cavity.
-    p_drive = params.resonant_buildup * p_in
-    writer.table("conversion_sweep", {"T_celsius": temps, "delta_k": delta_k(model, temps),
-                                      "shg_efficiency": shg_efficiency(model, temps, p_drive, kappa)})
+    # The exact conversion at the ideal resonant circulating power of the base cavity.
+    p_drive, dk = params.resonant_buildup * p_in, delta_k(model, temps)
+    writer.table("conversion_sweep", {"T_celsius": temps, "delta_k": dk, "shg_efficiency":
+                                      single_pass_conversion(p_drive, dk, kappa, model.length)})
     extrema = find_conversion_extrema(model, t_range)
     writer.table("extrema", {"T_celsius": [t for t, _ in extrema],
                              "kind_is_max": [k == "max" for _, k in extrema]})
     return {
         "extrema": [{"T_celsius": t, "kind": k} for t, k in extrema],
         "drive_power_w": p_drive,
-        "first_minimum_c": next((t for t, k in extrema if k == "min" and t > model.t_pm), None),
+        "first_minimum_c": _first_minimum(model, extrema),
     }
 
 
@@ -738,9 +737,8 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
 
     i_best = max(below, key=lambda i: records[i]["squeeze_db"])
     best = records[i_best]
-    minima = [t for t, k in find_conversion_extrema(model, (min(temperatures), max(temperatures)))
-              if k == "min" and t > model.t_pm]
-    first_minimum = minima[0] if minima else None
+    first_minimum = _first_minimum(
+        model, find_conversion_extrema(model, (min(temperatures), max(temperatures))))
 
     # Spectrum export at the best temperature.
     freqs = np.linspace(0.0, 4.0 * params.fsr, int(_get(config, "fig5.spectrum_points")))

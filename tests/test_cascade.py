@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,7 +6,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipkm1
 
-from kerrsqueezer import DomainError, ValidityError, effective_kerr_phase, extract_cascade_result
+from kerrsqueezer import (
+    DomainError,
+    ValidityError,
+    effective_kerr_phase,
+    extract_cascade_result,
+    single_pass_conversion,
+)
+from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
 
 LENGTH = 0.0093
 
@@ -270,7 +278,8 @@ class TestExtractCascade:
     def test_batch_gives_row_bits(self, seed):
         # Each row is computed on its own: no batch size, largest power or
         # largest mismatch changes a row's bits.  Zero powers, zero
-        # mismatches and the (3, rows) layout of the lock's slope pass included.
+        # mismatches and the (3, rows) layout of the lock's slope pass included;
+        # single_pass_conversion gives the residual conversion's bits.
         rng = np.random.default_rng(seed)
         rows = int(rng.integers(2, 60))
         powers = np.multiply.outer([1.0 - 1e-4, 1.0, 1.0 + 1e-4], rng.uniform(0.0, 30.0, rows))
@@ -279,10 +288,33 @@ class TestExtractCascade:
         mismatches[rng.random(rows) < 0.1] = 0.0
         kappa = float(rng.uniform(3.0, 150.0))
         batch = extract_cascade_result(powers, mismatches, kappa, LENGTH)
+        conversion = single_pass_conversion(powers, mismatches, kappa, LENGTH)
+        assert conversion.tolist() == batch.residual_conversion.tolist()
         for i, j in np.ndindex(powers.shape):
             row = extract_cascade_result(float(powers[i, j]), float(mismatches[j]), kappa, LENGTH)
             assert batch.nl_phase[i, j] == row.nl_phase
             assert batch.residual_conversion[i, j] == row.residual_conversion
+            one = single_pass_conversion(float(powers[i, j]), float(mismatches[j]), kappa, LENGTH)
+            assert isinstance(one, float) and one == row.residual_conversion
+
+    @pytest.mark.parametrize("input_power_w, drive", [(None, 0.042), (0.029072, 0.139)])
+    def test_conversion_sweep_writes_the_residual_conversion(self, tmp_path, input_power_w,
+                                                             drive):
+        # fig3's shg_efficiency column is the exact residual conversion at the
+        # sweep's drive kappa^2 p L^2, bit for bit: packaged fig3, and the
+        # largest drive of the benchmark's fig3 configs (seed 3).
+        config = load_config(default_config_path("fig3"))
+        config["scenario"], config["custom"] = "custom", {"tasks": ["conversion_sweep"]}
+        if input_power_w is not None:
+            config["fig3"]["input_power_w"] = input_power_w
+        p_drive = run_scenario(config, tmp_path)["conversion_sweep"]["drive_power_w"]
+        crystal = config["crystal"]
+        kappa, length = crystal["kappa"], crystal["length_m"]
+        assert kappa**2 * p_drive * length**2 == pytest.approx(drive, abs=5e-4)
+        with open(tmp_path / "conversion_sweep.csv", newline="") as table:
+            columns = {name: [float(v) for v in col] for name, *col in zip(*csv.reader(table))}
+        exact = extract_cascade_result(p_drive, np.array(columns["delta_k"]), kappa, length)
+        assert columns["shg_efficiency"] == exact.residual_conversion.tolist()
 
     def test_phase_matched_pure_depletion(self):
         # At zero mismatch the crystal depletes but does not phase shift.

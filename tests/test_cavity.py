@@ -504,7 +504,6 @@ class TestManifoldBrackets:
     root within 1e-13 of a long-double Newton step, and stability alternating
     from a stable first root."""
 
-    @pytest.mark.filterwarnings("ignore:single-pass drive")
     def test_benchmark_and_packaged_scans(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
         from workloads import generate
@@ -838,7 +837,6 @@ class TestArrayFollow:
     """scan_profile follows the branch on the BranchArrays bit for bit as the
     per-point loop followed the branch lists."""
 
-    @pytest.mark.filterwarnings("ignore:single-pass drive")
     def test_benchmark_and_packaged_scans(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
         from workloads import generate
