@@ -28,8 +28,9 @@ periods of ``sn^2`` plus a remainder, each folded at the quarter period K,
 by 48-node Gauss-Legendre quadrature; ``sn`` and K come from the descending
 AGM, so only numpy's ``sin``, ``arcsin`` and ``sqrt`` are involved.  Each row
 is computed on its own, so a batch gives the bits of row-by-row calls.
-``single_pass_conversion`` evaluates ``sn`` at the folded end alone; at low
-drive ``w -> zeta^2 sinc^2(delta_k L / 2)``, the sinc^2 law of ``phasematch``.
+``single_pass_conversion`` evaluates ``sn`` at the folded end alone, for
+fig3's conversion sweep and each Newton step of the cavity lock; at low drive
+``w -> zeta^2 sinc^2(delta_k L / 2)``, the law whose extrema ``phasematch`` lists.
 
 In the low-conversion, strongly mismatched regime the accumulated
 intensity-dependent phase of the fundamental follows the cascading

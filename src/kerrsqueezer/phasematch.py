@@ -8,9 +8,9 @@ conversion follows the sinc^2 law
 
 with ``sinc(x) = sin(x)/x``.  ``kappa`` (units W^-1/2 m^-1) lumps the
 effective nonlinearity and mode overlap and is a calibration input.  The
-law's zeros and maxima calibrate the model and are the extrema listed here;
-it is also the lock's start estimate.  The exact conversion at any drive is
-:func:`kerrsqueezer.cascade.single_pass_conversion`.
+law's zeros and maxima calibrate the model and are the extrema listed here,
+in closed form; nothing here evaluates the law itself.  The exact conversion
+at any drive is :func:`kerrsqueezer.cascade.single_pass_conversion`.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ def delta_k(model: PhaseMatchModel, temperature):
     """Phase mismatch in rad/m at ``temperature`` (scalar or array, deg C)."""
     dk = model.dk_dt * (np.asarray(temperature, dtype=float) - model.t_pm)
     return float(dk) if np.isscalar(temperature) else dk
-
-
-def _sinc2_conversion(model: PhaseMatchModel, temperature, drive: float):
-    """The sinc^2 law at single-pass drive ``kappa^2 p L^2``; ``np.sinc`` takes x / pi."""
-    return drive * np.sinc(delta_k(model, temperature) * model.length / 2.0 / np.pi) ** 2
 
 
 def calibrate_from_extrema(t_max: float, t_min1: float, length: float) -> PhaseMatchModel:

@@ -49,9 +49,9 @@ from .detection import (
     total_efficiency,
     trace_samples,
 )
-from .errors import DomainError, InconsistentObservationError, ThresholdError, ValidationError
-from .phasematch import _sinc2_conversion, calibrate_from_extrema, delta_k, find_conversion_extrema
-from .roots import brentq
+from .errors import (DomainError, InconsistentObservationError, NumericalError, ThresholdError,
+                     ValidationError)
+from .phasematch import calibrate_from_extrema, delta_k, find_conversion_extrema
 from .states import (
     GaussianQuadratureState,
     SqueezeObservation,
@@ -377,36 +377,51 @@ def _tomography(config) -> TomographySettings:
     )
 
 
-def locked_circulating_power(params: CavityParams, p_in: float, conversion_per_watt) -> np.ndarray:
-    """Resonant circulating powers with conversion entering the loss.
-
-    Solves ``p * (1 - r_eff(loss_0 + c p))^2 = T1 * p_in`` for each
-    conversion ``c`` of the 1-D array ``conversion_per_watt`` by bracketed
-    root finding, all rows in one call; the left side is strictly
-    increasing in p, so each root is unique (0 at zero drive).  A negative or
-    non-finite conversion raises :class:`DomainError`: conversion only adds loss.
-    """
-    t1 = params.coupler_transmission
-    loss0 = params.round_trip_loss
-    conversion = np.asarray(conversion_per_watt, dtype=float)
-    if not math.isfinite(p_in) or p_in < 0.0:
-        raise DomainError(f"input power must be >= 0, got {p_in}")
-    if not np.all(np.isfinite(conversion) & (conversion >= 0.0)):
-        raise DomainError(f"conversion per watt must be finite and >= 0, got {conversion_per_watt}")
-
-    def implicit(p, index):
-        loss = np.minimum(loss0 + conversion[index] * p, 0.999999)
-        r = np.sqrt((1.0 - t1) * (1.0 - loss))
-        return p * (1.0 - r) ** 2 - t1 * p_in
-
-    p_hi = params.resonant_buildup * p_in * (1.0 + 1e-6)
-    return brentq(implicit, np.zeros(conversion.shape), np.full(conversion.shape, p_hi),
-                  xtol=1e-300, rtol=8.9e-16)
-
-
-# Relative power step of the central difference that gives the Kerr slope.
+# Relative power step of the central differences that give g and the lock's R'.
 SLOPE_STEP = 1e-4
 SLOPE_FACTORS = np.array([1.0 - SLOPE_STEP, 1.0, 1.0 + SLOPE_STEP])
+LOCK_MAX_STEPS = 50  # Newton steps of the lock before it raises NumericalError
+
+
+def locked_circulating_power(params: CavityParams, p_in: float, delta_k, kappa: float,
+                             length: float) -> np.ndarray:
+    """Resonant circulating powers with the exact residual conversion in the loss.
+
+    Solves ``G(p) = p (1 - r)^2 - T1 p_in = 0``, ``r = sqrt((1 - T1)(1 - min(loss_0
+    + R(p), 0.999999)))`` with ``R`` the :func:`single_pass_conversion`, for each
+    mismatch of the 1-D array ``delta_k``, by Newton from ``p_0 = resonant_buildup
+    * p_in`` inside the bracket ``G(0) <= 0 <= G(p_0)``; a step that leaves the
+    bracket bisects it.  Each step is one conversion call at ``p * SLOPE_FACTORS``,
+    whose outer rows give R' (0 where the loss clamps), and a row stops on its own
+    at ``|step| <= 1e-13 p``, so a batch gives each row's bits alone.  Raises
+    :class:`DomainError` for a negative or non-finite drive and
+    :class:`NumericalError` for a row not stopped in ``LOCK_MAX_STEPS`` steps.
+    """
+    if not math.isfinite(p_in) or p_in < 0.0:
+        raise DomainError(f"input power must be >= 0, got {p_in}")
+    t1, loss0 = params.coupler_transmission, params.round_trip_loss
+    dk = np.asarray(delta_k, dtype=float)
+    p = np.full(dk.shape, params.resonant_buildup * p_in)
+    lo, hi = np.zeros(dk.shape), p.copy()  # G(lo) <= 0 <= G(hi), row by row
+    live, steps = np.arange(dk.size), 0
+    while live.size:
+        if (steps := steps + 1) > LOCK_MAX_STEPS:
+            raise NumericalError(f"the lock at input power {p_in} W did not converge in "
+                                 f"{LOCK_MAX_STEPS} Newton steps for {live.size} row(s)")
+        q = p[live]
+        conv = single_pass_conversion(np.multiply.outer(SLOPE_FACTORS, q), dk[live], kappa, length)
+        loss = loss0 + conv[1]
+        r = np.sqrt((1.0 - t1) * (1.0 - np.minimum(loss, 0.999999)))
+        p_slope = np.where(loss < 0.999999, (conv[2] - conv[0]) / (2.0 * SLOPE_STEP), 0.0)  # p R'
+        g = q * (1.0 - r) ** 2 - t1 * p_in
+        hi[live], lo[live] = np.where(g > 0.0, q, hi[live]), np.where(g > 0.0, lo[live], q)
+        # G' = (1 - r)^2 - 2 p (1 - r) r', with r' = -(1 - T1) R' / (2 r).
+        x = q - g / ((1.0 - r) ** 2 + (1.0 - r) * (1.0 - t1) / r * p_slope)
+        # R' < 0 can turn G' negative: a step out of the bracket bisects it (a zero step stays).
+        inside = (lo[live] < x) & (x < hi[live]) | (x == q)
+        p[live] = x = np.where(inside, x, 0.5 * (lo[live] + hi[live]))
+        live = live[~(np.abs(q - x) <= 1e-13 * q)]
+    return p
 
 
 def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float) -> list:
@@ -414,22 +429,17 @@ def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float
 
     Returns one ``(delta_k, residual conversion, Kerr slope g in rad/W,
     cavity with the residual conversion added to its loss, operating
-    point)`` per temperature.  The lock takes two passes: the analytic
-    low-conversion estimate, then one refinement from the exact cascade.
-    Each pass solves the lock for all rows in one call and computes all
-    rows in one cascade call.
-    The last pass runs at ``p_lock * SLOPE_FACTORS``: the middle row gives
-    the residual conversion, the outer rows' central difference ``epsilon =
-    g * p_lock * FSR`` of each row's :class:`OperatingPoint`.  A residual
-    conversion that takes the round-trip loss to 1 raises :class:`DomainError`.
+    point)`` per temperature.  One :func:`locked_circulating_power` call
+    locks every row, then one cascade call at ``p_lock * SLOPE_FACTORS``
+    gives each row's residual conversion (the middle row) and the central
+    difference ``epsilon = g * p_lock * FSR`` of its :class:`OperatingPoint`
+    (the outer rows).  A residual conversion that takes the round-trip loss
+    to 1 raises :class:`DomainError`.
     """
     temps = np.asarray(temperatures, dtype=float)
     dk = delta_k(model, temps)
-    conv_w = _sinc2_conversion(model, temps, kappa**2 * model.length**2)  # per watt
-    for factors in ([1.0], SLOPE_FACTORS):
-        p_lock = locked_circulating_power(params, p_in, conv_w)
-        res = extract_cascade_result(np.multiply.outer(factors, p_lock), dk, kappa, model.length)
-        conv_w = res.residual_conversion[len(factors) // 2] / p_lock
+    p_lock = locked_circulating_power(params, p_in, dk, kappa, model.length)
+    res = extract_cascade_result(np.multiply.outer(SLOPE_FACTORS, p_lock), dk, kappa, model.length)
     phi_lo, _, phi_hi = res.nl_phase
     epsilon = (phi_hi - phi_lo) / (2.0 * SLOPE_STEP) * params.fsr
     loss0, points = params.round_trip_loss, []
@@ -607,23 +617,15 @@ def run_profiles(config, writer: RunWriter) -> dict:
     out = []
     for temperature, (_, _, g, scan_params, op) in zip(
             temperatures, _locked_points(model, kappa, temperatures, params, p_in)):
-        span = span_lw * scan_params.linewidth_phase_fwhm + 1.6 * abs(g) * max(
-            op.p_circ, scan_params.resonant_buildup * p_in
-        )
+        span = span_lw * scan_params.linewidth_phase_fwhm + 1.6 * abs(g) * op.p_circ
         detunings = np.linspace(-span, span, n_points)
         profile = scan_profile(scan_params, p_in, detunings, g, "up")
         writer.table(_profile_name(temperature), {"detuning_rad": profile.detuning,
                                                   "p_circ_W": profile.p_circ,
                                                   "p_trans_W": profile.p_trans})
-        out.append(
-            {
-                "temperature_c": float(temperature),
-                "asymmetry": profile.asymmetry,
-                "bistable": profile.multi_branch,
-                "kerr_slope_rad_per_w": g,
-                "locked_power_w": op.p_circ,
-            }
-        )
+        out.append({"temperature_c": float(temperature), "asymmetry": profile.asymmetry,
+                    "bistable": profile.multi_branch, "kerr_slope_rad_per_w": g,
+                    "locked_power_w": op.p_circ})
     return {"profiles": out}
 
 

@@ -2,7 +2,8 @@
 
 An array call is checked element by element: each root must be scipy's on
 that element's own bracket, and a failing element must raise scipy's error.
-A single bracket goes through a 1-element array call.
+A single bracket goes through a 1-element array call.  ``roots.brentq`` is in
+turn the oracle of the lock's Newton solve, bracketing the same exact equation.
 """
 
 import math
@@ -13,7 +14,10 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 
 from kerrsqueezer import (
-    CavityParams, DomainError, cavity, phasematch, roots, scan_profile, scenarios)
+    CavityParams, DomainError, cavity, delta_k, phasematch, roots, scan_profile, scenarios,
+    single_pass_conversion)
+from kerrsqueezer.cli import main
+from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
 
 T1 = 0.01
 LOSS = 0.0019
@@ -31,7 +35,7 @@ def recorded(monkeypatch):
         calls.append((f, a, b, options, root))
         return root
 
-    for module in (cavity, phasematch, scenarios):
+    for module in (cavity, phasematch):
         monkeypatch.setattr(module, "brentq", record)
     # Solved again, not served from the cache of an earlier test's call.
     phasematch._first_tan_roots.cache_clear()
@@ -82,23 +86,98 @@ def test_cavity_steady_states(recorded, p_in):
         assert profile.multi_branch
 
 
-def test_lock_equation(recorded):
-    params = CavityParams(RT_LENGTH, T1, LOSS)
-    for p_in in (0.06, 0.085, 0.11):
-        # Up to the conversion that clamps the round-trip loss at 0.999999.
-        scenarios.locked_circulating_power(params, p_in, np.logspace(-7, 1, 33))
-    # One array call per p_in solves all its conversions.
-    assert len(recorded) == 3
-    assert_matches_scipy(recorded, 99)
+def lock_inputs(scenario, **changes):
+    """(model, kappa, temperatures, cavity, p_in) of a packaged run's lock, with
+    ``changes`` applied to its scenario section."""
+    config = load_config(default_config_path(scenario))
+    section = dict(config[scenario], **changes)
+    model, kappa = scenarios._crystal(config)
+    temperatures = section["temperatures_c" if scenario == "fig5" else "profile_temperatures_c"]
+    return (model, section.get("kappa") or kappa, temperatures, scenarios._cavity(config),
+            section["input_power_w"])
+
+
+def bracketed_lock(params, p_in, dk, kappa, length):
+    """The root of the exact lock equation on [0, p_hi] per row, by the array Brent."""
+    t1, loss0 = params.coupler_transmission, params.round_trip_loss
+
+    def implicit(p, index):
+        loss = np.minimum(loss0 + single_pass_conversion(p, dk[index], kappa, length), 0.999999)
+        return p * (1.0 - np.sqrt((1.0 - t1) * (1.0 - loss))) ** 2 - t1 * p_in
+
+    p_hi = params.resonant_buildup * p_in * (1.0 + 1e-6)
+    return roots.brentq(implicit, np.zeros(dk.shape), np.full(dk.shape, p_hi),
+                        xtol=1e-300, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("scenario,changes", [("fig5", {}), ("fig3", {}),
+                                              ("fig3", {"input_power_w": 1.0})],
+                         ids=["fig5", "fig3", "fig3-1W"])
+def test_lock_matches_a_bracketed_solve(scenario, changes):
+    # Newton from the no-conversion power finds the bracketed root of the
+    # same equation; a fixed two-pass lock at a frozen conversion per watt
+    # was off by 1.4e-5, 1.3e-5 and 0.55 here.
+    model, kappa, temperatures, params, p_in = lock_inputs(scenario, **changes)
+    points = scenarios._locked_points(model, kappa, temperatures, params, p_in)
+    expected = bracketed_lock(params, p_in, delta_k(model, np.asarray(temperatures, dtype=float)),
+                              kappa, model.length)
+    np.testing.assert_allclose([op.p_circ for *_, op in points], expected, rtol=1e-12, atol=0.0)
+
+
+def test_written_lock_solves_the_lock_equation(tmp_path):
+    # The written power and round-trip loss satisfy p (1 - r)^2 = T1 p_in.
+    config = load_config(default_config_path("fig5"))
+    run_scenario(config, tmp_path)
+    table = np.genfromtxt(tmp_path / "squeeze_sweep.csv", delimiter=",", names=True)
+    t1, p_in = config["cavity"]["coupler_transmission"], config["fig5"]["input_power_w"]
+    r = np.sqrt((1.0 - t1) * (1.0 - table["round_trip_loss"]))
+    assert np.max(np.abs(table["p_circ_W"] * (1.0 - r) ** 2 / (t1 * p_in) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("scenario,changes", [("fig5", {}), ("fig5", {"kappa": 14.0}),
+                                              ("fig3", {"input_power_w": 1.0})],
+                         ids=["fig5", "fig5-kappa-14", "fig3-1W"])
+def test_a_batch_lock_gives_each_rows_bits(scenario, changes):
+    # Each row stops on its own, so a batch returns the floats of one-row calls.
+    model, kappa, _, params, p_in = lock_inputs(scenario, **changes)
+    dk = delta_k(model, np.linspace(20.0, 100.0, 81))
+    batch = scenarios.locked_circulating_power(params, p_in, dk, kappa, model.length)
+    alone = [scenarios.locked_circulating_power(params, p_in, dk[i:i + 1], kappa, model.length)
+             for i in range(len(dk))]
+    assert [x.hex() for x in batch.tolist()] == [float(x[0]).hex() for x in alone]
+
+
+@pytest.mark.parametrize("p_in", [1.0, 10.0, 100.0])
+def test_a_step_out_of_the_bracket_bisects(p_in):
+    # At high drive R' < 0 turns G' negative, and bare Newton left the
+    # bracket: at 30 C and 1 W it climbed from 282 W to 438 W (the root is
+    # 9.1 W), and at 40.5 C and 10 W it cycled between the loss clamp and
+    # 0.1 W.  Bisected, every row stops on a root inside [0, p_0].
+    model, kappa, _, params, _ = lock_inputs("fig3")
+    t1, loss0, dk = params.coupler_transmission, params.round_trip_loss, delta_k(
+        model, np.linspace(20.0, 100.0, 81))
+    p = scenarios.locked_circulating_power(params, p_in, dk, kappa, model.length)
+    loss = np.minimum(loss0 + single_pass_conversion(p, dk, kappa, model.length), 0.999999)
+    g = p * (1.0 - np.sqrt((1.0 - t1) * (1.0 - loss))) ** 2 / (t1 * p_in) - 1.0
+    assert np.max(np.abs(g)) <= 1e-12
+    assert np.all((p > 0.0) & (p <= params.resonant_buildup * p_in))
+
+
+def test_an_unconverged_lock_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(scenarios, "LOCK_MAX_STEPS", 1)
+    assert main(["run", "fig5", "--out", str(tmp_path / "out")]) == 2
+    assert "did not converge in 1 Newton steps" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_lock_without_drive():
-    # The general solve: each bracket [0, 0] starts on its root, +0.0.
+    # The general solve: from the zero start the first step is 0, so every
+    # row stops at +0.0 without a warning.
     params = CavityParams(RT_LENGTH, T1, LOSS)
-    for conversion in (np.logspace(-7, 1, 5), np.array([0.0]), np.array([])):
-        p = scenarios.locked_circulating_power(params, 0.0, conversion)
-        assert p.dtype == float and p.shape == conversion.shape
-        assert [x.hex() for x in p.tolist()] == [(0.0).hex()] * len(conversion)
+    for dk in (np.linspace(-2e3, 2e3, 5), np.array([0.0]), np.array([])):
+        p = scenarios.locked_circulating_power(params, 0.0, dk, 14.0, 0.0093)
+        assert p.dtype == float and p.shape == dk.shape
+        assert [x.hex() for x in p.tolist()] == [(0.0).hex()] * len(dk)
 
 
 @pytest.mark.parametrize("p_in", [-0.01, math.nan, math.inf])
@@ -106,7 +185,7 @@ def test_lock_rejects_a_negative_or_non_finite_drive(p_in):
     # The message of steady_state_branches.
     params = CavityParams(RT_LENGTH, T1, LOSS)
     with pytest.raises(DomainError, match="input power must be >= 0"):
-        scenarios.locked_circulating_power(params, p_in, np.logspace(-7, 1, 5))
+        scenarios.locked_circulating_power(params, p_in, np.linspace(-2e3, 2e3, 5), 14.0, 0.0093)
 
 
 def test_tan_x_equals_x(recorded):
