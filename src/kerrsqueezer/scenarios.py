@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
+import orjson
 import yaml
 
 from . import __version__ as _VERSION
@@ -477,7 +478,8 @@ class RunWriter:
     def table(self, name: str, columns: Mapping[str, Any]) -> Path:
         """Write the equal-length 1-D numeric or bool ``columns`` (name -> array or
         list) as one table: bools are 1/0 in CSV and true/false in JSON, a non-finite
-        float nan/inf in CSV and null in JSON, and JSON is json.dumps's indent=2 text."""
+        float nan/inf in CSV and null in JSON, every other cell repr's text, and JSON
+        is json.dumps's indent=2 text. A float column wider than float64 is rejected."""
         values = [np.asarray(column) for column in columns.values()]
         if any(v.ndim != 1 for v in values):
             raise ValueError(f"table {name}: columns must be 1-D, got {[v.shape for v in values]}")
@@ -504,9 +506,11 @@ class RunWriter:
         return self.text(f"{name}.{self.fmt}", text)
 
     def _cells(self, v: np.ndarray) -> list[str]:
-        # Checked before the key is built: an object array's bytes are pointers.
-        if v.dtype.kind not in "biuf":
-            raise ValueError(f"table columns must be numeric or bool, got dtype {v.dtype}")
+        # Checked before the key is built: an object array's bytes are pointers,
+        # and a float wider than float64 has no repr that is a number.
+        if v.dtype.kind not in "biuf" or (v.dtype.kind == "f" and v.dtype.itemsize > 8):
+            raise ValueError(f"table columns must be numeric or bool, with floats of at most "
+                             f"64 bits, got dtype {v.dtype}")
         key = (v.dtype.str, v.tobytes())
         if key not in self._cell_memo:
             self._cell_memo[key] = self._format(v)
@@ -515,10 +519,19 @@ class RunWriter:
     def _format(self, v: np.ndarray) -> list[str]:
         if v.dtype.kind == "b":
             return np.where(v, *(("true", "false") if self.fmt == "json" else ("1", "0"))).tolist()
-        cells = list(map(repr, v.tolist()))
-        if self.fmt == "json" and v.dtype.kind == "f" and not np.isfinite(v).all():
-            cells = [c if ok else "null" for c, ok in zip(cells, np.isfinite(v).tolist())]
-        return cells
+        if v.dtype.kind in "iu":
+            return list(map(repr, v.tolist()))
+        # orjson writes a float64 as repr does except in three classes of cells,
+        # which take repr's text, or null in JSON: non-finite values (orjson
+        # null; CSV wants nan/inf/-inf), nonzero |x| < 1e-4 (orjson 0.00001 and
+        # 1e-7, repr 1e-05 and 1e-07) and |x| >= 1e16 (orjson 1e16, repr 1e+16).
+        v = np.require(v, np.float64, "CA")  # float16/32 upcast exactly
+        cells = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        magnitude = np.abs(v)
+        index = np.flatnonzero(~(magnitude < 1e16) | ((magnitude < 1e-4) & (magnitude != 0)))
+        for i, x in zip(index.tolist(), v[index].tolist()):
+            cells[i] = repr(x) if self.fmt == "csv" or math.isfinite(x) else "null"
+        return cells if len(v) else []  # "[]" splits into [""]
 
     def report(self, name: str, payload: Mapping[str, Any]) -> Path:
         return self.text(f"{name}.json", report_json(payload))

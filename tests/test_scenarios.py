@@ -670,10 +670,13 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.79769313486
                0.0001, 1e-4 * (1 - 2**-52)]
 CELLS = {
     "float": st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
+    "float32": st.floats(width=32),
+    "float>f8": st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
     "int": st.integers(-2**63, 2**63 - 1),
     "bool": st.booleans(),
 }
-DTYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
+DTYPES = {"float": np.float64, "float32": np.float32, "float>f8": ">f8", "int": np.int64,
+          "bool": np.bool_}
 
 
 @st.composite
@@ -694,13 +697,14 @@ def table_runs(draw):
     is or reinterpreted as another dtype of the same bytes."""
     runs = draw(st.lists(tables(), min_size=1, max_size=4))
     pool = [v for table in runs for v in table.values()]
-    twins = {"f": np.int64, "i": np.float64, "b": np.uint8}
+    twins = {"f": "i", "i": "f", "b": "u"}
     for table in runs[1:]:
         for name, v in table.items():
             same_length = [u for u in pool if len(u) == len(v)]
             if same_length and draw(st.booleans()):
                 u = draw(st.sampled_from(same_length))
-                table[name] = u.view(twins[u.dtype.kind]) if draw(st.booleans()) else u
+                twin = u.dtype.str.replace(u.dtype.kind, twins[u.dtype.kind])
+                table[name] = u.view(twin) if draw(st.booleans()) else u
     return runs
 
 
@@ -775,6 +779,63 @@ class TestRunWriter:
                 writer = RunWriter(Path(out) / fmt, fmt)
                 for i, columns in enumerate(runs):
                     assert writer.table(f"t{i}", columns).read_text() == oracle(columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dense_column_matches_the_oracles(self, fmt, tmp_path):
+        # Every binade of both signs (subnormals, inf and nan included) with
+        # random mantissas and with none, log-uniform magnitudes and the
+        # neighbours of the switches to exponent notation at 1e-4 and 1e16.
+        rng = np.random.default_rng(2903)
+        exponents = np.tile(np.arange(2048, dtype=np.uint64), 32)
+        mantissas = rng.integers(0, 2**52, exponents.size, dtype=np.uint64)
+        mantissas[:2048] = 0  # powers of two, zeros and infinities
+        signs = rng.integers(0, 2, exponents.size, dtype=np.uint64)
+        binades = ((signs << np.uint64(63)) | (exponents << np.uint64(52)) | mantissas)
+        log_uniform = np.exp(rng.uniform(-744.0, 709.0, 40_000)) * rng.choice([-1.0, 1.0], 40_000)
+        edges = np.array([1e-4, 1e16, -1e-4, -1e16])
+        x = np.concatenate([binades.view(np.float64), log_uniform, edges,
+                            np.nextafter(edges, 0.0), np.nextafter(edges, 2 * edges)])
+        assert x.size >= 100_000 and np.isnan(x).any() and np.isinf(x).any()
+        oracle = json_oracle if fmt == "json" else csv_oracle
+        columns = {"x": x}
+        assert RunWriter(tmp_path, fmt).table("t", columns).read_text() == oracle(columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_narrow_swapped_strided_and_unaligned_columns(self, fmt, tmp_path):
+        # Each cell is the repr of the column's tolist() value, as it is for a
+        # native float64 column.
+        values = [0.1, -2.5, 6e-08, 1e-05, 65504.0, 1e16, 3.4e38, np.nan, np.inf, -np.inf, 0.0]
+        buffer = np.zeros(8 * len(values) + 1, dtype=np.uint8)
+        unaligned = buffer[1:].view(np.float64)
+        unaligned[:] = values
+        assert not unaligned.flags.aligned
+        with np.errstate(over="ignore"):
+            columns = {
+                "half": np.array(values, dtype=np.float16),
+                "single": np.array(values, dtype=np.float32),
+                "swapped": np.array(values, dtype=">f8"),
+                "strided": np.array(values + values)[::2],
+                "unaligned": unaligned,
+            }
+        oracle = json_oracle if fmt == "json" else csv_oracle
+        assert RunWriter(tmp_path, fmt).table("t", columns).read_text() == oracle(columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_float_column_after_a_full_table(self, fmt, tmp_path):
+        writer = RunWriter(tmp_path, fmt)
+        oracle = json_oracle if fmt == "json" else csv_oracle
+        for i, columns in enumerate([{"x": np.array([0.5, 1e-7]), "n": [1, 2]},
+                                     {"x": np.array([], dtype=np.float32), "n": []}]):
+            assert writer.table(f"t{i}", columns).read_text() == oracle(columns)
+
+    @pytest.mark.skipif(np.dtype(np.longdouble).itemsize <= 8,
+                        reason="long double is float64 on this platform")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_long_double_column_raises(self, fmt, tmp_path):
+        writer = RunWriter(tmp_path, fmt)
+        with pytest.raises(ValueError, match="numeric or bool, with floats of at most 64 bits"):
+            writer.table("t", {"x": np.array([0.1], dtype=np.longdouble)})
+        assert writer.files == {} and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_object_column_after_float_column_raises(self, fmt, tmp_path):
