@@ -394,7 +394,10 @@ def locked_circulating_power(params: CavityParams, p_in: float, delta_k, kappa: 
     * p_in`` inside the bracket ``G(0) <= 0 <= G(p_0)``; a step that leaves the
     bracket bisects it.  Each step is one conversion call at ``p * SLOPE_FACTORS``,
     whose outer rows give R' (0 where the loss clamps), and a row stops on its own
-    at ``|step| <= 1e-13 p``, so a batch gives each row's bits alone.  Raises
+    at ``|step| <= 1e-13 p``, so a batch gives each row's bits alone.  At high drive
+    a row can have several roots; this returns the one the bracketed descent from
+    ``p_0`` reaches (fig3 at 1 W: another root than Brent on ``[0, p_0]`` at 6 of 81
+    temperatures; at 30 kW and 61.2 °C 8.42e6 W, where Brent gives 1.38e5 W).  Raises
     :class:`DomainError` for a negative or non-finite drive and
     :class:`NumericalError` for a row not stopped in ``LOCK_MAX_STEPS`` steps.
     """
@@ -521,17 +524,28 @@ class RunWriter:
             return np.where(v, *(("true", "false") if self.fmt == "json" else ("1", "0"))).tolist()
         if v.dtype.kind in "iu":
             return list(map(repr, v.tolist()))
-        # orjson writes a float64 as repr does except in three classes of cells,
-        # which take repr's text, or null in JSON: non-finite values (orjson
-        # null; CSV wants nan/inf/-inf), nonzero |x| < 1e-4 (orjson 0.00001 and
-        # 1e-7, repr 1e-05 and 1e-07) and |x| >= 1e16 (orjson 1e16, repr 1e+16).
+        # orjson writes repr's shortest digits; four classes of cells differ in
+        # layout and are fixed cell by cell: nonzero |x| < 1e-5 with a one-digit
+        # exponent (orjson 1.5e-7, repr 1.5e-07), |x| in [1e-5, 1e-4) (orjson
+        # 0.000015, repr 1.5e-05), finite |x| >= 1e16 (orjson 1e16, repr 1e+16),
+        # and non-finite values (orjson null, kept in JSON; repr in CSV).
+        if not len(v):
+            return []  # "[]" would split into [""]
         v = np.require(v, np.float64, "CA")  # float16/32 upcast exactly
-        cells = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-        magnitude = np.abs(v)
-        index = np.flatnonzero(~(magnitude < 1e16) | ((magnitude < 1e-4) & (magnitude != 0)))
-        for i, x in zip(index.tolist(), v[index].tolist()):
-            cells[i] = repr(x) if self.fmt == "csv" or math.isfinite(x) else "null"
-        return cells if len(v) else []  # "[]" splits into [""]
+        text = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        cells, magnitude = text.split(","), np.abs(v)
+        if "e" in text:  # a one-character scan spares most columns these two masks
+            for i in np.flatnonzero((magnitude >= 1e-9) & (magnitude < 1e-5)).tolist():
+                cells[i] = f"{cells[i][:-1]}0{cells[i][-1]}"
+            for i in np.flatnonzero((magnitude >= 1e16) & (magnitude < np.inf)).tolist():
+                cells[i] = cells[i].replace("e", "e+")
+        for i in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
+            sign, _, digits = cells[i].partition("0.0000")
+            cells[i] = f"{sign}{digits[0]}{'.' * (len(digits) > 1)}{digits[1:]}e-05"
+        if self.fmt == "csv" and "n" in text:  # null, the only cell with an n
+            for i in np.flatnonzero(~np.isfinite(v)).tolist():
+                cells[i] = repr(float(v[i]))
+        return cells
 
     def report(self, name: str, payload: Mapping[str, Any]) -> Path:
         return self.text(f"{name}.json", report_json(payload))

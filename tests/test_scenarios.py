@@ -783,8 +783,10 @@ class TestRunWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_dense_column_matches_the_oracles(self, fmt, tmp_path):
         # Every binade of both signs (subnormals, inf and nan included) with
-        # random mantissas and with none, log-uniform magnitudes and the
-        # neighbours of the switches to exponent notation at 1e-4 and 1e16.
+        # random mantissas and with none, log-uniform magnitudes, and the
+        # neighbours of +-1e-4 and +-1e16 (repr's switches to exponent
+        # notation), +-1e-5 (orjson's), +-1e-6 and +-1e-9 (one-digit
+        # exponents) and +-1e-10, +-1e100 and +-1e300 (longer ones).
         rng = np.random.default_rng(2903)
         exponents = np.tile(np.arange(2048, dtype=np.uint64), 32)
         mantissas = rng.integers(0, 2**52, exponents.size, dtype=np.uint64)
@@ -792,12 +794,29 @@ class TestRunWriter:
         signs = rng.integers(0, 2, exponents.size, dtype=np.uint64)
         binades = ((signs << np.uint64(63)) | (exponents << np.uint64(52)) | mantissas)
         log_uniform = np.exp(rng.uniform(-744.0, 709.0, 40_000)) * rng.choice([-1.0, 1.0], 40_000)
-        edges = np.array([1e-4, 1e16, -1e-4, -1e16])
+        edges = np.array([1e-4, 1e16, 1e-5, 1e-6, 1e-9, 1e-10, 1e100, 1e300])
+        edges = np.concatenate([edges, -edges])
         x = np.concatenate([binades.view(np.float64), log_uniform, edges,
                             np.nextafter(edges, 0.0), np.nextafter(edges, 2 * edges)])
         assert x.size >= 100_000 and np.isnan(x).any() and np.isinf(x).any()
         oracle = json_oracle if fmt == "json" else csv_oracle
         columns = {"x": x}
+        assert RunWriter(tmp_path, fmt).table("t", columns).read_text() == oracle(columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_digit_count_between_1e_5_and_1e_4(self, fmt, tmp_path):
+        # orjson writes these as 0.0000ddd and repr as d.dde-05: 1 to 17
+        # significant digits (2e-05 up to full length), of both signs.
+        rng = np.random.default_rng(3001)
+        x = [round(u, 4 + digits) for digits in range(1, 17)
+             for u in rng.uniform(1e-5, 9e-5, 20).tolist()]
+        x += rng.uniform(1e-5, 1e-4, 200).tolist() + [1e-5, 2e-5, 9e-5, 9.999999999999999e-05]
+        x += [-value for value in x]
+        digit_counts = {len(repr(value)[:-4].replace(".", "").lstrip("-")) for value in x}
+        assert digit_counts == set(range(1, 18))
+        assert all(1e-5 <= abs(value) < 1e-4 for value in x)
+        oracle = json_oracle if fmt == "json" else csv_oracle
+        columns = {"x": np.array(x)}
         assert RunWriter(tmp_path, fmt).table("t", columns).read_text() == oracle(columns)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
