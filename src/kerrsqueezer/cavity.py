@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ThresholdError
-from .roots import brentq
+from .roots import MAXITER, RTOL_MIN, newton
 
 __all__ = [
     "CavityParams",
@@ -175,13 +175,16 @@ def steady_state_branches(params: CavityParams, p_in: float, g: float,
     where ``D(psi) = psi - g p(psi)`` meets ``d + 2 pi k`` (Drummond & Walls, J.
     Phys. A 13, 725 (1980)).  Between -pi, the :func:`_folds` and pi, D is
     monotone and each target in its range is one root, refined with all others
-    of the sweep by one array :func:`brentq` in psi.  As D(pi) = D(-pi) + 2 pi,
+    of the sweep by one array :func:`newton` in psi on its run, with the slope
+    ``D' = 1 + 2 g T1 p_in r_eff sin(psi) / den^2`` (``den`` the denominator of
+    p) and a start read off D tabulated on the run.  As D(pi) = D(-pi) + 2 pi,
     the count is odd: a detuning whose target falls in the rounding gap of that
     seam gets its root at psi = pi.  Sorted by power, the roots alternate
     stable/unstable from a stable one, as F(p) = p |1 - r_eff exp(i(d + g
     p))|^2 - T1 p_in rises through a stable root from F(0) < 0.  A zero drive
     has no fold and one root per detuning, p = 0.  An overflowing peak Kerr
-    phase raises :class:`DomainError`, an empty sweep's too.
+    phase raises :class:`DomainError`, an empty sweep's too, and a root not
+    converged in ``roots.MAXITER`` Newton steps :class:`NumericalError`.
     """
     sweep = np.asarray(detuning, dtype=float)
     if sweep.ndim != 1:
@@ -217,8 +220,32 @@ def steady_state_branches(params: CavityParams, p_in: float, g: float,
     target = (sweep[owner] + turns * _TWO_PI_HI) + turns * _TWO_PI_LO
     keep = (lo[run] <= target) & (target < hi[run])
     run, owner, target = run[keep], owner[keep], target[keep]
-    psi = brentq(lambda x, i: level(x) - target[i], ends[run], ends[run + 1],
-                 xtol=1e-300, rtol=8.9e-16)
+    # Newton from the inverse of D tabulated at 65 points per run, evenly in u,
+    # tan(psi / 2) = e tan(u / 2), which spreads the resonance over the run.
+    e = (1.0 - r) / (1.0 + r)
+    u_ends = 2.0 * np.arctan(np.tan(0.5 * ends) / e)
+    start = np.empty_like(target)
+    for j in range(len(ends) - 1):
+        grid = 2.0 * np.arctan(e * np.tan(0.5 * np.linspace(u_ends[j], u_ends[j + 1], 65)))
+        grid[[0, -1]] = ends[j], ends[j + 1]
+        table = level(grid)
+        table[[0, -1]] = heights[j], heights[j + 1]  # a target at an end's height starts there
+        view = slice(None) if table[-1] > table[0] else slice(None, None, -1)
+        start[run == j] = np.interp(target[run == j], table[view], grid[view])
+
+    def level_and_slope(x, i):  # D(psi) - target and D'(psi)
+        den = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * x) ** 2
+        return (x - g * (t1_p_in / den) - target[i],
+                1.0 + 2.0 * g * t1_p_in * r * np.sin(x) / (den * den))
+
+    # Each root keeps its run as bracket, oriented by the heights the counts came
+    # from.  It stops at a step of 4 ulps of psi or of the largest height: D's
+    # rounding, which a step near psi = 0, where D' is about 1, cannot get below.
+    rising = (heights[1:] > heights[:-1])[run]
+    psi = newton(level_and_slope, start, np.where(rising, ends[run], ends[run + 1]),
+                 np.where(rising, ends[run + 1], ends[run]),
+                 xtol=RTOL_MIN * np.max(np.abs(heights)), rtol=RTOL_MIN, maxiter=MAXITER,
+                 what=f"the steady state at input power {p_in} W")
     found = np.bincount(owner, minlength=len(sweep))
     seam = np.flatnonzero(found % 2 == 0)  # its root fell in the seam's rounding gap
     owner, found[seam] = np.concatenate([owner, seam]), found[seam] + 1

@@ -1,14 +1,19 @@
 """Bracketed root finding over a whole array of brackets at once.
 
+:func:`newton` is Newton's method kept inside a bracket, for functions whose
+slope comes in closed form: the cavity's steady states and its lock solve
+with it.  Each pass steps every unconverged element once, and each element
+stops on its own, so its root does not depend on the array it is solved in.
+
 :func:`brentq` is Brent's method (R. P. Brent, *Algorithms for Minimization
 Without Derivatives*, 1973, ch. 4) in the formulation of the C routine behind
 ``scipy.optimize.brentq``: the same iteration, the same order of floating-point
-operations and the same input checks.  The package needs nothing else from
-scipy at run time.
-
-It takes 1-D array brackets and runs one lockstep loop that advances every
-unconverged bracket by one Brent iteration per pass, so each element is bit
-for bit the root scipy finds on that element's bracket.
+operations and the same input checks.  It serves the tan x = x roots of
+:mod:`phasematch` and is the tests' oracle of the Newton solves.  The
+package needs nothing else from scipy at run time.  It takes 1-D array
+brackets and runs one lockstep loop that advances every unconverged bracket
+by one Brent iteration per pass, so each element is bit for bit the root
+scipy finds on that element's bracket.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["brentq"]
+from .errors import NumericalError
+
+__all__ = ["brentq", "newton"]
 
 RTOL_MIN = 4 * 2.220446049250313e-16  # four machine epsilons
 MAXITER = 100  # scipy's default iteration limit
@@ -127,3 +134,38 @@ def brentq(f: Callable, a, b, xtol: float, rtol: float) -> np.ndarray:
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
         fcur = value(xcur, index)
     raise RuntimeError(f"Failed to converge after {MAXITER} iterations.")
+
+
+def newton(f: Callable, x0, neg, pos, xtol: float, rtol: float, maxiter: int,
+           what: str) -> np.ndarray:
+    """Roots of ``f`` by Newton's method from ``x0``, each inside its bracket ``neg``, ``pos``.
+
+    ``f(x, index)`` gets the iterates of the elements at positions ``index``
+    and returns their values and slopes.  The 1-D arrays ``neg`` and ``pos``
+    are ends with ``f(neg) <= 0 <= f(pos)``, in either order; each iterate
+    replaces the end of its sign, ``pos`` where ``f > 0``.  An iterate where
+    ``f = 0`` stays.  A step that leaves the open bracket bisects it; a zero
+    slope gives an inf or NaN step, which bisects too.  An element stops on
+    its own, at the point it stepped to, once the step is at most ``xtol +
+    rtol * |x|``, so its root is the same in any array.  Raises
+    :class:`NumericalError`, its message led by ``what``, for the elements
+    not stopped in ``maxiter`` steps.
+    """
+    x = np.array(x0, dtype=float)
+    neg, pos = np.array(neg, dtype=float), np.array(pos, dtype=float)
+    live, steps = np.arange(x.size), 0
+    while live.size:
+        if (steps := steps + 1) > maxiter:
+            raise NumericalError(f"{what} did not converge in {maxiter} Newton steps "
+                                 f"for {live.size} row(s)")
+        q = x[live]
+        value, slope = f(q, live)
+        up = value > 0.0
+        pos[live], neg[live] = np.where(up, q, pos[live]), np.where(up, neg[live], q)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.where(value == 0.0, q, q - value / slope)
+        a, b = neg[live], pos[live]
+        inside = (np.minimum(a, b) < step) & (step < np.maximum(a, b)) | (step == q)
+        x[live] = step = np.where(inside, step, 0.5 * (a + b))
+        live = live[~(np.abs(q - step) <= xtol + rtol * np.abs(q))]
+    return x

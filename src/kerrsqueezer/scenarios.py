@@ -50,9 +50,9 @@ from .detection import (
     total_efficiency,
     trace_samples,
 )
-from .errors import (DomainError, InconsistentObservationError, NumericalError, ThresholdError,
-                     ValidationError)
+from .errors import DomainError, InconsistentObservationError, ThresholdError, ValidationError
 from .phasematch import calibrate_from_extrema, delta_k, find_conversion_extrema
+from .roots import newton
 from .states import (
     GaussianQuadratureState,
     SqueezeObservation,
@@ -390,42 +390,36 @@ def locked_circulating_power(params: CavityParams, p_in: float, delta_k, kappa: 
 
     Solves ``G(p) = p (1 - r)^2 - T1 p_in = 0``, ``r = sqrt((1 - T1)(1 - min(loss_0
     + R(p), 0.999999)))`` with ``R`` the :func:`single_pass_conversion`, for each
-    mismatch of the 1-D array ``delta_k``, by Newton from ``p_0 = resonant_buildup
-    * p_in`` inside the bracket ``G(0) <= 0 <= G(p_0)``; a step that leaves the
-    bracket bisects it.  Each step is one conversion call at ``p * SLOPE_FACTORS``,
-    whose outer rows give R' (0 where the loss clamps), and a row stops on its own
-    at ``|step| <= 1e-13 p``, so a batch gives each row's bits alone.  At high drive
-    a row can have several roots; this returns the one the bracketed descent from
-    ``p_0`` reaches (fig3 at 1 W: another root than Brent on ``[0, p_0]`` at 6 of 81
-    temperatures; at 30 kW and 61.2 °C 8.42e6 W, where Brent gives 1.38e5 W).  Raises
-    :class:`DomainError` for a negative or non-finite drive and
+    mismatch of the 1-D array ``delta_k``, by :func:`roots.newton` from ``p_0 =
+    resonant_buildup * p_in`` inside the bracket ``G(0) <= 0 <= G(p_0)``; a step
+    that leaves the bracket bisects it.  Each step is one conversion call at ``p *
+    SLOPE_FACTORS``, whose outer rows give R' (0 where the loss clamps), and a row
+    stops on its own at ``|step| <= 1e-13 p``, so a batch gives each row's bits
+    alone.  At high drive a row can have several roots; this returns the one the
+    bracketed descent from ``p_0`` reaches (fig3 at 1 W: another root than Brent
+    on ``[0, p_0]`` at 6 of 81 temperatures; at 30 kW and 61.2 °C 8.42e6 W, where
+    Brent gives 1.38e5 W).  Raises :class:`DomainError` for a negative or
+    non-finite drive and
     :class:`NumericalError` for a row not stopped in ``LOCK_MAX_STEPS`` steps.
     """
     if not math.isfinite(p_in) or p_in < 0.0:
         raise DomainError(f"input power must be >= 0, got {p_in}")
     t1, loss0 = params.coupler_transmission, params.round_trip_loss
     dk = np.asarray(delta_k, dtype=float)
-    p = np.full(dk.shape, params.resonant_buildup * p_in)
-    lo, hi = np.zeros(dk.shape), p.copy()  # G(lo) <= 0 <= G(hi), row by row
-    live, steps = np.arange(dk.size), 0
-    while live.size:
-        if (steps := steps + 1) > LOCK_MAX_STEPS:
-            raise NumericalError(f"the lock at input power {p_in} W did not converge in "
-                                 f"{LOCK_MAX_STEPS} Newton steps for {live.size} row(s)")
-        q = p[live]
+
+    def lock_and_slope(q, live):  # G(q) and G'(q) of the rows at live
         conv = single_pass_conversion(np.multiply.outer(SLOPE_FACTORS, q), dk[live], kappa, length)
         loss = loss0 + conv[1]
         r = np.sqrt((1.0 - t1) * (1.0 - np.minimum(loss, 0.999999)))
         p_slope = np.where(loss < 0.999999, (conv[2] - conv[0]) / (2.0 * SLOPE_STEP), 0.0)  # p R'
-        g = q * (1.0 - r) ** 2 - t1 * p_in
-        hi[live], lo[live] = np.where(g > 0.0, q, hi[live]), np.where(g > 0.0, lo[live], q)
-        # G' = (1 - r)^2 - 2 p (1 - r) r', with r' = -(1 - T1) R' / (2 r).
-        x = q - g / ((1.0 - r) ** 2 + (1.0 - r) * (1.0 - t1) / r * p_slope)
-        # R' < 0 can turn G' negative: a step out of the bracket bisects it (a zero step stays).
-        inside = (lo[live] < x) & (x < hi[live]) | (x == q)
-        p[live] = x = np.where(inside, x, 0.5 * (lo[live] + hi[live]))
-        live = live[~(np.abs(q - x) <= 1e-13 * q)]
-    return p
+        # G' = (1 - r)^2 - 2 p (1 - r) r', with r' = -(1 - T1) R' / (2 r); R' < 0 can
+        # turn it negative, and the step then leaves the bracket and bisects it.
+        return (q * (1.0 - r) ** 2 - t1 * p_in,
+                (1.0 - r) ** 2 + (1.0 - r) * (1.0 - t1) / r * p_slope)
+
+    p_0 = np.full(dk.shape, params.resonant_buildup * p_in)
+    return newton(lock_and_slope, p_0, np.zeros(dk.shape), p_0, xtol=0.0, rtol=1e-13,
+                  maxiter=LOCK_MAX_STEPS, what=f"the lock at input power {p_in} W")
 
 
 def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float) -> list:

@@ -624,6 +624,162 @@ class TestResonanceCurve:
         np.testing.assert_allclose(found.p_circ, exact, rtol=4 * np.finfo(float).eps)
 
 
+def brent_on_the_runs(f, x0, neg, pos, **_):
+    """The array Brent on the run brackets and the value function the Newton
+    solve gets: the refinement steady_state_branches made before it, bit for
+    bit, kept as the oracle of the Newton roots."""
+    return brentq(lambda x, i: f(x, i)[0], np.minimum(neg, pos), np.maximum(neg, pos),
+                  xtol=1e-300, rtol=8.9e-16)
+
+
+def brent_branches(params, p_in, g, detuning):
+    """steady_state_branches with every root refined by :func:`brent_on_the_runs`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cavity_module, "newton", brent_on_the_runs)
+        return steady_state_branches(params, p_in, g, detuning)
+
+
+# A Newton root may differ from Brent's on the same bracket by the rounding of
+# D(psi) - target, anywhere in which either one's last step can land: at most
+# 16 ulps of p, plus one ulp of the phase terms |d| + |g p| + pi times the root's
+# sensitivity |d ln p / d theta| to the phase (0.3 of that bound at most on 600
+# random cavities; 18 ulps at most on packaged fig3 and the bench seeds 1-3).
+ULPS = 16
+
+
+def assert_within_rounding(params, p_in, g, detuning, found, expected):
+    """``found`` and ``expected`` BranchArrays have the same counts and
+    stability, and their roots are within :data:`ULPS` ulps plus the phase
+    rounding of each other."""
+    assert found.count.tolist() == expected.count.tolist()
+    assert found.stable.tolist() == expected.stable.tolist()
+    p, r = expected.p_circ, params.r_eff
+    d = np.repeat(np.asarray(detuning, dtype=float), expected.count)
+    theta = d + g * p
+    # d ln p / d theta of F(p) = p (1 + r^2 - 2 r cos theta) - T1 p_in = 0.
+    slope = 1.0 + r * r - 2.0 * r * np.cos(theta) + 2.0 * r * g * p * np.sin(theta)
+    sensitivity = np.abs(2.0 * r * np.sin(theta) / slope)
+    eps = np.finfo(float).eps
+    bound = ULPS * np.spacing(p) + eps * (np.abs(d) + np.abs(g * p) + math.pi) * sensitivity * p
+    excess = np.abs(found.p_circ - p) / bound
+    assert np.all(excess <= 1.0), float(np.max(excess))
+
+
+def run_heights(params, p_in, g):
+    """The run ends of steady_state_branches, -pi, the folds and pi, and the
+    powers and heights D there, in its arithmetic."""
+    r, t1_p_in = params.r_eff, params.coupler_transmission * p_in
+    ends = np.array([-math.pi, *_folds(r, t1_p_in, g), math.pi])
+    power = t1_p_in / ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * ends) ** 2)
+    return ends, power, ends - g * power
+
+
+class TestNewtonRoots:
+    """The Newton roots against the array Brent on the same run brackets: the
+    same counts and stability, each root within the rounding bound of Brent's
+    and within 1e-13 of a long-double Newton step."""
+
+    def test_benchmark_and_packaged_scans(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        from workloads import generate
+
+        calls = []
+        solve = cavity_module.steady_state_branches
+
+        def recorded(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(cavity_module, "steady_state_branches", recorded)
+        configs = [load_config(default_config_path("fig3"))]
+        configs += [case.config for seed in (1, 2, 3) for case in generate("resonance_scan", seed)]
+        for i, config in enumerate(configs):
+            run_scenario(config, tmp_path / str(i))
+        assert len(calls) >= 2 + 3 * 13
+        assert any((solve(*args).count >= 3).any() for args in calls)
+        for params, p_in, g, dets in calls:
+            found = solve(params, p_in, g, dets)
+            expected = brent_branches(params, p_in, g, dets)
+            assert_within_rounding(params, p_in, g, dets, found, expected)
+            ulps = np.abs(found.p_circ - expected.p_circ) / np.spacing(expected.p_circ)
+            assert np.all(ulps <= 32), float(np.max(ulps))
+            assert_solves(params, p_in, g, dets, expected.count)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_cavities(self, seed):
+        # 80 cavities a seed, T1 3e-4 to 0.3, |g| 0.01 to 30 rad over the peak
+        # power, either sign, on coarse and fine sweeps; most are bistable.
+        rng = np.random.default_rng(3100 + seed)
+        bistable = 0
+        for _ in range(80):
+            c = CavityParams(RT_LENGTH, 10.0 ** rng.uniform(-3.5, math.log10(0.3)),
+                             rng.uniform(0.0, 0.05))
+            p_in = 10.0 ** rng.uniform(-3.0, -0.5)
+            g = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.5) / (
+                c.resonant_buildup * p_in)
+            dets = np.linspace(-1.0, 1.0, int(rng.choice([41, 400]))) * rng.uniform(0.05, 20.0)
+            found = steady_state_branches(c, p_in, g, dets)
+            expected = brent_branches(c, p_in, g, dets)
+            assert_within_rounding(c, p_in, g, dets, found, expected)
+            assert_solves(c, p_in, g, dets, expected.count, rounding=4.0)
+            bistable += bool((found.count >= 3).any())
+        assert 20 <= bistable <= 70
+
+    @pytest.mark.parametrize("g", [-0.3, -0.01, 0.0, 0.01, 0.3])
+    def test_targets_at_the_run_ends(self, g):
+        # A detuning at the height of -pi, a fold or pi has a root on each run
+        # whose lower end has that height: -pi's and the lower fold's, twice.
+        # It starts on that end, where D - target is 0, and stays: the end
+        # itself, as Brent returns it.  Float neighbours of the heights take
+        # Newton steps.
+        c = CavityParams(RT_LENGTH, 0.1, 0.01)
+        _, power, heights = run_heights(c, 0.07, g)
+        assert len(heights) == (4 if abs(g) == 0.3 else 2)
+        dets = np.concatenate([heights, np.nextafter(heights, np.inf),
+                               np.nextafter(heights, -np.inf)])
+        found = steady_state_branches(c, 0.07, g, dets)
+        expected = brent_branches(c, 0.07, g, dets)
+        assert_within_rounding(c, 0.07, g, dets, found, expected)
+        assert_solves(c, 0.07, g, dets, expected.count, rounding=4.0)
+        head = expected.count[:len(heights)].sum()  # the roots at the heights themselves
+        on_end = np.isin(expected.p_circ[:head], power)
+        assert on_end.sum() >= len(heights) - 1
+        assert found.p_circ[:head][on_end].tolist() == expected.p_circ[:head][on_end].tolist()
+
+    @pytest.mark.parametrize("phase_slope", [-0.3, 0.0, 0.3])
+    def test_the_seam(self, phase_slope):
+        # A detuning on the psi = pi seam and its float neighbours.
+        c = CavityParams(RT_LENGTH, 0.1, 0.01)
+        seam = math.pi - phase_slope * 0.1 * 0.07 / (1.0 + c.r_eff) ** 2
+        dets = np.array([seam, np.nextafter(seam, -np.inf), np.nextafter(seam, np.inf),
+                         seam - 2.0 * math.pi, -seam])
+        found = steady_state_branches(c, 0.07, phase_slope, dets)
+        assert_within_rounding(c, 0.07, phase_slope, dets, found,
+                               brent_branches(c, 0.07, phase_slope, dets))
+
+    @pytest.mark.parametrize("peak", [-213.88, -20.0, -0.3, 0.3, 20.0, 213.88])
+    def test_a_root_at_zero_phase(self, peak, monkeypatch):
+        # At d = D(0) = -g p(0) a root is on resonance, psi = 0, where a
+        # relative step cannot shrink below D's rounding: it stops at the
+        # absolute step of that rounding instead, in at most 12 passes here
+        # (33 at a peak Kerr phase of 213.88 rad with a relative stop alone).
+        c = CavityParams(RT_LENGTH, 0.1, 0.01)
+        top = c.resonant_buildup * 0.07
+        g = peak / top
+        passes = []
+        newton = cavity_module.newton
+
+        def counted(f, *args, **options):
+            return newton(lambda x, i: passes.append(len(x)) or f(x, i), *args, **options)
+
+        monkeypatch.setattr(cavity_module, "newton", counted)
+        dets = np.array([-g * top])
+        found = steady_state_branches(c, 0.07, g, dets)
+        assert len(passes) <= 12
+        assert_within_rounding(c, 0.07, g, dets, found, brent_branches(c, 0.07, g, dets))
+        assert np.min(np.abs(found.p_circ / top - 1.0)) <= 4 * np.finfo(float).eps
+
+
 def fold_level(params, p_in, g, psi):
     """``D(psi) = psi - g p(psi)`` on the resonance curve."""
     r = params.r_eff

@@ -1,9 +1,11 @@
-"""``roots.brentq`` against ``scipy.optimize.brentq``, its reference, bit for bit.
+"""``roots.brentq`` against ``scipy.optimize.brentq``, its reference, bit for bit,
+and ``roots.newton``, with the solves that use it, against both.
 
-An array call is checked element by element: each root must be scipy's on
-that element's own bracket, and a failing element must raise scipy's error.
-A single bracket goes through a 1-element array call.  ``roots.brentq`` is in
-turn the oracle of the lock's Newton solve, bracketing the same exact equation.
+An array Brent call is checked element by element: each root must be scipy's
+on that element's own bracket, and a failing element must raise scipy's
+error.  A single bracket goes through a 1-element array call.
+``roots.brentq`` is in turn the oracle of the Newton solves of the lock and
+the steady states, bracketing the same exact equations.
 """
 
 import math
@@ -14,10 +16,11 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 
 from kerrsqueezer import (
-    CavityParams, DomainError, cavity, delta_k, phasematch, roots, scan_profile, scenarios,
-    single_pass_conversion)
+    CavityParams, DomainError, NumericalError, cavity, delta_k, phasematch, roots, scan_profile,
+    scenarios, single_pass_conversion)
 from kerrsqueezer.cli import main
 from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
+from test_cavity import assert_within_rounding
 
 T1 = 0.01
 LOSS = 0.0019
@@ -27,7 +30,7 @@ G_KERR = -(14.0**2) * 0.0093**2 / (2 * math.pi)
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every (f, a, b, options, root) the program's modules solve while the test runs."""
+    """Every (f, a, b, options, root) phasematch solves by Brent while the test runs."""
     calls = []
 
     def record(f, a, b, **options):
@@ -35,8 +38,7 @@ def recorded(monkeypatch):
         calls.append((f, a, b, options, root))
         return root
 
-    for module in (cavity, phasematch):
-        monkeypatch.setattr(module, "brentq", record)
+    monkeypatch.setattr(phasematch, "brentq", record)
     # Solved again, not served from the cache of an earlier test's call.
     phasematch._first_tan_roots.cache_clear()
     return calls
@@ -75,13 +77,33 @@ def outcome(solver, f, a, b, **options):
         return type(err), str(err)
 
 
+def scipy_on_the_runs(f, x0, neg, pos, **_):
+    """The steady-state solve's roots by ``scipy.optimize.brentq``, one bracket at a
+    time, on the run brackets and the value function the Newton solve gets."""
+    return np.array([scipy_brentq(lambda x: float(f(np.array([x]), np.array([k]))[0][0]),
+                                  min(a, b), max(a, b), xtol=1e-300, rtol=8.9e-16)
+                     for k, (a, b) in enumerate(zip(neg.tolist(), pos.tolist()))])
+
+
 @pytest.mark.parametrize("p_in", [0.015, 0.070], ids=["linear-monostable", "linear-bistable"])
-def test_cavity_steady_states(recorded, p_in):
-    params = CavityParams(RT_LENGTH, T1, LOSS)
-    profile = scan_profile(params, p_in, np.linspace(-0.08, 0.04, 241), G_KERR)
-    # One array call refines every bracket of the scan.
-    assert len(recorded) == 1
-    assert_matches_scipy(recorded, 241)
+def test_cavity_steady_states(monkeypatch, p_in):
+    # One Newton call refines every root of the scan, and scipy's Brent on the
+    # same run brackets finds the same counts and roots within the rounding.
+    params, dets = CavityParams(RT_LENGTH, T1, LOSS), np.linspace(-0.08, 0.04, 241)
+    calls = []
+    newton = cavity.newton
+
+    def record(*args, **options):
+        calls.append(len(args[1]))
+        return newton(*args, **options)
+
+    monkeypatch.setattr(cavity, "newton", record)
+    profile = scan_profile(params, p_in, dets, G_KERR)
+    found = cavity.steady_state_branches(params, p_in, G_KERR, dets)
+    assert len(calls) == 2 and calls[0] >= 241
+    monkeypatch.setattr(cavity, "newton", scipy_on_the_runs)
+    expected = cavity.steady_state_branches(params, p_in, G_KERR, dets)
+    assert_within_rounding(params, p_in, G_KERR, dets, found, expected)
     if p_in > 0.05:
         assert profile.multi_branch
 
@@ -341,3 +363,100 @@ def test_brackets_must_be_1d_arrays(a, b):
 
     with pytest.raises(ValueError, match=r"^array brackets must be 1-D and of equal length$"):
         roots.brentq(f, a, b, **TOLERANCES)
+
+
+def scalar_newton(functions, slopes):
+    """``f(x, index)`` of a Newton call over per-element scalar functions and slopes."""
+    def f(x, index):
+        pairs = [(functions[k](v), slopes[k](v)) for v, k in zip(x.tolist(), index.tolist())]
+        return np.array([v for v, _ in pairs]), np.array([s for _, s in pairs])
+    return f
+
+
+def newton_options(**changes):
+    return dict({"xtol": 0.0, "rtol": roots.RTOL_MIN, "maxiter": roots.MAXITER,
+                 "what": "the test solve"}, **changes)
+
+
+def random_newton_problems(count, seed):
+    """Monotone functions with closed-form slopes, their brackets, either way round,
+    and starts anywhere in them; the root c of each lies inside."""
+    rng = random.Random(seed)
+    shapes = (
+        (lambda c, s: lambda x: s * (x - c), lambda c, s: lambda x: s),
+        (lambda c, s: lambda x: s * math.atan(x - c),
+         lambda c, s: lambda x: s / (1 + (x - c) ** 2)),
+        (lambda c, s: lambda x: s * ((x - c) + (x - c) ** 3),
+         lambda c, s: lambda x: s * (1 + 3 * (x - c) ** 2)),
+        (lambda c, s: lambda x: s * math.tanh(50.0 * (x - c)),
+         lambda c, s: lambda x: 50.0 * s / math.cosh(50.0 * (x - c)) ** 2),
+        (lambda c, s: lambda x: s * (math.exp(x) - math.exp(c)),
+         lambda c, s: lambda x: s * math.exp(x)),
+    )
+    for _ in range(count):
+        value, slope = rng.choice(shapes)
+        c, s = rng.uniform(-2.0, 3.0), rng.choice([-1.0, 1.0])
+        a, b = c - rng.uniform(0.01, 5.0), c + rng.uniform(0.01, 5.0)
+        neg, pos = (a, b) if s > 0 else (b, a)
+        yield value(c, s), slope(c, s), rng.uniform(a, b), neg, pos, c
+
+
+def test_newton_finds_brents_roots():
+    # Bare Newton leaves atan's and tanh's brackets from most starts; bisected
+    # back into them, every element stops within a few ulps of scipy's root.
+    problems = list(random_newton_problems(400, 20201104))
+    functions, slopes, x0, neg, pos, centres = zip(*problems)
+    found = roots.newton(scalar_newton(functions, slopes), np.array(x0), np.array(neg),
+                         np.array(pos), **newton_options())
+    for x, f, a, b, c in zip(found.tolist(), functions, neg, pos, centres):
+        expected = scipy_brentq(f, min(a, b), max(a, b), xtol=1e-16, rtol=8.9e-16)
+        assert abs(x - expected) <= 4 * np.spacing(abs(expected)) + 1e-15, (x, c)
+
+
+def test_newton_elements_stop_on_their_own():
+    # Each element's root is its bits alone, in whatever array it is solved.
+    problems = list(random_newton_problems(60, 7))
+    functions, slopes, x0, neg, pos, _ = zip(*problems)
+    batch = roots.newton(scalar_newton(functions, slopes), np.array(x0), np.array(neg),
+                         np.array(pos), **newton_options())
+    for k in range(len(problems)):
+        alone = roots.newton(scalar_newton(functions[k:k + 1], slopes[k:k + 1]),
+                             np.array(x0[k:k + 1]), np.array(neg[k:k + 1]),
+                             np.array(pos[k:k + 1]), **newton_options())
+        assert float(alone[0]).hex() == float(batch[k]).hex()
+
+
+def test_newton_bisects_at_a_zero_slope():
+    # A zero slope at the start gives an infinite step, which bisects [0, 1]
+    # without a warning; Newton then lands on the root.
+    f = scalar_newton([lambda x: x - 0.25], [lambda x: 0.0 if x == 0.9 else 1.0])
+    with np.errstate(all="raise"):
+        found = roots.newton(f, np.array([0.9]), np.array([0.0]), np.array([1.0]),
+                             **newton_options())
+    assert found.tolist() == [0.25]
+
+
+def test_newton_zero_value_stays():
+    # A start on a root stays there, even with a zero slope or at a bracket end.
+    f = scalar_newton([lambda x: 0.0, lambda x: x - 1.0], [lambda x: 0.0, lambda x: 1.0])
+    found = roots.newton(f, np.array([0.25, 1.0]), np.array([0.0, 0.0]),
+                         np.array([1.0, 1.0]), **newton_options())
+    assert found.tolist() == [0.25, 1.0]
+
+
+def test_newton_cap_raises_numerical_error():
+    # A flat step has a zero slope everywhere, so every pass bisects, and
+    # halving [0, 1] to 4 ulps takes more than 5 steps.
+    f = scalar_newton([lambda x: 1.0 if x > 0.3 else -1.0] * 3 + [lambda x: x - 0.5],
+                      [lambda x: 0.0] * 3 + [lambda x: 1.0])
+    with pytest.raises(NumericalError, match=r"^the test solve did not converge in 5 Newton "
+                                             r"steps for 3 row\(s\)$"):
+        roots.newton(f, np.full(4, 0.9), np.zeros(4), np.ones(4), **newton_options(maxiter=5))
+
+
+def test_newton_empty():
+    def f(x, index):
+        raise AssertionError("f called with no element")
+
+    found = roots.newton(f, np.array([]), np.array([]), np.array([]), **newton_options())
+    assert found.shape == (0,) and found.dtype == float

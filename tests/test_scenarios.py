@@ -663,6 +663,23 @@ def csv_oracle(columns):
     return "\n".join([",".join(columns)] + [",".join(map(repr, row)) for row in rows]) + "\n"
 
 
+def assert_same_text(found, expected, context=""):
+    """``found == expected``, byte for byte.  A failure names the count of
+    differing lines and the first differing line and cell, where a bare
+    ``assert`` would diff whole texts of 10^5 lines for minutes."""
+    if found == expected:
+        return
+    lines, want = found.split("\n"), expected.split("\n")
+    differ = [i for i, (a, b) in enumerate(zip(lines, want)) if a != b]
+    first = differ[0] if differ else min(len(lines), len(want))
+    line = lines[first] if first < len(lines) else "<end>"
+    wanted = want[first] if first < len(want) else "<end>"
+    cell = next(((a, b) for a, b in zip(line.split(","), wanted.split(",")) if a != b), None)
+    raise AssertionError(f"{context}{len(differ)} of {len(want)} lines differ, {len(lines)} "
+                         f"written; the first at line {first + 1}: {line!r} != {wanted!r}, "
+                         f"cell {cell}")
+
+
 # Floats at the edges of repr: signed zeros, subnormals, the largest float,
 # non-finite values and both sides of the switch to exponent notation.
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
@@ -747,8 +764,10 @@ class TestRunWriter:
     @settings(max_examples=300, deadline=None)
     def test_text_matches_the_oracles(self, columns):
         with tempfile.TemporaryDirectory() as out:
-            assert RunWriter(out, "json").table("t", columns).read_text() == json_oracle(columns)
-            assert RunWriter(out, "csv").table("t", columns).read_text() == csv_oracle(columns)
+            assert_same_text(RunWriter(out, "json").table("t", columns).read_text(),
+                             json_oracle(columns))
+            assert_same_text(RunWriter(out, "csv").table("t", columns).read_text(),
+                             csv_oracle(columns))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_one_writer_many_tables(self, fmt, tmp_path):
@@ -769,7 +788,8 @@ class TestRunWriter:
         writer = RunWriter(tmp_path, fmt)
         oracle = json_oracle if fmt == "json" else csv_oracle
         for i, columns in enumerate(written):
-            assert writer.table(f"t{i}", columns).read_text() == oracle(columns), i
+            assert_same_text(writer.table(f"t{i}", columns).read_text(), oracle(columns),
+                             f"table {i}: ")
 
     @given(table_runs())
     @settings(max_examples=150, deadline=None)
@@ -778,7 +798,8 @@ class TestRunWriter:
             for fmt, oracle in (("json", json_oracle), ("csv", csv_oracle)):
                 writer = RunWriter(Path(out) / fmt, fmt)
                 for i, columns in enumerate(runs):
-                    assert writer.table(f"t{i}", columns).read_text() == oracle(columns)
+                    assert_same_text(writer.table(f"t{i}", columns).read_text(),
+                                     oracle(columns))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_dense_column_matches_the_oracles(self, fmt, tmp_path):
@@ -801,7 +822,7 @@ class TestRunWriter:
         assert x.size >= 100_000 and np.isnan(x).any() and np.isinf(x).any()
         oracle = json_oracle if fmt == "json" else csv_oracle
         columns = {"x": x}
-        assert RunWriter(tmp_path, fmt).table("t", columns).read_text() == oracle(columns)
+        assert_same_text(RunWriter(tmp_path, fmt).table("t", columns).read_text(), oracle(columns))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_every_digit_count_between_1e_5_and_1e_4(self, fmt, tmp_path):
@@ -817,7 +838,7 @@ class TestRunWriter:
         assert all(1e-5 <= abs(value) < 1e-4 for value in x)
         oracle = json_oracle if fmt == "json" else csv_oracle
         columns = {"x": np.array(x)}
-        assert RunWriter(tmp_path, fmt).table("t", columns).read_text() == oracle(columns)
+        assert_same_text(RunWriter(tmp_path, fmt).table("t", columns).read_text(), oracle(columns))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_narrow_swapped_strided_and_unaligned_columns(self, fmt, tmp_path):
@@ -837,7 +858,7 @@ class TestRunWriter:
                 "unaligned": unaligned,
             }
         oracle = json_oracle if fmt == "json" else csv_oracle
-        assert RunWriter(tmp_path, fmt).table("t", columns).read_text() == oracle(columns)
+        assert_same_text(RunWriter(tmp_path, fmt).table("t", columns).read_text(), oracle(columns))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_float_column_after_a_full_table(self, fmt, tmp_path):
@@ -845,7 +866,7 @@ class TestRunWriter:
         oracle = json_oracle if fmt == "json" else csv_oracle
         for i, columns in enumerate([{"x": np.array([0.5, 1e-7]), "n": [1, 2]},
                                      {"x": np.array([], dtype=np.float32), "n": []}]):
-            assert writer.table(f"t{i}", columns).read_text() == oracle(columns)
+            assert_same_text(writer.table(f"t{i}", columns).read_text(), oracle(columns))
 
     @pytest.mark.skipif(np.dtype(np.longdouble).itemsize <= 8,
                         reason="long double is float64 on this platform")
