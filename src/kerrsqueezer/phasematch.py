@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .roots import brentq
+from .roots import MAXITER, newton
 
 __all__ = [
     "PhaseMatchModel",
@@ -79,17 +79,21 @@ def calibrate_from_extrema(t_max: float, t_min1: float, length: float) -> PhaseM
 
 def _tan_x_equals_x_roots(x_max: float) -> list[float]:
     """Positive roots of tan(x) = x up to ``x_max``, to sub-nanoradian accuracy."""
-    count = int(np.sum(np.arange(1, math.floor(x_max / math.pi) + 2) * math.pi <= x_max))
-    return [root for root in _first_tan_roots(count) if root <= x_max]
+    # Root j lies above j pi + 1, so a bracket miscounted at x_max = j pi has
+    # no root up to x_max either way.
+    return [root for root in _first_tan_roots(math.floor(x_max / math.pi)) if root <= x_max]
 
 
 @functools.lru_cache(maxsize=64)  # model-independent constants: one solve per bracket count
 def _first_tan_roots(brackets: int) -> tuple[float, ...]:
     j = np.arange(1, brackets + 1)
-    lo, hi = j * math.pi, (j + 0.5) * math.pi
-    # f(x) = x cos x - sin x changes sign on (j pi, j pi + pi/2); the brackets solve apart.
-    roots = brentq(lambda x, index: x * np.cos(x) - np.sin(x), lo + 1e-12, hi - 1e-12,
-                   xtol=1e-12, rtol=8.9e-16)
+    lo, hi = j * math.pi + 1e-12, (j + 0.5) * math.pi - 1e-12
+    # f(x) = x cos x - sin x, with slope -x sin x, changes sign once on (j pi,
+    # j pi + pi/2), falling for even j; its root is near hi - 1/hi.
+    odd = j % 2 == 1
+    roots = newton(lambda x, index: (x * np.cos(x) - np.sin(x), -x * np.sin(x)), hi - 1.0 / hi,
+                   np.where(odd, lo, hi), np.where(odd, hi, lo), xtol=1e-12, rtol=8.9e-16,
+                   maxiter=MAXITER, what="tan x = x")
     return tuple(roots.tolist())
 
 

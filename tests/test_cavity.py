@@ -30,7 +30,6 @@ from kerrsqueezer.cavity import (
     _folds,
     _half_max_asymmetry,
 )
-from kerrsqueezer.roots import brentq
 from kerrsqueezer.scenarios import SLOPE_STEP, default_config_path, load_config, run_scenario
 
 # Resonator budget used throughout: 1% coupler, 0.19% residual loss.
@@ -94,6 +93,36 @@ def phase_of(phase):
     return phase if callable(phase) else (lambda p: phase * p)
 
 
+def bisect(f, a, b):
+    """Roots of ``f(x, index)`` on the 1-D array brackets ``[a, b]``, either way
+    round, over which f changes sign: the tests' root oracle.  Each bracket is
+    halved until its ends are adjacent floats, and its root is the end with
+    the smaller ``|f|``; an end or a midpoint where f = 0 is returned as is.
+    ``f`` gets the points of the brackets at positions ``index``."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    index = np.arange(a.size)
+    fa, fb = f(a, index), f(b, index)
+    assert np.all(np.sign(fa) * np.sign(fb) <= 0.0), "f must change sign on each bracket"
+    root = np.where(fa == 0.0, a, b)
+    live = index[(fa != 0.0) & (fb != 0.0)]
+    while live.size:
+        mid = 0.5 * (a[live] + b[live])
+        last = (mid == a[live]) | (mid == b[live])
+        done = live[last]
+        root[done] = np.where(np.abs(fa[done]) <= np.abs(fb[done]), a[done], b[done])
+        live, mid = live[~last], mid[~last]
+        if not live.size:
+            break
+        fm = f(mid, live)
+        zero = fm == 0.0
+        root[live[zero]] = mid[zero]
+        at_a = (fm < 0.0) == (fa[live] < 0.0)
+        a[live], fa[live] = np.where(at_a, mid, a[live]), np.where(at_a, fm, fa[live])
+        b[live], fb[live] = np.where(at_a, b[live], mid), np.where(at_a, fb[live], fm)
+        live = live[~zero]
+    return root
+
+
 def sampled_branches(params, p_in, phi_nl, detuning):
     """The steady-state solve for a general phase callable ``phi_nl``, kept as
     the oracle of the closed-form folds: ``D(psi) = psi - phi_nl(p(psi))`` is
@@ -136,8 +165,7 @@ def sampled_branches(params, p_in, phi_nl, detuning):
     target = (sweep[owner] + turns * _TWO_PI_HI) + turns * _TWO_PI_LO
     keep = (lo[run] <= target) & (target < hi[run])
     run, owner, target = run[keep], owner[keep], target[keep]
-    psi = brentq(lambda x, i: level(x) - target[i], ends[run], ends[run + 1],
-                 xtol=1e-300, rtol=8.9e-16)
+    psi = bisect(lambda x, i: level(x) - target[i], ends[run], ends[run + 1])
     found = np.bincount(owner, minlength=len(sweep))
     seam = np.flatnonzero(found % 2 == 0)
     owner, found[seam] = np.concatenate([owner, seam]), found[seam] + 1
@@ -402,7 +430,7 @@ class TestStackedSweep:
             assert bool((found.count >= 3).any()) == (phase != 0.0)
 
     def test_zero_input(self):
-        # The general solve: a zero curve has no fold, and Brent returns each target.
+        # The general solve: a zero curve has no fold, and Newton returns each target.
         dets = np.concatenate([np.linspace(-0.1, 0.1, 40), [-math.pi, math.pi, 7.0, -20.0]])
         for g in (0.0, 5.0, -3.0):
             found = steady_state_branches(cavity(), 0.0, g, dets)
@@ -624,26 +652,21 @@ class TestResonanceCurve:
         np.testing.assert_allclose(found.p_circ, exact, rtol=4 * np.finfo(float).eps)
 
 
-def brent_on_the_runs(f, x0, neg, pos, **_):
-    """The array Brent on the run brackets and the value function the Newton
-    solve gets: the refinement steady_state_branches made before it, bit for
-    bit, kept as the oracle of the Newton roots."""
-    return brentq(lambda x, i: f(x, i)[0], np.minimum(neg, pos), np.maximum(neg, pos),
-                  xtol=1e-300, rtol=8.9e-16)
-
-
-def brent_branches(params, p_in, g, detuning):
-    """steady_state_branches with every root refined by :func:`brent_on_the_runs`."""
+def bisected_branches(params, p_in, g, detuning):
+    """steady_state_branches with every root refined by :func:`bisect` on its
+    run bracket and the value function the Newton solve gets: the oracle of
+    the Newton roots."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cavity_module, "newton", brent_on_the_runs)
+        patch.setattr(cavity_module, "newton",
+                      lambda f, x0, neg, pos, **_: bisect(lambda x, i: f(x, i)[0], neg, pos))
         return steady_state_branches(params, p_in, g, detuning)
 
 
-# A Newton root may differ from Brent's on the same bracket by the rounding of
-# D(psi) - target, anywhere in which either one's last step can land: at most
+# A Newton root may differ from the bisection's on the same bracket by the
+# rounding of D(psi) - target, anywhere in which either one can stop: at most
 # 16 ulps of p, plus one ulp of the phase terms |d| + |g p| + pi times the root's
-# sensitivity |d ln p / d theta| to the phase (0.3 of that bound at most on 600
-# random cavities; 18 ulps at most on packaged fig3 and the bench seeds 1-3).
+# sensitivity |d ln p / d theta| to the phase (0.29 of that bound at most on 640
+# random cavities; 28 ulps at most on packaged fig3 and the bench seeds 1-3).
 ULPS = 16
 
 
@@ -675,9 +698,9 @@ def run_heights(params, p_in, g):
 
 
 class TestNewtonRoots:
-    """The Newton roots against the array Brent on the same run brackets: the
-    same counts and stability, each root within the rounding bound of Brent's
-    and within 1e-13 of a long-double Newton step."""
+    """The Newton roots against the bisection on the same run brackets: the
+    same counts and stability, each root within the rounding bound of the
+    bisection's and within 1e-13 of a long-double Newton step."""
 
     def test_benchmark_and_packaged_scans(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
@@ -699,7 +722,7 @@ class TestNewtonRoots:
         assert any((solve(*args).count >= 3).any() for args in calls)
         for params, p_in, g, dets in calls:
             found = solve(params, p_in, g, dets)
-            expected = brent_branches(params, p_in, g, dets)
+            expected = bisected_branches(params, p_in, g, dets)
             assert_within_rounding(params, p_in, g, dets, found, expected)
             ulps = np.abs(found.p_circ - expected.p_circ) / np.spacing(expected.p_circ)
             assert np.all(ulps <= 32), float(np.max(ulps))
@@ -719,7 +742,7 @@ class TestNewtonRoots:
                 c.resonant_buildup * p_in)
             dets = np.linspace(-1.0, 1.0, int(rng.choice([41, 400]))) * rng.uniform(0.05, 20.0)
             found = steady_state_branches(c, p_in, g, dets)
-            expected = brent_branches(c, p_in, g, dets)
+            expected = bisected_branches(c, p_in, g, dets)
             assert_within_rounding(c, p_in, g, dets, found, expected)
             assert_solves(c, p_in, g, dets, expected.count, rounding=4.0)
             bistable += bool((found.count >= 3).any())
@@ -730,15 +753,15 @@ class TestNewtonRoots:
         # A detuning at the height of -pi, a fold or pi has a root on each run
         # whose lower end has that height: -pi's and the lower fold's, twice.
         # It starts on that end, where D - target is 0, and stays: the end
-        # itself, as Brent returns it.  Float neighbours of the heights take
-        # Newton steps.
+        # itself, as the bisection returns it.  Float neighbours of the
+        # heights take Newton steps.
         c = CavityParams(RT_LENGTH, 0.1, 0.01)
         _, power, heights = run_heights(c, 0.07, g)
         assert len(heights) == (4 if abs(g) == 0.3 else 2)
         dets = np.concatenate([heights, np.nextafter(heights, np.inf),
                                np.nextafter(heights, -np.inf)])
         found = steady_state_branches(c, 0.07, g, dets)
-        expected = brent_branches(c, 0.07, g, dets)
+        expected = bisected_branches(c, 0.07, g, dets)
         assert_within_rounding(c, 0.07, g, dets, found, expected)
         assert_solves(c, 0.07, g, dets, expected.count, rounding=4.0)
         head = expected.count[:len(heights)].sum()  # the roots at the heights themselves
@@ -755,7 +778,7 @@ class TestNewtonRoots:
                          seam - 2.0 * math.pi, -seam])
         found = steady_state_branches(c, 0.07, phase_slope, dets)
         assert_within_rounding(c, 0.07, phase_slope, dets, found,
-                               brent_branches(c, 0.07, phase_slope, dets))
+                               bisected_branches(c, 0.07, phase_slope, dets))
 
     @pytest.mark.parametrize("peak", [-213.88, -20.0, -0.3, 0.3, 20.0, 213.88])
     def test_a_root_at_zero_phase(self, peak, monkeypatch):
@@ -776,7 +799,7 @@ class TestNewtonRoots:
         dets = np.array([-g * top])
         found = steady_state_branches(c, 0.07, g, dets)
         assert len(passes) <= 12
-        assert_within_rounding(c, 0.07, g, dets, found, brent_branches(c, 0.07, g, dets))
+        assert_within_rounding(c, 0.07, g, dets, found, bisected_branches(c, 0.07, g, dets))
         assert np.min(np.abs(found.p_circ / top - 1.0)) <= 4 * np.finfo(float).eps
 
 

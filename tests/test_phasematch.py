@@ -212,11 +212,11 @@ class TestTanRootCache:
     def solves(self, monkeypatch):
         calls = []
 
-        def record(*args, **options):
-            calls.append(len(args[1]))
-            return roots.brentq(*args, **options)
+        def record(f, x0, *args, **options):
+            calls.append(len(x0))
+            return roots.newton(f, x0, *args, **options)
 
-        monkeypatch.setattr(phasematch, "brentq", record)
+        monkeypatch.setattr(phasematch, "newton", record)
         phasematch._first_tan_roots.cache_clear()
         return calls
 

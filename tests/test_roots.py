@@ -1,11 +1,8 @@
-"""``roots.brentq`` against ``scipy.optimize.brentq``, its reference, bit for bit,
-and ``roots.newton``, with the solves that use it, against both.
+"""``roots.newton``, with the solves that use it, against ``scipy.optimize.brentq``
+and against the tests' bisection oracle, and that oracle against scipy.
 
-An array Brent call is checked element by element: each root must be scipy's
-on that element's own bracket, and a failing element must raise scipy's
-error.  A single bracket goes through a 1-element array call.
-``roots.brentq`` is in turn the oracle of the Newton solves of the lock and
-the steady states, bracketing the same exact equations.
+The bisection (:func:`test_cavity.bisect`) is the oracle of the Newton solves
+of the lock and the steady states, bracketing the same exact equations.
 """
 
 import math
@@ -20,7 +17,7 @@ from kerrsqueezer import (
     scenarios, single_pass_conversion)
 from kerrsqueezer.cli import main
 from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
-from test_cavity import assert_within_rounding
+from test_cavity import assert_within_rounding, bisect
 
 T1 = 0.01
 LOSS = 0.0019
@@ -30,51 +27,22 @@ G_KERR = -(14.0**2) * 0.0093**2 / (2 * math.pi)
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every (f, a, b, options, root) phasematch solves by Brent while the test runs."""
+    """The bracket count of every Newton solve of phasematch while the test runs."""
     calls = []
 
-    def record(f, a, b, **options):
-        root = roots.brentq(f, a, b, **options)
-        calls.append((f, a, b, options, root))
-        return root
+    def record(f, x0, *args, **options):
+        calls.append(len(x0))
+        return roots.newton(f, x0, *args, **options)
 
-    monkeypatch.setattr(phasematch, "brentq", record)
+    monkeypatch.setattr(phasematch, "newton", record)
     # Solved again, not served from the cache of an earlier test's call.
     phasematch._first_tan_roots.cache_clear()
     return calls
 
 
-def element(f, k):
-    """The scalar function of bracket ``k`` of an array call's ``f(x, index)``."""
-    return lambda x: f(np.array([x]), np.array([k]))[0]
-
-
 def vectorized(functions):
     """``f(x, index)`` of an array call over per-bracket scalar functions."""
     return lambda x, index: np.array([functions[k](v) for v, k in zip(x.tolist(), index.tolist())])
-
-
-def assert_matches_scipy(calls, expected_roots):
-    solved = 0
-    for f, a, b, options, root in calls:
-        assert root.dtype == float and root.shape == a.shape
-        for k in range(len(a)):
-            expected = scipy_brentq(element(f, k), a[k], b[k], **options)
-            assert float(root[k]).hex() == expected.hex(), (k, a[k], b[k], options)
-        solved += len(a)
-    assert solved >= expected_roots
-
-
-def solve_one(f, a, b, **options):
-    """``roots.brentq`` on the single bracket ``[a, b]`` of a scalar ``f``."""
-    return float(roots.brentq(vectorized([f]), np.array([a]), np.array([b]), **options)[0])
-
-
-def outcome(solver, f, a, b, **options):
-    try:
-        return solver(f, a, b, **options).hex()
-    except (ValueError, RuntimeError) as err:
-        return type(err), str(err)
 
 
 def scipy_on_the_runs(f, x0, neg, pos, **_):
@@ -120,7 +88,7 @@ def lock_inputs(scenario, **changes):
 
 
 def bracketed_lock(params, p_in, dk, kappa, length):
-    """The root of the exact lock equation on [0, p_hi] per row, by the array Brent."""
+    """The root of the exact lock equation on [0, p_hi] per row, by bisection."""
     t1, loss0 = params.coupler_transmission, params.round_trip_loss
 
     def implicit(p, index):
@@ -128,8 +96,7 @@ def bracketed_lock(params, p_in, dk, kappa, length):
         return p * (1.0 - np.sqrt((1.0 - t1) * (1.0 - loss))) ** 2 - t1 * p_in
 
     p_hi = params.resonant_buildup * p_in * (1.0 + 1e-6)
-    return roots.brentq(implicit, np.zeros(dk.shape), np.full(dk.shape, p_hi),
-                        xtol=1e-300, rtol=8.9e-16)
+    return bisect(implicit, np.zeros(dk.shape), np.full(dk.shape, p_hi))
 
 
 @pytest.mark.parametrize("scenario,changes", [("fig5", {}), ("fig3", {}),
@@ -212,157 +179,82 @@ def test_lock_rejects_a_negative_or_non_finite_drive(p_in):
 
 def test_tan_x_equals_x(recorded):
     # One bracket per j pi <= 300, all in one array call; the last root,
-    # near 95.5 pi, lies above 300.
+    # near 95.5 pi, lies above 300.  Each root is within an ulp of a
+    # long-double Newton step and within scipy's xtol of its Brent root.
     found = phasematch._tan_x_equals_x_roots(300.0)
-    assert len(found) == 94 and len(recorded) == 1
-    assert_matches_scipy(recorded, 95)
-    # The same floats as scipy on the libm form of f.
+    assert len(found) == 94 and recorded == [95]
+    assert all(type(x) is float for x in found)
+    x = np.array(found, dtype=np.longdouble)
+    assert np.finfo(x.dtype).nmant > 52, "the reference needs an extended long double"
+    step = (x * np.cos(x) - np.sin(x)) / (-x * np.sin(x))
+    assert np.all(np.abs(step) <= np.spacing(np.array(found))), float(np.max(np.abs(step)))
     expected = [scipy_brentq(lambda x: x * math.cos(x) - math.sin(x), j * math.pi + 1e-12,
                              (j + 0.5) * math.pi - 1e-12, xtol=1e-12, rtol=8.9e-16)
                 for j in range(1, 95)]
-    assert all(type(x) is float for x in found)
-    assert [x.hex() for x in found] == [x.hex() for x in expected]
+    assert max(abs(x - y) for x, y in zip(found, expected)) <= 1e-12
+    # Roots 1-4, all that fig3's conversion sweeps reach, keep the bits of the
+    # Brent solve before Newton.
+    assert [x.hex() for x in found[:4]] == ["0x1.1f940543506adp+2", "0x1.ee6a86ae40ba6p+2",
+                                            "0x1.5cee908bdb46ap+3", "0x1.c21e42b259c64p+3"]
 
 
+# Finite functions with one sign change each, so scipy and the bisection
+# must meet the same one; the steps end the halvings on a jump.
 FUNCTIONS = (
     lambda c: (lambda x: x - c),
     lambda c: (lambda x: math.atan(x - c)),
     lambda c: (lambda x: (x - c) ** 3),
     lambda c: (lambda x: math.tanh(50.0 * (x - c))),
     lambda c: (lambda x: math.exp(x) - math.exp(c)),
-    lambda c: (lambda x: 1.0 if x > c else -1.0),  # a flat step: the bisection path
-    lambda c: (lambda x: math.sin(7.0 * x) + 0.5 * c),
+    lambda c: (lambda x: 1.0 if x > c else -1.0),
     lambda c: (lambda x: (x - c) * 1e-200),
     lambda c: (lambda x: math.copysign(abs(x - c) ** 0.1, x - c)),
-    lambda c: (lambda x: math.nan if abs(x - c) < 0.3 else x - c - 0.1),
-    # A step near 0 with xtol 1e-300 bisects past the iteration limit.
     lambda c: (lambda x: 1.0 if x > c * 1e-200 else -1.0),
 )
-OPTIONS = (
-    {"xtol": 2e-12, "rtol": roots.RTOL_MIN},  # scipy's defaults
-    {"xtol": 1e-300, "rtol": 8.9e-16},
-    {"xtol": 1e-12, "rtol": 8.9e-16},
-    {"xtol": 1e-3, "rtol": roots.RTOL_MIN},
-    {"xtol": 1e-1, "rtol": 1e-3},
-)
 
 
-def random_brackets():
+def test_random_brackets():
+    # The bisection oracle in one array call over the random brackets scipy
+    # solves: each root sits on a zero of f or next to a float of the other
+    # sign, and within scipy's xtol of scipy's root.
     rng = random.Random(20201104)
-    for _ in range(3000):
+    brackets = []
+    while len(brackets) < 1500:
         f = rng.choice(FUNCTIONS)(rng.uniform(-2.0, 3.0))
         a, b = rng.uniform(-5.0, 1.0), rng.uniform(0.0, 6.0)
         if rng.random() < 0.3:
             a, b = b, a
-        yield f, a, b, rng.randrange(len(OPTIONS))
-
-
-def test_random_brackets():
-    for f, a, b, k in random_brackets():
-        options = OPTIONS[k]
-        assert outcome(solve_one, f, a, b, **options) == outcome(scipy_brentq, f, a, b, **options)
-
-
-def test_random_brackets_in_arrays():
-    # The brackets scipy solves go into one array call per tolerance pair;
-    # each one it rejects goes into a small array of solvable brackets.
-    good = {k: [] for k in range(len(OPTIONS))}
-    bad = []
-    for f, a, b, k in random_brackets():
         try:
-            good[k].append((f, a, b, scipy_brentq(f, a, b, **OPTIONS[k])))
-        except (ValueError, RuntimeError) as err:
-            bad.append((f, a, b, k, err))
-    assert sum(len(brackets) for brackets in good.values()) > 1500
-    for k, brackets in good.items():
-        functions, a, b, expected = zip(*brackets)
-        found = roots.brentq(vectorized(functions), np.array(a), np.array(b), **OPTIONS[k])
-        assert [float(x).hex() for x in found] == [x.hex() for x in expected]
-
-    kinds = {type(err): 0 for *_, err in bad}
-    for i, (f, a, b, k, err) in enumerate(bad):
-        kinds[type(err)] += 1
-        neighbours = good[k][i % 10:i % 10 + 3]
-        functions = [g for g, *_ in neighbours]
-        lo, hi = [x for _, x, _, _ in neighbours], [x for *_, x, _ in neighbours]
-        at = i % 4
-        functions.insert(at, f)
-        lo.insert(at, a)
-        hi.insert(at, b)
-        with pytest.raises(type(err)) as ours:
-            roots.brentq(vectorized(functions), np.array(lo), np.array(hi), **OPTIONS[k])
-        assert str(ours.value) == str(err)
-    assert kinds[RuntimeError] == 150 and kinds[ValueError] > 1000
-
-
-TOLERANCES = {"xtol": 2e-12, "rtol": roots.RTOL_MIN}
-
-
-@pytest.mark.parametrize("f,a,b,options,error", [
-    (lambda x: x + 2.0, 0.0, 1.0, TOLERANCES, ValueError),
-    (lambda x: math.nan, 0.0, 1.0, TOLERANCES, ValueError),
-    (lambda x: math.nan if x > 0.7 else x - 0.5, 0.0, 1.0, TOLERANCES, ValueError),
-    # A flat step bisects, and 100 halvings of a 2e300 bracket stay far
-    # above the tolerance.
-    (lambda x: 1.0 if x > 0.1 else -1.0, -1e300, 1e300, TOLERANCES, RuntimeError),
-    (lambda x: x - 0.5, 0.0, 1.0, {"xtol": 0.0, "rtol": roots.RTOL_MIN}, ValueError),
-    (lambda x: x - 0.5, 0.0, 1.0, {"xtol": 2e-12, "rtol": 1e-17}, ValueError),
-], ids=["sign", "nan-at-a", "nan-inside", "maxiter", "xtol", "rtol"])
-def test_errors_match_scipy(f, a, b, options, error):
-    with pytest.raises(error) as ours:
-        solve_one(f, a, b, **options)
-    with pytest.raises(error) as reference:
-        scipy_brentq(f, a, b, **options)
-    assert str(ours.value) == str(reference.value)
-    # The same bracket between two good ones in an array call.
-    with pytest.raises(error) as in_array:
-        roots.brentq(vectorized([math.atan, f, math.atan]), np.array([-1.0, a, -2.0]),
-                     np.array([2.0, b, 1.0]), **options)
-    assert str(in_array.value) == str(reference.value)
+            brackets.append((f, a, b, scipy_brentq(f, a, b)))
+        except (ValueError, RuntimeError):  # no sign change, or scipy's limit
+            pass
+    functions, a, b, expected = zip(*brackets)
+    found = bisect(vectorized(functions), a, b)
+    for f, x, ends, y in zip(functions, found.tolist(), zip(a, b), expected):
+        sign = np.sign(f(x))
+        assert sign == 0.0 or any(sign * np.sign(f(math.nextafter(x, end))) < 0.0 for end in ends)
+        assert abs(x - y) <= 2e-12 + roots.RTOL_MIN * abs(y), (x, y)
 
 
 def test_array_brackets_that_start_on_a_root():
-    # A zero at either end returns that end, as the scalar loop does.
-    functions = [lambda x: x, lambda x: x - 1.0, lambda x: x - 0.25]
-    a, b = np.array([0.0, -1.0, 0.0]), np.array([1.0, 1.0, 1.0])
-    found = roots.brentq(vectorized(functions), a, b, **TOLERANCES)
-    expected = [scipy_brentq(g, x, y, **TOLERANCES) for g, x, y in zip(functions, a, b)]
-    assert [float(x).hex() for x in found] == [x.hex() for x in expected]
-    assert found[0] == 0.0 and found[1] == 1.0
+    # A zero at either end returns that end, as scipy does: the steady states'
+    # targets at a run end's height start there (test_cavity.TestNewtonRoots).
+    functions = [lambda x: x, lambda x: x - 1.0, lambda x: x - 0.25, lambda x: 1.0 - x]
+    a, b = [0.0, -1.0, 0.0, 2.0], [1.0, 1.0, 1.0, 1.0]
+    expected = [scipy_brentq(g, x, y) for g, x, y in zip(functions, a, b)]
+    assert bisect(vectorized(functions), a, b).tolist() == expected == [0.0, 1.0, 0.25, 1.0]
 
 
 def test_array_brackets_that_all_start_on_a_root():
-    # With no bracket left to iterate the call returns at once.
-    functions = [lambda x: x, lambda x: x - 1.0]
-    a, b = np.array([0.0, -1.0]), np.array([1.0, 1.0])
-    found = roots.brentq(vectorized(functions), a, b, **TOLERANCES)
-    assert [float(x).hex() for x in found] == [
-        scipy_brentq(g, x, y, **TOLERANCES).hex() for g, x, y in zip(functions, a, b)]
-    assert roots.brentq(lambda x, i: x, np.array([0.0]), np.array([1.0]),
-                        **TOLERANCES).tolist() == [0.0]
+    # With no bracket left to halve the oracle returns the ends at once.
+    calls = []
 
-
-def test_empty_array_brackets():
     def f(x, index):
-        raise AssertionError("f called with no bracket")
+        calls.append(len(x))
+        return x - np.array([0.0, 1.0])[index]
 
-    found = roots.brentq(f, np.array([]), np.array([]), **TOLERANCES)
-    assert found.shape == (0,) and found.dtype == float
-
-
-@pytest.mark.parametrize("a,b", [
-    (0.0, 1.0),
-    (np.float64(0.0), np.float64(1.0)),
-    (np.array(0.0), np.array(1.0)),
-    (np.zeros((2, 1)), np.ones((2, 1))),
-    (np.zeros(2), np.ones(3)),
-], ids=["float", "numpy-scalar", "0-d", "2-D", "unequal"])
-def test_brackets_must_be_1d_arrays(a, b):
-    def f(x, index):
-        raise AssertionError("f called on a rejected bracket")
-
-    with pytest.raises(ValueError, match=r"^array brackets must be 1-D and of equal length$"):
-        roots.brentq(f, a, b, **TOLERANCES)
+    assert bisect(f, [0.0, -1.0], [1.0, 1.0]).tolist() == [0.0, 1.0]
+    assert calls == [2, 2]
 
 
 def scalar_newton(functions, slopes):
