@@ -5,6 +5,7 @@ The bisection (:func:`test_cavity.bisect`) is the oracle of the Newton solves
 of the lock and the steady states, bracketing the same exact equations.
 """
 
+import functools
 import math
 import random
 
@@ -213,10 +214,10 @@ FUNCTIONS = (
 )
 
 
-def test_random_brackets():
-    # The bisection oracle in one array call over the random brackets scipy
-    # solves: each root sits on a zero of f or next to a float of the other
-    # sign, and within scipy's xtol of scipy's root.
+@functools.cache
+def random_brackets():
+    """1500 random brackets that scipy solves, with scipy's roots, and the
+    bisection oracle's root of each bracket solved on its own."""
     rng = random.Random(20201104)
     brackets = []
     while len(brackets) < 1500:
@@ -228,12 +229,28 @@ def test_random_brackets():
             brackets.append((f, a, b, scipy_brentq(f, a, b)))
         except (ValueError, RuntimeError):  # no sign change, or scipy's limit
             pass
-    functions, a, b, expected = zip(*brackets)
-    found = bisect(vectorized(functions), a, b)
-    for f, x, ends, y in zip(functions, found.tolist(), zip(a, b), expected):
+    alone = [float(bisect(vectorized([f]), [a], [b])[0]) for f, a, b, _ in brackets]
+    return brackets, alone
+
+
+def test_random_brackets():
+    # Each root of the oracle sits on a zero of f or next to a float of the
+    # other sign, and within scipy's xtol of scipy's root.
+    brackets, alone = random_brackets()
+    for (f, a, b, y), x in zip(brackets, alone):
         sign = np.sign(f(x))
-        assert sign == 0.0 or any(sign * np.sign(f(math.nextafter(x, end))) < 0.0 for end in ends)
+        assert sign == 0.0 or any(sign * np.sign(f(math.nextafter(x, end))) < 0.0
+                                  for end in (a, b))
         assert abs(x - y) <= 2e-12 + roots.RTOL_MIN * abs(y), (x, y)
+
+
+def test_random_brackets_in_arrays():
+    # One array call over all the brackets gives each bracket the bits it
+    # gets on its own, so the array oracle checks the array solves.
+    brackets, alone = random_brackets()
+    functions, a, b, _ = zip(*brackets)
+    found = bisect(vectorized(functions), a, b)
+    assert [x.hex() for x in found.tolist()] == [x.hex() for x in alone]
 
 
 def test_array_brackets_that_start_on_a_root():
