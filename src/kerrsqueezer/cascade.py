@@ -65,8 +65,8 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class CascadeResult:
-    """Nonlinear phase and residual conversion of a full crystal pass
-    (floats, or arrays with one entry per row)."""
+    """Nonlinear phase and residual conversion of a full crystal pass, one
+    entry per row in the inputs' broadcast shape (np.float64 for scalars)."""
 
     nl_phase: float
     residual_conversion: float
@@ -182,21 +182,21 @@ def _orbit(p_in, delta_k, kappa: float, length: float) -> _Orbit:
 
 def single_pass_conversion(p_in, delta_k, kappa: float, length: float) -> np.ndarray:
     """Harmonic power fraction ``w`` after one crystal pass, exactly, in the
-    broadcast shape of ``p_in`` and ``delta_k`` (a float for scalars): the
+    broadcast shape of ``p_in`` and ``delta_k`` (np.float64 for scalars): the
     bits of ``extract_cascade_result(...).residual_conversion`` without the
     phase quadrature.  Raises :class:`DomainError` as that function does."""
     orbit = _orbit(p_in, delta_k, kappa, length)
-    return orbit.residual.reshape(orbit.shape)[()]  # [()]: a float64 for scalar inputs
+    return orbit.residual.reshape(orbit.shape)[()]
 
 
 def extract_cascade_result(p_in, delta_k, kappa: float, length: float) -> CascadeResult:
     """Nonlinear phase and residual conversion of one crystal pass, exactly.
 
-    ``p_in`` and ``delta_k`` may be arrays; they broadcast, and the result
-    holds one array entry per row; each row's orbit (``s``, ``w_b`` and the
-    AGM levels of ``m = w_b^2``) follows the closed form above.  In the
-    interaction picture the linear phase is exactly zero, so the nonlinear
-    phase is the phase of the output fundamental.  Raises :class:`DomainError`
+    ``p_in`` and ``delta_k`` broadcast, and both fields have one entry per
+    row in that shape (np.float64 for scalars); each row's orbit (``s``,
+    ``w_b`` and the AGM levels of ``m = w_b^2``) follows the closed form above.
+    In the interaction picture the linear phase is exactly zero, so the
+    nonlinear phase is the phase of the output fundamental.  Raises :class:`DomainError`
     for zero rows, a negative or non-finite power, a non-finite ``kappa`` or
     ``delta_k``, or a length that is not positive.
     """
@@ -214,7 +214,4 @@ def extract_cascade_result(p_in, delta_k, kappa: float, length: float) -> Cascad
         orbit.folded, 2.0 * over_quarter - over_rest, over_rest)
     nl_phase = np.where(orbit.elliptic, -0.5 * orbit.s * np.sqrt(w_b) * integral, 0.0)
     nl_phase = (nl_phase + math.pi) % (2.0 * math.pi) - math.pi  # wrapped into [-pi, pi)
-    residual = orbit.residual
-    if not orbit.shape:
-        return CascadeResult(float(nl_phase[0, 0]), float(residual[0, 0]))
-    return CascadeResult(nl_phase.reshape(orbit.shape), residual.reshape(orbit.shape))
+    return CascadeResult(nl_phase.reshape(orbit.shape)[()], orbit.residual.reshape(orbit.shape)[()])

@@ -129,8 +129,8 @@ class SpectrumPoint(NamedTuple):
 
 
 class CombAssignment(NamedTuple):
-    index: int
-    omega: float
+    index: np.ndarray
+    omega: np.ndarray
 
 
 # 2 pi = hi + lo to 1e-25: hi keeps 33 significant bits, so k * hi is exact for |k| < 2**20.
@@ -382,7 +382,7 @@ def squeezing_spectrum(op: OperatingPoint, omega) -> SpectrumPoint:
     ((gamma_total +/- |epsilon|)^2 + omega^2)``.  The minor axis, relative
     to the carrier quadrature, is at pi/4 for ``epsilon < 0`` and 3 pi/4 for
     ``epsilon > 0``; without pump the output is vacuum, ``v = 1`` with
-    angle 0.  For an array ``omega`` the fields are arrays of its shape.
+    angle 0.  The fields have the shape of ``omega`` (np.float64 for a scalar).
     """
     if not op.below_threshold:
         raise ThresholdError(
@@ -394,9 +394,7 @@ def squeezing_spectrum(op: OperatingPoint, omega) -> SpectrumPoint:
     v_min = 1.0 - gain / ((gam + eps) ** 2 + w2)
     v_max = 1.0 + gain / ((gam - eps) ** 2 + w2)
     theta = 0.0 if eps == 0.0 else 0.25 * math.pi if op.epsilon < 0.0 else 0.75 * math.pi
-    if not omegas.shape:
-        return SpectrumPoint(float(v_min), float(v_max), theta)
-    return SpectrumPoint(v_min, v_max, np.full(omegas.shape, theta))
+    return SpectrumPoint(v_min, v_max, np.full(omegas.shape, theta)[()])
 
 
 def sideband_comb_map(fsr: float, frequency) -> CombAssignment:
@@ -405,8 +403,8 @@ def sideband_comb_map(fsr: float, frequency) -> CombAssignment:
     ``fsr`` is the cavity's free spectral range in Hz.  The offset is
     ``omega = 2 pi (f - n * FSR)`` with ``n = round(f / FSR)``;
     the spectrum at comb line n is then evaluated with the baseband model
-    at that offset (quasi-degenerate approximation).  For an array
-    ``frequency`` both fields are arrays of its shape.
+    at that offset (quasi-degenerate approximation).  Both fields have the
+    shape of ``frequency`` (np.int64 and np.float64 for a scalar).
     """
     if fsr <= 0.0 or not math.isfinite(fsr):
         raise DomainError(f"FSR must be positive, got {fsr}")
@@ -415,6 +413,4 @@ def sideband_comb_map(fsr: float, frequency) -> CombAssignment:
         raise DomainError(f"frequency must be >= 0, got {frequency}")
     index = np.round(f / fsr)
     omega = 2.0 * math.pi * (f - index * fsr)
-    if not f.shape:
-        return CombAssignment(int(index), float(omega))
     return CombAssignment(index.astype(int), omega)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .states import GaussianQuadratureState, quadrature_variance
+from .states import GaussianQuadratureState, db_to_variance, quadrature_variance
 
 __all__ = [
     "EfficiencyFactor",
@@ -156,7 +156,7 @@ class TomographySettings:
 
     @property
     def dark_variance(self) -> float:
-        return 10.0 ** (self.dark_db / 10.0)
+        return db_to_variance(self.dark_db)
 
 
 class TomographyTrace(NamedTuple):

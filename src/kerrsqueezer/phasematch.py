@@ -55,9 +55,8 @@ class PhaseMatchModel:
 
 
 def delta_k(model: PhaseMatchModel, temperature):
-    """Phase mismatch in rad/m at ``temperature`` (scalar or array, deg C)."""
-    dk = model.dk_dt * (np.asarray(temperature, dtype=float) - model.t_pm)
-    return float(dk) if np.isscalar(temperature) else dk
+    """Mismatch in rad/m at ``temperature`` (deg C), in its shape (np.float64 for a scalar)."""
+    return model.dk_dt * (np.asarray(temperature, dtype=float) - model.t_pm)
 
 
 def calibrate_from_extrema(t_max: float, t_min1: float, length: float) -> PhaseMatchModel:
@@ -84,7 +83,7 @@ def _tan_x_equals_x_roots(x_max: float) -> list[float]:
     return [root for root in _first_tan_roots(math.floor(x_max / math.pi)) if root <= x_max]
 
 
-@functools.lru_cache(maxsize=64)  # model-independent constants: one solve per bracket count
+@functools.lru_cache(maxsize=1)  # model-independent; a run asks for one bracket count
 def _first_tan_roots(brackets: int) -> tuple[float, ...]:
     j = np.arange(1, brackets + 1)
     lo, hi = j * math.pi + 1e-12, (j + 0.5) * math.pi - 1e-12

@@ -396,10 +396,10 @@ def locked_circulating_power(params: CavityParams, p_in: float, delta_k, kappa: 
     SLOPE_FACTORS``, whose outer rows give R' (0 where the loss clamps), and a row
     stops on its own at ``|step| <= 1e-13 p``, so a batch gives each row's bits
     alone.  At high drive a row can have several roots; this returns the one the
-    bracketed descent from ``p_0`` reaches (fig3 at 1 W: another root than Brent
-    on ``[0, p_0]`` at 6 of 81 temperatures; at 30 kW and 61.2 °C 8.42e6 W, where
-    Brent gives 1.38e5 W).  Raises :class:`DomainError` for a negative or
-    non-finite drive and
+    bracketed descent from ``p_0`` reaches (fig3 at 1 W: another root than the
+    tests' bisection oracle ``test_roots.bracketed_lock`` on ``[0, p_0]`` at 7 of 81
+    temperatures; at 30 kW and 61.2 °C 8.42e6 W, where the bisection gives 2.65e5
+    W).  Raises :class:`DomainError` for a negative or non-finite drive and
     :class:`NumericalError` for a row not stopped in ``LOCK_MAX_STEPS`` steps.
     """
     if not math.isfinite(p_in) or p_in < 0.0:
@@ -733,14 +733,14 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
             f"every fig5 row is at or above threshold (headroom {min(headrooms):.3f} "
             f"to {max(headrooms):.3f}); lower fig5.kappa or fig5.input_power_w"
         )
-    # Cavity output (vmin, vmax) and observed (squeeze, antisqueeze) dB; NaN
-    # at or above threshold.
+    # Cavity output (vmin, vmax) and observed (squeeze, antisqueeze) variances,
+    # then their dB from one call; NaN at or above threshold.
     db = np.full((len(ops), 4), math.nan)
     for i in below:
         point = squeezing_spectrum(ops[i], comb.omega)
         observed = dephase(apply_loss(GaussianQuadratureState(*point), eta_chain), sigma)
-        db[i] = (variance_to_db(point.v_min), variance_to_db(point.v_max),
-                 -variance_to_db(observed.v_min), variance_to_db(observed.v_max))
+        db[i] = (point.v_min, point.v_max, observed.v_min, observed.v_max)
+    db[below] = variance_to_db(db[below]) * [1.0, 1.0, -1.0, 1.0]
     outside = [abs(dk * model.length) < math.pi for dk in dks]
     writer.table("squeeze_sweep", {
         "T_celsius": temperatures,
@@ -766,10 +766,8 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
     # Spectrum export at the best temperature.
     freqs = np.linspace(0.0, 4.0 * params.fsr, int(_get(config, "fig5.spectrum_points")))
     spec = squeezing_spectrum(ops[i_best], sideband_comb_map(params.fsr, freqs).omega)
-    writer.table("spectrum", {"f_Hz": freqs,
-                              "vmin_dB": [variance_to_db(v) for v in spec.v_min],
-                              "vmax_dB": [variance_to_db(v) for v in spec.v_max],
-                              "theta_rad": spec.theta_min})
+    writer.table("spectrum", {"f_Hz": freqs, "vmin_dB": variance_to_db(spec.v_min),
+                              "vmax_dB": variance_to_db(spec.v_max), "theta_rad": spec.theta_min})
 
     return {
         "sideband_frequency_hz": frequency,

@@ -144,18 +144,20 @@ def db_to_variance(level_db: float) -> float:
         raise DomainError(f"dB level {level_db} overflows a float variance") from None
 
 
-def variance_to_db(variance: float) -> float:
-    """Inverse of :func:`db_to_variance`."""
-    if not math.isfinite(variance) or variance <= 0.0:
+def variance_to_db(variance):
+    """Inverse of :func:`db_to_variance`, in the shape of ``variance`` (np.float64 for a
+    scalar): ``10 * math.log10(v)`` per element, so the bits are libm's whichever SIMD
+    loop numpy would dispatch its own log10 to."""
+    v = np.asarray(variance, dtype=float)
+    if not np.all(np.isfinite(v) & (v > 0.0)):
         raise DomainError(f"variance must be finite and positive, got {variance}")
-    return 10.0 * math.log10(variance)
+    return 10.0 * np.reshape(list(map(math.log10, v.ravel().tolist())), v.shape)[()]
 
 
 def quadrature_variance(state: GaussianQuadratureState, theta):
-    """Variance of the quadrature at angle ``theta`` (scalar or array)."""
+    """Variance of the quadrature at angle ``theta``, in its shape (np.float64 for a scalar)."""
     d = np.asarray(theta, dtype=float) - state.theta0
-    v = state.v_min * np.cos(d) ** 2 + state.v_max * np.sin(d) ** 2
-    return float(v) if np.isscalar(theta) else v
+    return state.v_min * np.cos(d) ** 2 + state.v_max * np.sin(d) ** 2
 
 
 def apply_loss(state: GaussianQuadratureState, eta: float) -> GaussianQuadratureState:

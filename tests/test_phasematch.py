@@ -206,7 +206,7 @@ class TestExtrema:
 
 
 class TestTanRootCache:
-    """The roots of tan x = x are solved once per bracket count and process."""
+    """The roots of tan x = x of the last bracket count solved are kept for the next call."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -241,4 +241,5 @@ class TestTanRootCache:
     def test_roots_do_not_depend_on_the_count(self, solves):
         many, few = phasematch._first_tan_roots(95), phasematch._first_tan_roots(12)
         assert solves == [95, 12]
+        assert phasematch._first_tan_roots.cache_info().currsize == 1  # only the last count kept
         assert [x.hex() for x in many[:12]] == [x.hex() for x in few]

@@ -518,6 +518,15 @@ class TestFig4:
         assert "the ellipse fit has rank" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_dark_level_overflow_exit_1(self, tmp_path, capsys):
+        # A finite dark_db passes the schema, but 10^(4000/10) overflows a
+        # float: the run reports it as a domain error, not a traceback.
+        config = mutated("fig4", {"tomography.dark_db": 4000.0})
+        assert validate_config(config) == []
+        assert run_cli(config, tmp_path) == 1
+        assert capsys.readouterr().err.startswith("validation error: dB level 4000.0 overflows")
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_trace_schema(self, tmp_path):
         config = load_config(default_config_path("fig4"))
         run_scenario(config, tmp_path, seed=2)

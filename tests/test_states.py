@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,14 +11,21 @@ from kerrsqueezer import (
     GaussianQuadratureState,
     InconsistentObservationError,
     NoSolutionError,
+    OperatingPoint,
     SqueezeObservation,
     apply_loss,
+    calibrate_from_extrema,
     db_to_variance,
+    delta_k,
     dephase,
+    extract_cascade_result,
     infer_loss_only,
     infer_phase_noise,
     pure_squeezed,
     quadrature_variance,
+    sideband_comb_map,
+    single_pass_conversion,
+    squeezing_spectrum,
     variance_to_db,
 )
 
@@ -59,6 +67,67 @@ class TestDbConversion:
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(DomainError):
             variance_to_db(0.0)
+
+    def test_array_bits_are_libm_log10(self):
+        # Bit patterns drawn over all positive finite floats (subnormals
+        # among them) and the ends: each element has the bits of the scalar
+        # formula 10 * math.log10(v), on every SIMD loop numpy dispatches to.
+        bits = np.random.default_rng(1021).integers(1, 0x7FF0000000000000, 100_000, np.uint64)
+        v = np.concatenate([bits.view(np.float64), [5e-324, 2.2e-308, 1e-300, 0.5, 1.0, 10.0,
+                                                    1e300, 1.7976931348623157e308]])
+        expected = [(10.0 * math.log10(x)).hex() for x in v.tolist()]
+        assert np.count_nonzero(v < 2.2250738585072014e-308) > 10
+        assert [x.hex() for x in variance_to_db(v).tolist()] == expected
+        assert [x.hex() for x in variance_to_db(v.reshape(-1, 8)).ravel().tolist()] == expected
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -5e-324, -1.0, math.nan, math.inf, -math.inf])
+    def test_one_bad_element_rejected(self, bad):
+        v = np.full((3, 4), 2.0)
+        v[1, 2] = bad
+        with pytest.raises(DomainError, match="variance must be finite and positive"):
+            variance_to_db(v)
+
+
+# The kernels' return rule: numpy values in the broadcast shape of the inputs,
+# a numpy scalar for scalar inputs. Each kernel maps its array inputs to a tuple
+# of fields; the inputs hold zero powers, zero offsets and several comb lines.
+_FSR = 299_792_458.0 / 0.838
+_RNG = np.random.default_rng(33)
+_POWERS = _RNG.uniform(0.0, 30.0, (3, 8))
+_POWERS[0, :2] = 0.0
+_MODEL = calibrate_from_extrema(40.5, 61.2, 0.0093)
+_STATE = GaussianQuadratureState(0.4, 3.5, 0.7)
+_OP = OperatingPoint(p_circ=1.0, epsilon=-2.0e6, gamma_coupler=5.0e6, gamma_loss=1.0e6)
+KERNELS = {
+    "delta_k": (lambda t: (delta_k(_MODEL, t),), [_RNG.uniform(20.0, 90.0, (3, 8))]),
+    "quadrature_variance": (lambda theta: (quadrature_variance(_STATE, theta),),
+                            [_RNG.uniform(-4.0, 4.0, (3, 8))]),
+    "variance_to_db": (lambda v: (variance_to_db(v),), [_RNG.uniform(0.1, 10.0, (3, 8))]),
+    "extract_cascade_result": (
+        lambda p, dk: dataclasses.astuple(extract_cascade_result(p, dk, 14.0, 0.0093)),
+        [_POWERS, _RNG.uniform(-120.0, 120.0, 8) / 0.0093]),
+    "single_pass_conversion": (lambda p, dk: (single_pass_conversion(p, dk, 14.0, 0.0093),),
+                               [_POWERS, np.linspace(0.0, 2.0e4, 8)]),
+    "squeezing_spectrum": (lambda omega: tuple(squeezing_spectrum(_OP, omega)),
+                           [np.append(0.0, _RNG.uniform(0.0, 3.0e7, 23)).reshape(3, 8)]),
+    "sideband_comb_map": (lambda f: tuple(sideband_comb_map(_FSR, f)),
+                          [np.append(0.0, _RNG.uniform(0.0, 10.0 * _FSR, 23)).reshape(3, 8)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_scalar_calls_are_elements_of_the_array_call(name):
+    kernel, inputs = KERNELS[name]
+    shape = np.broadcast_shapes(*(np.shape(x) for x in inputs))
+    batch = kernel(*inputs)
+    assert all(type(field) is np.ndarray and field.shape == shape for field in batch)
+    for index in np.ndindex(shape):
+        alone = kernel(*(float(np.broadcast_to(x, shape)[index]) for x in inputs))
+        assert len(alone) == len(batch)
+        for one, field in zip(alone, batch):
+            assert type(one) in (np.float64, np.int64) and one.shape == ()
+            assert type(one) is type(field[index])
+            assert one.tobytes().hex() == field[index].tobytes().hex()
 
 
 class TestStateInvariants:
@@ -257,18 +326,15 @@ class TestInferPhaseNoise:
         eta = 0.66
         fit = infer_phase_noise(obs, eta)
 
-        def residual(r, sigma):
-            out = dephase(apply_loss(pure_squeezed(r), eta), sigma)
-            return max(
-                abs(-variance_to_db(out.v_min) - obs.squeeze_db),
-                abs(variance_to_db(out.v_max) - obs.antisqueeze_db),
-            )
-
         rs = np.linspace(0.8, 1.3, 251)
         sigmas = np.linspace(0.0, 0.3, 151)
-        best = min(
-            ((residual(r, s), r, s) for r in rs for s in sigmas), key=lambda t: t[0]
-        )
+        grid = [(r, s) for r in rs for s in sigmas]
+        outs = [dephase(apply_loss(pure_squeezed(r), eta), s) for r, s in grid]
+        db = variance_to_db([(out.v_min, out.v_max) for out in outs])  # one call, every point
+        residuals = np.maximum(np.abs(-db[:, 0] - obs.squeeze_db),
+                               np.abs(db[:, 1] - obs.antisqueeze_db))
+        k = int(np.argmin(residuals))  # the first smallest, as min() would pick
+        best = (residuals[k], *grid[k])
         assert fit.residual_db <= best[0] + 1e-12
         assert abs(fit.r - best[1]) <= (rs[1] - rs[0])
         assert abs(fit.sigma - best[2]) <= (sigmas[1] - sigmas[0])
