@@ -118,7 +118,6 @@ class CavityParams:
 
 class BranchArrays(NamedTuple):
     p_circ: np.ndarray  # every root of a sweep, detuning by detuning, ascending within each
-    stable: np.ndarray  # whether each root is stable
     count: np.ndarray  # the number of roots of each detuning
 
 
@@ -179,9 +178,9 @@ def steady_state_branches(params: CavityParams, p_in: float, g: float,
     ``D' = 1 + 2 g T1 p_in r_eff sin(psi) / den^2`` (``den`` the denominator of
     p) and a start read off D tabulated on the run.  As D(pi) = D(-pi) + 2 pi,
     the count is odd: a detuning whose target falls in the rounding gap of that
-    seam gets its root at psi = pi.  Sorted by power, the roots alternate
-    stable/unstable from a stable one, as F(p) = p |1 - r_eff exp(i(d + g
-    p))|^2 - T1 p_in rises through a stable root from F(0) < 0.  A zero drive
+    seam gets its root at psi = pi.  A detuning's roots ascend in power and
+    the even positions are the stable ones, as F(p) = p |1 - r_eff exp(i(d +
+    g p))|^2 - T1 p_in rises through a stable root from F(0) < 0.  A zero drive
     has no fold and one root per detuning, p = 0.  An overflowing peak Kerr
     phase raises :class:`DomainError`, an empty sweep's too, and a root not
     converged in ``roots.MAXITER`` Newton steps :class:`NumericalError`.
@@ -250,9 +249,7 @@ def steady_state_branches(params: CavityParams, p_in: float, g: float,
     seam = np.flatnonzero(found % 2 == 0)  # its root fell in the seam's rounding gap
     owner, found[seam] = np.concatenate([owner, seam]), found[seam] + 1
     p = power(np.concatenate([psi, np.full(len(seam), math.pi)]))
-    order = np.lexsort((p, owner))
-    stable = (np.arange(len(p)) - np.repeat(np.cumsum(found) - found, found)) % 2 == 0
-    return BranchArrays(p[order], stable, found)
+    return BranchArrays(p[np.lexsort((p, owner))], found)
 
 
 @dataclass(frozen=True)
@@ -295,10 +292,10 @@ def scan_profile(params: CavityParams, p_in: float, detunings: Sequence[float], 
     """Sweep the detuning quasi-statically and follow one stable branch.
 
     One :func:`steady_state_branches` call with the Kerr slope ``g`` (rad/W)
-    solves the sweep.  At bistable points the branch nearest the previous
-    circulating power is kept, which reproduces hysteresis jumps at the fold
-    points; the model has no scan-speed parameter.  ``p_trans`` is the
-    leakage through a weak monitor port, ``MONITOR_TRANSMISSION * p_circ``.
+    solves the sweep.  At a multi-root point the stable (even-position) root
+    nearest the previous circulating power is kept, the lower on a tie, which
+    reproduces hysteresis jumps at the folds; the model has no scan-speed
+    parameter.  ``p_trans`` is the monitor leakage ``MONITOR_TRANSMISSION * p_circ``.
     """
     if direction not in ("up", "down"):
         raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
@@ -308,20 +305,17 @@ def scan_profile(params: CavityParams, p_in: float, detunings: Sequence[float], 
     diffs = np.diff(dets)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise DomainError("detuning sweep must be strictly monotone")
-    order = np.argsort(dets)[::1 if direction == "up" else -1]
+    step, first = (1, 0) if (diffs[0] > 0) == (direction == "up") else (-1, len(dets) - 1)
 
-    roots, stable, count = steady_state_branches(params, p_in, g, dets)
+    roots, count = steady_state_branches(params, p_in, g, dets)
     starts = np.cumsum(count) - count
     p_follow = roots[starts]  # a detuning's only root, or its first stable one
-    step = order[1] - order[0]  # the sweep visits the indices one by one
-    for idx in order[count[order] >= 3].tolist():
-        span = slice(starts[idx], starts[idx] + count[idx])
-        choices = roots[span][stable[span]].tolist()
-        if idx == order[0]:
-            p_follow[idx] = choices[0] if direction == "up" else choices[-1]
+    for idx in np.flatnonzero(count >= 3)[::step]:
+        stable = roots[starts[idx]:starts[idx] + count[idx]:2]
+        if idx == first:
+            p_follow[idx] = stable[0] if direction == "up" else stable[-1]
         else:
-            p_prev = float(p_follow[idx - step])
-            p_follow[idx] = min(choices, key=lambda p: abs(p - p_prev))
+            p_follow[idx] = stable[np.argmin(np.abs(stable - p_follow[idx - step]))]
 
     asym = _half_max_asymmetry(dets, p_follow)
     view = slice(None) if direction == "up" else slice(None, None, -1)
@@ -411,6 +405,8 @@ def sideband_comb_map(fsr: float, frequency) -> CombAssignment:
     f = np.asarray(frequency, dtype=float)
     if not np.all(np.isfinite(f) & (f >= 0.0)):
         raise DomainError(f"frequency must be >= 0, got {frequency}")
+    if not np.all(f < 2.0**53 * fsr):  # past it the comb index is not an exact float
+        raise DomainError(f"frequency / FSR must be below 2**53, got {frequency} / {fsr}")
     index = np.round(f / fsr)
     omega = 2.0 * math.pi * (f - index * fsr)
     return CombAssignment(index.astype(int), omega)

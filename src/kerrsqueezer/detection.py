@@ -93,8 +93,10 @@ def total_efficiency(budget: LossBudget) -> EfficiencyFactor:
     """
     value = 1.0
     rel_sq = 0.0
-    for _, factor in budget.factors():
+    for name, factor in budget.factors():
         value *= factor.value
+        if not factor.sigma / factor.value < 2.0**511:  # four squares below 2**1022 sum finite
+            raise DomainError(f"{name} sigma / value = {factor.sigma / factor.value} is too large")
         rel_sq += (factor.sigma / factor.value) ** 2
     value *= budget.visibility_factor
     return EfficiencyFactor(value, value * math.sqrt(rel_sq))

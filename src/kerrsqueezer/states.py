@@ -190,7 +190,9 @@ def dephase(state: GaussianQuadratureState, sigma: float) -> GaussianQuadratureS
     if not math.isfinite(sigma) or sigma < 0.0:
         raise DomainError(f"jitter RMS must be finite and >= 0, got {sigma}")
     mean = 0.5 * (state.v_min + state.v_max)
-    half_spread = 0.5 * (state.v_max - state.v_min) * math.exp(-2.0 * sigma**2)
+    # exp(-2 sigma^2) is 0.0 from sigma ~ 19.3 rad on, and 2 sigma^2 is finite below 2**511.
+    damping = math.exp(-2.0 * sigma**2) if sigma < 2.0**511 else 0.0
+    half_spread = 0.5 * (state.v_max - state.v_min) * damping
     return GaussianQuadratureState(mean - half_spread, mean + half_spread, state.theta0)
 
 

@@ -128,12 +128,11 @@ def sampled_branches(params, p_in, phi_nl, detuning):
     the oracle of the closed-form folds: ``D(psi) = psi - phi_nl(p(psi))`` is
     sampled at 512 points evenly in u, ``tan(psi / 2) = e tan(u / 2)``, ``e =
     (1 - r_eff) / (1 + r_eff)``; a 129-point grid zooms 64-fold onto each
-    turn's extreme D for 5 rounds, and the runs, targets, seam and stability
+    turn's extreme D for 5 rounds, and the runs, targets, seam and order
     are those of steady_state_branches."""
     sweep = np.asarray(detuning, dtype=float)
     if p_in == 0.0 or not len(sweep):
-        return BranchArrays(np.zeros(len(sweep)), np.ones(len(sweep), bool),
-                            np.ones(len(sweep), int))
+        return BranchArrays(np.zeros(len(sweep)), np.ones(len(sweep), int))
     r, t1_p_in = params.r_eff, params.coupler_transmission * p_in
 
     def power(psi):
@@ -170,9 +169,7 @@ def sampled_branches(params, p_in, phi_nl, detuning):
     seam = np.flatnonzero(found % 2 == 0)
     owner, found[seam] = np.concatenate([owner, seam]), found[seam] + 1
     p = power(np.concatenate([psi, np.full(len(seam), math.pi)]))
-    order = np.lexsort((p, owner))
-    stable = (np.arange(len(p)) - np.repeat(np.cumsum(found) - found, found)) % 2 == 0
-    return BranchArrays(p[order], stable, found)
+    return BranchArrays(p[np.lexsort((p, owner))], found)
 
 
 def follow_slope(phase, monkeypatch):
@@ -295,8 +292,7 @@ def newton_steps(params, p_in, phase, detuning, found):
 def assert_solves(params, p_in, phase, detuning, counts, rounding=0.0):
     """The counts of :func:`solve` are ``counts``, each root is within 1e-13 relative
     of a long-double Newton step, plus ``rounding`` ulps of the phase terms times
-    the root's sensitivity to phase, and stability alternates from a stable
-    first root."""
+    the root's sensitivity to phase, and each detuning's roots ascend."""
     found = solve(params, p_in, phase, detuning)
     assert found.count.tolist() == list(counts)
     step, scale, sensitivity = newton_steps(params, p_in, phase, detuning, found)
@@ -304,21 +300,21 @@ def assert_solves(params, p_in, phase, detuning, counts, rounding=0.0):
     assert np.all(step <= bound), float(np.max(step / bound))
     starts = np.cumsum(found.count) - found.count
     position = np.arange(len(found.p_circ)) - np.repeat(starts, found.count)
-    assert found.stable.tolist() == (position % 2 == 0).tolist()
+    assert np.all(np.diff(found.p_circ)[position[1:] > 0] >= 0.0)
     return found
 
 
 def one_detuning(params, p_in, phase, detuning):
     """The BranchArrays of :func:`solve` on a one-element sweep at ``detuning``."""
     found = solve(params, p_in, phase, np.array([detuning]))
-    assert found.count.tolist() == [len(found.p_circ)] == [len(found.stable)]
+    assert found.count.tolist() == [len(found.p_circ)]
     return found
 
 
 class TestSteadyState:
     def test_linear_resonant_buildup(self):
         found = one_detuning(cavity(), 0.0088, 0.0, 0.0)
-        assert found.stable.tolist() == [True]
+        assert found.count.tolist() == [1]
         assert found.p_circ[0] == pytest.approx(
             cavity().resonant_buildup * 0.0088, rel=1e-9
         )
@@ -331,14 +327,14 @@ class TestSteadyState:
         assert found.p_circ[0] == pytest.approx(float(airy(c, 0.0088, detuning)), rel=1e-9)
 
     def test_zero_input(self):
-        assert split_bits(one_detuning(cavity(), 0.0, 0.0, 0.0)) == [[((0.0).hex(), True)]]
+        assert split_bits(one_detuning(cavity(), 0.0, 0.0, 0.0)) == [[(0.0).hex()]]
 
     def test_bistable_root_structure(self):
-        # 70 mW drive against the Kerr lean: classic S-curve with 3 roots.
+        # 70 mW drive against the Kerr lean: classic S-curve with 3 roots,
+        # the middle one unstable (test_unstable_branch_is_above_threshold).
         c = cavity()
         found = one_detuning(c, 0.07, G_KERR, 0.03)
         assert len(found.p_circ) == 3
-        assert found.stable.tolist() == [True, False, True]
         ps = found.p_circ.tolist()
         assert ps == sorted(ps)
 
@@ -365,18 +361,18 @@ class TestSteadyState:
                 assert p * resonance == pytest.approx(T1 * 0.07, rel=1e-10)
 
     def test_branch_lists_alternate_from_stable_ends(self):
-        # F(0) < 0 < F(p_max), so every list has odd length, alternates
-        # stable/unstable and is stable at both ends: scan_profile always
-        # has a stable branch to follow.
+        # F(0) < 0 < F(p_max), so every list has odd length and ascends: its
+        # even positions, the stable roots, take both ends, and scan_profile
+        # always has a stable branch to follow.
         rng = np.random.default_rng(20201104)
         c = cavity()
         multi = 0
         for _ in range(3000):
             det, p_in, g = rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.1), rng.uniform(-0.5, 0.5)
-            stable = one_detuning(c, p_in, g, det).stable.tolist()
-            assert len(stable) % 2 == 1
-            assert stable == [i % 2 == 0 for i in range(len(stable))]
-            multi += len(stable) >= 3
+            roots = one_detuning(c, p_in, g, det).p_circ.tolist()
+            assert len(roots) % 2 == 1
+            assert roots == sorted(roots)
+            multi += len(roots) >= 3
         assert multi >= 300
 
     @pytest.mark.parametrize("detuning", [math.nan, math.inf, -math.inf])
@@ -412,21 +408,21 @@ class TestStackedSweep:
         dets = np.linspace(-span, span, 167)
         stacked = solve(c, p_in, phase, dets)
         assert isinstance(stacked, BranchArrays) and len(stacked.count) == len(dets)
-        assert stacked.p_circ.dtype == np.float64 and stacked.stable.dtype == np.bool_
+        assert stacked.p_circ.dtype == np.float64 and stacked.count.dtype == np.int64
         for det, branches in zip(dets, split_bits(stacked), strict=True):
             assert split_bits(one_detuning(c, p_in, phase, det)) == [branches]
         # Both powers are bistable against the Kerr lean.
         assert bool((stacked.count >= 3).any()) == (phase != 0.0)
 
     def test_counts_cover_the_roots_and_stability_alternates(self):
+        # Odd counts of ascending roots: stable at the even positions, both ends included.
         c = cavity()
         for phase in (0.0,) + KERR_PHASES:
             found = solve(c, 0.07, phase, np.linspace(-0.2, 0.2, 401))
-            assert found.count.sum() == len(found.p_circ) == len(found.stable)
+            assert found.count.sum() == len(found.p_circ)
             assert np.all(found.count % 2 == 1)
-            for branches in split_bits(found):
-                assert [stable for _, stable in branches] == [
-                    i % 2 == 0 for i in range(len(branches))]
+            for roots in branch_lists(found):
+                assert roots == sorted(roots)
             assert bool((found.count >= 3).any()) == (phase != 0.0)
 
     def test_zero_input(self):
@@ -435,16 +431,16 @@ class TestStackedSweep:
         for g in (0.0, 5.0, -3.0):
             found = steady_state_branches(cavity(), 0.0, g, dets)
             assert isinstance(found, BranchArrays)
-            assert [field.dtype for field in found] == [np.float64, np.bool_, np.int64]
-            assert split_bits(found) == [[((0.0).hex(), True)]] * len(dets)
+            assert [field.dtype for field in found] == [np.float64, np.int64]
+            assert split_bits(found) == [[(0.0).hex()]] * len(dets)
             assert found.count.tolist() == [1] * len(dets)
 
     def test_empty_sweep(self):
         for p_in, g in ((0.07, KERR_PHASES[0]), (0.07, 5.0), (0.0, -3.0)):
             found = steady_state_branches(cavity(), p_in, g, np.array([]))
             assert isinstance(found, BranchArrays)
-            assert [len(field) for field in found] == [0, 0, 0]
-            assert [field.dtype for field in found] == [np.float64, np.bool_, np.int64]
+            assert [len(field) for field in found] == [0, 0]
+            assert [field.dtype for field in found] == [np.float64, np.int64]
             assert split_bits(found) == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -505,15 +501,15 @@ def near(ends, offsets=(1e-15, 1e-13, 1e-11, 1e-9, 3e-8, 3e-7)):
 
 
 def branch_lists(arrays):
-    """Per-detuning lists of (p_circ, stable) of a BranchArrays."""
+    """Per-detuning lists of the roots p_circ of a BranchArrays."""
     stops = np.cumsum(arrays.count).tolist()
-    branches = list(zip(arrays.p_circ.tolist(), arrays.stable.tolist()))
-    return [branches[a:b] for a, b in zip([0] + stops, stops)]
+    roots = arrays.p_circ.tolist()
+    return [roots[a:b] for a, b in zip([0] + stops, stops)]
 
 
 def split_bits(arrays):
-    """Per-detuning lists of (p_circ.hex(), stable) of a BranchArrays."""
-    return [[(p.hex(), s) for p, s in branches] for branches in branch_lists(arrays)]
+    """Per-detuning lists of the p_circ.hex() of a BranchArrays."""
+    return [[p.hex() for p in roots] for roots in branch_lists(arrays)]
 
 
 def random_phase(rng, shape, p_max):
@@ -527,27 +523,34 @@ def grid_counts(params, p_in, phase, detuning):
     return [len(flags) for flags in reference_branches(params, p_in, phase, detuning)]
 
 
+def scan_solves(tmp_path, monkeypatch, seeds):
+    """The arguments of every steady_state_branches call of packaged fig3 and of
+    the bench resonance_scan configs of ``seeds``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import generate
+
+    calls = []
+    solve = cavity_module.steady_state_branches
+
+    def recorded(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cavity_module, "steady_state_branches", recorded)
+    configs = [load_config(default_config_path("fig3"))]
+    configs += [case.config for seed in seeds for case in generate("resonance_scan", seed)]
+    for i, config in enumerate(configs):
+        run_scenario(config, tmp_path / str(i))
+    monkeypatch.setattr(cavity_module, "steady_state_branches", solve)
+    return calls
+
+
 class TestManifoldBrackets:
     """The roots on the resonance curve: the counts of the count oracle, each
-    root within 1e-13 of a long-double Newton step, and stability alternating
-    from a stable first root."""
+    root within 1e-13 of a long-double Newton step, and ascending roots."""
 
     def test_benchmark_and_packaged_scans(self, tmp_path, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-        from workloads import generate
-
-        calls = []
-        solve = cavity_module.steady_state_branches
-
-        def recorded(*args):
-            calls.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(cavity_module, "steady_state_branches", recorded)
-        configs = [load_config(default_config_path("fig3"))]
-        configs += [case.config for case in generate("resonance_scan", 1303)]
-        for i, config in enumerate(configs):
-            run_scenario(config, tmp_path / str(i))
+        calls = scan_solves(tmp_path, monkeypatch, [1303])
         assert len(calls) == 2 + 13
         for args in calls:
             assert_solves(*args, grid_counts(*args))
@@ -671,11 +674,9 @@ ULPS = 16
 
 
 def assert_within_rounding(params, p_in, g, detuning, found, expected):
-    """``found`` and ``expected`` BranchArrays have the same counts and
-    stability, and their roots are within :data:`ULPS` ulps plus the phase
-    rounding of each other."""
+    """``found`` and ``expected`` BranchArrays have the same counts, and their
+    roots are within :data:`ULPS` ulps plus the phase rounding of each other."""
     assert found.count.tolist() == expected.count.tolist()
-    assert found.stable.tolist() == expected.stable.tolist()
     p, r = expected.p_circ, params.r_eff
     d = np.repeat(np.asarray(detuning, dtype=float), expected.count)
     theta = d + g * p
@@ -699,29 +700,15 @@ def run_heights(params, p_in, g):
 
 class TestNewtonRoots:
     """The Newton roots against the bisection on the same run brackets: the
-    same counts and stability, each root within the rounding bound of the
-    bisection's and within 1e-13 of a long-double Newton step."""
+    same counts, each root within the rounding bound of the bisection's and
+    within 1e-13 of a long-double Newton step."""
 
     def test_benchmark_and_packaged_scans(self, tmp_path, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-        from workloads import generate
-
-        calls = []
-        solve = cavity_module.steady_state_branches
-
-        def recorded(*args):
-            calls.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(cavity_module, "steady_state_branches", recorded)
-        configs = [load_config(default_config_path("fig3"))]
-        configs += [case.config for seed in (1, 2, 3) for case in generate("resonance_scan", seed)]
-        for i, config in enumerate(configs):
-            run_scenario(config, tmp_path / str(i))
+        calls = scan_solves(tmp_path, monkeypatch, [1, 2, 3])
         assert len(calls) >= 2 + 3 * 13
-        assert any((solve(*args).count >= 3).any() for args in calls)
+        assert any((steady_state_branches(*args).count >= 3).any() for args in calls)
         for params, p_in, g, dets in calls:
-            found = solve(params, p_in, g, dets)
+            found = steady_state_branches(params, p_in, g, dets)
             expected = bisected_branches(params, p_in, g, dets)
             assert_within_rounding(params, p_in, g, dets, found, expected)
             ulps = np.abs(found.p_circ - expected.p_circ) / np.spacing(expected.p_circ)
@@ -962,12 +949,13 @@ class TestScanProfile:
 
 def reference_follow(branch_lists, order, direction):
     """scan_profile's per-point branch following before it ran on arrays,
-    kept verbatim as the oracle of the array follow."""
+    kept as the oracle of the array follow; a detuning's stable roots are its
+    even positions."""
     multi = any(len(branches) >= 3 for branches in branch_lists)
     p_follow = np.empty(len(branch_lists))
     p_prev: Optional[float] = None
     for idx in order:
-        stable = [p for p, s in branch_lists[idx] if s]
+        stable = branch_lists[idx][::2]
         if len(stable) == 1:
             choice = stable[0]
         elif p_prev is None:
@@ -1077,14 +1065,11 @@ class TestArrayFollow:
         # roots equally far either side of the previous choice: the first,
         # lower one is kept.
         roots = [[2.0], [1.0, 1.5, 3.0], [0.5, 0.75, 1.5], [1.0]]
-        lists = [[(p, i % 2 == 0) for i, p in enumerate(r)] for r in roots]
-        arrays = BranchArrays(np.array(sum(roots, [])),
-                              np.array([s for branches in lists for _, s in branches]),
-                              np.array([len(r) for r in roots]))
+        arrays = BranchArrays(np.array(sum(roots, [])), np.array([len(r) for r in roots]))
         monkeypatch.setattr(cavity_module, "steady_state_branches", lambda *args: arrays)
         dets = np.array([0.0, 0.1, 0.2, 0.3])
         found = scan_profile(cavity(), 0.07, dets, 0.0, direction)
-        assert_same_profile(found, reference_profile(lists, dets, direction))
+        assert_same_profile(found, reference_profile(roots, dets, direction))
         assert sorted(found.p_circ.tolist()) == [0.5, 1.0, 1.0, 2.0]
 
 
@@ -1202,6 +1187,28 @@ class TestOperatingPoint:
             op = detuned_point(c, 0.07, G_KERR, 0.03, branch=stable_branch)
             assert detuned_threshold(c, op, 0.03) > abs(op.epsilon)
             assert op.p_circ > 0
+
+    def test_stability_is_the_threshold_on_the_scans(self, tmp_path, monkeypatch):
+        # Every multi-root detuning of packaged fig3 and the bench
+        # resonance_scan seeds 1-3 has 3 roots.  Its even-position roots, the
+        # stable ones by the solve's order, are below the threshold of the
+        # linearized dynamics free running there (threshold / |epsilon| >=
+        # 1.0099), and its odd-position root is above it (|epsilon| /
+        # threshold >= 1.0112).
+        calls = scan_solves(tmp_path, monkeypatch, [1, 2, 3])
+        points = 0
+        for params, p_in, g, dets in calls:
+            found = steady_state_branches(params, p_in, g, dets)
+            starts = np.cumsum(found.count) - found.count
+            assert np.all(found.count <= 3)
+            for idx in np.flatnonzero(found.count == 3).tolist():
+                points += 1
+                for position, p in enumerate(found.p_circ[starts[idx]:starts[idx] + 3].tolist()):
+                    op = OperatingPoint(p, g * p * params.fsr, params.gamma_coupler,
+                                        params.gamma_loss)
+                    below = abs(op.epsilon) < detuned_threshold(params, op, float(dets[idx]))
+                    assert below == (position % 2 == 0), (p_in, float(dets[idx]), position)
+        assert (len(calls), points) == (41, 167)
 
     def test_fold_point_sits_at_threshold(self):
         # The quasi-static fold and the linearized instability must agree.

@@ -527,6 +527,15 @@ class TestFig4:
         assert capsys.readouterr().err.startswith("validation error: dB level 4000.0 overflows")
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_budget_uncertainty_overflow_exit_1(self, tmp_path, capsys):
+        # A valid escape factor of 1e-300 +- 1: its relative uncertainty
+        # squared overflows a float, reported as a domain error naming it.
+        config = mutated("fig4", {"budget.escape": [1e-300, 1.0]})
+        assert validate_config(config) == []
+        assert run_cli(config, tmp_path) == 1
+        assert capsys.readouterr().err.startswith("validation error: escape ")
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_trace_schema(self, tmp_path):
         config = load_config(default_config_path("fig4"))
         run_scenario(config, tmp_path, seed=2)
@@ -607,6 +616,33 @@ class TestFig5:
         rows = (out / "spectrum.csv").read_text().splitlines()[1:]
         assert len(rows) == 801
         assert {row.rsplit(",", 1)[1] for row in rows} == {repr(math.pi / 4)}
+
+    def test_huge_phase_noise_is_fully_dephased(self, tmp_path, capsys):
+        # exp(-2 sigma^2) is 0.0 from 19.3 rad on; a sigma whose square
+        # overflows writes the tables of any such sigma.
+        outs = []
+        for sigma in (1e200, 20.0):
+            outs.append(tmp_path / str(sigma))
+            outs[-1].mkdir()
+            assert run_cli(mutated("fig5", {"fig5.phase_noise_rms_rad": sigma}), outs[-1]) == 0
+        for name in ("squeeze_sweep.csv", "spectrum.csv"):
+            assert (outs[0] / "out" / name).read_bytes() == (outs[1] / "out" / name).read_bytes()
+
+    @pytest.mark.parametrize("frequency", [1e300, 1e25])
+    def test_sideband_past_2_53_lines_exit_1(self, frequency, tmp_path, capsys):
+        # Past 2**53 comb lines the index is no exact float and the offset
+        # rounding noise; at 1e300 Hz the int cast wrapped as well.
+        config = mutated("fig5", {"fig5.sideband_frequency_hz": frequency})
+        assert validate_config(config) == []
+        assert run_cli(config, tmp_path) == 1
+        assert capsys.readouterr().err.startswith("validation error: frequency / FSR")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_paper_sideband_is_the_third_line(self, tmp_path, capsys):
+        # The paper's 1.075 GHz sideband, three FSRs of the 0.838 m ring.
+        config = mutated("fig5", {"fig5.sideband_frequency_hz": 1.075e9})
+        assert run_cli(config, tmp_path) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["comb_index"] == 3
 
     def test_json_format(self, tmp_path):
         config = load_config(default_config_path("fig5"))
@@ -1033,6 +1069,14 @@ class TestCli:
         assert main(["infer", "loss-only", "--sqz", "2.4", "--antisqz", "7.5"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert 0.46 <= report["eta"] <= 0.48
+
+    @pytest.mark.parametrize("argv", [
+        ["1", "1", "1", "1", "--unc", "1e308", "0", "0", "0"],
+        ["1e-300", "1e-300", "1e-300", "1e-300", "--unc", "1", "1", "1", "1"],
+    ], ids=["huge-sigma", "tiny-values"])
+    def test_infer_budget_overflow_exit_1(self, argv, capsys):
+        assert main(["infer", "budget", *argv]) == 1
+        assert capsys.readouterr().err.startswith("validation error: escape ")
 
     def test_infer_budget_writes_report(self, tmp_path, capsys):
         code = main(
