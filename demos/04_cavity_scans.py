@@ -24,25 +24,27 @@ g_kerr = -(14.0**2) * 0.0093**2 / (2 * math.pi)  # rad/W at the first zero
 fwhm = params.linewidth_phase_fwhm
 
 
-def sweep(p_in, g, direction):
+def rising_detunings(p_in):
+    """A sweep up over the skewed resonance; reversed, it is the sweep down."""
     span = 6 * fwhm + 1.6 * abs(g_kerr) * params.resonant_buildup * p_in
-    detunings = np.linspace(-span, span, 1501)
-    return scan_profile(params, p_in, detunings, g, direction)
+    return np.linspace(-span, span, 1501)
 
 
 print("\n=== linear cavity (conversion maximum): symmetric Airy peak ===")
-linear = sweep(0.0088, 0.0, "up")
+linear = scan_profile(params, 0.0088, rising_detunings(0.0088), 0.0)
 print(f"asymmetry metric: {linear.asymmetry:.2e}  bistable: {linear.multi_branch}")
 
 print("\n=== with the cascade phase (conversion zero): skewed peak ===")
 print(" p_in (mW)  asymmetry  bistable")
 for p_in in (2.2e-3, 4.4e-3, 8.8e-3, 17.6e-3, 35.2e-3, 70.4e-3):
-    prof = sweep(p_in, g_kerr, "up")
+    prof = scan_profile(params, p_in, rising_detunings(p_in), g_kerr)
     print(f"  {p_in*1e3:6.1f}    {prof.asymmetry:8.4f}   {prof.multi_branch}")
 
 print("\n=== hysteresis at 70 mW ===")
-up = sweep(0.0704, g_kerr, "up")
-down = sweep(0.0704, g_kerr, "down")
+rising = rising_detunings(0.0704)
+falling = rising[::-1]
+up = scan_profile(params, 0.0704, rising, g_kerr)
+down = scan_profile(params, 0.0704, falling, g_kerr)
 gap = np.max(np.abs(up.p_circ - down.p_circ[::-1]))
 print(f"max |up - down| circulating power: {gap:.2f} W "
       f"(peak {up.p_circ.max():.2f} W)")
@@ -54,8 +56,8 @@ try:
     import matplotlib.pyplot as plt
 
     fig, ax = plt.subplots(figsize=(7, 4))
-    ax.plot(up.detuning * 1e3, up.p_circ, label="sweep up")
-    ax.plot(down.detuning[::-1] * 1e3, down.p_circ[::-1], "--", label="sweep down")
+    ax.plot(rising * 1e3, up.p_circ, label="sweep up")
+    ax.plot(falling * 1e3, down.p_circ, "--", label="sweep down")
     ax.set_xlabel("round-trip detuning (mrad)")
     ax.set_ylabel("circulating power (W)")
     ax.legend()

@@ -256,10 +256,7 @@ def steady_state_branches(params: CavityParams, p_in: float, g: float,
 class ResonanceProfile:
     """Quasi-static cavity scan with adiabatic branch following."""
 
-    detuning: np.ndarray
-    p_circ: np.ndarray
-    p_trans: np.ndarray
-    direction: str
+    p_circ: np.ndarray  # the followed power at each detuning of the sweep
     asymmetry: float
     multi_branch: bool
 
@@ -287,46 +284,36 @@ def _half_max_asymmetry(x: np.ndarray, y: np.ndarray) -> float:
     return abs(w_left - w_right) / (w_left + w_right)
 
 
-def scan_profile(params: CavityParams, p_in: float, detunings: Sequence[float], g: float,
-                 direction: str = "up") -> ResonanceProfile:
+def scan_profile(params: CavityParams, p_in: float, detunings: Sequence[float],
+                 g: float) -> ResonanceProfile:
     """Sweep the detuning quasi-statically and follow one stable branch.
 
-    One :func:`steady_state_branches` call with the Kerr slope ``g`` (rad/W)
-    solves the sweep.  At a multi-root point the stable (even-position) root
-    nearest the previous circulating power is kept, the lower on a tie, which
-    reproduces hysteresis jumps at the folds; the model has no scan-speed
-    parameter.  ``p_trans`` is the monitor leakage ``MONITOR_TRANSMISSION * p_circ``.
+    The detunings are visited in the order given: an ascending array sweeps
+    up and a descending one down.  One :func:`steady_state_branches` call with
+    the Kerr slope ``g`` (rad/W) solves the sweep.  The first point takes its lowest stable root on
+    a rising sweep and its highest on a falling one; at each later multi-root
+    point the stable (even-position) root nearest the previous circulating
+    power is kept, the lower on a tie, which reproduces hysteresis jumps at
+    the folds; the model has no scan-speed parameter.
     """
-    if direction not in ("up", "down"):
-        raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
     dets = np.asarray(detunings, dtype=float)
     if dets.ndim != 1 or len(dets) < 3:
         raise DomainError("detuning sweep needs at least 3 points")
     diffs = np.diff(dets)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise DomainError("detuning sweep must be strictly monotone")
-    step, first = (1, 0) if (diffs[0] > 0) == (direction == "up") else (-1, len(dets) - 1)
 
     roots, count = steady_state_branches(params, p_in, g, dets)
     starts = np.cumsum(count) - count
     p_follow = roots[starts]  # a detuning's only root, or its first stable one
-    for idx in np.flatnonzero(count >= 3)[::step]:
+    for idx in np.flatnonzero(count >= 3):
         stable = roots[starts[idx]:starts[idx] + count[idx]:2]
-        if idx == first:
-            p_follow[idx] = stable[0] if direction == "up" else stable[-1]
+        if idx == 0:
+            p_follow[idx] = stable[0] if diffs[0] > 0 else stable[-1]
         else:
-            p_follow[idx] = stable[np.argmin(np.abs(stable - p_follow[idx - step]))]
-
-    asym = _half_max_asymmetry(dets, p_follow)
-    view = slice(None) if direction == "up" else slice(None, None, -1)
-    return ResonanceProfile(
-        detuning=dets[view].copy(),
-        p_circ=p_follow[view].copy(),
-        p_trans=MONITOR_TRANSMISSION * p_follow[view],
-        direction=direction,
-        asymmetry=asym,
-        multi_branch=bool((count >= 3).any()),
-    )
+            p_follow[idx] = stable[np.argmin(np.abs(stable - p_follow[idx - 1]))]
+    return ResonanceProfile(p_follow, _half_max_asymmetry(dets, p_follow),
+                            bool((count >= 3).any()))
 
 
 @dataclass(frozen=True)

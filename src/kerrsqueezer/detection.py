@@ -114,8 +114,8 @@ def omc_sideband_transfer(fsr_sqz: float, omc_finesse: float, f: float) -> float
     """
     if fsr_sqz <= 0.0 or not math.isfinite(fsr_sqz):
         raise DomainError(f"fsr_sqz must be positive, got {fsr_sqz}")
-    if omc_finesse <= 0.0 or not math.isfinite(omc_finesse):
-        raise DomainError(f"omc_finesse must be positive, got {omc_finesse}")
+    if not 0.0 < omc_finesse < 2.0**511:  # then 4 F^2 < 2**1024 is finite
+        raise DomainError(f"omc_finesse must lie in (0, 2**511), got {omc_finesse}")
     if f < 0.0 or not math.isfinite(f):
         raise DomainError(f"frequency must be >= 0, got {f}")
     # Mirror amplitude reflectivity from finesse = pi r / (1 - r^2).

@@ -33,6 +33,7 @@ import yaml
 from . import __version__ as _VERSION
 from .cascade import extract_cascade_result, single_pass_conversion
 from .cavity import (
+    MONITOR_TRANSMISSION,
     CavityParams,
     OperatingPoint,
     scan_profile,
@@ -48,7 +49,6 @@ from .detection import (
     omc_sideband_transfer,
     simulate_tomography_trace,
     total_efficiency,
-    trace_samples,
 )
 from .errors import DomainError, InconsistentObservationError, ThresholdError, ValidationError
 from .phasematch import calibrate_from_extrema, delta_k, find_conversion_extrema
@@ -234,10 +234,13 @@ INVARIANTS = (
     ("tomography.vbw_hz", "tomography.rbw_hz", operator.lt,
      "must be < rbw_hz ({other}), got {value}"),
     # The ellipse fit needs at least 3 samples; a scan that aliases onto
-    # fewer than 3 phases is caught by the fit's rank check instead.
-    ("tomography.duration_s", "tomography.vbw_hz",
-     lambda duration, vbw: trace_samples(duration, vbw) >= 3,
+    # fewer than 3 phases is caught by the fit's rank check instead; past
+    # 2**53 samples a sample time k / vbw is inexact.  The trace_samples count
+    # round(d v) is bounded on d v, which overflows to inf, not OverflowError.
+    ("tomography.duration_s", "tomography.vbw_hz", lambda d, v: d * v > 2.5,
      "must span at least 3 trace samples at vbw_hz ({other}), got {value}"),
+    ("tomography.duration_s", "tomography.vbw_hz", lambda d, v: d * v < 2**53,
+     "must span fewer than 2**53 trace samples at vbw_hz ({other}), got {value}"),
     ("fig3.sweep.stop_c", "fig3.sweep.start_c", operator.gt, "must exceed fig3.sweep.start_c"),
 )
 
@@ -640,10 +643,10 @@ def run_profiles(config, writer: RunWriter) -> dict:
             temperatures, _locked_points(model, kappa, temperatures, params, p_in)):
         span = span_lw * scan_params.linewidth_phase_fwhm + 1.6 * abs(g) * op.p_circ
         detunings = np.linspace(-span, span, n_points)
-        profile = scan_profile(scan_params, p_in, detunings, g, "up")
-        writer.table(_profile_name(temperature), {"detuning_rad": profile.detuning,
-                                                  "p_circ_W": profile.p_circ,
-                                                  "p_trans_W": profile.p_trans})
+        profile = scan_profile(scan_params, p_in, detunings, g)
+        writer.table(_profile_name(temperature), {
+            "detuning_rad": detunings, "p_circ_W": profile.p_circ,
+            "p_trans_W": MONITOR_TRANSMISSION * profile.p_circ})
         out.append({"temperature_c": float(temperature), "asymmetry": profile.asymmetry,
                     "bistable": profile.multi_branch, "kerr_slope_rad_per_w": g,
                     "locked_power_w": op.p_circ})

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 from typing import Optional
@@ -463,7 +464,7 @@ class TestStackedSweep:
             with pytest.raises(DomainError, match="Kerr slope g must be finite"):
                 steady_state_branches(cavity(), p_in, bad, dets)
             with pytest.raises(DomainError, match="Kerr slope g must be finite"):
-                scan_profile(cavity(), p_in, dets, bad, "down")
+                scan_profile(cavity(), p_in, dets[::-1], bad)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p_in, g", [(1.0, 1e308), (1e300, 1.0)],
@@ -475,7 +476,7 @@ class TestStackedSweep:
         with pytest.raises(DomainError, match="peak Kerr phase"):
             steady_state_branches(CavityParams(0.838, T1, LOSS), p_in, g, dets)
         with pytest.raises(DomainError, match="peak Kerr phase"):
-            scan_profile(CavityParams(0.838, T1, LOSS), p_in, dets, g, "up")
+            scan_profile(CavityParams(0.838, T1, LOSS), p_in, dets, g)
         # Checked before every solve, an empty sweep's too.
         with pytest.raises(DomainError, match="peak Kerr phase"):
             steady_state_branches(CavityParams(0.838, T1, LOSS), p_in, g, np.array([]))
@@ -881,7 +882,7 @@ class TestScanProfile:
     def test_linear_matches_airy(self):
         c = cavity()
         dets = self.grid(6 * c.linewidth_phase_fwhm)
-        prof = scan_profile(c, 0.0088, dets, 0.0, "up")
+        prof = scan_profile(c, 0.0088, dets, 0.0)
         expected = airy(c, 0.0088, dets)
         np.testing.assert_allclose(prof.p_circ, expected, rtol=1e-6)
         area = np.trapezoid(prof.p_circ, dets)
@@ -889,17 +890,20 @@ class TestScanProfile:
         assert abs(prof.asymmetry) < 1e-9
         assert not prof.multi_branch
 
-    def test_monitor_port(self):
-        c = cavity()
-        dets = self.grid(3 * c.linewidth_phase_fwhm, 301)
-        for direction in ("up", "down"):
-            prof = scan_profile(c, 0.0088, dets, 0.0, direction)
-            assert prof.p_trans.tolist() == (MONITOR_TRANSMISSION * prof.p_circ).tolist()
+    def test_monitor_port(self, tmp_path):
+        # Each written profile's p_trans_W is the monitor leakage of its p_circ_W.
+        run_scenario(load_config(default_config_path("fig3")), tmp_path, fmt="json")
+        tables = [json.loads(path.read_text()) for path in tmp_path.glob("profile_*.json")]
+        assert len(tables) == 2
+        for table in tables:
+            assert table["columns"] == ["detuning_rad", "p_circ_W", "p_trans_W"]
+            assert [p_trans for _, _, p_trans in table["rows"]] == [
+                MONITOR_TRANSMISSION * p_circ for _, p_circ, _ in table["rows"]]
 
     def test_kerr_profile_skewed(self):
         c = cavity()
         span = 6 * c.linewidth_phase_fwhm + 2 * abs(G_KERR) * c.resonant_buildup * 0.0088
-        prof = scan_profile(c, 0.0088, self.grid(span, 1601), G_KERR, "up")
+        prof = scan_profile(c, 0.0088, self.grid(span, 1601), G_KERR)
         assert prof.asymmetry > 0.3
 
     def test_asymmetry_strictly_increases_with_power(self):
@@ -907,7 +911,7 @@ class TestScanProfile:
         asyms = []
         for p_in in (0.0022, 0.0044, 0.0088, 0.0176, 0.0352, 0.0704):
             span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
-            prof = scan_profile(c, p_in, self.grid(span, 2001), G_KERR, "up")
+            prof = scan_profile(c, p_in, self.grid(span, 2001), G_KERR)
             asyms.append(prof.asymmetry)
         assert all(b > a for a, b in zip(asyms, asyms[1:]))
 
@@ -916,27 +920,28 @@ class TestScanProfile:
         for p_in in (0.0088, 0.0704):
             span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
             dets = self.grid(span, 1201)
-            up = scan_profile(c, p_in, dets, G_KERR, "up")
-            down = scan_profile(c, p_in, dets, G_KERR, "down")
-            gap = float(np.max(np.abs(up.p_circ - down.p_circ[::-1])))
+            up = scan_profile(c, p_in, dets, G_KERR)
+            down = scan_profile(c, p_in, dets[::-1], G_KERR)
             if up.multi_branch:
+                gap = float(np.max(np.abs(up.p_circ - down.p_circ[::-1])))
                 assert gap > 0.1 * np.max(up.p_circ)
-            else:
-                assert gap < 1e-9 * np.max(up.p_circ)
+            else:  # one root per detuning: both sweeps read the same bits
+                assert down.p_circ[::-1].tolist() == up.p_circ.tolist()
+                assert down.asymmetry.hex() == up.asymmetry.hex()
 
     @pytest.mark.parametrize("phase", (0.0,) + KERR_PHASES, ids=("linear", "kerr", "tanh"))
     @pytest.mark.parametrize("p_in", [0.015, 0.07])
     def test_points_are_single_detuning_roots(self, phase, p_in, monkeypatch):
         # Every profile point is bit for bit a root of the one-detuning
-        # solver, in either sweep direction; the tanh lean's profile follows
-        # the sampled solve.
+        # solver, sweeping up or down; the tanh lean's profile follows the
+        # sampled solve.
         c = cavity()
         span = 6 * c.linewidth_phase_fwhm + 1.6 * abs(G_KERR) * c.resonant_buildup * p_in
         dets = self.grid(span, 301)
         roots = [one_detuning(c, p_in, phase, d).p_circ.tolist() for d in dets]
         g = follow_slope(phase, monkeypatch)
-        for direction, expected in (("up", roots), ("down", roots[::-1])):
-            prof = scan_profile(c, p_in, dets, g, direction)
+        for sweep, expected in ((dets, roots), (dets[::-1], roots[::-1])):
+            prof = scan_profile(c, p_in, sweep, g)
             for p, found in zip(prof.p_circ, expected, strict=True):
                 assert p in found
             assert prof.multi_branch == any(len(found) >= 3 for found in roots)
@@ -944,22 +949,23 @@ class TestScanProfile:
     def test_monotone_sweep_required(self):
         for detunings in ([0.0, 1.0, 0.5], [-np.inf, 0.0, 1.0]):
             with pytest.raises(DomainError):
-                scan_profile(cavity(), 0.01, np.array(detunings), 0.0, "up")
+                scan_profile(cavity(), 0.01, np.array(detunings), 0.0)
 
 
-def reference_follow(branch_lists, order, direction):
+def reference_follow(branch_lists, rising):
     """scan_profile's per-point branch following before it ran on arrays,
-    kept as the oracle of the array follow; a detuning's stable roots are its
-    even positions."""
+    kept as the oracle of the array follow: the lists in sweep order, the
+    first point's lowest stable root on a rising sweep and its highest on a
+    falling one; a detuning's stable roots are its even positions."""
     multi = any(len(branches) >= 3 for branches in branch_lists)
     p_follow = np.empty(len(branch_lists))
     p_prev: Optional[float] = None
-    for idx in order:
-        stable = branch_lists[idx][::2]
+    for idx, branches in enumerate(branch_lists):
+        stable = branches[::2]
         if len(stable) == 1:
             choice = stable[0]
         elif p_prev is None:
-            choice = stable[0] if direction == "up" else stable[-1]
+            choice = stable[0] if rising else stable[-1]
         else:
             choice = min(stable, key=lambda p: abs(p - p_prev))
         p_follow[idx] = choice
@@ -967,37 +973,29 @@ def reference_follow(branch_lists, order, direction):
     return p_follow, multi
 
 
-def reference_profile(branch_lists, dets, direction):
+def reference_profile(branch_lists, dets):
     dets = np.asarray(dets, dtype=float)
-    order = np.argsort(dets)
-    if direction == "down":
-        order = order[::-1]
-    p_follow, multi = reference_follow(branch_lists, order, direction)
-    view = slice(None) if direction == "up" else slice(None, None, -1)
-    return ResonanceProfile(dets[view].copy(), p_follow[view].copy(),
-                            MONITOR_TRANSMISSION * p_follow[view], direction,
-                            _half_max_asymmetry(dets, p_follow), multi)
+    p_follow, multi = reference_follow(branch_lists, dets[1] > dets[0])
+    return ResonanceProfile(p_follow, _half_max_asymmetry(dets, p_follow), multi)
 
 
 def assert_same_profile(found, expected):
-    for field in ("detuning", "p_circ", "p_trans"):
-        assert list(map(float.hex, getattr(found, field).tolist())) == list(
-            map(float.hex, getattr(expected, field).tolist()))
+    assert list(map(float.hex, found.p_circ.tolist())) == list(
+        map(float.hex, expected.p_circ.tolist()))
     assert float(found.asymmetry).hex() == float(expected.asymmetry).hex()  # NaN included
     assert found.multi_branch is expected.multi_branch
-    assert found.direction == expected.direction
 
 
 def assert_follows_reference(params, p_in, dets, phase, monkeypatch=None):
-    """Both directions of scan_profile equal the per-point follow of the branch
-    lists of :func:`solve`."""
-    lists = branch_lists(solve(params, p_in, phase, np.asarray(dets, float)))
+    """scan_profile on the sweep and on its reverse equals the per-point
+    follow of the branch lists of :func:`solve` on the same array."""
     g = follow_slope(phase, monkeypatch)
-    for direction in ("up", "down"):
-        found = scan_profile(params, p_in, dets, g, direction)
-        expected = reference_profile(lists, dets, direction)
-        assert_same_profile(found, expected)
-    return max(map(len, lists))
+    most = 0
+    for sweep in (np.asarray(dets, float), np.asarray(dets, float)[::-1]):
+        lists = branch_lists(solve(params, p_in, phase, sweep))
+        assert_same_profile(scan_profile(params, p_in, sweep, g), reference_profile(lists, sweep))
+        most = max(most, *map(len, lists))
+    return most
 
 
 class TestArrayFollow:
@@ -1022,11 +1020,10 @@ class TestArrayFollow:
             run_scenario(config, tmp_path / str(i))
         assert len(calls) == 2 + 13
         assert any(found.multi_branch for _, found in calls)
-        for (params, p_in, dets, g, direction), found in calls:
-            assert direction == "up"
+        for (params, p_in, dets, g), found in calls:
+            assert np.all(np.diff(dets) > 0.0)  # fig3 sweeps up
             lists = branch_lists(steady_state_branches(params, p_in, g, dets))
-            expected = reference_profile(lists, dets, "up")
-            assert_same_profile(found, expected)
+            assert_same_profile(found, reference_profile(lists, dets))
             assert_follows_reference(params, p_in, dets, g)
 
     @pytest.mark.parametrize("shape", ["linear", "tanh", "sine"])
@@ -1055,21 +1052,21 @@ class TestArrayFollow:
         dets = np.linspace(bistable[1], bistable[-2], 41)
         assert np.all(steady_state_branches(c, 0.07, KERR_PHASES[0], dets).count == 3)
         assert_follows_reference(c, 0.07, dets, KERR_PHASES[0])
-        up = scan_profile(c, 0.07, dets, KERR_PHASES[0], "up")
-        down = scan_profile(c, 0.07, dets, KERR_PHASES[0], "down")
+        up = scan_profile(c, 0.07, dets, KERR_PHASES[0])
+        down = scan_profile(c, 0.07, dets[::-1], KERR_PHASES[0])
         assert up.p_circ[0] < down.p_circ[-1]  # lowest stable branch up, highest down
 
-    @pytest.mark.parametrize("direction", ["up", "down"])
-    def test_exact_tie_takes_the_first(self, direction, monkeypatch):
+    @pytest.mark.parametrize("step", [1, -1], ids=["up", "down"])
+    def test_exact_tie_takes_the_first(self, step, monkeypatch):
         # Up, both multi-root points, and down, the first one has its stable
         # roots equally far either side of the previous choice: the first,
-        # lower one is kept.
-        roots = [[2.0], [1.0, 1.5, 3.0], [0.5, 0.75, 1.5], [1.0]]
+        # lower one is kept.  Down is the reversed array with its roots.
+        roots = [[2.0], [1.0, 1.5, 3.0], [0.5, 0.75, 1.5], [1.0]][::step]
         arrays = BranchArrays(np.array(sum(roots, [])), np.array([len(r) for r in roots]))
         monkeypatch.setattr(cavity_module, "steady_state_branches", lambda *args: arrays)
-        dets = np.array([0.0, 0.1, 0.2, 0.3])
-        found = scan_profile(cavity(), 0.07, dets, 0.0, direction)
-        assert_same_profile(found, reference_profile(roots, dets, direction))
+        dets = np.array([0.0, 0.1, 0.2, 0.3])[::step]
+        found = scan_profile(cavity(), 0.07, dets, 0.0)
+        assert_same_profile(found, reference_profile(roots, dets))
         assert sorted(found.p_circ.tolist()) == [0.5, 1.0, 1.0, 2.0]
 
 
@@ -1090,16 +1087,14 @@ class TestHalfMaxAsymmetry:
     def test_end_point_crossings(self, y, expected):
         assert _half_max_asymmetry(np.arange(len(y), dtype=float), np.array(y)) == expected
 
-    @pytest.mark.parametrize("direction", ["up", "down"])
-    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
-    def test_sweep_order_leaves_the_value(self, descending, direction):
-        # Both orders of one sweep read the same skew, and it is >= 0.
+    @pytest.mark.parametrize("step", [1, -1], ids=["ascending-up", "descending-down"])
+    def test_sweep_order_leaves_the_value(self, step):
+        # A profile read in either order has the same skew, and it is >= 0.
         c = CavityParams(0.838, 0.01, 0.0019)
-        dets = np.linspace(-8.0, 8.0, 1501) * c.linewidth_phase_fwhm
-        ascending = scan_profile(c, 0.0088, dets, -0.01, direction).asymmetry
-        found = scan_profile(c, 0.0088, dets[::-1] if descending else dets, -0.01,
-                             direction).asymmetry
-        assert found.hex() == ascending.hex() and found > 0.9
+        dets = np.linspace(-8.0, 8.0, 1501)[::step] * c.linewidth_phase_fwhm
+        prof = scan_profile(c, 0.0088, dets, -0.01)
+        found = _half_max_asymmetry(dets[::-1], prof.p_circ[::-1])
+        assert found.hex() == prof.asymmetry.hex() and found > 0.9
 
     def test_skewed_curve(self):
         # Lorentzian halves of half widths 0.3 and 0.8 on a grid that puts

@@ -112,6 +112,13 @@ class TestOmcTransfer:
         with pytest.raises(DomainError):
             omc_sideband_transfer(-FSR, 200.0, 1.0)
 
+    @pytest.mark.parametrize("finesse", [0.0, 2.0**511, 1e200, math.inf, math.nan])
+    def test_finesse_outside_the_float_range(self, finesse):
+        # Below 2**511, 4 F^2 is finite and the transfer of an odd line is 1.0.
+        assert omc_sideband_transfer(FSR, math.nextafter(2.0**511, 0.0), FSR) == 1.0
+        with pytest.raises(DomainError, match=r"omc_finesse must lie in \(0, 2\*\*511\)"):
+            omc_sideband_transfer(FSR, finesse, FSR)
+
 
 class TestTomographySettings:
     def test_bandwidth_ordering(self):

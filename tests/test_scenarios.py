@@ -24,6 +24,7 @@ from kerrsqueezer import (
     extract_cascade_result,
 )
 from kerrsqueezer.cli import main
+from kerrsqueezer.detection import trace_samples
 from kerrsqueezer.scenarios import (
     FIELDS,
     RunWriter,
@@ -192,6 +193,9 @@ VALIDATE_THEN_CRASH = {
     # A trace of 1 or 2 samples left the ellipse fit rank-deficient.
     "fig4_one_sample": ("fig4", {"tomography.duration_s": 0.005}, "tomography.duration_s:"),
     "fig4_two_samples": ("fig4", {"tomography.duration_s": 0.01}, "tomography.duration_s:"),
+    # np.arange could not allocate 2e302 samples; 2e310 overflowed trace_samples.
+    "fig4_2e302_samples": ("fig4", {"tomography.duration_s": 1e300}, "tomography.duration_s:"),
+    "fig4_inf_samples": ("fig4", {"tomography.duration_s": 1e308}, "tomography.duration_s:"),
     # The task ran twice and the manifest listed its tables twice.
     "custom_repeated_task": (
         "fig4", {"scenario": "custom", "custom": {"tasks": ["tomography", "tomography"]}},
@@ -297,6 +301,9 @@ DIAGNOSTIC_WORDING = [
      ["custom.tasks: task 'tomography' is listed twice"]),
     ("fig4", {"tomography.duration_s": 0.01},
      ["tomography.duration_s: must span at least 3 trace samples at vbw_hz (200.0), got 0.01"]),
+    ("fig4", {"tomography.duration_s": 1e300},
+     ["tomography.duration_s: must span fewer than 2**53 trace samples at vbw_hz (200.0), "
+      "got 1e+300"]),
 ]
 
 
@@ -321,6 +328,13 @@ class TestSchema:
     @pytest.mark.parametrize("scenario,changes,expected", DIAGNOSTIC_WORDING)
     def test_diagnostic_wording(self, scenario, changes, expected):
         assert validate_config(mutated(scenario, changes)) == expected
+
+    @pytest.mark.parametrize("duration", [2.5, math.nextafter(2.5, 3.0), 2.0**53 - 1.0,
+                                          2.0**53, 2.0**60])
+    def test_trace_sample_limits(self, duration):
+        # The checks on duration * vbw keep the trace_samples counts in [3, 2**53).
+        config = mutated("fig4", {"tomography.vbw_hz": 1.0, "tomography.duration_s": duration})
+        assert (validate_config(config) == []) == (3 <= trace_samples(duration, 1.0) < 2**53)
 
     @pytest.mark.parametrize("path",
                              ["fig4.eta_total", "fig5.kappa", "fig5.sideband_frequency_hz"])
@@ -636,6 +650,15 @@ class TestFig5:
         assert validate_config(config) == []
         assert run_cli(config, tmp_path) == 1
         assert capsys.readouterr().err.startswith("validation error: frequency / FSR")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("finesse", [1e154, 1e200])
+    def test_huge_omc_finesse_exit_1(self, finesse, tmp_path, capsys):
+        # 4 F^2 was inf at 1e154, a NaN transfer, and F^2 raised OverflowError at 1e200.
+        config = mutated("fig5", {"fig5.omc_finesse": finesse})
+        assert validate_config(config) == []
+        assert run_cli(config, tmp_path) == 1
+        assert capsys.readouterr().err.startswith("validation error: omc_finesse ")
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_paper_sideband_is_the_third_line(self, tmp_path, capsys):
