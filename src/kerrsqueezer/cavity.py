@@ -371,9 +371,10 @@ def squeezing_spectrum(op: OperatingPoint, omega) -> SpectrumPoint:
         )
     omegas = np.asarray(omega, dtype=float)
     gam, eps = op.gamma_total, abs(op.epsilon)
+    # Squares as products: correctly rounded, as numpy's array ** 2, where a float's ** is libm pow.
     gain, w2 = 4.0 * op.gamma_coupler * eps, omegas * omegas
-    v_min = 1.0 - gain / ((gam + eps) ** 2 + w2)
-    v_max = 1.0 + gain / ((gam - eps) ** 2 + w2)
+    v_min = 1.0 - gain / ((gam + eps) * (gam + eps) + w2)
+    v_max = 1.0 + gain / ((gam - eps) * (gam - eps) + w2)
     theta = 0.0 if eps == 0.0 else 0.25 * math.pi if op.epsilon < 0.0 else 0.75 * math.pi
     return SpectrumPoint(v_min, v_max, np.full(omegas.shape, theta)[()])
 
