@@ -318,11 +318,11 @@ def scan_profile(params: CavityParams, p_in: float, detunings: Sequence[float],
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Linearization data of one locked steady state.
+    """Linearization data of locked steady states: floats, or arrays that broadcast.
 
-    Rates are angular (rad/s): ``gamma_coupler = T1 * FSR / 2``,
-    ``gamma_loss = loss * FSR / 2`` and ``epsilon = g * p_circ * FSR``.  A
-    non-finite ``p_circ`` or ``epsilon`` or a negative ``p_circ`` raises :class:`DomainError`.
+    Rates are angular (rad/s): ``gamma_coupler = T1 * FSR / 2``, ``gamma_loss =
+    loss * FSR / 2`` and ``epsilon = g * p_circ * FSR``.  A non-finite ``p_circ``
+    or ``epsilon`` or a negative ``p_circ`` raises :class:`DomainError` naming it.
     """
 
     p_circ: float
@@ -331,27 +331,27 @@ class OperatingPoint:
     gamma_loss: float
 
     def __post_init__(self):
-        if not math.isfinite(self.p_circ) or self.p_circ < 0.0:
-            raise DomainError(f"p_circ must be finite and >= 0, got {self.p_circ}")
-        if not math.isfinite(self.epsilon):
-            raise DomainError(f"epsilon must be finite, got {self.epsilon}")
-        if self.gamma_coupler <= 0.0 or self.gamma_loss < 0.0:
+        p, eps = np.asarray(self.p_circ), np.asarray(self.epsilon)
+        if np.any(bad := ~np.isfinite(p) | (p < 0.0)):
+            raise DomainError(f"p_circ must be finite and >= 0, got {p[bad][0]}")
+        if np.any(bad := ~np.isfinite(eps)):
+            raise DomainError(f"epsilon must be finite, got {eps[bad][0]}")
+        if np.any(self.gamma_coupler <= 0.0) or np.any(self.gamma_loss < 0.0):
             raise DomainError("decay rates must be positive (coupler) / non-negative (loss)")
 
     @property
-    def gamma_total(self) -> float:
+    def gamma_total(self):
         return self.gamma_coupler + self.gamma_loss
 
     @property
-    def headroom(self) -> float:
-        """gamma_total / |epsilon|, the threshold over the pump (inf for epsilon = 0)."""
-        if self.epsilon == 0.0:
-            return math.inf
-        return self.gamma_total / abs(self.epsilon)
+    def headroom(self):
+        """gamma_total / |epsilon|, the threshold over the pump (inf where epsilon = 0)."""
+        with np.errstate(divide="ignore"):
+            return self.gamma_total / np.abs(self.epsilon)
 
     @property
-    def below_threshold(self) -> bool:
-        return abs(self.epsilon) < self.gamma_total
+    def below_threshold(self):
+        return np.abs(self.epsilon) < self.gamma_total
 
 
 def squeezing_spectrum(op: OperatingPoint, omega) -> SpectrumPoint:
@@ -363,20 +363,21 @@ def squeezing_spectrum(op: OperatingPoint, omega) -> SpectrumPoint:
     ((gamma_total +/- |epsilon|)^2 + omega^2)``.  The minor axis, relative
     to the carrier quadrature, is at pi/4 for ``epsilon < 0`` and 3 pi/4 for
     ``epsilon > 0``; without pump the output is vacuum, ``v = 1`` with
-    angle 0.  The fields have the shape of ``omega`` (np.float64 for a scalar).
+    angle 0.  The fields have the broadcast shape of the op's fields and
+    ``omega`` (np.float64 for scalars).  Its squares are products, as numpy's
+    ``x ** 2``: a float's ``**`` is libm's ``pow``, which is not correctly rounded.
     """
-    if not op.below_threshold:
+    if not np.all(op.below_threshold):
         raise ThresholdError(
-            f"spectrum undefined at or above threshold (headroom {op.headroom:.3f})"
+            f"spectrum undefined at or above threshold (headroom {np.min(op.headroom):.3f})"
         )
     omegas = np.asarray(omega, dtype=float)
-    gam, eps = op.gamma_total, abs(op.epsilon)
-    # Squares as products: correctly rounded, as numpy's array ** 2, where a float's ** is libm pow.
+    gam, eps = op.gamma_total, np.abs(op.epsilon)
     gain, w2 = 4.0 * op.gamma_coupler * eps, omegas * omegas
     v_min = 1.0 - gain / ((gam + eps) * (gam + eps) + w2)
     v_max = 1.0 + gain / ((gam - eps) * (gam - eps) + w2)
-    theta = 0.0 if eps == 0.0 else 0.25 * math.pi if op.epsilon < 0.0 else 0.75 * math.pi
-    return SpectrumPoint(v_min, v_max, np.full(omegas.shape, theta)[()])
+    theta = np.where(eps == 0.0, 0.0, np.where(op.epsilon < 0.0, 0.25 * math.pi, 0.75 * math.pi))
+    return SpectrumPoint(v_min, v_max, np.full(np.shape(v_min), theta)[()])
 
 
 def sideband_comb_map(fsr: float, frequency) -> CombAssignment:

@@ -425,34 +425,31 @@ def locked_circulating_power(params: CavityParams, p_in: float, delta_k, kappa: 
                   maxiter=LOCK_MAX_STEPS, what=f"the lock at input power {p_in} W")
 
 
-def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float) -> list:
+def _locked_points(model, kappa, temperatures, params: CavityParams, p_in: float) -> tuple:
     """Lock the cavity at each crystal temperature and linearize it there.
 
-    Returns one ``(delta_k, residual conversion, Kerr slope g in rad/W,
-    cavity with the residual conversion added to its loss, operating
-    point)`` per temperature.  One :func:`locked_circulating_power` call
-    locks every row, then one cascade call at ``p_lock * SLOPE_FACTORS``
-    gives each row's residual conversion (the middle row) and the central
-    difference ``epsilon = g * p_lock * FSR`` of its :class:`OperatingPoint`
-    (the outer rows).  A residual conversion that takes the round-trip loss
-    to 1 raises :class:`DomainError`.
+    Returns the arrays ``(delta_k, residual conversion, Kerr slope g in rad/W,
+    round-trip loss with the residual conversion added, operating point)``, one
+    element per temperature.  One :func:`locked_circulating_power` call locks
+    every row, then one cascade call at ``p_lock * SLOPE_FACTORS`` gives each
+    row's residual conversion (the middle row) and the central difference
+    ``epsilon = g * p_lock * FSR`` of the :class:`OperatingPoint` (the outer
+    rows).  A residual conversion that takes the round-trip loss to 1 raises
+    :class:`DomainError` for the first such row.
     """
     temps = np.asarray(temperatures, dtype=float)
     dk = delta_k(model, temps)
     p_lock = locked_circulating_power(params, p_in, dk, kappa, model.length)
     res = extract_cascade_result(np.multiply.outer(SLOPE_FACTORS, p_lock), dk, kappa, model.length)
     phi_lo, _, phi_hi = res.nl_phase
-    epsilon = (phi_hi - phi_lo) / (2.0 * SLOPE_STEP) * params.fsr
-    loss0, points = params.round_trip_loss, []
-    rows = np.stack([temps, dk, res.residual_conversion[1], p_lock, epsilon], axis=1).tolist()
-    for temp, dk_i, residual, p, eps in rows:
-        if loss0 + residual >= 1.0:
-            raise DomainError(f"residual conversion {residual} at crystal temperature {temp} C "
-                              f"and input power {p_in} W takes the round-trip loss to 1")
-        cav = replace(params, round_trip_loss=loss0 + residual)
-        op = OperatingPoint(p, eps, cav.gamma_coupler, cav.gamma_loss)
-        points.append((dk_i, residual, eps / (p * cav.fsr), cav, op))
-    return points
+    residual, fsr = res.residual_conversion[1], params.fsr
+    epsilon, loss = (phi_hi - phi_lo) / (2.0 * SLOPE_STEP) * fsr, params.round_trip_loss + residual
+    if np.any(saturated := loss >= 1.0):
+        i = np.argmax(saturated)  # the first saturated row
+        raise DomainError(f"residual conversion {residual[i]} at crystal temperature {temps[i]} C "
+                          f"and input power {p_in} W takes the round-trip loss to 1")
+    op = OperatingPoint(p_lock, epsilon, 0.5 * params.coupler_transmission * fsr, 0.5 * loss * fsr)
+    return dk, residual, epsilon / (p_lock * fsr), loss, op
 
 
 # --------------------------------------------------------------------------
@@ -638,18 +635,20 @@ def run_profiles(config, writer: RunWriter) -> dict:
     span_lw = float(_get(config, "fig3.profile_span_linewidths"))
 
     temperatures = _get(config, "fig3.profile_temperatures_c")
+    _, _, g, loss, op = _locked_points(model, kappa, temperatures, params, p_in)
     out = []
-    for temperature, (_, _, g, scan_params, op) in zip(
-            temperatures, _locked_points(model, kappa, temperatures, params, p_in)):
-        span = span_lw * scan_params.linewidth_phase_fwhm + 1.6 * abs(g) * op.p_circ
+    for temperature, g_i, loss_i, p_lock in zip(temperatures, g.tolist(), loss.tolist(),
+                                                op.p_circ.tolist()):
+        scan_params = replace(params, round_trip_loss=loss_i)
+        span = span_lw * scan_params.linewidth_phase_fwhm + 1.6 * abs(g_i) * p_lock
         detunings = np.linspace(-span, span, n_points)
-        profile = scan_profile(scan_params, p_in, detunings, g)
+        profile = scan_profile(scan_params, p_in, detunings, g_i)
         writer.table(_profile_name(temperature), {
             "detuning_rad": detunings, "p_circ_W": profile.p_circ,
             "p_trans_W": MONITOR_TRANSMISSION * profile.p_circ})
         out.append({"temperature_c": float(temperature), "asymmetry": profile.asymmetry,
-                    "bistable": profile.multi_branch, "kerr_slope_rad_per_w": g,
-                    "locked_power_w": op.p_circ})
+                    "bistable": profile.multi_branch, "kerr_slope_rad_per_w": g_i,
+                    "locked_power_w": p_lock})
     return {"profiles": out}
 
 
@@ -713,7 +712,7 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
         kappa = float(_get(config, "fig5.kappa"))
     params = _cavity(config)
     p_in = float(_get(config, "fig5.input_power_w"))
-    temperatures = [float(t) for t in _get(config, "fig5.temperatures_c")]
+    temps = np.asarray(_get(config, "fig5.temperatures_c"), dtype=float)
     budget = _budget(config)
     sigma = float(_get(config, "fig5.phase_noise_rms_rad"))
     finesse = float(_get(config, "fig5.omc_finesse"))
@@ -728,47 +727,46 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
     )
     eta_chain *= budget.visibility_factor
 
-    dks, residuals, _, cavs, ops = zip(*_locked_points(model, kappa, temperatures, params, p_in))
-    below = [i for i, op in enumerate(ops) if op.below_threshold]
-    if not below:
-        headrooms = [op.headroom for op in ops]
+    dks, residuals, _, losses, ops = _locked_points(model, kappa, temps, params, p_in)
+    below = ops.below_threshold
+    if not np.any(below):
         raise ThresholdError(
-            f"every fig5 row is at or above threshold (headroom {min(headrooms):.3f} "
-            f"to {max(headrooms):.3f}); lower fig5.kappa or fig5.input_power_w"
+            f"every fig5 row is at or above threshold (headroom {np.min(ops.headroom):.3f} "
+            f"to {np.max(ops.headroom):.3f}); lower fig5.kappa or fig5.input_power_w"
         )
-    # Cavity output (vmin, vmax) and observed (squeeze, antisqueeze) variances,
-    # then their dB from one call; NaN at or above threshold.
-    db = np.full((len(ops), 4), math.nan)
-    for i in below:
-        point = squeezing_spectrum(ops[i], comb.omega)
-        observed = dephase(apply_loss(GaussianQuadratureState(*point), eta_chain), sigma)
-        db[i] = (point.v_min, point.v_max, observed.v_min, observed.v_max)
-    db[below] = variance_to_db(db[below]) * [1.0, 1.0, -1.0, 1.0]
-    outside = [abs(dk * model.length) < math.pi for dk in dks]
+
+    def rows(pick):  # the operating points of the rows ``pick`` selects
+        return replace(ops, p_circ=ops.p_circ[pick], epsilon=ops.epsilon[pick],
+                       gamma_loss=ops.gamma_loss[pick])
+
+    # Cavity output (vmin, vmax) and observed (squeeze, antisqueeze) variances of
+    # the rows below threshold, then their dB from one call; NaN at or above threshold.
+    point = squeezing_spectrum(rows(below), comb.omega)
+    observed = dephase(apply_loss(GaussianQuadratureState(*point), eta_chain), sigma)
+    db = np.full((len(temps), 4), math.nan)
+    db[below] = variance_to_db(np.stack([point.v_min, point.v_max, observed.v_min,
+                                         observed.v_max], axis=1)) * [1.0, 1.0, -1.0, 1.0]
+    outside = np.abs(dks * model.length) < math.pi
     writer.table("squeeze_sweep", {
-        "T_celsius": temperatures,
-        "delta_k": dks,
-        "residual_conversion": residuals,
-        "round_trip_loss": [cav.round_trip_loss for cav in cavs],
-        "p_circ_W": [op.p_circ for op in ops],
-        "epsilon_rad_s": [op.epsilon for op in ops],
+        "T_celsius": temps, "delta_k": dks, "residual_conversion": residuals,
+        "round_trip_loss": losses, "p_circ_W": ops.p_circ, "epsilon_rad_s": ops.epsilon,
         "vmin_dB": db[:, 0], "vmax_dB": db[:, 1],
         "squeeze_dB": db[:, 2], "antisqueeze_dB": db[:, 3],
         "outside_spm_regime": outside,
     })
     records = [{"temperature_c": t, "squeeze_db": sq, "antisqueeze_db": anti,
-                "outside_spm_regime": out, "above_threshold": not op.below_threshold}
-               for t, sq, anti, out, op in zip(temperatures, db[:, 2].tolist(),
-                                                db[:, 3].tolist(), outside, ops)]
+                "outside_spm_regime": out, "above_threshold": not ok}
+               for t, sq, anti, out, ok in zip(temps.tolist(), db[:, 2].tolist(),
+                                                db[:, 3].tolist(), outside.tolist(), below.tolist())]
 
-    i_best = max(below, key=lambda i: records[i]["squeeze_db"])
+    i_best = int(np.nanargmax(db[:, 2]))
     best = records[i_best]
     first_minimum = _first_minimum(
-        model, find_conversion_extrema(model, (min(temperatures), max(temperatures))))
+        model, find_conversion_extrema(model, (temps.min(), temps.max())))
 
     # Spectrum export at the best temperature.
     freqs = np.linspace(0.0, 4.0 * params.fsr, int(_get(config, "fig5.spectrum_points")))
-    spec = squeezing_spectrum(ops[i_best], sideband_comb_map(params.fsr, freqs).omega)
+    spec = squeezing_spectrum(rows(i_best), sideband_comb_map(params.fsr, freqs).omega)
     writer.table("spectrum", {"f_Hz": freqs, "vmin_dB": variance_to_db(spec.v_min),
                               "vmax_dB": variance_to_db(spec.v_max), "theta_rad": spec.theta_min})
 

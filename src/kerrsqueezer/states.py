@@ -43,12 +43,13 @@ _FORWARD_CHECK_DB = 1e-6
 
 @dataclass(frozen=True)
 class GaussianQuadratureState:
-    """Squeezing ellipse of one sideband mode relative to vacuum.
+    """Squeezing ellipse of one sideband mode relative to vacuum, or arrays of them.
 
     Attributes
     ----------
-    v_min, v_max : float
-        Principal quadrature variances (vacuum = 1), ``v_min <= v_max``.
+    v_min, v_max : float or array
+        Principal quadrature variances (vacuum = 1), ``v_min <= v_max``; arrays
+        broadcast together, and a failed check names its first element.
     theta0 : float
         Orientation of the minor axis in radians, stored modulo pi.
     """
@@ -59,19 +60,16 @@ class GaussianQuadratureState:
 
     def __post_init__(self):
         for name in ("v_min", "v_max", "theta0"):
-            if not math.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise DomainError(f"{name} must be finite")
-        if self.v_min <= 0.0:
-            raise DomainError(f"v_min must be positive, got {self.v_min}")
-        if self.v_max < self.v_min:
-            raise DomainError(
-                f"v_max ({self.v_max}) must not be smaller than v_min ({self.v_min})"
-            )
-        if self.v_min * self.v_max < 1.0 - _PURITY_SLACK:
-            raise DomainError(
-                "purity bound violated: v_min*v_max = "
-                f"{self.v_min * self.v_max} < 1"
-            )
+        v_min, v_max = np.broadcast_arrays(self.v_min, self.v_max)
+        if np.any(bad := v_min <= 0.0):
+            raise DomainError(f"v_min must be positive, got {v_min[bad][0]}")
+        if np.any(bad := v_max < v_min):
+            raise DomainError(f"v_max ({v_max[bad][0]}) must not be smaller than "
+                              f"v_min ({v_min[bad][0]})")
+        if np.any(bad := v_min * v_max < 1.0 - _PURITY_SLACK):
+            raise DomainError(f"purity bound violated: v_min*v_max = {(v_min * v_max)[bad][0]} < 1")
         object.__setattr__(self, "theta0", self.theta0 % math.pi)
 
     @property

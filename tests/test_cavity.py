@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -1204,6 +1206,41 @@ class TestOperatingPoint:
                     below = abs(op.epsilon) < detuned_threshold(params, op, float(dets[idx]))
                     assert below == (position % 2 == 0), (p_in, float(dets[idx]), position)
         assert (len(calls), points) == (41, 167)
+
+    @pytest.mark.parametrize("field,first,later", [
+        ("p_circ", -1.5, -2.0), ("p_circ", math.nan, -1.0), ("p_circ", math.inf, 1.0),
+        ("epsilon", math.nan, math.inf), ("epsilon", -math.inf, 0.0),
+        ("gamma_coupler", 0.0, -1.0), ("gamma_loss", -1.0, 2.0),
+    ], ids=["negative-power", "nan-power", "inf-power", "nan-epsilon", "minus-inf-epsilon",
+            "zero-coupler-rate", "negative-loss-rate"])
+    def test_one_bad_element_raises_the_scalar_error(self, field, first, later):
+        # An operating point of arrays fails as the one-point call of its first
+        # bad element does, with the same text.
+        fields = {"p_circ": np.full((3, 4), 1.0), "epsilon": np.full((3, 4), -2.0e6),
+                  "gamma_coupler": np.full((3, 4), 5.0e6), "gamma_loss": np.full((3, 4), 1.0e6)}
+        fields[field][1, 2], fields[field][2, 0] = first, later
+        with pytest.raises(DomainError) as alone:
+            OperatingPoint(**{name: float(v[1, 2]) for name, v in fields.items()})
+        with pytest.raises(DomainError) as batch:
+            OperatingPoint(**fields)
+        assert str(batch.value) == str(alone.value)
+
+    def test_masks_of_arrays(self):
+        # headroom and below_threshold are masks; an epsilon = 0 element has
+        # an infinite headroom, with no divide warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = OperatingPoint(np.ones(5), np.array([-2.0e6, 0.0, -0.0, 6.0e6, -1.2e7]), 5.0e6,
+                                np.full(5, 1.0e6))
+            assert op.headroom.tolist() == [3.0, math.inf, math.inf, 1.0, 0.5]
+            assert op.below_threshold.tolist() == [True, True, True, False, False]
+            assert OperatingPoint(1.0, 0.0, 5.0e6, 1.0e6).headroom == math.inf
+        # The spectrum of any row at or above threshold is undefined, and the
+        # error names the lowest headroom.
+        with pytest.raises(ThresholdError, match=r"headroom 0\.500\)"):
+            squeezing_spectrum(op, 0.0)
+        assert squeezing_spectrum(replace(op, p_circ=op.p_circ[:3], epsilon=op.epsilon[:3],
+                                          gamma_loss=op.gamma_loss[:3]), 0.0).v_min.shape == (3,)
 
     def test_fold_point_sits_at_threshold(self):
         # The quasi-static fold and the linearized instability must agree.

@@ -108,10 +108,10 @@ def test_lock_matches_a_bracketed_solve(scenario, changes):
     # same equation; a fixed two-pass lock at a frozen conversion per watt
     # was off by 1.4e-5, 1.3e-5 and 0.55 here.
     model, kappa, temperatures, params, p_in = lock_inputs(scenario, **changes)
-    points = scenarios._locked_points(model, kappa, temperatures, params, p_in)
+    *_, op = scenarios._locked_points(model, kappa, temperatures, params, p_in)
     expected = bracketed_lock(params, p_in, delta_k(model, np.asarray(temperatures, dtype=float)),
                               kappa, model.length)
-    np.testing.assert_allclose([op.p_circ for *_, op in points], expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(op.p_circ, expected, rtol=1e-12, atol=0.0)
 
 
 def test_written_lock_solves_the_lock_equation(tmp_path):

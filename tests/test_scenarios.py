@@ -17,12 +17,20 @@ from hypothesis import strategies as st
 import kerrsqueezer
 from kerrsqueezer import (
     CavityParams,
+    GaussianQuadratureState,
     InconsistentObservationError,
+    OperatingPoint,
     ValidationError,
+    apply_loss,
     calibrate_from_extrema,
     delta_k,
+    dephase,
     extract_cascade_result,
+    omc_sideband_transfer,
+    sideband_comb_map,
+    squeezing_spectrum,
 )
+from kerrsqueezer import scenarios
 from kerrsqueezer.cli import main
 from kerrsqueezer.detection import trace_samples
 from kerrsqueezer.scenarios import (
@@ -557,7 +565,74 @@ class TestFig4:
         assert header == "t_seconds,theta_rad,measured_dB"
 
 
+def fig5_row_oracle(config):
+    """The cells of fig5's ``squeeze_sweep`` and ``spectrum`` tables, as repr
+    text, built row by row from scalar calls: one lock, cascade, CavityParams,
+    OperatingPoint, spectrum, loss and jitter call per row and ``10 log10`` per
+    variance, the way the rows were built before the program took them as
+    arrays, with the spectrum's squares as products."""
+    model, kappa = scenarios._crystal(config)
+    kappa = config["fig5"].get("kappa") or kappa
+    params, budget = scenarios._cavity(config), scenarios._budget(config)
+    p_in, fsr = config["fig5"]["input_power_w"], params.fsr
+    frequency = config["fig5"].get("sideband_frequency_hz") or fsr
+    omega = sideband_comb_map(fsr, frequency).omega
+    eta = (budget.omc_transmission.value
+           * omc_sideband_transfer(fsr, config["fig5"].get("omc_finesse", 200.0), frequency)
+           * budget.bhd_efficiency.value) * budget.visibility_factor
+    sigma = config["fig5"].get("phase_noise_rms_rad", 0.0)
+
+    def db(v):
+        return 10.0 * math.log10(v)
+
+    rows, ops = [], []
+    for t in config["fig5"]["temperatures_c"]:
+        dk = float(delta_k(model, float(t)))
+        p = float(scenarios.locked_circulating_power(params, p_in, np.array([dk]), kappa,
+                                                     model.length)[0])
+        res = extract_cascade_result(p * scenarios.SLOPE_FACTORS, dk, kappa, model.length)
+        residual = float(res.residual_conversion[1])
+        epsilon = float((res.nl_phase[2] - res.nl_phase[0]) / (2.0 * scenarios.SLOPE_STEP) * fsr)
+        cav = CavityParams(params.round_trip_length, params.coupler_transmission,
+                           params.round_trip_loss + residual)
+        op = OperatingPoint(p, epsilon, cav.gamma_coupler, cav.gamma_loss)
+        cells = [math.nan] * 4
+        if op.below_threshold:
+            point = squeezing_spectrum(op, omega)
+            seen = dephase(apply_loss(GaussianQuadratureState(*map(float, point)), eta), sigma)
+            cells = [db(point.v_min), db(point.v_max), -db(seen.v_min), db(seen.v_max)]
+        rows.append([float(t), dk, residual, cav.round_trip_loss, p, epsilon, *cells,
+                     int(abs(dk * model.length) < math.pi)])
+        ops.append(op)
+    best = max((i for i, op in enumerate(ops) if op.below_threshold), key=lambda i: rows[i][8])
+    freqs = np.linspace(0.0, 4.0 * fsr, config["fig5"].get("spectrum_points", 801))
+    spec = squeezing_spectrum(ops[best], sideband_comb_map(fsr, freqs).omega)
+    spectrum = [[float(f), db(lo), db(hi), float(th)]
+                for f, lo, hi, th in zip(freqs, spec.v_min, spec.v_max, spec.theta_min)]
+    return ([list(map(repr, row)) for row in rows], [list(map(repr, row)) for row in spectrum])
+
+
+def csv_cells(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
 class TestFig5:
+    @pytest.mark.parametrize("seed", [None, 17], ids=["packaged", "bench-seed-17"])
+    def test_rows_match_the_scalar_oracle(self, seed, tmp_path, monkeypatch):
+        # The array rows write each cell of the one-row calls, bit for bit.
+        # Config 3 of the bench seed 17 has a squeeze cell whose square
+        # (gamma +/- |epsilon|)^2 differs between a float's ** and a product.
+        if seed is None:
+            config = load_config(default_config_path("fig5"))
+        else:
+            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+            from workloads import generate
+            config = next(c.config for c in generate("squeeze_sweep", seed) if c.index == 3)
+        run_scenario(config, tmp_path)
+        sweep, spectrum = fig5_row_oracle(config)
+        assert csv_cells(tmp_path / "squeeze_sweep.csv") == sweep
+        assert csv_cells(tmp_path / "spectrum.csv") == spectrum
+
     def test_peak_at_first_minimum(self, fig5_run):
         _, summary = fig5_run
         assert summary["peak_at_first_minimum"]

@@ -112,6 +112,13 @@ KERNELS = {
                            [np.append(0.0, _RNG.uniform(0.0, 3.0e7, 23)).reshape(3, 8)]),
     "sideband_comb_map": (lambda f: tuple(sideband_comb_map(_FSR, f)),
                           [np.append(0.0, _RNG.uniform(0.0, 10.0 * _FSR, 23)).reshape(3, 8)]),
+    # An operating point of arrays: epsilon of both signs and zeros, one
+    # gamma_loss per column, one offset per row, all below threshold.
+    "squeezing_spectrum_of_arrays": (
+        lambda eps, gamma_loss, omega: tuple(
+            squeezing_spectrum(OperatingPoint(1.0, eps, 5.0e6, gamma_loss), omega)),
+        [np.append([0.0, -0.0], _RNG.uniform(-4.9e6, 4.9e6, 22)).reshape(3, 8),
+         _RNG.uniform(0.0, 2.0e6, 8), np.array([[0.0], [1.0e6], [3.0e7]])]),
 }
 
 
@@ -157,6 +164,42 @@ class TestStateInvariants:
         with pytest.raises(DomainError):
             SqueezeObservation(3.0, 2.0)
         SqueezeObservation(-1.0, -0.5)  # unsqueezed pairs are unconstrained
+
+
+class TestArrayStates:
+    """A state of arrays: per element, the bits and the errors of a one-state call."""
+
+    @pytest.mark.parametrize("channel", [
+        lambda s: apply_loss(s, 0.83),
+        lambda s: dephase(s, 0.3),
+        lambda s: dephase(apply_loss(s, 0.83), 0.3),
+    ], ids=["loss", "jitter", "loss-then-jitter"])
+    def test_channels_give_each_elements_bits(self, channel):
+        rng = np.random.default_rng(36)
+        v_min = rng.uniform(0.05, 1.0, (3, 8))
+        v_max = rng.uniform(1.0, 3.0, (3, 8)) / v_min  # v_min v_max >= 1
+        theta = rng.uniform(-4.0, 4.0, 8)
+        batch = dataclasses.astuple(channel(GaussianQuadratureState(v_min, v_max, theta)))
+        for index in np.ndindex(v_min.shape):
+            one = GaussianQuadratureState(float(v_min[index]), float(v_max[index]),
+                                          float(theta[index[1]]))
+            assert [float(x).hex() for x in dataclasses.astuple(channel(one))] == [
+                float(np.broadcast_to(field, v_min.shape)[index]).hex() for field in batch]
+
+    @pytest.mark.parametrize("field,first,later", [
+        ("v_min", 0.0, -1.0), ("v_min", -5e-324, 0.0), ("v_min", math.nan, 0.1),
+        ("v_max", 0.4, 0.3), ("v_max", 1.5, 1.9), ("theta0", math.inf, 0.0),
+    ], ids=["zero-v_min", "negative-v_min", "nan-v_min", "v_max-below-v_min", "impure",
+            "inf-theta0"])
+    def test_one_bad_element_raises_the_scalar_error(self, field, first, later):
+        fields = {"v_min": np.full((3, 4), 0.5), "v_max": np.full((3, 4), 3.0),
+                  "theta0": np.full((3, 4), 0.2)}
+        fields[field][1, 2], fields[field][2, 0] = first, later
+        with pytest.raises(DomainError) as alone:
+            GaussianQuadratureState(**{name: float(v[1, 2]) for name, v in fields.items()})
+        with pytest.raises(DomainError) as batch:
+            GaussianQuadratureState(**fields)
+        assert str(batch.value) == str(alone.value)
 
 
 class TestQuadratureVariance:
