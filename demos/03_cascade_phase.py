@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from kerrsqueezer import effective_kerr_phase, extract_cascade_result
+from kerrsqueezer import extract_cascade_result
 
 LENGTH = 0.0093
 KAPPA = 14.0
@@ -35,7 +35,8 @@ mults = np.array([2.0, 2.5, 3.0, 4.0, 6.0])
 # One batched call for all mismatches: array in, array out.
 phases = extract_cascade_result(0.2, mults * math.pi / LENGTH, KAPPA, LENGTH).nl_phase
 for mult, exact in zip(mults, phases):
-    formula = effective_kerr_phase(0.2, mult * math.pi / LENGTH, KAPPA, LENGTH)
+    x = mult * math.pi  # delta_k * L; the cascading formula at 0.2 W:
+    formula = -(KAPPA**2 * 0.2 * LENGTH**2 / x) * (1.0 - math.sin(x) / x)
     print(
         f"  {mult:3.1f} pi   {exact*1e3:+9.4f} mrad {formula*1e3:+9.4f} mrad"
         f"   {abs(exact-formula)/abs(formula)*100:6.2f}%"

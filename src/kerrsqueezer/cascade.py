@@ -39,7 +39,7 @@ formula
     phi_nl = -(kappa^2 p L / delta_k) * (1 - sinc(delta_k L)),
 
 which at the conversion zeros (delta_k L = 2 pi m) reduces to
-``-kappa^2 p L^2 / (2 pi m)``.
+``-kappa^2 p L^2 / (2 pi m)``; the tests hold it as an oracle of the exact phase.
 """
 
 from __future__ import annotations
@@ -51,11 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidityError
+from .errors import DomainError
 
 __all__ = [
     "CascadeResult",
-    "effective_kerr_phase",
     "extract_cascade_result",
     "single_pass_conversion",
 ]
@@ -110,27 +109,6 @@ def _sn_cn(u, levels) -> tuple:
     for a, c in reversed(levels[1:]):
         phi = 0.5 * (np.arcsin(c * np.sin(phi) / a) + phi)
     return np.sin(phi), np.cos(phi)
-
-
-def effective_kerr_phase(p_in: float, delta_k: float, kappa: float, length: float) -> float:
-    """Analytic cascade phase in the low-conversion, mismatched regime.
-
-    Only valid for ``|delta_k * length| >= pi``; closer to phase matching
-    direct conversion dominates and no clean phase shift exists.
-    """
-    if not math.isfinite(p_in) or p_in < 0.0:
-        raise DomainError(f"power must be >= 0, got {p_in}")
-    if not (math.isfinite(delta_k) and math.isfinite(kappa) and math.isfinite(length)):
-        raise DomainError(
-            f"delta_k, kappa and length must be finite, got {delta_k}, {kappa}, {length}"
-        )
-    x = delta_k * length
-    if abs(x) < math.pi:
-        raise ValidityError(
-            f"|delta_k * L| = {abs(x):.4f} < pi: outside cascade-phase validity"
-        )
-    sinc_x = math.sin(x) / x
-    return -(kappa**2 * p_in * length / delta_k) * (1.0 - sinc_x)
 
 
 _Orbit = namedtuple("_Orbit", "shape s w_b w_c elliptic levels quarter periods rest folded "

@@ -13,10 +13,6 @@ class DomainError(KerrSqueezerError, ValueError):
     """An argument lies outside its physically meaningful domain."""
 
 
-class ValidityError(DomainError):
-    """Arguments are legal but outside the validity region of a model."""
-
-
 class ValidationError(KerrSqueezerError):
     """A configuration failed schema or invariant checks."""
 

@@ -223,7 +223,7 @@ FIELDS = {
     "fig5.kappa": (_POSITIVE, None),  # None: crystal.kappa
     "fig5.sideband_frequency_hz": (_POSITIVE, None),  # None: one FSR
     "fig5.phase_noise_rms_rad": (_number(lo=0.0), 0.0),
-    "fig5.omc_finesse": (_number(lo=1.0), 200.0),
+    "fig5.omc_finesse": (_number(lo=1.0, hi=2.0**511, hi_open=True), 200.0),  # 4 F^2 finite
     "fig5.spectrum_points": (_integer(2), 801),
 }
 
@@ -756,8 +756,8 @@ def run_squeeze_sweep(config, writer: RunWriter) -> dict:
     })
     records = [{"temperature_c": t, "squeeze_db": sq, "antisqueeze_db": anti,
                 "outside_spm_regime": out, "above_threshold": not ok}
-               for t, sq, anti, out, ok in zip(temps.tolist(), db[:, 2].tolist(),
-                                                db[:, 3].tolist(), outside.tolist(), below.tolist())]
+               for t, sq, anti, out, ok in zip(temps.tolist(), db[:, 2].tolist(), db[:, 3].tolist(),
+                                                outside.tolist(), below.tolist())]
 
     i_best = int(np.nanargmax(db[:, 2]))
     best = records[i_best]

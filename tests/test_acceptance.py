@@ -18,7 +18,6 @@ from kerrsqueezer import (
     OperatingPoint,
     SqueezeObservation,
     calibrate_from_extrema,
-    effective_kerr_phase,
     extract_cascade_result,
     find_conversion_extrema,
     infer_loss_only,
@@ -28,7 +27,7 @@ from kerrsqueezer import (
     total_efficiency,
 )
 from kerrsqueezer.scenarios import default_config_path, load_config, run_scenario
-from test_cascade import reference_propagate
+from test_cascade import effective_kerr_phase, reference_propagate
 
 
 @contextmanager
